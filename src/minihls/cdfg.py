@@ -65,12 +65,6 @@ class CDFG:
     channels: list[Channel] = field(default_factory=list)
     return_width: int = 64
 
-    def comp(self, cid: int) -> Component:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(f"no component {cid}")
-
     def add_component(self, kind: str, in_widths, out_widths, **kw) -> Component:
         c = Component(len(self.components), kind,
                       tuple(in_widths), tuple(out_widths), **kw)
@@ -148,23 +142,26 @@ def _arity_violations(c: Component) -> list[str]:
 def check(g: CDFG) -> list[str]:
     """All structural violations; an empty list means the graph is well formed."""
     bad: list[str] = []
-    ids = [c.id for c in g.components]
-    if len(ids) != len(set(ids)):
-        return ["duplicate component ids"]
     by_id = {c.id: c for c in g.components}
+    if len(by_id) != len(g.components):
+        return ["duplicate component ids"]
 
     for c in g.components:
         bad.extend(_arity_violations(c))
 
-    out_seen: dict[Port, int] = {}
-    in_seen: dict[Port, int] = {}
+    # One pass over the channels: port checks, port use counts keyed by
+    # (component, index), and the buffer-free adjacency for the cycle check.
+    out_seen: dict[tuple[int, int], int] = {}
+    in_seen: dict[tuple[int, int], int] = {}
+    adj = _buffer_free_nodes(g)
     for ch in g.channels:
-        for port, side, widths in ((ch.src, "source", "out"), (ch.dst, "dest", "in")):
-            c = by_id.get(port.comp)
+        src, dst = ch.src, ch.dst
+        for port, side, c in ((src, "source", by_id.get(src.comp)),
+                              (dst, "dest", by_id.get(dst.comp))):
             if c is None:
                 bad.append(f"channel {ch.id}: {side} component {port.comp} missing")
                 continue
-            plist = c.out_widths if widths == "out" else c.in_widths
+            plist = c.out_widths if port is src else c.in_widths
             if not 0 <= port.index < len(plist):
                 bad.append(f"channel {ch.id}: {side} port {port.index} out of "
                            f"range for component {c.id} ({c.kind})")
@@ -172,40 +169,45 @@ def check(g: CDFG) -> list[str]:
                 bad.append(f"channel {ch.id}: width {ch.width} does not match "
                            f"{side} port width {plist[port.index]} "
                            f"on component {c.id} ({c.kind})")
-        out_seen[ch.src] = out_seen.get(ch.src, 0) + 1
-        in_seen[ch.dst] = in_seen.get(ch.dst, 0) + 1
+        out_seen[src.comp, src.index] = out_seen.get((src.comp, src.index), 0) + 1
+        in_seen[dst.comp, dst.index] = in_seen.get((dst.comp, dst.index), 0) + 1
+        if src.comp in adj and dst.comp in adj:
+            adj[src.comp].append(dst.comp)
 
     for c in g.components:
         for i in range(len(c.out_widths)):
-            n = out_seen.get(Port(c.id, i), 0)
+            n = out_seen.get((c.id, i), 0)
             if n != 1:
                 bad.append(f"component {c.id} ({c.kind}): output {i} drives "
                            f"{n} channels, must be exactly 1")
         for i in range(len(c.in_widths)):
-            n = in_seen.get(Port(c.id, i), 0)
+            n = in_seen.get((c.id, i), 0)
             if n != 1:
                 bad.append(f"component {c.id} ({c.kind}): input {i} is fed by "
                            f"{n} channels, must be exactly 1")
 
-    cyc = buffer_free_cycle(g)
+    cyc = _find_cycle(adj)
     if cyc is not None:
         bad.append("cycle without a Buffer through components "
                    + " -> ".join(str(c) for c in cyc))
     return bad
 
 
-def _adjacency(g: CDFG, skip_buffers: bool) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {c.id: [] for c in g.components
-                                 if not (skip_buffers and c.kind == BUFFER)}
-    for ch in g.channels:
-        if ch.src.comp in adj and ch.dst.comp in adj:
-            adj[ch.src.comp].append(ch.dst.comp)
-    return adj
+def _buffer_free_nodes(g: CDFG) -> dict[int, list[int]]:
+    """An empty successor list for every component that is not a Buffer."""
+    return {c.id: [] for c in g.components if c.kind != BUFFER}
 
 
 def buffer_free_cycle(g: CDFG) -> list[int] | None:
     """A component cycle containing no Buffer, or None."""
-    adj = _adjacency(g, skip_buffers=True)
+    adj = _buffer_free_nodes(g)
+    for ch in g.channels:
+        if ch.src.comp in adj and ch.dst.comp in adj:
+            adj[ch.src.comp].append(ch.dst.comp)
+    return _find_cycle(adj)
+
+
+def _find_cycle(adj: dict[int, list[int]]) -> list[int] | None:
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {cid: WHITE for cid in adj}
     for root in sorted(adj):

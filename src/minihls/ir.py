@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import Pos
 from .lattice import LatticeType, OperatorImpl
@@ -99,11 +99,6 @@ class SSAFunction:
         v = self.next_value
         self.next_value += 1
         return v
-
-    def fresh_block(self) -> BlockId:
-        b = self.next_block
-        self.next_block += 1
-        return b
 
     def clone(self) -> "SSAFunction":
         return copy.deepcopy(self)
@@ -394,9 +389,3 @@ def print_function(func: SSAFunction) -> str:
         else:
             lines.append("  <no terminator>")
     return "\n".join(lines) + "\n"
-
-
-def iter_instrs(func: SSAFunction) -> Iterator[tuple[Block, Instr]]:
-    for b in func.blocks:
-        for ins in b.instrs:
-            yield b, ins

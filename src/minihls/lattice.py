@@ -222,20 +222,5 @@ for _name in _CMP_NAMES.values():
     DEFAULT_LATENCIES[f"fcmp_{_name}_f64"] = 1
 
 
-def operator_signature(opcode: str) -> tuple[tuple[LatticeType, ...], LatticeType]:
-    """Operand and result types of a hardware opcode."""
-    sig = _OPCODE_SIGNATURES.get(opcode)
-    if sig is None:
-        raise KeyError(f"unknown opcode {opcode!r}")
-    return sig
-
-
-_OPCODE_SIGNATURES: dict[str, tuple[tuple[LatticeType, ...], LatticeType]] = {}
-for _imp in _TABLE.values():
-    _OPCODE_SIGNATURES[_imp.opcode] = (_imp.operand_types, _imp.result_type)
-_OPCODE_SIGNATURES["sitofp"] = ((I,), F)
-for _ty, _opc in SELECT_OPCODES.items():
-    _OPCODE_SIGNATURES[_opc] = ((B, _ty, _ty), _ty)
-
 IMPL_BY_OPCODE: dict[str, OperatorImpl] = {imp.opcode: imp for imp in _TABLE.values()}
 IMPL_BY_OPCODE["sitofp"] = SITOFP

@@ -44,12 +44,6 @@ def if_convert(func: SSAFunction, limit: int = SPECULATION_LIMIT) -> SSAFunction
     return out
 
 
-def remove_unreachable(func: SSAFunction) -> SSAFunction:
-    out = func.clone()
-    _remove_unreachable_inplace(out)
-    return out
-
-
 def optimize(func: SSAFunction, limit: int = SPECULATION_LIMIT) -> SSAFunction:
     """Run all passes to a fixpoint, verifying after each application."""
     out = func.clone()

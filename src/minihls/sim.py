@@ -1,25 +1,36 @@
-"""Cycle-accurate token-flow simulator.
+"""Cycle-accurate, event-driven token-flow simulator.
 
-Every cycle has two phases.  First, each component decides from the
-start-of-cycle state whether it fires: all required input channels must
-hold a token and the output channels it writes must be free.  Then all
-decisions commit at once, so components never observe a token that was
-produced in the same cycle.  Every channel hop therefore costs one cycle,
-which is the registered view of an elastic circuit.
+Timing model.  Every cycle has two phases.  First, each component decides
+from the start-of-cycle state whether it fires: all required input
+channels must hold a token and the output channels it writes must be
+free.  Then all decisions commit at once, so every channel hop costs one
+cycle, the registered view of an elastic circuit (the emitted VHDL is
+combinational through latency-0 components).  Operators with latency
+L hold accepted tokens in a little pipeline and release them L cycles
+later; a Buffer behaves like a latency-1 identity operator.  A Merge with
+more than one valid input is a hard error, not an arbitration: the
+builder only emits merges whose inputs are mutually exclusive.
 
-Operators with latency L hold accepted tokens in a little pipeline and
-release them L cycles later; a Buffer behaves like a latency-1 identity
-operator.  A Merge with more than one valid input is a hard error, not
-an arbitration: the builder only emits merges whose inputs are mutually
-exclusive, so a conflict means the circuit (or the builder) is wrong.
+Engine.  A `SimPlan` compiles a validated circuit once and serves any
+number of runs.  Each cycle a `Simulator` evaluates only its worklist, in
+ascending component order: the consumer of every channel filled and the
+producer of every channel emptied in the last commit, a full pipeline
+that freed a slot while a token waits at its input, and the pipelines
+holding a slot that comes due.  No other component can fire: it either
+declined last time and nothing around it changed, or it fired and waits
+for a neighbour.  Pipeline slots hold the absolute cycle they become
+ready, and when nothing fires but tokens are in flight the cycle counter
+jumps to the next release, never past `max_cycles`: the cycles skipped
+would fire nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE, MUX,
-                   OPERATOR, SINK, SOURCE, Component, Port, require_valid)
+                   OPERATOR, SINK, SOURCE, require_valid)
 from .errors import DeadlockError, MaxCyclesError, MergeConflictError, SimError
 from .interp import eval_op
 
@@ -38,203 +49,221 @@ class SimReport:
     events: list[tuple[int, int, str]] | None = None
 
 
-@dataclass
-class _Pipe:
-    """In-flight tokens of one operator: (value, cycles to go)."""
+# Firing rules: `rule(sim, i, c, ins, outs)` decides for component c (index
+# i, input and output channel indices) on the start-of-cycle channels and
+# queues its consumptions, productions and events on the simulator.
 
-    capacity: int
-    slots: list[list] = field(default_factory=list)
+def _emit(s, i, c, ins, outs):
+    """Entry emits its one token, Source a control token whenever it can."""
+    if (c.kind == SOURCE or i in s.entry_tokens) and s.chan[outs[0]] is _ABSENT:
+        s.produce.append((outs[0], s.entry_tokens.pop(i, None)))
+        s.fired.append((c.id, "emit"))
+
+
+def _drain(s, i, c, ins, outs):
+    """Exit and Sink take every token; an Exit's is the output."""
+    value = s.chan[ins[0]]
+    if value is not _ABSENT:
+        s.consume.append(ins[0])
+        if c.kind == EXIT:
+            s.outputs[c.id] = value
+        s.fired.append((c.id, "exit" if c.kind == EXIT else "sink"))
+
+
+def _fork(s, i, c, ins, outs):
+    chan = s.chan
+    value = chan[ins[0]]
+    if value is not _ABSENT and all(chan[o] is _ABSENT for o in outs):
+        s.consume.append(ins[0])
+        s.produce.extend((o, value) for o in outs)
+        s.fired.append((c.id, "fire"))
+
+
+def _branch(s, i, c, ins, outs):
+    chan = s.chan
+    value, cond = chan[ins[0]], chan[ins[1]]
+    if value is not _ABSENT and cond is not _ABSENT:
+        out = outs[0 if cond else 1]
+        if chan[out] is _ABSENT:
+            s.consume.extend(ins)
+            s.produce.append((out, value))
+            s.fired.append((c.id, "fire"))
+
+
+def _merge(s, i, c, ins, outs):
+    chan = s.chan
+    valid = [ch for ch in ins if chan[ch] is not _ABSENT]
+    if len(valid) > 1:
+        raise MergeConflictError(
+            f"merge {c.id} ({c.label}) has {len(valid)} valid "
+            f"inputs in cycle {s.cycle}")
+    if valid and chan[outs[0]] is _ABSENT:
+        s.consume.append(valid[0])
+        s.produce.append((outs[0], chan[valid[0]]))
+        s.fired.append((c.id, "fire"))
+
+
+def _mux(s, i, c, ins, outs):
+    chan = s.chan
+    if chan[ins[0]] is not _ABSENT:
+        side = ins[1] if chan[ins[0]] else ins[2]
+        if chan[side] is not _ABSENT and chan[outs[0]] is _ABSENT:
+            s.consume.extend((ins[0], side))
+            s.produce.append((outs[0], chan[side]))
+            s.fired.append((c.id, "fire"))
+
+
+def _operator(s, i, c, ins, outs):
+    """Latency-0 Operator, or Const: its trigger token yields the payload."""
+    values = [s.chan[ch] for ch in ins]
+    if _ABSENT not in values and s.chan[outs[0]] is _ABSENT:
+        s.consume.extend(ins)
+        s.produce.append((outs[0], c.value if c.kind == CONST
+                          else eval_op(c.opcode, tuple(values))))
+        s.fired.append((c.id, "fire"))
+
+
+def _pipeline(s, i, c, ins, outs):
+    """Buffer, or Operator with latency > 0: a FIFO of up to `depth`
+    (ready cycle, value) slots.  The head leaves once ready if the output
+    is free, and a token enters if a slot was free at the cycle's start."""
+    slots, depth = s.pipes[i], s.plan.depth[i]
+    n = len(slots)
+    values = [s.chan[ch] for ch in ins]
+    waiting = _ABSENT not in values
+    if n and slots[0][0] <= s.cycle and s.chan[outs[0]] is _ABSENT:
+        s.produce.append((outs[0], slots.pop(0)[1]))
+        s.tokens -= 1
+        s.fired.append((c.id, "emit"))
+        if n == depth and waiting:
+            s.worklist.add(i)  # the freed slot takes the token next cycle
+    if n < depth and waiting:
+        s.consume.extend(ins)
+        ready = s.cycle + depth
+        slots.append((ready, values[0] if c.kind == BUFFER
+                      else eval_op(c.opcode, tuple(values))))
+        heappush(s.releases, (ready, i))
+        s.tokens += 1
+        s.fired.append((c.id, "accept"))
+
+
+_FIRING = {ENTRY: _emit, SOURCE: _emit, EXIT: _drain, SINK: _drain,
+           CONST: _operator, FORK: _fork, BRANCH: _branch, MERGE: _merge,
+           MUX: _mux, BUFFER: _pipeline, OPERATOR: _operator}
+
+
+class SimPlan:
+    """A circuit checked by `require_valid` and compiled for simulation;
+    the circuit must not change while the plan is in use.
+
+    Components and channels are numbered by position.  `producer[k]` and
+    `consumer[k]` are the components at either end of channel k,
+    `nodes[i]` is component i's (firing rule, component, input channels,
+    output channels) and `depth[i]` the depth of a Buffer's or latency > 0
+    Operator's pipeline.
+    """
+
+    def __init__(self, g: CDFG):
+        require_valid(g)
+        self.g = g
+        comps = g.components
+        index = {c.id: i for i, c in enumerate(comps)}
+        self.producer = [index[ch.src.comp] for ch in g.channels]
+        self.consumer = [index[ch.dst.comp] for ch in g.channels]
+        ins = [[0] * len(c.in_widths) for c in comps]
+        outs = [[0] * len(c.out_widths) for c in comps]
+        for k, ch in enumerate(g.channels):
+            outs[self.producer[k]][ch.src.index] = k
+            ins[self.consumer[k]][ch.dst.index] = k
+        self.depth = {i: c.latency if c.kind == OPERATOR else 1
+                      for i, c in enumerate(comps) if c.kind == BUFFER
+                      or (c.kind == OPERATOR and c.latency > 0)}
+        self.nodes = [(_pipeline if i in self.depth else _FIRING[c.kind],
+                       c, ins[i], outs[i]) for i, c in enumerate(comps)]
+        self.entries = [i for i, c in enumerate(comps) if c.kind == ENTRY]
+        self.data_entries = [i for i in self.entries
+                             if comps[i].out_widths[0]]
+        # With every channel empty, only Entry and Source can fire.
+        self.starts = [i for i, c in enumerate(comps)
+                       if c.kind in (ENTRY, SOURCE)]
 
 
 class Simulator:
-    def __init__(self, g: CDFG, args: tuple, trace: bool = False):
-        require_valid(g)
-        self.g = g
-        self.chan: dict[int, object] = {ch.id: _ABSENT for ch in g.channels}
-        # per component: input/output channel ids by port index
-        in_ch = {ch.dst: ch.id for ch in g.channels}
-        out_ch = {ch.src: ch.id for ch in g.channels}
-        self.cin: dict[int, list[int]] = {
-            c.id: [in_ch[Port(c.id, i)] for i in range(len(c.in_widths))]
-            for c in g.components}
-        self.cout: dict[int, list[int]] = {
-            c.id: [out_ch[Port(c.id, i)] for i in range(len(c.out_widths))]
-            for c in g.components}
-        self.pipes: dict[int, _Pipe] = {}
-        self.entry_tokens: dict[int, list] = {}
+    def __init__(self, g: CDFG | SimPlan, args: tuple, trace: bool = False):
+        plan = g if isinstance(g, SimPlan) else SimPlan(g)
+        if len(args) != len(plan.data_entries):
+            raise SimError(f"circuit has {len(plan.data_entries)} data "
+                           f"entries, got {len(args)} argument(s)")
+        self.plan = plan
+        self.chan: list = [_ABSENT] * len(plan.producer)
+        self.entry_tokens = dict.fromkeys(plan.entries)  # control: None
+        self.entry_tokens.update(zip(plan.data_entries, args))
+        self.pipes: dict[int, list] = {i: [] for i in plan.depth}
+        # (ready cycle, component) of every token inside a pipeline
+        self.releases: list[tuple[int, int]] = []
+        self.tokens = 0  # in channels and pipelines
         self.outputs: dict[int, object] = {}
         self.events: list[tuple[int, int, str]] | None = [] if trace else None
         self.cycle = 0
         self.max_occupancy = 0
-
-        data_entries = [c for c in g.components
-                        if c.kind == ENTRY and c.out_widths[0] != 0]
-        if len(args) != len(data_entries):
-            raise SimError(f"circuit has {len(data_entries)} data entries, "
-                           f"got {len(args)} argument(s)")
-        for c, v in zip(data_entries, args):
-            self.entry_tokens[c.id] = [v]
-        for c in g.components:
-            if c.kind == ENTRY and c.out_widths[0] == 0:
-                self.entry_tokens[c.id] = [None]
-            elif c.kind == OPERATOR and c.latency > 0:
-                self.pipes[c.id] = _Pipe(c.latency)
-            elif c.kind == BUFFER:
-                self.pipes[c.id] = _Pipe(1)
-
-    # -- helpers ------------------------------------------------------------
+        self.consume: list[int] = []
+        self.produce: list[tuple[int, object]] = []
+        self.fired: list[tuple[int, str]] = []
+        self.worklist = set(plan.starts)
 
     def occupancy(self) -> int:
-        n = sum(1 for v in self.chan.values() if v is not _ABSENT)
-        n += sum(len(p.slots) for p in self.pipes.values())
-        n += sum(len(q) for q in self.entry_tokens.values())
-        return n
-
-    def _log(self, comp: int, what: str) -> None:
-        if self.events is not None:
-            self.events.append((self.cycle, comp, what))
-
-    # -- one cycle ----------------------------------------------------------
-
-    def step(self) -> bool:
-        chan = self.chan
-        consume: list[int] = []       # channel ids to clear
-        produce: list[tuple[int, object]] = []
-        pushes: list[tuple[int, object, int]] = []
-        pops: list[int] = []
-        fired: list[tuple[int, str]] = []
-
-        for c in self.g.components:
-            cin = self.cin[c.id]
-            cout = self.cout[c.id]
-            ins = [chan[i] for i in cin]
-            have = [v is not _ABSENT for v in ins]
-
-            if c.kind == ENTRY or c.kind == SOURCE:
-                queue = self.entry_tokens.get(c.id)
-                feed = queue if c.kind == ENTRY else [None]
-                if feed and chan[cout[0]] is _ABSENT:
-                    produce.append((cout[0], feed[0]))
-                    if c.kind == ENTRY:
-                        queue.pop(0)
-                    fired.append((c.id, "emit"))
-            elif c.kind == EXIT:
-                if have[0]:
-                    consume.append(cin[0])
-                    self.outputs[c.id] = ins[0]
-                    fired.append((c.id, "exit"))
-            elif c.kind == SINK:
-                if have[0]:
-                    consume.append(cin[0])
-                    fired.append((c.id, "sink"))
-            elif c.kind == CONST:
-                if have[0] and chan[cout[0]] is _ABSENT:
-                    consume.append(cin[0])
-                    produce.append((cout[0], c.value))
-                    fired.append((c.id, "fire"))
-            elif c.kind == FORK:
-                if have[0] and all(chan[o] is _ABSENT for o in cout):
-                    consume.append(cin[0])
-                    for o in cout:
-                        produce.append((o, ins[0]))
-                    fired.append((c.id, "fire"))
-            elif c.kind == BRANCH:
-                if have[0] and have[1]:
-                    side = 0 if ins[1] else 1
-                    if chan[cout[side]] is _ABSENT:
-                        consume.extend(cin)
-                        produce.append((cout[side], ins[0]))
-                        fired.append((c.id, "fire"))
-            elif c.kind == MERGE:
-                valid = [i for i, h in enumerate(have) if h]
-                if len(valid) > 1:
-                    raise MergeConflictError(
-                        f"merge {c.id} ({c.label}) has {len(valid)} valid "
-                        f"inputs in cycle {self.cycle}")
-                if valid and chan[cout[0]] is _ABSENT:
-                    consume.append(cin[valid[0]])
-                    produce.append((cout[0], ins[valid[0]]))
-                    fired.append((c.id, "fire"))
-            elif c.kind == MUX:
-                if have[0]:
-                    side = 1 if ins[0] else 2
-                    if have[side] and chan[cout[0]] is _ABSENT:
-                        consume.append(cin[0])
-                        consume.append(cin[side])
-                        produce.append((cout[0], ins[side]))
-                        fired.append((c.id, "fire"))
-            elif c.kind == BUFFER:
-                pipe = self.pipes[c.id]
-                if (pipe.slots and pipe.slots[0][1] == 0
-                        and chan[cout[0]] is _ABSENT):
-                    produce.append((cout[0], pipe.slots[0][0]))
-                    pops.append(c.id)
-                    fired.append((c.id, "emit"))
-                if have[0] and len(pipe.slots) < pipe.capacity:
-                    consume.append(cin[0])
-                    pushes.append((c.id, ins[0], 1))
-                    fired.append((c.id, "accept"))
-            elif c.kind == OPERATOR:
-                if c.latency == 0:
-                    if all(have) and chan[cout[0]] is _ABSENT:
-                        consume.extend(cin)
-                        produce.append((cout[0], eval_op(c.opcode, tuple(ins))))
-                        fired.append((c.id, "fire"))
-                else:
-                    pipe = self.pipes[c.id]
-                    if (pipe.slots and pipe.slots[0][1] == 0
-                            and chan[cout[0]] is _ABSENT):
-                        produce.append((cout[0], pipe.slots[0][0]))
-                        pops.append(c.id)
-                        fired.append((c.id, "emit"))
-                    if all(have) and len(pipe.slots) < pipe.capacity:
-                        consume.extend(cin)
-                        pushes.append((c.id, eval_op(c.opcode, tuple(ins)),
-                                       c.latency))
-                        fired.append((c.id, "accept"))
-            else:
-                raise SimError(f"component {c.id} has unknown kind {c.kind!r}")
-
-        # Commit.  Consumptions before productions: a channel is never
-        # consumed and refilled in the same cycle because the producer saw
-        # it occupied in the snapshot.
-        for ch_id in consume:
-            chan[ch_id] = _ABSENT
-        for ch_id, value in produce:
-            if chan[ch_id] is not _ABSENT:
-                raise SimError(f"channel {ch_id} driven while occupied")
-            chan[ch_id] = value
-        for comp_id in pops:
-            self.pipes[comp_id].slots.pop(0)
-        for comp_id, value, latency in pushes:
-            self.pipes[comp_id].slots.append([value, latency])
-
-        advanced = False
-        for pipe in self.pipes.values():
-            for slot in pipe.slots:
-                if slot[1] > 0:
-                    slot[1] -= 1
-                    advanced = True
-
-        for comp_id, what in fired:
-            self._log(comp_id, what)
-        self.max_occupancy = max(self.max_occupancy, self.occupancy())
-        return bool(fired) or advanced
-
-    # -- full run -----------------------------------------------------------
+        return self.tokens + len(self.entry_tokens)
 
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> SimReport:
+        nodes, producer, consumer = (self.plan.nodes, self.plan.producer,
+                                     self.plan.consumer)
+        chan, worklist, releases = self.chan, self.worklist, self.releases
+        consume, produce, fired = self.consume, self.produce, self.fired
         exit_cycle = None
         while True:
-            if self.cycle >= max_cycles:
+            cycle = self.cycle
+            if cycle >= max_cycles:
                 raise MaxCyclesError(
                     f"no quiescence after {max_cycles} cycles",
                     report=self._report(exit_cycle))
-            active = self.step()
+            while releases and releases[0][0] <= cycle:
+                worklist.add(heappop(releases)[1])
+            work = sorted(worklist)
+            worklist.clear()
+            for i in work:
+                rule, c, ins, outs = nodes[i]
+                rule(self, i, c, ins, outs)
+
+            # Commit.  Consumptions before productions: a channel is never
+            # consumed and refilled in the same cycle because the producer
+            # saw it occupied in the snapshot.
+            for ch in consume:
+                chan[ch] = _ABSENT
+                worklist.add(producer[ch])
+            for ch, value in produce:
+                if chan[ch] is not _ABSENT:
+                    raise SimError(f"channel {self.plan.g.channels[ch].id} "
+                                   f"driven while occupied")
+                chan[ch] = value
+                worklist.add(consumer[ch])
+            self.tokens += len(produce) - len(consume)
+            if self.tokens + len(self.entry_tokens) > self.max_occupancy:
+                self.max_occupancy = self.tokens + len(self.entry_tokens)
             if exit_cycle is None and self.outputs:
-                exit_cycle = self.cycle
-            self.cycle += 1
-            if not active:
+                exit_cycle = cycle
+
+            if fired:
+                if self.events is not None:
+                    self.events.extend((cycle, comp, what)
+                                       for comp, what in fired)
+                consume.clear()
+                produce.clear()
+                fired.clear()
+                self.cycle = cycle + 1
+            elif releases:
+                self.cycle = min(releases[0][0], max_cycles)
+            else:
+                self.cycle = cycle + 1
                 break
         if not self.outputs:
             raise DeadlockError(
@@ -251,6 +280,6 @@ class Simulator:
                          leftover=self.occupancy(), events=self.events)
 
 
-def simulate(g: CDFG, args: tuple, max_cycles: int = DEFAULT_MAX_CYCLES,
+def simulate(g: CDFG | SimPlan, args: tuple, max_cycles: int = DEFAULT_MAX_CYCLES,
              trace: bool = False) -> SimReport:
     return Simulator(g, args, trace=trace).run(max_cycles)

@@ -125,6 +125,69 @@ def test_check_catches_bufferless_cycle():
     assert any("cycle" in p.lower() for p in check(g))
 
 
+def fork_into_add(*wiring):
+    """Entry -> Fork -> two-input add -> Exit, wired by (src, dst, width)
+    triples of (component, port) pairs; components are numbered 0..3."""
+    g = CDFG("t")
+    g.add_component(C.ENTRY, (), (64,), label="x")
+    g.add_component(C.OPERATOR, (64, 64), (64,), opcode="add_i64")
+    g.add_component(C.FORK, (64,), (64, 64))
+    g.add_component(C.EXIT, (64,), ())
+    for src, dst, width in wiring:
+        g.add_channel(Port(*src), Port(*dst), width)
+    return g
+
+
+def test_check_messages_are_pinned():
+    loop = CDFG("loop")
+    loop.add_component(C.ENTRY, (), (64,), label="x")
+    loop.add_component(C.MERGE, (64, 64), (64,))
+    loop.add_component(C.FORK, (64,), (64, 64))
+    loop.add_component(C.EXIT, (64,), ())
+    for src, dst in (((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (1, 1)),
+                     ((2, 1), (3, 0))):
+        loop.add_channel(Port(*src), Port(*dst), 64)
+    odd = CDFG("odd")
+    odd.add_component(C.ENTRY, (), (64,), label="x")
+    odd.add_component(C.EXIT, (64,), ())
+    odd.add_channel(Port(0, 0), Port(1, 0), 64)
+    odd.add_channel(Port(0, 1), Port(9, 0), 64)
+    odd.add_channel(Port(1, 0), Port(1, 3), 1)
+    cases = {
+        "width mismatch": (fork_into_add(
+            ((0, 0), (2, 0), 64), ((2, 0), (1, 0), 1), ((2, 1), (1, 1), 64),
+            ((1, 0), (3, 0), 64)), [
+            "channel 1: width 1 does not match source port width 64 on "
+            "component 2 (Fork)",
+            "channel 1: width 1 does not match dest port width 64 on "
+            "component 1 (Operator)"]),
+        "undriven input": (fork_into_add(
+            ((0, 0), (2, 0), 64), ((2, 0), (1, 0), 64),
+            ((1, 0), (3, 0), 64)), [
+            "component 1 (Operator): input 1 is fed by 0 channels, must be "
+            "exactly 1",
+            "component 2 (Fork): output 1 drives 0 channels, must be "
+            "exactly 1"]),
+        "doubly driven output": (fork_into_add(
+            ((0, 0), (2, 0), 64), ((2, 0), (1, 0), 64), ((2, 0), (1, 1), 64),
+            ((1, 0), (3, 0), 64)), [
+            "component 2 (Fork): output 0 drives 2 channels, must be "
+            "exactly 1",
+            "component 2 (Fork): output 1 drives 0 channels, must be "
+            "exactly 1"]),
+        "buffer-free cycle": (loop, [
+            "cycle without a Buffer through components 1 -> 2 -> 1"]),
+        "bad endpoints": (odd, [
+            "channel 1: source port 1 out of range for component 0 (Entry)",
+            "channel 1: dest component 9 missing",
+            "channel 2: source port 0 out of range for component 1 (Exit)",
+            "channel 2: dest port 3 out of range for component 1 (Exit)",
+            "cycle without a Buffer through components 1 -> 1"]),
+    }
+    for name, (g, want) in cases.items():
+        assert check(g) == want, name
+
+
 def test_insert_buffers_breaks_cycles():
     g = tiny_passthrough()
     a = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")

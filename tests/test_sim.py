@@ -1,12 +1,17 @@
 """Token-flow simulator: differential checks, stalls, conflicts, latency."""
 
+import hashlib
+import re
+
 import pytest
 
 from minihls import cdfg as C
-from minihls.cdfg import CDFG, Port
-from minihls.errors import DeadlockError, MaxCyclesError, MergeConflictError
+from minihls.cdfg import CDFG, Port, component_stats
+from minihls.errors import (BuildError, DeadlockError, MaxCyclesError,
+                            MergeConflictError)
 from minihls.interp import run_source
-from minihls.sim import SimReport, simulate
+from minihls.pipeline import compile_source
+from minihls.sim import SimPlan, SimReport, simulate
 from minihls.source import parse_source
 from minihls import corpus
 
@@ -78,8 +83,11 @@ def test_deadlock_detected():
     g.add_channel(Port(br.id, 0), Port(sink.id, 0), 64)
     g.add_channel(Port(br.id, 1), Port(exit_.id, 0), 64)
     assert simulate(g, (7, False)).output == 7
-    with pytest.raises(DeadlockError):
+    with pytest.raises(DeadlockError, match=re.escape(
+            "deadlock in cycle 4: no component can fire and the exit never "
+            "received a token")) as info:
         simulate(g, (7, True))
+    assert info.value.report.total_cycles == 4
 
 
 def test_merge_conflict_detected():
@@ -92,8 +100,59 @@ def test_merge_conflict_detected():
     g.add_channel(Port(a.id, 0), Port(m.id, 0), 64)
     g.add_channel(Port(b.id, 0), Port(m.id, 1), 64)
     g.add_channel(Port(m.id, 0), Port(exit_.id, 0), 64)
-    with pytest.raises(MergeConflictError):
+    with pytest.raises(MergeConflictError, match=re.escape(
+            "merge 2 () has 2 valid inputs in cycle 1")):
         simulate(g, (1, 2))
+
+
+def test_merge_conflict_after_idle_cycles():
+    # Both tokens wait six cycles in pipelines, so the engine skips the idle
+    # cycles; the conflict must still surface in the cycle both arrive.
+    g = CDFG("late")
+    for label in ("a", "b"):
+        g.add_component(C.ENTRY, (), (64,), label=label)
+    for _ in range(2):
+        g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64",
+                        latency=6)
+    m = g.add_component(C.MERGE, (64, 64), (64,), label="join")
+    exit_ = g.add_component(C.EXIT, (64,), ())
+    for i in range(2):
+        g.add_channel(Port(i, 0), Port(2 + i, 0), 64)
+        g.add_channel(Port(2 + i, 0), Port(m.id, i), 64)
+    g.add_channel(Port(m.id, 0), Port(exit_.id, 0), 64)
+    with pytest.raises(MergeConflictError, match=re.escape(
+            "merge 4 (join) has 2 valid inputs in cycle 8")):
+        simulate(g, (1, 2))
+
+
+def slow_negate():
+    """Entry -> latency-10 negate -> Exit: cycles 2..10 fire nothing."""
+    g = CDFG("slow")
+    x = g.add_component(C.ENTRY, (), (64,), label="x")
+    op = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64",
+                         latency=10)
+    exit_ = g.add_component(C.EXIT, (64,), ())
+    g.add_channel(Port(x.id, 0), Port(op.id, 0), 64)
+    g.add_channel(Port(op.id, 0), Port(exit_.id, 0), 64)
+    return g
+
+
+def test_idle_cycles_are_counted():
+    report = simulate(slow_negate(), (7,), trace=True)
+    assert report.events == [(0, 0, "emit"), (1, 1, "accept"),
+                             (11, 1, "emit"), (12, 2, "exit")]
+    assert (report.output, report.exit_cycle, report.total_cycles) == (-7, 12, 14)
+
+
+def test_max_cycles_inside_idle_stretch():
+    with pytest.raises(MaxCyclesError,
+                       match="no quiescence after 5 cycles") as info:
+        simulate(slow_negate(), (7,), max_cycles=5, trace=True)
+    report = info.value.report
+    assert report.total_cycles == 5
+    assert report.events == [(0, 0, "emit"), (1, 1, "accept")]
+    assert (report.exit_cycle, report.max_occupancy, report.leftover) == (
+        None, 1, 1)
 
 
 def test_mux_selects_by_index():
@@ -138,3 +197,406 @@ def test_newton_leftover_zero(compiled):
     report = simulate(compiled("newton_raphson").cdfg, (4.0,))
     assert abs(report.output - 1.4142135623730951) < 1e-9
     assert report.leftover == 0
+
+
+def test_full_buffer_takes_waiting_token_after_emitting():
+    # A Source streams constants through Buffer 2 into an adder that also
+    # waits on a loop around Buffer 8, so Buffer 2 fills up with a token
+    # waiting behind it.  After it emits (cycle 10) it must take that token
+    # in the very next cycle, though no neighbour touched its channels.
+    g = CDFG("throttle")
+    for kind, ins, outs, kw in (
+            (C.SOURCE, (), (0,), {}), (C.CONST, (0,), (64,), {"value": 1}),
+            (C.BUFFER, (64,), (64,), {}), (C.ENTRY, (), (64,), {}),
+            (C.MERGE, (64, 64), (64,), {}),
+            (C.OPERATOR, (64, 64), (64,), {"opcode": "add_i64"}),
+            (C.FORK, (64,), (64, 64), {}), (C.SINK, (64,), (), {}),
+            (C.BUFFER, (64,), (64,), {})):
+        g.add_component(kind, ins, outs, **kw)
+    for src, dst, width in (((0, 0), (1, 0), 0), ((1, 0), (2, 0), 64),
+                            ((2, 0), (5, 0), 64), ((3, 0), (4, 0), 64),
+                            ((4, 0), (5, 1), 64), ((5, 0), (6, 0), 64),
+                            ((6, 0), (7, 0), 64), ((6, 1), (8, 0), 64),
+                            ((8, 0), (4, 1), 64)):
+        g.add_channel(Port(*src), Port(*dst), width)
+    with pytest.raises(MaxCyclesError) as info:
+        simulate(g, (0,), max_cycles=16, trace=True)
+    report = info.value.report
+    assert (10, 2, "emit") in report.events
+    assert (11, 2, "accept") in report.events
+    assert fingerprint(report) == (None, None, 16, 5, 5, "73de0b874831fcf2")
+
+
+def test_plan_validates_once_and_serves_every_run(compiled, monkeypatch):
+    g = compiled("power").cdfg
+    checks = []
+    real_check = C.check
+    monkeypatch.setattr(C, "check", lambda g: checks.append(g) or real_check(g))
+    plan = SimPlan(g)
+    runs = [simulate(plan, (b, 5), trace=True) for b in (-2, 3)]
+    assert len(checks) == 1
+    assert runs == [simulate(g, (b, 5), trace=True) for b in (-2, 3)]
+    assert len(checks) == 3  # building from a CDFG always validates
+    broken = CDFG("broken")
+    broken.add_component(C.ENTRY, (), (64,), label="x")
+    with pytest.raises(BuildError):
+        SimPlan(broken)
+
+
+# -- equivalence with the scan-every-component simulator --------------------
+#
+# The fingerprints below were recorded from the simulator this event-driven
+# engine replaced, which evaluated every component in every cycle.  Each is
+# (output, exit_cycle, total_cycles, max_occupancy, leftover, the first 16
+# hex digits of the sha256 of repr(events)).
+
+def fingerprint(report):
+    digest = hashlib.sha256(repr(report.events).encode()).hexdigest()[:16]
+    return (report.output, report.exit_cycle, report.total_cycles,
+            report.max_occupancy, report.leftover, digest)
+
+
+def assert_pinned(g, pinned):
+    plan = SimPlan(g)
+    got = {p: fingerprint(simulate(plan, p, trace=True)) for p in pinned}
+    assert got == pinned
+
+
+def test_event_trace_pinned_on_corpus_sweeps(program, compiled, sweeps):
+    assert list(SEED_FINGERPRINTS[program]) == sweeps[program]
+    assert_pinned(compiled(program).cdfg, SEED_FINGERPRINTS[program])
+
+
+@pytest.mark.parametrize("latency", [0, 2, 6, 12])
+def test_event_trace_pinned_under_latencies(compiled, latency):
+    res = compiled("power", latencies={"mul_i64": latency})
+    assert_pinned(res.cdfg, LATENCY_FINGERPRINTS[latency])
+
+
+# Two loops of two diamonds each.  Narrow arms are if-converted into
+# selects, so only the loop keeps Branch/Merge steering; wide arms exceed
+# the speculation limit and keep theirs.
+DIAMONDS = {"narrow": """
+function narrow(a::Int64, b::Int64)
+  x = a
+  y = b
+  i = 0
+  while i < 3
+    if x < y
+      x = x + y
+      y = y - 3
+    else
+      x = x - y
+      y = y + 5
+    end
+    if x > y
+      x = x * 2
+      y = y + x
+    else
+      x = x + 1
+      y = y * 3
+    end
+    i = i + 1
+  end
+  return x - y
+end
+""", "wide": """
+function wide(a::Int64, b::Int64)
+  x = a
+  y = b
+  i = 0
+  while i < 3
+    if x < y
+      x = x + y * 3 - x
+      y = y - x * 2 + y
+    else
+      x = x * y - 4 + x
+      y = y + x - 7 * y
+    end
+    if x >= y
+      x = x - y + 2 * x
+      y = y * x + 5 - y
+    else
+      x = x + 1 - y * x
+      y = y - 6 * x + y
+    end
+    i = i + 1
+  end
+  return x - y
+end
+"""}
+
+
+@pytest.mark.parametrize("name, branches", [("narrow", 4), ("wide", 12)])
+def test_event_trace_pinned_on_diamond_loops(name, branches):
+    g = compile_source(DIAMONDS[name]).cdfg
+    assert component_stats(g)["Branch"] == branches
+    assert_pinned(g, DIAMOND_FINGERPRINTS[name])
+
+
+SEED_FINGERPRINTS = {
+    "if_else": {
+        (-5, -5): (25, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-5, -4): (20, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-5, -3): (15, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-5, -2): (10, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-5, -1): (5, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-5, 0): (-5, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-5, 1): (-4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-5, 2): (-3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-5, 3): (-2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-5, 4): (-1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-5, 5): (0, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-4, -5): (20, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-4, -4): (16, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-4, -3): (12, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-4, -2): (8, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-4, -1): (-5, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-4, 0): (-4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-4, 1): (-3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-4, 2): (-2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-4, 3): (-1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-4, 4): (0, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-4, 5): (1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-3, -5): (15, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-3, -4): (12, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-3, -3): (9, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-3, -2): (6, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-3, -1): (-4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-3, 0): (-3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-3, 1): (-2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-3, 2): (-1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-3, 3): (0, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-3, 4): (1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-3, 5): (2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-2, -5): (10, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-2, -4): (8, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-2, -3): (6, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-2, -2): (-4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-2, -1): (-3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-2, 0): (-2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-2, 1): (-1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-2, 2): (0, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-2, 3): (1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-2, 4): (2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-2, 5): (3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-1, -5): (5, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-1, -4): (-5, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-1, -3): (-4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-1, -2): (-3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-1, -1): (-2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-1, 0): (-1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-1, 1): (0, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-1, 2): (1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-1, 3): (2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-1, 4): (3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (-1, 5): (4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (0, -5): (-5, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (0, -4): (-4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (0, -3): (-3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (0, -2): (-2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (0, -1): (-1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (0, 0): (0, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (0, 1): (1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (0, 2): (2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (0, 3): (3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (0, 4): (4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (0, 5): (5, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (1, -5): (-4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (1, -4): (-3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (1, -3): (-2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (1, -2): (-1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (1, -1): (0, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (1, 0): (1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (1, 1): (2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (1, 2): (3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (1, 3): (4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (1, 4): (5, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (1, 5): (5, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (2, -5): (-3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (2, -4): (-2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (2, -3): (-1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (2, -2): (0, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (2, -1): (1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (2, 0): (2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (2, 1): (3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (2, 2): (4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (2, 3): (6, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (2, 4): (8, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (2, 5): (10, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (3, -5): (-2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (3, -4): (-1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (3, -3): (0, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (3, -2): (1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (3, -1): (2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (3, 0): (3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (3, 1): (4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (3, 2): (6, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (3, 3): (9, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (3, 4): (12, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (3, 5): (15, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (4, -5): (-1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (4, -4): (0, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (4, -3): (1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (4, -2): (2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (4, -1): (3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (4, 0): (4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (4, 1): (5, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (4, 2): (8, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (4, 3): (12, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (4, 4): (16, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (4, 5): (20, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (5, -5): (0, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (5, -4): (1, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (5, -3): (2, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (5, -2): (3, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (5, -1): (4, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (5, 0): (5, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (5, 1): (5, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (5, 2): (10, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (5, 3): (15, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (5, 4): (20, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+        (5, 5): (25, 13, 15, 7, 0, "e1c01a1e4f8c93df"),
+    },
+    "power": {
+        (-3, 0): (1, 10, 12, 8, 0, "d42d23e481878b17"),
+        (-3, 1): (-3, 20, 22, 8, 0, "7767f72b1c396177"),
+        (-3, 2): (9, 30, 32, 8, 0, "1d7dec9c687cc987"),
+        (-3, 3): (-27, 40, 42, 8, 0, "6352edeebe922e06"),
+        (-3, 4): (81, 50, 52, 8, 0, "e54239e25c75cda0"),
+        (-3, 5): (-243, 60, 62, 8, 0, "360e6ca232262809"),
+        (-3, 6): (729, 70, 72, 8, 0, "575a57a6990dd797"),
+        (-3, 7): (-2187, 80, 82, 8, 0, "1923a9d4680a23ac"),
+        (-3, 8): (6561, 90, 92, 8, 0, "7c91cfe3d8e718a2"),
+        (-3, 9): (-19683, 100, 102, 8, 0, "e9d8d30b944d5a55"),
+        (-3, 10): (59049, 110, 112, 8, 0, "57dd32f070ef0720"),
+        (-3, 11): (-177147, 120, 122, 8, 0, "9281d4ba2d573d9b"),
+        (-3, 12): (531441, 130, 132, 8, 0, "3ff1e65277fc3508"),
+        (-2, 0): (1, 10, 12, 8, 0, "d42d23e481878b17"),
+        (-2, 1): (-2, 20, 22, 8, 0, "7767f72b1c396177"),
+        (-2, 2): (4, 30, 32, 8, 0, "1d7dec9c687cc987"),
+        (-2, 3): (-8, 40, 42, 8, 0, "6352edeebe922e06"),
+        (-2, 4): (16, 50, 52, 8, 0, "e54239e25c75cda0"),
+        (-2, 5): (-32, 60, 62, 8, 0, "360e6ca232262809"),
+        (-2, 6): (64, 70, 72, 8, 0, "575a57a6990dd797"),
+        (-2, 7): (-128, 80, 82, 8, 0, "1923a9d4680a23ac"),
+        (-2, 8): (256, 90, 92, 8, 0, "7c91cfe3d8e718a2"),
+        (-2, 9): (-512, 100, 102, 8, 0, "e9d8d30b944d5a55"),
+        (-2, 10): (1024, 110, 112, 8, 0, "57dd32f070ef0720"),
+        (-2, 11): (-2048, 120, 122, 8, 0, "9281d4ba2d573d9b"),
+        (-2, 12): (4096, 130, 132, 8, 0, "3ff1e65277fc3508"),
+        (-1, 0): (1, 10, 12, 8, 0, "d42d23e481878b17"),
+        (-1, 1): (-1, 20, 22, 8, 0, "7767f72b1c396177"),
+        (-1, 2): (1, 30, 32, 8, 0, "1d7dec9c687cc987"),
+        (-1, 3): (-1, 40, 42, 8, 0, "6352edeebe922e06"),
+        (-1, 4): (1, 50, 52, 8, 0, "e54239e25c75cda0"),
+        (-1, 5): (-1, 60, 62, 8, 0, "360e6ca232262809"),
+        (-1, 6): (1, 70, 72, 8, 0, "575a57a6990dd797"),
+        (-1, 7): (-1, 80, 82, 8, 0, "1923a9d4680a23ac"),
+        (-1, 8): (1, 90, 92, 8, 0, "7c91cfe3d8e718a2"),
+        (-1, 9): (-1, 100, 102, 8, 0, "e9d8d30b944d5a55"),
+        (-1, 10): (1, 110, 112, 8, 0, "57dd32f070ef0720"),
+        (-1, 11): (-1, 120, 122, 8, 0, "9281d4ba2d573d9b"),
+        (-1, 12): (1, 130, 132, 8, 0, "3ff1e65277fc3508"),
+        (0, 0): (1, 10, 12, 8, 0, "d42d23e481878b17"),
+        (0, 1): (0, 20, 22, 8, 0, "7767f72b1c396177"),
+        (0, 2): (0, 30, 32, 8, 0, "1d7dec9c687cc987"),
+        (0, 3): (0, 40, 42, 8, 0, "6352edeebe922e06"),
+        (0, 4): (0, 50, 52, 8, 0, "e54239e25c75cda0"),
+        (0, 5): (0, 60, 62, 8, 0, "360e6ca232262809"),
+        (0, 6): (0, 70, 72, 8, 0, "575a57a6990dd797"),
+        (0, 7): (0, 80, 82, 8, 0, "1923a9d4680a23ac"),
+        (0, 8): (0, 90, 92, 8, 0, "7c91cfe3d8e718a2"),
+        (0, 9): (0, 100, 102, 8, 0, "e9d8d30b944d5a55"),
+        (0, 10): (0, 110, 112, 8, 0, "57dd32f070ef0720"),
+        (0, 11): (0, 120, 122, 8, 0, "9281d4ba2d573d9b"),
+        (0, 12): (0, 130, 132, 8, 0, "3ff1e65277fc3508"),
+        (1, 0): (1, 10, 12, 8, 0, "d42d23e481878b17"),
+        (1, 1): (1, 20, 22, 8, 0, "7767f72b1c396177"),
+        (1, 2): (1, 30, 32, 8, 0, "1d7dec9c687cc987"),
+        (1, 3): (1, 40, 42, 8, 0, "6352edeebe922e06"),
+        (1, 4): (1, 50, 52, 8, 0, "e54239e25c75cda0"),
+        (1, 5): (1, 60, 62, 8, 0, "360e6ca232262809"),
+        (1, 6): (1, 70, 72, 8, 0, "575a57a6990dd797"),
+        (1, 7): (1, 80, 82, 8, 0, "1923a9d4680a23ac"),
+        (1, 8): (1, 90, 92, 8, 0, "7c91cfe3d8e718a2"),
+        (1, 9): (1, 100, 102, 8, 0, "e9d8d30b944d5a55"),
+        (1, 10): (1, 110, 112, 8, 0, "57dd32f070ef0720"),
+        (1, 11): (1, 120, 122, 8, 0, "9281d4ba2d573d9b"),
+        (1, 12): (1, 130, 132, 8, 0, "3ff1e65277fc3508"),
+        (2, 0): (1, 10, 12, 8, 0, "d42d23e481878b17"),
+        (2, 1): (2, 20, 22, 8, 0, "7767f72b1c396177"),
+        (2, 2): (4, 30, 32, 8, 0, "1d7dec9c687cc987"),
+        (2, 3): (8, 40, 42, 8, 0, "6352edeebe922e06"),
+        (2, 4): (16, 50, 52, 8, 0, "e54239e25c75cda0"),
+        (2, 5): (32, 60, 62, 8, 0, "360e6ca232262809"),
+        (2, 6): (64, 70, 72, 8, 0, "575a57a6990dd797"),
+        (2, 7): (128, 80, 82, 8, 0, "1923a9d4680a23ac"),
+        (2, 8): (256, 90, 92, 8, 0, "7c91cfe3d8e718a2"),
+        (2, 9): (512, 100, 102, 8, 0, "e9d8d30b944d5a55"),
+        (2, 10): (1024, 110, 112, 8, 0, "57dd32f070ef0720"),
+        (2, 11): (2048, 120, 122, 8, 0, "9281d4ba2d573d9b"),
+        (2, 12): (4096, 130, 132, 8, 0, "3ff1e65277fc3508"),
+        (3, 0): (1, 10, 12, 8, 0, "d42d23e481878b17"),
+        (3, 1): (3, 20, 22, 8, 0, "7767f72b1c396177"),
+        (3, 2): (9, 30, 32, 8, 0, "1d7dec9c687cc987"),
+        (3, 3): (27, 40, 42, 8, 0, "6352edeebe922e06"),
+        (3, 4): (81, 50, 52, 8, 0, "e54239e25c75cda0"),
+        (3, 5): (243, 60, 62, 8, 0, "360e6ca232262809"),
+        (3, 6): (729, 70, 72, 8, 0, "575a57a6990dd797"),
+        (3, 7): (2187, 80, 82, 8, 0, "1923a9d4680a23ac"),
+        (3, 8): (6561, 90, 92, 8, 0, "7c91cfe3d8e718a2"),
+        (3, 9): (19683, 100, 102, 8, 0, "e9d8d30b944d5a55"),
+        (3, 10): (59049, 110, 112, 8, 0, "57dd32f070ef0720"),
+        (3, 11): (177147, 120, 122, 8, 0, "9281d4ba2d573d9b"),
+        (3, 12): (531441, 130, 132, 8, 0, "3ff1e65277fc3508"),
+    },
+    "newton_raphson": {
+        (0.5,): (1.4142135623730951, 229, 231, 10, 0, "9eaab4055b6a47d8"),
+        (1.0,): (1.4142135623730951, 193, 195, 10, 0, "1377eecce88d89ef"),
+        (2.0,): (1.4142135623730951, 193, 195, 10, 0, "1377eecce88d89ef"),
+        (4.0,): (1.4142135623730951, 229, 231, 10, 0, "9eaab4055b6a47d8"),
+    },
+}
+
+LATENCY_FINGERPRINTS = {
+    0: {
+        (3, 5): (243, 60, 62, 8, 0, "2a9737dee4b02c43"),
+        (2, 10): (1024, 110, 112, 8, 0, "2bc07ea388794cf9"),
+        (-2, 7): (-128, 80, 82, 8, 0, "c25d6cfc89b0ea77"),
+    },
+    2: {
+        (3, 5): (243, 60, 62, 8, 0, "360e6ca232262809"),
+        (2, 10): (1024, 110, 112, 8, 0, "57dd32f070ef0720"),
+        (-2, 7): (-128, 80, 82, 8, 0, "1923a9d4680a23ac"),
+    },
+    6: {
+        (3, 5): (243, 65, 67, 8, 0, "d90df4b91a70d65e"),
+        (2, 10): (1024, 120, 122, 9, 0, "7e0e5daad5ea5767"),
+        (-2, 7): (-128, 87, 89, 8, 0, "bb96483f819d3473"),
+    },
+    12: {
+        (3, 5): (243, 95, 97, 9, 0, "fe083a781db9a838"),
+        (2, 10): (1024, 180, 182, 9, 0, "de03e218ec8830a1"),
+        (-2, 7): (-128, 129, 131, 9, 0, "3794e2ffbf0ebda3"),
+    },
+}
+
+DIAMOND_FINGERPRINTS = {
+    "narrow": {
+        (-3, -2): (-40, 62, 64, 19, 0, "3c7f316820e1872e"),
+        (-3, 5): (-18, 62, 64, 19, 0, "3c7f316820e1872e"),
+        (0, -2): (-27, 62, 64, 19, 0, "3c7f316820e1872e"),
+        (0, 5): (-50, 62, 64, 19, 0, "3c7f316820e1872e"),
+        (4, -2): (-63, 62, 64, 19, 0, "3c7f316820e1872e"),
+        (4, 5): (-90, 62, 64, 19, 0, "3c7f316820e1872e"),
+    },
+    "wide": {
+        (-3, -2): (-2453954371759577225, 129, 131, 10, 0, "e37b0b57f05a567d"),
+        (-3, 5): (1330120470267692769, 129, 131, 10, 0, "62cb879570040338"),
+        (0, -2): (506541151701678991, 126, 128, 10, 0, "20f237039ce66866"),
+        (0, 5): (1330120470267692769, 129, 131, 10, 0, "62cb879570040338"),
+        (4, -2): (167166095852067791, 126, 128, 10, 0, "20f237039ce66866"),
+        (4, 5): (1330120470267692769, 129, 131, 10, 0, "62cb879570040338"),
+    },
+}
