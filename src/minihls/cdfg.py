@@ -7,6 +7,14 @@ drives exactly one channel and every input port is fed by exactly one;
 fan-out is always an explicit Fork.  Cycles are legal only when broken by
 a Buffer, which `check` enforces by requiring the buffer-free subgraph to
 be acyclic.
+
+Kinds (`KIND_ORDER`): Entry and Exit cross the circuit boundary, Const
+turns a trigger token into its payload, an Operator computes its opcode
+over `latency` stages, Fork copies, Branch steers by a Bool, Merge passes
+its one valid input, a Buffer holds one token and a Sink drops tokens.
+`check` takes each kind's port counts from `_PORTS` and its width and
+field rules from `_RULES`; `sim._FIRING` and `vhdl.entity_name` give its
+firing rule and entity name.
 """
 
 from __future__ import annotations
@@ -23,13 +31,10 @@ OPERATOR = "Operator"
 FORK = "Fork"
 BRANCH = "Branch"
 MERGE = "Merge"
-MUX = "Mux"
 BUFFER = "Buffer"
-SOURCE = "Source"
 SINK = "Sink"
 
-KIND_ORDER = (ENTRY, EXIT, CONST, OPERATOR, FORK, BRANCH, MERGE, MUX,
-              BUFFER, SOURCE, SINK)
+KIND_ORDER = (ENTRY, EXIT, CONST, OPERATOR, FORK, BRANCH, MERGE, BUFFER, SINK)
 
 
 @dataclass(frozen=True)
@@ -91,52 +96,47 @@ def component_stats(g: CDFG) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _arity_violations(c: Component) -> list[str]:
-    n_in, n_out = len(c.in_widths), len(c.out_widths)
-    bad = []
+# kind -> (inputs, outputs); a negative count means "at least -n".
+_PORTS = {ENTRY: (0, 1), EXIT: (1, 0), SINK: (1, 0), CONST: (1, 1),
+          OPERATOR: (-1, 1), FORK: (1, -2), BRANCH: (2, 2), MERGE: (-2, 1),
+          BUFFER: (1, 1)}
 
-    def want(cond: bool, msg: str) -> None:
-        if not cond:
-            bad.append(f"component {c.id} ({c.kind}): {msg}")
+_ONE_WIDTH = ((lambda c: len(set(c.in_widths + c.out_widths)) == 1,
+               "all ports must share one width"),)
 
-    if c.kind == ENTRY or c.kind == SOURCE:
-        want(n_in == 0 and n_out == 1, "must have 0 inputs and 1 output")
-    elif c.kind == EXIT or c.kind == SINK:
-        want(n_in == 1 and n_out == 0, "must have 1 input and 0 outputs")
-    elif c.kind == CONST:
-        want(n_in == 1 and n_out == 1, "must have 1 input and 1 output")
-        want(n_in == 1 and c.in_widths[0] == 0, "trigger input must have width 0")
-        want(c.value is not None, "missing payload value")
-    elif c.kind == OPERATOR:
-        want(n_out == 1 and n_in >= 1, "must have >=1 inputs and 1 output")
-        want(c.opcode is not None, "missing opcode")
-        want(c.latency >= 0, "negative latency")
-    elif c.kind == FORK:
-        want(n_in == 1 and n_out >= 2, "must have 1 input and >=2 outputs")
-        want(all(w == c.in_widths[0] for w in c.out_widths),
-             "output widths must match the input")
-    elif c.kind == BRANCH:
-        want(n_in == 2 and n_out == 2, "must have 2 inputs and 2 outputs")
-        if n_in == 2 and n_out == 2:
-            want(c.in_widths[1] == 1, "condition input must have width 1")
-            want(c.out_widths == (c.in_widths[0],) * 2,
-                 "output widths must match the data input")
-    elif c.kind == MERGE:
-        want(n_in >= 2 and n_out == 1, "must have >=2 inputs and 1 output")
-        want(len(set(c.in_widths) | set(c.out_widths)) == 1,
-             "all ports must share one width")
-    elif c.kind == MUX:
-        want(n_in >= 3 and n_out == 1, "must have select + >=2 inputs and 1 output")
-        if n_in >= 3:
-            want(c.in_widths[0] == 1, "select input must have width 1")
-            want(all(w == c.out_widths[0] for w in c.in_widths[1:]),
-                 "data widths must match the output")
-    elif c.kind == BUFFER:
-        want(n_in == 1 and n_out == 1 and c.in_widths == c.out_widths,
-             "must have one input and one output of equal width")
-    else:
-        bad.append(f"component {c.id}: unknown kind {c.kind!r}")
-    return bad
+# kind -> (holds, message) width and field rules, run once the counts hold.
+_RULES = {
+    CONST: ((lambda c: c.in_widths[0] == 0, "trigger input must have width 0"),
+            (lambda c: c.value is not None, "missing payload value")),
+    OPERATOR: ((lambda c: c.opcode is not None, "missing opcode"),
+               (lambda c: c.latency >= 0, "negative latency")),
+    BRANCH: ((lambda c: c.in_widths[1] == 1, "condition input must have width 1"),
+             (lambda c: c.out_widths == (c.in_widths[0],) * 2,
+              "output widths must match the data input")),
+    FORK: _ONE_WIDTH, MERGE: _ONE_WIDTH, BUFFER: _ONE_WIDTH,
+}
+
+
+def _count_holds(have: int, want: int) -> bool:
+    return have == want if want >= 0 else have >= -want
+
+
+def _count_text(want: int, noun: str) -> str:
+    if want < 0:
+        return f">={-want} {noun}s"
+    return f"{want} {noun}" + ("" if want == 1 else "s")
+
+
+def _kind_violations(c: Component) -> list[str]:
+    if c.kind not in _PORTS:
+        return [f"component {c.id}: unknown kind {c.kind!r}"]
+    n_in, n_out = _PORTS[c.kind]
+    if (_count_holds(len(c.in_widths), n_in)
+            and _count_holds(len(c.out_widths), n_out)):
+        return [f"component {c.id} ({c.kind}): {msg}"
+                for holds, msg in _RULES.get(c.kind, ()) if not holds(c)]
+    return [f"component {c.id} ({c.kind}): must have "
+            f"{_count_text(n_in, 'input')} and {_count_text(n_out, 'output')}"]
 
 
 def check(g: CDFG) -> list[str]:
@@ -147,13 +147,13 @@ def check(g: CDFG) -> list[str]:
         return ["duplicate component ids"]
 
     for c in g.components:
-        bad.extend(_arity_violations(c))
+        bad.extend(_kind_violations(c))
 
     # One pass over the channels: port checks, port use counts keyed by
     # (component, index), and the buffer-free adjacency for the cycle check.
     out_seen: dict[tuple[int, int], int] = {}
     in_seen: dict[tuple[int, int], int] = {}
-    adj = _buffer_free_nodes(g)
+    adj = {c.id: [] for c in g.components if c.kind != BUFFER}
     for ch in g.channels:
         src, dst = ch.src, ch.dst
         for port, side, c in ((src, "source", by_id.get(src.comp)),
@@ -193,20 +193,6 @@ def check(g: CDFG) -> list[str]:
     return bad
 
 
-def _buffer_free_nodes(g: CDFG) -> dict[int, list[int]]:
-    """An empty successor list for every component that is not a Buffer."""
-    return {c.id: [] for c in g.components if c.kind != BUFFER}
-
-
-def buffer_free_cycle(g: CDFG) -> list[int] | None:
-    """A component cycle containing no Buffer, or None."""
-    adj = _buffer_free_nodes(g)
-    for ch in g.channels:
-        if ch.src.comp in adj and ch.dst.comp in adj:
-            adj[ch.src.comp].append(ch.dst.comp)
-    return _find_cycle(adj)
-
-
 def _find_cycle(adj: dict[int, list[int]]) -> list[int] | None:
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {cid: WHITE for cid in adj}
@@ -242,7 +228,7 @@ def insert_buffers(g: CDFG) -> int:
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {c.id: WHITE for c in g.components}
     back: list[Channel] = []
-    roots = [c.id for c in g.components if c.kind in (ENTRY, SOURCE)]
+    roots = [c.id for c in g.components if c.kind == ENTRY]
     roots += [cid for cid in sorted(color) if cid not in roots]
     for root in roots:
         if color[root] != WHITE:

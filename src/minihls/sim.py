@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE, MUX,
-                   OPERATOR, SINK, SOURCE, require_valid)
+from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE,
+                   OPERATOR, SINK, require_valid)
 from .errors import DeadlockError, MaxCyclesError, MergeConflictError, SimError
 from .interp import eval_op
 
@@ -54,8 +54,8 @@ class SimReport:
 # queues its consumptions, productions and events on the simulator.
 
 def _emit(s, i, c, ins, outs):
-    """Entry emits its one token, Source a control token whenever it can."""
-    if (c.kind == SOURCE or i in s.entry_tokens) and s.chan[outs[0]] is _ABSENT:
+    """Entry emits its one token."""
+    if i in s.entry_tokens and s.chan[outs[0]] is _ABSENT:
         s.produce.append((outs[0], s.entry_tokens.pop(i, None)))
         s.fired.append((c.id, "emit"))
 
@@ -103,16 +103,6 @@ def _merge(s, i, c, ins, outs):
         s.fired.append((c.id, "fire"))
 
 
-def _mux(s, i, c, ins, outs):
-    chan = s.chan
-    if chan[ins[0]] is not _ABSENT:
-        side = ins[1] if chan[ins[0]] else ins[2]
-        if chan[side] is not _ABSENT and chan[outs[0]] is _ABSENT:
-            s.consume.extend((ins[0], side))
-            s.produce.append((outs[0], chan[side]))
-            s.fired.append((c.id, "fire"))
-
-
 def _operator(s, i, c, ins, outs):
     """Latency-0 Operator, or Const: its trigger token yields the payload."""
     values = [s.chan[ch] for ch in ins]
@@ -147,9 +137,9 @@ def _pipeline(s, i, c, ins, outs):
         s.fired.append((c.id, "accept"))
 
 
-_FIRING = {ENTRY: _emit, SOURCE: _emit, EXIT: _drain, SINK: _drain,
-           CONST: _operator, FORK: _fork, BRANCH: _branch, MERGE: _merge,
-           MUX: _mux, BUFFER: _pipeline, OPERATOR: _operator}
+_FIRING = {ENTRY: _emit, EXIT: _drain, SINK: _drain, CONST: _operator,
+           FORK: _fork, BRANCH: _branch, MERGE: _merge, BUFFER: _pipeline,
+           OPERATOR: _operator}
 
 
 class SimPlan:
@@ -183,9 +173,6 @@ class SimPlan:
         self.entries = [i for i, c in enumerate(comps) if c.kind == ENTRY]
         self.data_entries = [i for i in self.entries
                              if comps[i].out_widths[0]]
-        # With every channel empty, only Entry and Source can fire.
-        self.starts = [i for i, c in enumerate(comps)
-                       if c.kind in (ENTRY, SOURCE)]
 
 
 class Simulator:
@@ -209,7 +196,7 @@ class Simulator:
         self.consume: list[int] = []
         self.produce: list[tuple[int, object]] = []
         self.fired: list[tuple[int, str]] = []
-        self.worklist = set(plan.starts)
+        self.worklist = set(plan.entries)  # on empty channels only Entry fires
 
     def occupancy(self) -> int:
         return self.tokens + len(self.entry_tokens)

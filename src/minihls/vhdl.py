@@ -21,8 +21,8 @@ import json
 import re
 import struct
 
-from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE, MUX,
-                   OPERATOR, SINK, SOURCE, Component, Port, component_stats)
+from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, KIND_ORDER,
+                   MERGE, OPERATOR, SINK, Component, Port, component_stats)
 from .errors import EmitError
 
 _HEADER = """library ieee;
@@ -36,30 +36,23 @@ def _slv(width: int) -> str:
     return f"std_logic_vector({width - 1} downto 0)"
 
 
+def _data_width(c: Component) -> int:
+    """The width that `check` makes a non-Operator's data ports share."""
+    return (c.out_widths or c.in_widths)[0]
+
+
 def entity_name(c: Component) -> str:
-    if c.kind == ENTRY:
-        return f"entry_w{c.out_widths[0]}"
-    if c.kind == EXIT:
-        return f"exit_w{c.in_widths[0]}"
-    if c.kind == CONST:
-        return f"const_w{c.out_widths[0]}"
+    """`op_<opcode>_l<latency>` for an Operator, `<kind>_w<data width>`
+    for any other kind, with `_n<ports>` on the fanned side of a Fork or
+    Merge."""
     if c.kind == OPERATOR:
         return f"op_{c.opcode}_l{c.latency}"
-    if c.kind == FORK:
-        return f"fork_w{c.in_widths[0]}_n{len(c.out_widths)}"
-    if c.kind == BRANCH:
-        return f"branch_w{c.in_widths[0]}"
-    if c.kind == MERGE:
-        return f"merge_w{c.out_widths[0]}_n{len(c.in_widths)}"
-    if c.kind == MUX:
-        return f"mux_w{c.out_widths[0]}_n{len(c.in_widths) - 1}"
-    if c.kind == BUFFER:
-        return f"buffer_w{c.in_widths[0]}"
-    if c.kind == SOURCE:
-        return f"source_w{c.out_widths[0]}"
-    if c.kind == SINK:
-        return f"sink_w{c.in_widths[0]}"
-    raise EmitError(f"cannot name an entity for kind {c.kind!r}")
+    if c.kind not in KIND_ORDER:
+        raise EmitError(f"cannot name an entity for kind {c.kind!r}")
+    name = f"{c.kind.lower()}_w{_data_width(c)}"
+    if c.kind in (FORK, MERGE):
+        name += f"_n{max(len(c.in_widths), len(c.out_widths))}"
+    return name
 
 
 def _entity_ports(c: Component) -> list[tuple[str, str, int]]:
@@ -184,29 +177,18 @@ def _arch_operator(c: Component) -> list[str]:
 
 
 def _arch_simple(c: Component) -> list[str]:
-    w_in = c.in_widths[0] if c.in_widths else 0
-    w_out = c.out_widths[0] if c.out_widths else 0
-    if c.kind in (ENTRY, EXIT):
-        w = w_out if c.kind == ENTRY else w_in
+    w = _data_width(c)
+    if c.kind in (ENTRY, EXIT, CONST):
         lines = ["begin",
                  "  out0_valid <= in0_valid;",
                  "  in0_ready <= out0_ready;"]
-        if w:
+        if c.kind == CONST:
+            lines.append("  out0_data <= g_value;")
+        elif w:
             lines.append("  out0_data <= in0_data;")
         return lines
     if c.kind == SINK:
         return ["begin", "  in0_ready <= '1';"]
-    if c.kind == SOURCE:
-        lines = ["begin", "  out0_valid <= '1';"]
-        if w_out:
-            lines.append("  out0_data <= (others => '0');")
-        return lines
-    if c.kind == CONST:
-        lines = ["begin",
-                 "  out0_valid <= in0_valid;",
-                 "  in0_ready <= out0_ready;",
-                 "  out0_data <= g_value;"]
-        return lines
     if c.kind == FORK:
         n = len(c.out_widths)
         ready = " and ".join(f"out{i}_ready" for i in range(n))
@@ -215,7 +197,7 @@ def _arch_simple(c: Component) -> list[str]:
                  "  in0_ready <= all_ready;"]
         for i in range(n):
             lines.append(f"  out{i}_valid <= in0_valid;")
-            if w_in:
+            if w:
                 lines.append(f"  out{i}_data <= in0_data;")
         return lines
     if c.kind == BRANCH:
@@ -227,7 +209,7 @@ def _arch_simple(c: Component) -> list[str]:
                  "((in1_data(0) and out0_ready) or (not in1_data(0) and out1_ready));",
                  "  in1_ready <= taken and "
                  "((in1_data(0) and out0_ready) or (not in1_data(0) and out1_ready));"]
-        if w_in:
+        if w:
             lines += ["  out0_data <= in0_data;", "  out1_data <= in0_data;"]
         return lines
     if c.kind == MERGE:
@@ -238,35 +220,20 @@ def _arch_simple(c: Component) -> list[str]:
         # ready needs no arbitration
         for i in range(n):
             lines.append(f"  in{i}_ready <= in{i}_valid and out0_ready;")
-        if w_out:
+        if w:
             expr = f"in{n - 1}_data"
             for i in range(n - 2, -1, -1):
                 expr = f"in{i}_data when in{i}_valid = '1' else " + expr
             lines.append(f"  out0_data <= {expr};")
         return lines
-    if c.kind == MUX:
-        n = len(c.in_widths) - 1
-        lines = ["  signal pick : std_logic;", "begin",
-                 "  pick <= in0_data(0);"]
-        sel_valid = ("(pick = '1' and in1_valid = '1') or "
-                     "(pick = '0' and in2_valid = '1')")
-        lines += [
-            f"  out0_valid <= in0_valid when {sel_valid} else '0';",
-            "  in0_ready <= out0_valid and out0_ready;",
-            "  in1_ready <= in0_valid and pick and out0_ready;",
-            "  in2_ready <= in0_valid and not pick and out0_ready;",
-            "  out0_data <= in1_data when pick = '1' else in2_data;",
-        ]
-        del n
-        return lines
     if c.kind == BUFFER:
         lines = ["  signal full : std_logic;"]
-        if w_in:
-            lines.append(f"  signal data_reg : {_slv(w_in)};")
+        if w:
+            lines.append(f"  signal data_reg : {_slv(w)};")
         lines += ["begin",
                   "  in0_ready <= not full;",
                   "  out0_valid <= full;"]
-        if w_in:
+        if w:
             lines.append("  out0_data <= data_reg;")
         lines += [
             "  process (clk)",
@@ -276,7 +243,7 @@ def _arch_simple(c: Component) -> list[str]:
             "        full <= '0';",
             "      elsif full = '0' and in0_valid = '1' then",
             "        full <= '1';"]
-        if w_in:
+        if w:
             lines.append("        data_reg <= in0_data;")
         lines += [
             "      elsif full = '1' and out0_ready = '1' then",
@@ -330,11 +297,11 @@ def _const_bits(c: Component) -> str:
     raise EmitError(f"cannot encode constant {v!r}")
 
 
-def _top_ports(g: CDFG) -> tuple[list[tuple[str, str, int]], dict[Port, str]]:
-    """Top-level pins plus the mapping from entry/exit model ports to
-    pin name prefixes."""
+def _top_ports(g: CDFG) -> tuple[list[tuple[str, str, int]], dict[int, str]]:
+    """Top-level pins plus the pin name prefix of each Entry and Exit,
+    keyed by component id."""
     ports = [("clk", "in", 0), ("rst", "in", 0)]
-    pin_of: dict[Port, str] = {}
+    pin_of: dict[int, str] = {}
     arg_idx = 0
     for c in g.components:
         if c.kind == ENTRY:
@@ -347,7 +314,7 @@ def _top_ports(g: CDFG) -> tuple[list[tuple[str, str, int]], dict[Port, str]]:
                 pin = "start"
             ports.append((f"{pin}_valid", "in", 0))
             ports.append((f"{pin}_ready", "out", 0))
-            pin_of[Port(c.id, -1)] = pin
+            pin_of[c.id] = pin
         elif c.kind == EXIT:
             w = c.in_widths[0]
             pin = "result"
@@ -355,7 +322,7 @@ def _top_ports(g: CDFG) -> tuple[list[tuple[str, str, int]], dict[Port, str]]:
                 ports.append((f"{pin}_data", "out", w))
             ports.append((f"{pin}_valid", "out", 0))
             ports.append((f"{pin}_ready", "in", 0))
-            pin_of[Port(c.id, -1)] = pin
+            pin_of[c.id] = pin
     return ports, pin_of
 
 
@@ -398,11 +365,11 @@ def _top_text(g: CDFG, top_name: str) -> str:
             maps.append(f"{prefix}_ready => {pin}_ready")
 
         if c.kind == ENTRY:
-            pin_map("in0", pin_of[Port(c.id, -1)], c.out_widths[0])
+            pin_map("in0", pin_of[c.id], c.out_widths[0])
             channel_map("out0", out_ch[Port(c.id, 0)])
         elif c.kind == EXIT:
             channel_map("in0", in_ch[Port(c.id, 0)])
-            pin_map("out0", pin_of[Port(c.id, -1)], c.in_widths[0])
+            pin_map("out0", pin_of[c.id], c.in_widths[0])
         else:
             for i in range(len(c.in_widths)):
                 channel_map(f"in{i}", in_ch[Port(c.id, i)])

@@ -5,7 +5,7 @@ import pytest
 from minihls import cdfg as C
 from minihls.build import build_cdfg
 from minihls.cdfg import (
-    CDFG, Port, buffer_free_cycle, check, component_stats, export_dot,
+    CDFG, Port, check, component_stats, export_dot,
     from_json, insert_buffers, require_valid, to_json,
 )
 from minihls.errors import BuildError
@@ -42,8 +42,8 @@ def test_addpair_is_exactly_six_components():
     # two data entries, the control entry (whose token drains to a sink),
     # the adder, and the exit
     assert stats == {"Entry": 3, "Exit": 1, "Const": 0, "Operator": 1,
-                     "Fork": 0, "Branch": 0, "Merge": 0, "Mux": 0,
-                     "Buffer": 0, "Source": 0, "Sink": 1, "total": 6}
+                     "Fork": 0, "Branch": 0, "Merge": 0, "Buffer": 0,
+                     "Sink": 1, "total": 6}
     assert check(g) == []
 
 
@@ -62,10 +62,6 @@ def test_corpus_graphs_check_clean(program, compiled):
 def test_corpus_unoptimized_graphs_check_clean(program, compiled):
     res = compiled(program, opt=False)
     assert check(res.cdfg) == []
-
-
-def test_mux_is_modeled_but_never_built(program, compiled):
-    assert component_stats(compiled(program).cdfg)["Mux"] == 0
 
 
 def test_loop_programs_get_buffers(compiled):
@@ -114,6 +110,63 @@ def test_check_catches_missing_const_payload():
     assert any("payload" in p for p in check(g))
 
 
+# One wrong port count and one right count with a bad width or field per
+# kind, as (kind, input widths, output widths, fields, the kind's messages).
+# Width and field rules run only once the counts hold.
+KIND_CASES = [
+    (C.ENTRY, (64,), (64,), {}, ["must have 0 inputs and 1 output"]),
+    (C.ENTRY, (), (1,), {}, []),
+    (C.EXIT, (64, 64), (), {}, ["must have 1 input and 0 outputs"]),
+    (C.EXIT, (1,), (), {}, []),
+    (C.SINK, (), (), {}, ["must have 1 input and 0 outputs"]),
+    (C.SINK, (0,), (), {}, []),
+    (C.CONST, (), (64,), {"value": 1}, ["must have 1 input and 1 output"]),
+    (C.CONST, (64,), (64,), {"value": 1},
+     ["trigger input must have width 0"]),
+    (C.CONST, (0,), (64,), {}, ["missing payload value"]),
+    (C.OPERATOR, (), (64,), {"opcode": "neg_i64"},
+     ["must have >=1 inputs and 1 output"]),
+    (C.OPERATOR, (64,), (64, 64), {}, ["must have >=1 inputs and 1 output"]),
+    (C.OPERATOR, (64,), (64,), {"latency": -1},
+     ["missing opcode", "negative latency"]),
+    (C.FORK, (64,), (64,), {}, ["must have 1 input and >=2 outputs"]),
+    (C.FORK, (64,), (64, 1), {}, ["all ports must share one width"]),
+    (C.BRANCH, (64,), (64, 64), {}, ["must have 2 inputs and 2 outputs"]),
+    (C.BRANCH, (64, 64), (64, 64), {}, ["condition input must have width 1"]),
+    (C.BRANCH, (64, 1), (64, 1), {},
+     ["output widths must match the data input"]),
+    (C.MERGE, (64,), (1,), {}, ["must have >=2 inputs and 1 output"]),
+    (C.MERGE, (64, 1), (64,), {}, ["all ports must share one width"]),
+    (C.BUFFER, (64,), (), {}, ["must have 1 input and 1 output"]),
+    (C.BUFFER, (64,), (1,), {}, ["all ports must share one width"]),
+]
+
+
+@pytest.mark.parametrize("kind, ins, outs, fields, want", KIND_CASES)
+def test_check_kind_messages(kind, ins, outs, fields, want):
+    g = CDFG("k")
+    g.add_component(kind, ins, outs, **fields)
+    got = [p for p in check(g) if "channels, must be exactly 1" not in p]
+    assert got == [f"component 0 ({kind}): {m}" for m in want]
+
+
+def test_check_counts_ports_before_reading_widths():
+    g = CDFG("f")
+    g.add_component(C.FORK, (), (64, 64))
+    assert check(g) == [
+        "component 0 (Fork): must have 1 input and >=2 outputs",
+        "component 0 (Fork): output 0 drives 0 channels, must be exactly 1",
+        "component 0 (Fork): output 1 drives 0 channels, must be exactly 1"]
+
+
+def test_check_rejects_unknown_kind():
+    g = CDFG("u")
+    g.add_component("Gizmo", (), (0,))
+    assert check(g) == [
+        "component 0: unknown kind 'Gizmo'",
+        "component 0 (Gizmo): output 0 drives 0 channels, must be exactly 1"]
+
+
 def test_check_catches_bufferless_cycle():
     g = tiny_passthrough()
     # close a combinational loop around two operators
@@ -121,8 +174,7 @@ def test_check_catches_bufferless_cycle():
     b = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")
     g.add_channel(Port(a.id, 0), Port(b.id, 0), 64)
     g.add_channel(Port(b.id, 0), Port(a.id, 0), 64)
-    assert buffer_free_cycle(g) is not None
-    assert any("cycle" in p.lower() for p in check(g))
+    assert check(g) == ["cycle without a Buffer through components 3 -> 4 -> 3"]
 
 
 def fork_into_add(*wiring):
@@ -196,7 +248,7 @@ def test_insert_buffers_breaks_cycles():
     g.add_channel(Port(b.id, 0), Port(a.id, 0), 64)
     n = insert_buffers(g)
     assert n == 1
-    assert buffer_free_cycle(g) is None
+    assert check(g) == []
 
 
 def test_buffered_cycle_is_accepted():
@@ -205,7 +257,7 @@ def test_buffered_cycle_is_accepted():
     buf = g.add_component(C.BUFFER, (64,), (64,))
     g.add_channel(Port(a.id, 0), Port(buf.id, 0), 64)
     g.add_channel(Port(buf.id, 0), Port(a.id, 0), 64)
-    assert buffer_free_cycle(g) is None
+    assert check(g) == []
 
 
 def test_require_valid_raises_with_all_violations():

@@ -155,26 +155,6 @@ def test_max_cycles_inside_idle_stretch():
         None, 1, 1)
 
 
-def test_mux_selects_by_index():
-    # Unlike Merge, a Mux tolerates both arms being valid: the select
-    # token picks one and the loser waits (here it is left over). Like
-    # Branch, a true select points at the first data input.
-    for sel, want in ((True, 10), (False, 20)):
-        g = CDFG("mux")
-        s = g.add_component(C.ENTRY, (), (1,), label="sel")
-        a = g.add_component(C.ENTRY, (), (64,), label="a")
-        b = g.add_component(C.ENTRY, (), (64,), label="b")
-        m = g.add_component(C.MUX, (1, 64, 64), (64,))
-        exit_ = g.add_component(C.EXIT, (64,), ())
-        g.add_channel(Port(s.id, 0), Port(m.id, 0), 1)
-        g.add_channel(Port(a.id, 0), Port(m.id, 1), 64)
-        g.add_channel(Port(b.id, 0), Port(m.id, 2), 64)
-        g.add_channel(Port(m.id, 0), Port(exit_.id, 0), 64)
-        report = simulate(g, (sel, 10, 20))
-        assert report.output == want
-        assert report.leftover == 1
-
-
 def test_operator_latency_pipelines_tokens(compiled):
     # mul at latency 12 beats 3 sequential muls only if initiation is 1
     # per cycle; the loop reuses one multiplier so the effect shows as a
@@ -200,31 +180,36 @@ def test_newton_leftover_zero(compiled):
 
 
 def test_full_buffer_takes_waiting_token_after_emitting():
-    # A Source streams constants through Buffer 2 into an adder that also
-    # waits on a loop around Buffer 8, so Buffer 2 fills up with a token
-    # waiting behind it.  After it emits (cycle 10) it must take that token
+    # A control ring (Entry 0 into Merge 1 and Fork 2, whose output 1
+    # returns to the Merge through Buffer 11) triggers Const 3 on every
+    # lap.  Its constants pass through Buffer 4 into an adder that also
+    # waits on a loop around Buffer 10, so Buffer 4 fills up with a token
+    # waiting behind it.  After it emits (cycle 32) it must take that token
     # in the very next cycle, though no neighbour touched its channels.
     g = CDFG("throttle")
     for kind, ins, outs, kw in (
-            (C.SOURCE, (), (0,), {}), (C.CONST, (0,), (64,), {"value": 1}),
+            (C.ENTRY, (), (0,), {}), (C.MERGE, (0, 0), (0,), {}),
+            (C.FORK, (0,), (0, 0), {}), (C.CONST, (0,), (64,), {"value": 1}),
             (C.BUFFER, (64,), (64,), {}), (C.ENTRY, (), (64,), {}),
             (C.MERGE, (64, 64), (64,), {}),
             (C.OPERATOR, (64, 64), (64,), {"opcode": "add_i64"}),
             (C.FORK, (64,), (64, 64), {}), (C.SINK, (64,), (), {}),
-            (C.BUFFER, (64,), (64,), {})):
+            (C.BUFFER, (64,), (64,), {}), (C.BUFFER, (0,), (0,), {})):
         g.add_component(kind, ins, outs, **kw)
-    for src, dst, width in (((0, 0), (1, 0), 0), ((1, 0), (2, 0), 64),
-                            ((2, 0), (5, 0), 64), ((3, 0), (4, 0), 64),
-                            ((4, 0), (5, 1), 64), ((5, 0), (6, 0), 64),
-                            ((6, 0), (7, 0), 64), ((6, 1), (8, 0), 64),
-                            ((8, 0), (4, 1), 64)):
+    for src, dst, width in (((0, 0), (1, 0), 0), ((1, 0), (2, 0), 0),
+                            ((2, 0), (3, 0), 0), ((2, 1), (11, 0), 0),
+                            ((11, 0), (1, 1), 0), ((3, 0), (4, 0), 64),
+                            ((4, 0), (7, 0), 64), ((5, 0), (6, 0), 64),
+                            ((6, 0), (7, 1), 64), ((7, 0), (8, 0), 64),
+                            ((8, 0), (9, 0), 64), ((8, 1), (10, 0), 64),
+                            ((10, 0), (6, 1), 64)):
         g.add_channel(Port(*src), Port(*dst), width)
     with pytest.raises(MaxCyclesError) as info:
-        simulate(g, (0,), max_cycles=16, trace=True)
+        simulate(g, (0,), max_cycles=40, trace=True)
     report = info.value.report
-    assert (10, 2, "emit") in report.events
-    assert (11, 2, "accept") in report.events
-    assert fingerprint(report) == (None, None, 16, 5, 5, "73de0b874831fcf2")
+    assert (32, 4, "emit") in report.events
+    assert (33, 4, "accept") in report.events
+    assert fingerprint(report) == (None, None, 40, 5, 5, "5cb9ee4d0be7fd44")
 
 
 def test_plan_validates_once_and_serves_every_run(compiled, monkeypatch):
