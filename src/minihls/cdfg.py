@@ -153,7 +153,8 @@ def check(g: CDFG) -> list[str]:
     # (component, index), and the buffer-free adjacency for the cycle check.
     out_seen: dict[tuple[int, int], int] = {}
     in_seen: dict[tuple[int, int], int] = {}
-    adj = {c.id: [] for c in g.components if c.kind != BUFFER}
+    adj: dict[int, list[Channel]] = {c.id: [] for c in g.components
+                                     if c.kind != BUFFER}
     for ch in g.channels:
         src, dst = ch.src, ch.dst
         for port, side, c in ((src, "source", by_id.get(src.comp)),
@@ -172,7 +173,7 @@ def check(g: CDFG) -> list[str]:
         out_seen[src.comp, src.index] = out_seen.get((src.comp, src.index), 0) + 1
         in_seen[dst.comp, dst.index] = in_seen.get((dst.comp, dst.index), 0) + 1
         if src.comp in adj and dst.comp in adj:
-            adj[src.comp].append(dst.comp)
+            adj[src.comp].append(ch)
 
     for c in g.components:
         for i in range(len(c.out_widths)):
@@ -186,37 +187,40 @@ def check(g: CDFG) -> list[str]:
                 bad.append(f"component {c.id} ({c.kind}): input {i} is fed by "
                            f"{n} channels, must be exactly 1")
 
-    cyc = _find_cycle(adj)
-    if cyc is not None:
+    for path, ch in _back_edges(adj, sorted(adj)):
+        cyc = path[path.index(ch.dst.comp):] + [ch.dst.comp]
         bad.append("cycle without a Buffer through components "
                    + " -> ".join(str(c) for c in cyc))
+        break
     return bad
 
 
-def _find_cycle(adj: dict[int, list[int]]) -> list[int] | None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {cid: WHITE for cid in adj}
-    for root in sorted(adj):
-        if color[root] != WHITE:
+def _back_edges(adj: dict[int, list[Channel]], roots):
+    """Iterative depth-first search over `adj` (component id -> outgoing
+    channels), started from each unvisited root in order.  Yields
+    (path, channel) for every channel that closes a cycle, where `path`
+    lists the components on the search stack at that moment."""
+    GRAY, BLACK = 1, 2
+    color: dict[int, int] = {}
+    for root in roots:
+        if root in color:
             continue
-        stack = [(root, iter(adj[root]))]
-        path = [root]
         color[root] = GRAY
+        path = [root]
+        stack = [iter(adj[root])]
         while stack:
-            cid, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                color[cid] = BLACK
+            ch = next(stack[-1], None)
+            if ch is None:
+                color[path.pop()] = BLACK
                 stack.pop()
-                path.pop()
                 continue
-            if color[nxt] == GRAY:
-                return path[path.index(nxt):] + [nxt]
-            if color[nxt] == WHITE:
+            nxt = ch.dst.comp
+            if nxt not in color:
                 color[nxt] = GRAY
-                stack.append((nxt, iter(adj[nxt])))
                 path.append(nxt)
-    return None
+                stack.append(iter(adj[nxt]))
+            elif color[nxt] == GRAY:
+                yield path, ch
 
 
 def insert_buffers(g: CDFG) -> int:
@@ -225,29 +229,9 @@ def insert_buffers(g: CDFG) -> int:
     adj: dict[int, list[Channel]] = {c.id: [] for c in g.components}
     for ch in g.channels:
         adj[ch.src.comp].append(ch)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {c.id: WHITE for c in g.components}
-    back: list[Channel] = []
     roots = [c.id for c in g.components if c.kind == ENTRY]
-    roots += [cid for cid in sorted(color) if cid not in roots]
-    for root in roots:
-        if color[root] != WHITE:
-            continue
-        color[root] = GRAY
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            cid, it = stack[-1]
-            ch = next(it, None)
-            if ch is None:
-                color[cid] = BLACK
-                stack.pop()
-                continue
-            nxt = ch.dst.comp
-            if color[nxt] == GRAY:
-                back.append(ch)
-            elif color[nxt] == WHITE:
-                color[nxt] = GRAY
-                stack.append((nxt, iter(adj[nxt])))
+    roots += [cid for cid in sorted(adj) if cid not in roots]
+    back = [ch for _, ch in _back_edges(adj, roots)]
     for ch in back:
         buf = g.add_component(BUFFER, (ch.width,), (ch.width,), label="buf")
         old_dst = ch.dst

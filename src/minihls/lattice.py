@@ -52,9 +52,6 @@ _SHORT_NAMES = {
 
 _WIDTHS = {LatticeType.BOOL: 1, LatticeType.INT64: 64, LatticeType.FLOAT64: 64}
 
-SHORT_TO_TYPE = {"i1": LatticeType.BOOL, "bool": LatticeType.BOOL,
-                 "i64": LatticeType.INT64, "f64": LatticeType.FLOAT64}
-
 ANNOTATION_TO_TYPE = {"Bool": LatticeType.BOOL, "Int64": LatticeType.INT64,
                       "Float64": LatticeType.FLOAT64}
 

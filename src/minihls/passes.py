@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .errors import PassError
 from .ir import (Block, CondGoto, Goto, Instr, Ret, SelectOp, SSAFunction, ValueId,
-                 predecessor_edges, reachable_blocks, verify)
+                 predecessor_edges, reachable_blocks, terminator_uses, verify)
 from .lattice import OperatorImpl
 
 # mod_i64 traps on a zero divisor, so it must never run down an untaken
@@ -94,15 +94,27 @@ def _substitute(block: Block, mapping: dict[ValueId, ValueId]) -> None:
 def _merge_blocks_inplace(func: SSAFunction) -> bool:
     changed = _remove_unreachable_inplace(func)
     while True:
-        if _merge_one(func) or _forward_one(func):
+        # A folded block's parameters may be used in any block it
+        # dominated, so a batch of folds renames them everywhere at once.
+        renames: dict[ValueId, ValueId] = {}
+        while _merge_one(func, renames):
             changed = True
             _remove_unreachable_inplace(func)
-            continue
-        return changed
+        for v, arg in renames.items():
+            while arg in renames:  # the argument was itself folded away
+                arg = renames[arg]
+            renames[v] = arg
+        for blk in func.blocks:
+            _substitute(blk, renames)
+        if not _forward_one(func):
+            return changed
+        changed = True
+        _remove_unreachable_inplace(func)
 
 
-def _merge_one(func: SSAFunction) -> bool:
-    """Fold a block into its unique Goto predecessor."""
+def _merge_one(func: SSAFunction, renames: dict[ValueId, ValueId]) -> bool:
+    """Fold a block into its unique Goto predecessor, recording the
+    renaming of its parameters to the incoming arguments in `renames`."""
     preds = predecessor_edges(func)
     for p in func.blocks:
         t = p.terminator
@@ -111,12 +123,10 @@ def _merge_one(func: SSAFunction) -> bool:
         b = func.block(t.target)
         if len(preds[b.id]) != 1:
             continue
-        mapping = {pid: arg for (pid, _), arg in zip(b.params, t.args)}
-        merged = Block(b.id, (), list(b.instrs), b.terminator)
-        _substitute(merged, mapping)
-        p.instrs.extend(merged.instrs)
-        p.terminator = merged.terminator
+        p.instrs.extend(b.instrs)
+        p.terminator = b.terminator
         func.blocks.remove(b)
+        renames.update((pid, arg) for (pid, _), arg in zip(b.params, t.args))
         return True
     return False
 
@@ -130,6 +140,8 @@ def _forward_one(func: SSAFunction) -> bool:
                 or t.target == b.id or not preds[b.id]):
             continue
         param_ids = [pid for pid, _ in b.params]
+        if param_ids and _used_outside(func, b, set(param_ids)):
+            continue  # later blocks read b's parameters; it must stay
         for pred_id, edge_idx in preds[b.id]:
             pred = func.block(pred_id)
             pt = pred.terminator
@@ -149,6 +161,16 @@ def _forward_one(func: SSAFunction) -> bool:
                                            t.target, new_args)
         func.blocks.remove(b)
         return True
+    return False
+
+
+def _used_outside(func: SSAFunction, b: Block, values: set[ValueId]) -> bool:
+    """True if a block other than b reads one of `values`."""
+    for blk in func.blocks:
+        if blk is not b and (
+                any(not values.isdisjoint(ins.args) for ins in blk.instrs)
+                or not values.isdisjoint(terminator_uses(blk.terminator))):
+            return True
     return False
 
 

@@ -1,12 +1,14 @@
 """Forward data-flow type inference over the AST.
 
-Types flow from the entry signature through assignments; at if-joins and
-loop headers a variable's type is the lattice join of the incoming types.
-Loop bodies are re-walked until the header environment stops changing
-(monotone in the lattice, so at most height * variable-count passes).
-The result is a typed mirror of the AST in which every expression carries
-its lattice type, every operator its resolved implementation, and every
-promotion an explicit conversion node.
+One walker types and annotates in a single pass.  Types flow from the
+entry signature through assignments; at if-joins and loop headers a
+variable's type is the lattice join of the incoming types.  A loop's
+condition and body are re-annotated until the header environment stops
+changing (monotone in the lattice, so at most height * variable-count
+walks), and the nodes of the last walk, made against the stable header,
+are kept.  The result is a typed mirror of the AST in which every
+expression carries its lattice type, every operator its resolved
+implementation, and every promotion an explicit conversion node.
 
 Strict mode (the default) rejects any Top-typed expression; lenient mode
 records the instability and leaves the offending implementations
@@ -134,32 +136,6 @@ class _Inferencer:
         self.stable = True
         self.return_types: list[LatticeType] = []
 
-    # -- expression typing (no node construction; used inside fixpoints) ----
-
-    def expr_type(self, env: Env, e: src.Expr) -> LatticeType:
-        if isinstance(e, src.IntLit):
-            return LatticeType.INT64
-        if isinstance(e, src.FloatLit):
-            return LatticeType.FLOAT64
-        if isinstance(e, src.BoolLit):
-            return LatticeType.BOOL
-        if isinstance(e, src.Var):
-            if e.name not in env:
-                raise UndefinedVarError(f"undefined variable {e.name!r}", e.pos)
-            return self._observe(env[e.name], e.pos)
-        if isinstance(e, src.Unary):
-            t = self.expr_type(env, e.operand)
-            if t == LatticeType.TOP:
-                return self._observe(LatticeType.TOP, e.pos)
-            return dispatch(e.op, (t,), e.pos).impl.result_type
-        if isinstance(e, src.Binary):
-            lt = self.expr_type(env, e.left)
-            rt = self.expr_type(env, e.right)
-            if LatticeType.TOP in (lt, rt):
-                return self._observe(LatticeType.TOP, e.pos)
-            return dispatch(e.op, (lt, rt), e.pos).impl.result_type
-        raise TypeError(f"unknown expression node {e!r}")
-
     def _observe(self, ty: LatticeType, pos: Pos) -> LatticeType:
         if ty == LatticeType.TOP:
             if self.strict:
@@ -168,59 +144,6 @@ class _Inferencer:
                     "conflicting types", pos)
             self.stable = False
         return ty
-
-    # -- statement flow (environment transformer) ---------------------------
-
-    def flow_stmts(self, stmts: tuple[src.Stmt, ...], env: Env) -> Env | None:
-        """Returns the fall-through environment, or None if every path
-        through `stmts` returns."""
-        for stmt in stmts:
-            if env is None:
-                break  # unreachable trailing statements
-            if isinstance(stmt, src.Assign):
-                env[stmt.target] = self.expr_type(env, stmt.value)
-            elif isinstance(stmt, src.Return):
-                self.expr_type(env, stmt.value)
-                return None
-            elif isinstance(stmt, src.If):
-                env = self._flow_if(stmt, env)
-            elif isinstance(stmt, src.While):
-                env = self._while_header_env(stmt, env)
-            else:
-                raise TypeError(f"unknown statement node {stmt!r}")
-        return env
-
-    def _flow_if(self, stmt: src.If, env: Env) -> Env | None:
-        self.expr_type(env, stmt.cond)
-        for cond, _ in stmt.elifs:
-            self.expr_type(env, cond)
-        arms = [stmt.then, *(body for _, body in stmt.elifs)]
-        outs = [self.flow_stmts(arm, dict(env)) for arm in arms]
-        if stmt.orelse is not None:
-            outs.append(self.flow_stmts(stmt.orelse, dict(env)))
-        else:
-            outs.append(dict(env))  # fall through around the conditional
-        live = [o for o in outs if o is not None]
-        if not live:
-            return None
-        merged = live[0]
-        for o in live[1:]:
-            merged = _join_envs(merged, o)
-        return merged
-
-    def _while_header_env(self, stmt: src.While, env: Env) -> Env:
-        """Loop fixpoint: join the entry environment with the body's
-        fall-through environment until stable."""
-        header = dict(env)
-        while True:
-            self.expr_type(header, stmt.cond)
-            out = self.flow_stmts(stmt.body, dict(header))
-            candidate = header if out is None else _join_envs(header, out)
-            if candidate == header:
-                return header
-            header = candidate
-
-    # -- annotation (typed node construction) -------------------------------
 
     def annotate_expr(self, env: Env, e: src.Expr) -> TExpr:
         if isinstance(e, src.IntLit):
@@ -307,9 +230,18 @@ class _Inferencer:
                     for e2 in live[1:]:
                         env = _join_envs(env, e2)
             elif isinstance(stmt, src.While):
-                header = self._while_header_env(stmt, env)
-                cond = self._annotate_cond(header, stmt.cond)
-                body, _ = self.annotate_stmts(stmt.body, dict(header))
+                # Re-annotate until the body no longer widens the header; the
+                # last walk ran against the stable header, so its nodes are
+                # kept.  Earlier walks' return types stay recorded, but the
+                # header only widens, so they add nothing to the join.
+                header = dict(env)
+                while True:
+                    cond = self._annotate_cond(header, stmt.cond)
+                    body, body_env = self.annotate_stmts(stmt.body, dict(header))
+                    joined = header if body_env is None else _join_envs(header, body_env)
+                    if joined == header:
+                        break
+                    header = joined
                 out.append(TWhile(stmt.pos, cond, body))
                 env = header
             else:

@@ -350,31 +350,21 @@ def _top_text(g: CDFG, top_name: str) -> str:
             lines += ["    generic map (",
                       f"      g_value => {_const_bits(c)}",
                       "    )"]
+        # (port, signal prefix, width): each port maps to its channel, but
+        # the boundary side of an Entry or Exit maps to its top-level pin.
+        ends = [(f"in{i}", in_ch[Port(c.id, i)]) for i in range(len(c.in_widths))]
+        ends += [(f"out{i}", out_ch[Port(c.id, i)]) for i in range(len(c.out_widths))]
+        pins = [(prefix, f"ch_{ch.id}", ch.width) for prefix, ch in ends]
+        if c.kind == ENTRY:
+            pins.insert(0, ("in0", pin_of[c.id], c.out_widths[0]))
+        elif c.kind == EXIT:
+            pins.append(("out0", pin_of[c.id], c.in_widths[0]))
         maps = ["clk => clk", "rst => rst"]
-
-        def channel_map(prefix: str, ch) -> None:
-            if ch.width:
-                maps.append(f"{prefix}_data => ch_{ch.id}_data")
-            maps.append(f"{prefix}_valid => ch_{ch.id}_valid")
-            maps.append(f"{prefix}_ready => ch_{ch.id}_ready")
-
-        def pin_map(prefix: str, pin: str, width: int) -> None:
+        for prefix, pin, width in pins:
             if width:
                 maps.append(f"{prefix}_data => {pin}_data")
             maps.append(f"{prefix}_valid => {pin}_valid")
             maps.append(f"{prefix}_ready => {pin}_ready")
-
-        if c.kind == ENTRY:
-            pin_map("in0", pin_of[c.id], c.out_widths[0])
-            channel_map("out0", out_ch[Port(c.id, 0)])
-        elif c.kind == EXIT:
-            channel_map("in0", in_ch[Port(c.id, 0)])
-            pin_map("out0", pin_of[c.id], c.in_widths[0])
-        else:
-            for i in range(len(c.in_widths)):
-                channel_map(f"in{i}", in_ch[Port(c.id, i)])
-            for i in range(len(c.out_widths)):
-                channel_map(f"out{i}", out_ch[Port(c.id, i)])
         lines.append("    port map (")
         lines.append(",\n".join(f"      {m}" for m in maps))
         lines += ["    );"]

@@ -4,7 +4,7 @@ import pytest
 
 from minihls import corpus, typecheck
 from minihls.errors import PassError
-from minihls.interp import run_ssa
+from minihls.interp import run_source, run_ssa
 from minihls.ir import (
     Block, CondGoto, ConstOp, Goto, Instr, Ret, SSAFunction, SelectOp,
     print_function, verify,
@@ -12,6 +12,8 @@ from minihls.ir import (
 from minihls.lattice import IMPL_BY_OPCODE, LatticeType
 from minihls.lower import lower
 from minihls.passes import if_convert, merge_blocks, optimize
+from minihls.pipeline import compile_source
+from minihls.sim import simulate
 from minihls.source import parse_source
 
 I = LatticeType.INT64
@@ -136,3 +138,69 @@ def test_merge_folds_goto_chains():
     out = merge_blocks(func)
     assert len(out.blocks) == 1
     assert run_ssa(out, (4,)) == 9
+
+
+# Values that pass through a join stay live in later blocks as the join's
+# parameters: folding the join must rename them in every block, and an
+# empty join whose parameters later blocks read must not be forwarded.
+PASS_THROUGH = {"passthrough": """
+function f(a::Int64, b::Int64)
+    x = a
+    y = b
+    i = 0
+    while i < 2
+        if x < y
+            x = x + 1
+        else
+            x = x - 1
+        end
+        if y < 3
+            y = y + x
+        else
+            y = y - 2
+        end
+        i = i + 1
+    end
+    return x + y
+end
+""", "diamond_then_loop": """
+function f(a::Int64, b::Int64)
+    if a < b
+        x = a + 1
+    else
+        x = b - 1
+    end
+    i = 0
+    while i < 3
+        b = b + x
+        i = i + 1
+    end
+    return b
+end
+""", "forwarded_join": """
+function f(a::Int64, b::Int64)
+    i = 0
+    s = 0
+    if a < b
+        x = a * b + a - b * 3 + a * a
+    else
+        x = b * a - a + b * 5 - b * b
+    end
+    while i < 3
+        s = s + x
+        i = i + 1
+    end
+    return s
+end
+"""}
+
+
+@pytest.mark.parametrize("name", sorted(PASS_THROUGH))
+def test_values_passing_through_folded_joins(name):
+    res = compile_source(PASS_THROUGH[name])
+    for point in ((3, -2), (-1, 4), (0, 0), (2, 2)):
+        want = run_source(res.func, point)
+        assert run_ssa(res.ssa_unopt, point) == want
+        assert run_ssa(res.ssa, point) == want
+        report = simulate(res.cdfg, point)
+        assert (report.output, report.leftover) == (want, 0)

@@ -64,6 +64,42 @@ def test_latency_override_slows_but_preserves_output(compiled):
     assert cycles[-1] > cycles[0]
 
 
+# The result of a circuit must not depend on operator latencies.  This
+# nested loop breaks that: the interpreters give 44, and so does the
+# circuit with single-cycle multipliers, but at the default mul_i64
+# latency of 2 it returns 368.  The cause is not yet diagnosed.
+NESTED_LOOPS = """
+function g(a::Int64, b::Int64)
+  x = a
+  y = b
+  z = 1
+  i1 = 0
+  while i1 < 2
+    i2 = 0
+    while i2 < 2
+      x = ((z * a) * x)
+      y = ((x - a) * b)
+      x = (x - (3 - y))
+      i2 = i2 + 1
+    end
+    x = ((z - z) + 3)
+    i1 = i1 + 1
+  end
+  return x + y - z
+end
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="nested-loop result depends on mul_i64 latency")
+def test_nested_loop_result_is_latency_insensitive():
+    fn = parse_source(NESTED_LOOPS).functions[0]
+    assert run_source(fn, (3, -2)) == 44
+    for lat in (0, 1, 2, 6):
+        res = compile_source(NESTED_LOOPS, latencies={"mul_i64": lat})
+        assert simulate(res.cdfg, (3, -2)).output == 44, f"mul_i64 latency {lat}"
+
+
 def test_max_cycles_budget(compiled):
     with pytest.raises(MaxCyclesError):
         simulate(compiled("power").cdfg, (2, 12), max_cycles=10)

@@ -4,9 +4,9 @@ import pytest
 
 from minihls import corpus, typecheck
 from minihls.errors import (
-    NoMethodError, TypeCheckError, UndefinedVarError, UnstableTypeError,
+    NoMethodError, Pos, TypeCheckError, UndefinedVarError, UnstableTypeError,
 )
-from minihls.lattice import LatticeType
+from minihls.lattice import IMPL_BY_OPCODE, LatticeType
 from minihls.source import parse_source
 
 B, I, F = LatticeType.BOOL, LatticeType.INT64, LatticeType.FLOAT64
@@ -144,3 +144,127 @@ def test_logical_ops_evaluate_both_sides_strictly():
     top = tf.body[0].value
     assert top.impl.opcode == "and_i1"
     assert top.ty == B
+
+
+def _exact_error(text, sig, strict):
+    with pytest.raises(TypeCheckError) as info:
+        infer_text(text, sig, strict=strict)
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_loop_condition_checked_before_its_body(strict):
+    text = ("function f(a::Int64)\n"
+            "  while a\n    a = a + true\n  end\n"
+            "  return a\nend\n")
+    assert _exact_error(text, (I,), strict) == (
+        TypeCheckError, "2:9: condition must be Bool, found Int64")
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_condition_non_bool_on_first_trip_rejected(strict):
+    # On the first trip x is Int64; only later trips see the Top join with
+    # Bool.  The first trip's condition is already wrong in either mode.
+    text = ("function f(n::Int64)\n"
+            "  x = 1\n  i = 0\n"
+            "  while i < n\n"
+            "    if x\n      i = i + 1\n    end\n"
+            "    i = i + 1\n    x = true\n"
+            "  end\n"
+            "  return i\nend\n")
+    assert _exact_error(text, (I,), strict) == (
+        TypeCheckError, "5:8: condition must be Bool, found Int64")
+
+
+def _node(cls, ty, *fields):
+    return cls(ty, Pos(0, 0), *fields)
+
+
+def _var(ty, name):
+    return _node(typecheck.TVar, ty, name)
+
+
+def _binary(ty, op, opcode, left, right):
+    impl = None if opcode is None else IMPL_BY_OPCODE[opcode]
+    return _node(typecheck.TBinary, ty, op, impl, left, right)
+
+
+def _float(node):
+    return _node(typecheck.TConvert, F, IMPL_BY_OPCODE["sitofp"], node)
+
+
+def _assign(target, value):
+    return typecheck.TAssign(Pos(0, 0), target, value)
+
+
+def _count(name):
+    return _assign(name, _binary(I, "+", "add_i64", _var(I, name),
+                                 _node(typecheck.TIntLit, I, 1)))
+
+
+def _loop(cond, *body):
+    return typecheck.TWhile(Pos(0, 0), cond, body)
+
+
+NESTED = ("function f(n::Int64)\n"
+          "  x = 0.5\n  i = 0\n"
+          "  while i < n\n"
+          "    j = 0\n"
+          "    while j < i\n      x = x * 2 + j\n      j = j + 1\n    end\n"
+          "    x = x - i\n    i = i + 1\n"
+          "  end\n"
+          "  return x\nend\n")
+
+
+def test_nested_loops_carrying_one_variable_build_final_nodes():
+    # Both loops carry x (Float64); the inner loop's bound is the outer
+    # counter, so each header holds {n, x, i} or {n, x, i, j}, all concrete.
+    tf = infer_text(NESTED, (I,))
+    assert tf.type_stable and tf.return_type == F
+    inner = _loop(
+        _binary(B, "<", "cmp_lt_i64", _var(I, "j"), _var(I, "i")),
+        _assign("x", _binary(
+            F, "+", "fadd_f64",
+            _binary(F, "*", "fmul_f64", _var(F, "x"),
+                    _float(_node(typecheck.TIntLit, I, 2))),
+            _float(_var(I, "j")))),
+        _count("j"))
+    outer = _loop(
+        _binary(B, "<", "cmp_lt_i64", _var(I, "i"), _var(I, "n")),
+        _assign("j", _node(typecheck.TIntLit, I, 0)),
+        inner,
+        _assign("x", _binary(F, "-", "fsub_f64", _var(F, "x"),
+                             _float(_var(I, "i")))),
+        _count("i"))
+    assert tf.body[2] == outer
+
+
+def test_nested_loop_widening_reaches_the_outer_header():
+    # The inner loop turns x from Int64 into Float64, so its header joins x
+    # to Top; the outer header then carries Top too, and the kept nodes are
+    # those of the walk against the widened headers.
+    text = ("function f(n::Int64)\n"
+            "  x = 1\n  i = 0\n"
+            "  while i < n\n"
+            "    y = x\n"
+            "    j = 0\n"
+            "    while j < n\n      x = x + 0.5\n      j = j + 1\n    end\n"
+            "    i = i + 1\n"
+            "  end\n"
+            "  return i\nend\n")
+    with pytest.raises(UnstableTypeError):
+        infer_text(text, (I,))
+    tf = infer_text(text, (I,), strict=False)
+    assert not tf.type_stable and tf.return_type == I
+    inner = _loop(
+        _binary(B, "<", "cmp_lt_i64", _var(I, "j"), _var(I, "n")),
+        _assign("x", _binary(LatticeType.TOP, "+", None, _var(LatticeType.TOP, "x"),
+                             _node(typecheck.TFloatLit, F, 0.5))),
+        _count("j"))
+    outer = _loop(
+        _binary(B, "<", "cmp_lt_i64", _var(I, "i"), _var(I, "n")),
+        _assign("y", _var(LatticeType.TOP, "x")),
+        _assign("j", _node(typecheck.TIntLit, I, 0)),
+        inner,
+        _count("i"))
+    assert tf.body[2] == outer
