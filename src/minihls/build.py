@@ -23,7 +23,8 @@ from .cdfg import (BRANCH, CDFG, CONST, ENTRY, EXIT, FORK, MERGE, OPERATOR,
                    SINK, Component, Port)
 from .errors import BuildError
 from .ir import (Block, CondGoto, ConstOp, Goto, Ret, SelectOp, SSAFunction,
-                 predecessor_edges, successor_edges, terminator_uses, verify)
+                 postorder, predecessor_edges, successor_edges, terminator_uses,
+                 verify)
 from .lattice import DEFAULT_LATENCIES, OperatorImpl, SELECT_OPCODES
 
 CONTROL = "ctrl"  # input-map key for the control token; value keys are ints
@@ -75,6 +76,7 @@ class _Builder:
         self.types = func.value_types()
         self.nets: list[_Net] = []
         self.preds = predecessor_edges(func)
+        self.by_id = {b.id: b for b in func.blocks}
         # (pred id, edge index, target id) -> merge slot position at target
         self.edge_slot: dict[tuple[int, int, int], int] = {}
         for b in func.blocks:
@@ -118,26 +120,30 @@ class _Builder:
     # -- liveness (block params count as definitions) -----------------------
 
     def _liveness(self) -> dict[int, set[int]]:
-        blocks = self.func.blocks
-        defs, use = {}, {}
-        for b in blocks:
+        """Live-in values per block.  Liveness flows backward, so the
+        sweeps visit blocks in postorder, successors first; in block order
+        a value crossed one block per sweep."""
+        defs, use, succs = {}, {}, {}
+        for b in self.func.blocks:
             d = {pid for pid, _ in b.params} | {i.result for i in b.instrs}
             u: set[int] = set()
             for ins in b.instrs:
                 u.update(ins.args)
             u.update(terminator_uses(b.terminator))
             defs[b.id], use[b.id] = d, u - d
-        live = {b.id: set(use[b.id]) for b in blocks}
+            succs[b.id] = [t for t, _ in successor_edges(b.terminator)]
+        live = {bid: set(u) for bid, u in use.items()}
+        order = postorder(self.func)
         changed = True
         while changed:
             changed = False
-            for b in blocks:
+            for bid in order:
                 out: set[int] = set()
-                for target, _ in successor_edges(b.terminator):
+                for target in succs[bid]:
                     out |= live[target]
-                new = use[b.id] | (out - defs[b.id])
-                if new != live[b.id]:
-                    live[b.id] = new
+                new = use[bid] | (out - defs[bid])
+                if new != live[bid]:
+                    live[bid] = new
                     changed = True
         return live
 
@@ -248,7 +254,7 @@ class _Builder:
 
     def _wire_edge(self, b: Block, edge_idx: int, target: int, args: tuple,
                    supply: dict) -> None:
-        tblock = self.func.block(target)
+        tblock = self.by_id[target]
         slot = self.edge_slot[(b.id, edge_idx, target)]
         many = len(self.preds[target]) >= 2
         for input_key, supply_key in zip(self.layout(tblock),

@@ -24,7 +24,7 @@ from .errors import CliError, MiniHlsError, Pos
 from .interp import DEFAULT_FUEL, run_source
 from .ir import print_function
 from .lattice import LatticeType, format_dispatch_table
-from .pipeline import compile_source, parse_args_for, parse_sig
+from .pipeline import STAGES, compile_source, parse_args_for, parse_sig
 from .sim import DEFAULT_MAX_CYCLES, SimPlan, simulate
 from .vhdl import emit_vhdl, lint_netlist
 
@@ -265,14 +265,15 @@ def cmd_diff(opts: _Options) -> int:
     return 1 if mismatches else 0
 
 
-def _stats_row(name: str, res) -> list[str]:
+def _stats_row(name: str, res, timing: bool) -> list[str]:
     stats = component_stats(res.cdfg)
     by_kind = ",".join(f"{k}={v}" for k, v in stats.items()
                        if v and k != "total")
     ref = BASELINE_COUNTS.get(name)
+    times = [f"{res.stage_s[s] * 1e3:.3f}" for s in STAGES] if timing else []
     return [name, str(len(res.ssa_unopt.blocks)), str(len(res.ssa.blocks)),
             str(stats["total"]), by_kind,
-            str(ref[0]) if ref else "", str(ref[1]) if ref else ""]
+            str(ref[0]) if ref else "", str(ref[1]) if ref else "", *times]
 
 
 def cmd_stats(opts: _Options) -> int:
@@ -280,11 +281,12 @@ def cmd_stats(opts: _Options) -> int:
     if opts.args.corpus or not programs:
         programs = list(corpus.PROGRAMS) + programs
     writer = csv.writer(sys.stdout, delimiter="\t", lineterminator="\n")
-    writer.writerow(STATS_COLUMNS)
+    timing = opts.get("timing", False, _truthy)
+    writer.writerow([*STATS_COLUMNS, *(f"{s}_ms" for s in STAGES if timing)])
     for prog in programs:
         opts.args.program = prog
         res = _compile(opts)
-        writer.writerow(_stats_row(res.func.name, res))
+        writer.writerow(_stats_row(res.func.name, res, timing))
     return 0
 
 
@@ -374,6 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="programs to measure (default: the bundled corpus)")
     p.add_argument("--corpus", action="store_true",
                    help="include the bundled corpus programs")
+    p.add_argument("--timing", action="store_const", const=True,
+                   help="add one column per compile stage, in milliseconds")
     _add_common(p, program_arg=False)
     p.set_defaults(handler=cmd_stats)
 

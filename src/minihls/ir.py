@@ -6,11 +6,15 @@ its target's parameters, which keeps the verifier small and maps directly
 onto the merge components of the elastic circuit.  Every value id is
 defined exactly once (function param, block param, or instruction result)
 and every use must be dominated by its definition.
+
+Passes never mutate an `Instr` or a terminator in place: a rewrite builds
+a new one and assigns it to the block's list or `terminator` field.  So
+`SSAFunction.clone` copies only the blocks and their instruction lists
+and shares everything below them.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -89,19 +93,16 @@ class SSAFunction:
     def entry(self) -> Block:
         return self.blocks[0]
 
-    def block(self, bid: BlockId) -> Block:
-        for b in self.blocks:
-            if b.id == bid:
-                return b
-        raise KeyError(f"no block b{bid}")
-
     def fresh_value(self) -> ValueId:
         v = self.next_value
         self.next_value += 1
         return v
 
     def clone(self) -> "SSAFunction":
-        return copy.deepcopy(self)
+        blocks = [Block(b.id, b.params, list(b.instrs), b.terminator)
+                  for b in self.blocks]
+        return SSAFunction(self.name, self.params, self.return_type, blocks,
+                           self.next_value, self.next_block)
 
     def value_types(self) -> dict[ValueId, LatticeType]:
         types = dict(self.params)
@@ -139,54 +140,83 @@ def terminator_uses(term: Terminator) -> list[ValueId]:
     return [term.value]
 
 
-def instr_uses(ins: Instr) -> list[ValueId]:
-    return list(ins.args)
+def postorder(func: SSAFunction) -> list[BlockId]:
+    """The blocks reachable from the entry in depth-first postorder, so
+    the entry comes last.  Runs on IR that does not verify: missing
+    terminators and unknown targets are skipped."""
+    by_id = {b.id: b for b in func.blocks}
+    order: list[BlockId] = []
+    seen: set[BlockId] = set()
+    stack = [(func.entry.id, False)]
+    while stack:
+        bid, done = stack.pop()
+        if done:
+            order.append(bid)
+        elif bid not in seen:
+            seen.add(bid)
+            stack.append((bid, True))
+            stack.extend((t, False) for t, _ in
+                         successor_edges(by_id[bid].terminator) if t in by_id)
+    return order
 
 
 def reachable_blocks(func: SSAFunction) -> set[BlockId]:
-    seen: set[BlockId] = set()
-    stack = [func.entry.id]
-    by_id = {b.id: b for b in func.blocks}
-    while stack:
-        bid = stack.pop()
-        if bid in seen:
-            continue
-        seen.add(bid)
-        blk = by_id.get(bid)
-        if blk is not None and blk.terminator is not None:
-            for target, _ in successor_edges(blk.terminator):
-                if target in by_id:
-                    stack.append(target)
-    return seen
+    return set(postorder(func))
 
 
-def dominators(func: SSAFunction) -> dict[BlockId, set[BlockId]]:
-    """Iterative dominator sets; fine at the block counts this tool sees."""
-    ids = [b.id for b in func.blocks]
-    preds = predecessor_edges(func)
-    entry = func.entry.id
-    dom = {bid: set(ids) for bid in ids}
-    dom[entry] = {entry}
+def _dominance(order: list[BlockId], preds: dict[BlockId, list[BlockId]]):
+    """`dominates(d, u)` for a block u of `order`, a postorder from the
+    entry.  The immediate dominators come from Cooper, Harvey and
+    Kennedy, "A Simple, Fast Dominance Algorithm" (2001); edges from
+    blocks outside `order` are ignored.  A query is O(1): d dominates u
+    iff u's preorder number on the dominator tree is in d's subtree."""
+    num = {b: i for i, b in enumerate(order)}
+    entry = order[-1]
+    idom = {entry: entry}
     changed = True
     while changed:
         changed = False
-        for bid in ids:
-            if bid == entry:
-                continue
-            pred_ids = [p for p, _ in preds[bid]]
-            if pred_ids:
-                new = set.intersection(*(dom[p] for p in pred_ids)) | {bid}
-            else:
-                new = {bid}
-            if new != dom[bid]:
-                dom[bid] = new
+        for b in reversed(order[:-1]):
+            # Preds without an idom yet are unreachable or not reached in
+            # this sweep; b's DFS parent always has one.
+            done = [p for p in preds[b] if p in idom]
+            new = done[0]
+            for p in done[1:]:
+                while p != new:  # walk both up to their common dominator
+                    while num[p] < num[new]:
+                        p = idom[p]
+                    while num[new] < num[p]:
+                        new = idom[new]
+            if idom.get(b) != new:
+                idom[b] = new
                 changed = True
-    return dom
+    size = dict.fromkeys(order, 1)
+    for b in order[:-1]:  # children before their idom
+        size[idom[b]] += size[b]
+    pre, free = {entry: 0}, {entry: 1}
+    for b in reversed(order[:-1]):  # each idom numbered before its children
+        d = idom[b]
+        pre[b], free[b] = free[d], free[d] + 1
+        free[d] += size[b]
+    return lambda d, u: d in pre and pre[d] <= pre[u] < pre[d] + size[d]
+
+
+def dominators(func: SSAFunction) -> dict[BlockId, set[BlockId]]:
+    """Dominator sets of the reachable blocks."""
+    order = postorder(func)
+    preds = {b: [p for p, _ in edges]
+             for b, edges in predecessor_edges(func).items()}
+    dominates = _dominance(order, preds)
+    return {u: {d for d in order if dominates(d, u)} for u in order}
 
 
 # ---------------------------------------------------------------------------
 # Verifier
 # ---------------------------------------------------------------------------
+
+
+_CONST_KIND = {LatticeType.BOOL: bool, LatticeType.INT64: int,
+               LatticeType.FLOAT64: float}
 
 
 def verify(func: SSAFunction) -> list[str]:
@@ -198,40 +228,29 @@ def verify(func: SSAFunction) -> list[str]:
     if not func.blocks:
         return ["function has no blocks"]
 
-    ids = [b.id for b in func.blocks]
-    if len(ids) != len(set(ids)):
-        violations.append("duplicate block ids")
-        return violations
     by_id = {b.id: b for b in func.blocks}
+    if len(by_id) != len(func.blocks):
+        return ["duplicate block ids"]
 
     if func.entry.params:
         violations.append("entry block must not declare parameters "
                           "(function parameters play that role)")
 
-    # Single definition of every value.
+    # Single definition of every value.  Params carry order -1 so they
+    # precede every instr.
+    defs = [(vid, ty, func.entry.id, -1) for vid, ty in func.params]
+    for b in func.blocks:
+        defs += [(vid, ty, b.id, -1) for vid, ty in b.params]
+        defs += [(i.result, i.ty, b.id, k) for k, i in enumerate(b.instrs)]
     types: dict[ValueId, LatticeType] = {}
     def_site: dict[ValueId, tuple[BlockId, int]] = {}  # block, order index
-    for vid, ty in func.params:
+    for vid, ty, bid, k in defs:
         if vid in types:
             violations.append(f"value v{vid} defined more than once")
-        types[vid] = ty
-        def_site[vid] = (func.entry.id, -1)
-    for b in func.blocks:
-        order = 0
-        for vid, ty in b.params:
-            if vid in types:
-                violations.append(f"value v{vid} defined more than once")
-            types[vid] = ty
-            def_site[vid] = (b.id, -1)
-        for ins in b.instrs:
-            if ins.result in types:
-                violations.append(f"value v{ins.result} defined more than once")
-            types[ins.result] = ins.ty
-            def_site[ins.result] = (b.id, order)
-            order += 1
+        types[vid], def_site[vid] = ty, (bid, k)
 
     # Terminators present and well-targeted.
-    preds = {bid: [] for bid in ids}
+    preds: dict[BlockId, list[BlockId]] = {bid: [] for bid in by_id}
     for b in func.blocks:
         if b.terminator is None:
             violations.append(f"b{b.id} has no terminator")
@@ -268,8 +287,9 @@ def verify(func: SSAFunction) -> list[str]:
     if preds[func.entry.id]:
         violations.append("entry block has predecessors")
 
-    reachable = reachable_blocks(func)
-    for bid in ids:
+    order = postorder(func)
+    reachable = set(order)
+    for bid in by_id:
         if bid not in reachable:
             violations.append(f"b{bid} is unreachable")
 
@@ -309,16 +329,15 @@ def verify(func: SSAFunction) -> list[str]:
                                 f"v{ins.result}: select arm v{arg}: {aty} does not "
                                 f"match result type {ins.ty}")
             elif isinstance(ins.op, ConstOp):
-                want = {LatticeType.BOOL: bool, LatticeType.INT64: int,
-                        LatticeType.FLOAT64: float}.get(ins.ty)
+                want = _CONST_KIND.get(ins.ty)
                 if want is None or type(ins.op.value) is not want:
                     violations.append(
                         f"v{ins.result}: const {ins.op.value!r} does not match {ins.ty}")
             else:
                 violations.append(f"v{ins.result}: unknown op {ins.op!r}")
 
-    # Dominance of uses.  Params carry order -1 so they precede every instr.
-    dom = dominators(func)
+    # Dominance of uses.
+    dominates = _dominance(order, preds)
 
     def check_use(vid: ValueId, use_block: BlockId, use_order: int, what: str) -> None:
         if vid not in def_site:
@@ -328,13 +347,13 @@ def verify(func: SSAFunction) -> list[str]:
         if db == use_block:
             if dorder >= use_order:
                 violations.append(f"{what} uses v{vid} before its definition")
-        elif use_block in reachable and db not in dom.get(use_block, set()):
+        elif use_block in reachable and not dominates(db, use_block):
             violations.append(f"{what} uses v{vid} whose definition in b{db} "
                               f"does not dominate b{use_block}")
 
     for b in func.blocks:
         for order, ins in enumerate(b.instrs):
-            for vid in instr_uses(ins):
+            for vid in ins.args:
                 check_use(vid, b.id, order, f"b{b.id}: v{ins.result}")
         if b.terminator is not None:
             for vid in terminator_uses(b.terminator):

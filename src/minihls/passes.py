@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from .errors import PassError
 from .ir import (Block, CondGoto, Goto, Instr, Ret, SelectOp, SSAFunction, ValueId,
-                 predecessor_edges, reachable_blocks, terminator_uses, verify)
+                 predecessor_edges, reachable_blocks, successor_edges,
+                 terminator_uses, verify)
 from .lattice import OperatorImpl
 
 # mod_i64 traps on a zero divisor, so it must never run down an untaken
@@ -91,82 +92,117 @@ def _substitute(block: Block, mapping: dict[ValueId, ValueId]) -> None:
         block.terminator = Ret(sub(t.value))
 
 
+class _Graph:
+    """Id -> block, predecessor and position maps of a function being
+    rewritten in place, updated at each rewrite.  A deleted block stays
+    in `func.blocks` until `flush`, so positions hold until then."""
+
+    def __init__(self, func: SSAFunction):
+        self.func = func
+        self.by_id = {b.id: b for b in func.blocks}
+        self.preds = predecessor_edges(func)
+        self.pos = {b.id: i for i, b in enumerate(func.blocks)}
+
+    def jump(self, blk: Block, term) -> None:
+        """Give blk a new terminator and move its outgoing edges."""
+        for idx, (target, _) in enumerate(successor_edges(blk.terminator)):
+            self.preds[target].remove((blk.id, idx))
+        blk.terminator = term
+        for idx, (target, _) in enumerate(successor_edges(term)):
+            self.preds[target].append((blk.id, idx))
+
+    def delete(self, blk: Block) -> None:
+        self.jump(blk, None)
+        del self.by_id[blk.id], self.preds[blk.id]
+
+    def flush(self) -> None:
+        self.func.blocks = [b for b in self.func.blocks if b.id in self.by_id]
+
+
 def _merge_blocks_inplace(func: SSAFunction) -> bool:
+    """Fold and forward, each time at the first block in block order that
+    allows it.  Only a block that a rewrite touched can newly allow one,
+    so each scan resumes there instead of restarting."""
     changed = _remove_unreachable_inplace(func)
+    g = _Graph(func)
+    todo, start = func.blocks, 0  # fold candidates; where forwarding resumes
     while True:
         # A folded block's parameters may be used in any block it
         # dominated, so a batch of folds renames them everywhere at once.
         renames: dict[ValueId, ValueId] = {}
-        while _merge_one(func, renames):
-            changed = True
-            _remove_unreachable_inplace(func)
+        for p in todo:
+            while p.id in g.by_id and _fold(g, p, renames):
+                changed = True
+                start = min(start, g.pos[p.id])
         for v, arg in renames.items():
             while arg in renames:  # the argument was itself folded away
                 arg = renames[arg]
             renames[v] = arg
-        for blk in func.blocks:
-            _substitute(blk, renames)
-        if not _forward_one(func):
+        if renames:
+            for blk in g.by_id.values():
+                _substitute(blk, renames)
+        found = _forward_one(g, start)
+        if found is None:
+            g.flush()
             return changed
         changed = True
-        _remove_unreachable_inplace(func)
+        start, todo = found
 
 
-def _merge_one(func: SSAFunction, renames: dict[ValueId, ValueId]) -> bool:
-    """Fold a block into its unique Goto predecessor, recording the
-    renaming of its parameters to the incoming arguments in `renames`."""
-    preds = predecessor_edges(func)
-    for p in func.blocks:
-        t = p.terminator
-        if not isinstance(t, Goto) or t.target == p.id:
-            continue
-        b = func.block(t.target)
-        if len(preds[b.id]) != 1:
-            continue
-        p.instrs.extend(b.instrs)
-        p.terminator = b.terminator
-        func.blocks.remove(b)
-        renames.update((pid, arg) for (pid, _), arg in zip(b.params, t.args))
-        return True
-    return False
+def _fold(g: _Graph, p: Block, renames: dict[ValueId, ValueId]) -> bool:
+    """Fold p's Goto target into p if p is its only predecessor, recording
+    the renaming of its parameters to the incoming arguments."""
+    t = p.terminator
+    if (not isinstance(t, Goto) or t.target == p.id
+            or len(g.preds[t.target]) != 1):
+        return False
+    b = g.by_id[t.target]
+    p.instrs.extend(b.instrs)
+    g.jump(p, b.terminator)
+    g.delete(b)
+    renames.update((pid, arg) for (pid, _), arg in zip(b.params, t.args))
+    return True
 
 
-def _forward_one(func: SSAFunction) -> bool:
-    """Delete an empty block that just forwards to another one."""
-    preds = predecessor_edges(func)
-    for b in func.blocks:
+def _forward_one(g: _Graph, start: int):
+    """Delete the first empty block from position `start` on that just
+    forwards to another one.  Returns where the next search resumes and
+    the block's former predecessors in block order, or None."""
+    func = g.func
+    for i in range(start, len(func.blocks)):
+        b = func.blocks[i]
         t = b.terminator
-        if (b is func.entry or b.instrs or not isinstance(t, Goto)
-                or t.target == b.id or not preds[b.id]):
+        if (b.id not in g.by_id or b is func.entry or b.instrs
+                or not isinstance(t, Goto) or t.target == b.id
+                or not g.preds[b.id]):
             continue
         param_ids = [pid for pid, _ in b.params]
-        if param_ids and _used_outside(func, b, set(param_ids)):
+        if param_ids and _used_outside(g, b, set(param_ids)):
             continue  # later blocks read b's parameters; it must stay
-        for pred_id, edge_idx in preds[b.id]:
-            pred = func.block(pred_id)
+        pred_ids = sorted({q for q, _ in g.preds[b.id]}, key=g.pos.get)
+        for pred_id, edge_idx in list(g.preds[b.id]):
+            pred = g.by_id[pred_id]
             pt = pred.terminator
-            if isinstance(pt, Goto):
-                edge_args = pt.args
-            else:
-                edge_args = pt.then_args if edge_idx == 0 else pt.else_args
-            mapping = dict(zip(param_ids, edge_args))
+            mapping = dict(zip(param_ids, successor_edges(pt)[edge_idx][1]))
             new_args = tuple(mapping.get(a, a) for a in t.args)
             if isinstance(pt, Goto):
-                pred.terminator = Goto(t.target, new_args)
+                g.jump(pred, Goto(t.target, new_args))
             elif edge_idx == 0:
-                pred.terminator = CondGoto(pt.cond, t.target, new_args,
-                                           pt.else_target, pt.else_args)
+                g.jump(pred, CondGoto(pt.cond, t.target, new_args,
+                                      pt.else_target, pt.else_args))
             else:
-                pred.terminator = CondGoto(pt.cond, pt.then_target, pt.then_args,
-                                           t.target, new_args)
-        func.blocks.remove(b)
-        return True
-    return False
+                g.jump(pred, CondGoto(pt.cond, pt.then_target, pt.then_args,
+                                      t.target, new_args))
+        g.delete(b)
+        # Dropped arguments may free an earlier block's parameters.
+        return (0 if param_ids else min(i, g.pos[pred_ids[0]]),
+                [g.by_id[q] for q in pred_ids])
+    return None
 
 
-def _used_outside(func: SSAFunction, b: Block, values: set[ValueId]) -> bool:
+def _used_outside(g: _Graph, b: Block, values: set[ValueId]) -> bool:
     """True if a block other than b reads one of `values`."""
-    for blk in func.blocks:
+    for blk in g.by_id.values():
         if blk is not b and (
                 any(not values.isdisjoint(ins.args) for ins in blk.instrs)
                 or not values.isdisjoint(terminator_uses(blk.terminator))):
@@ -193,11 +229,11 @@ def _speculation_safe(ins: Instr) -> bool:
     return True  # consts and selects have no side conditions
 
 
-def _classify_side(func, preds, origin: Block, target: int, args, limit: int):
+def _classify_side(g: _Graph, origin: Block, target: int, args, limit: int):
     """A side of a CondGoto is either a hoistable arm block or a plain edge."""
-    blk = func.block(target)
+    blk = g.by_id[target]
     if (target != origin.id and not args and not blk.params
-            and len(preds[target]) == 1
+            and len(g.preds[target]) == 1
             and isinstance(blk.terminator, (Goto, Ret))
             and len(blk.instrs) <= limit
             and all(_speculation_safe(i) for i in blk.instrs)):
@@ -206,68 +242,62 @@ def _classify_side(func, preds, origin: Block, target: int, args, limit: int):
 
 
 def _if_convert_inplace(func: SSAFunction, limit: int) -> bool:
+    """Convert every convertible branch, visiting the branches in block
+    order.  A conversion at p changes only p, its arms and its join, so
+    of the earlier blocks only those branching to p can become
+    convertible: the scan resumes at the first of them."""
+    g = _Graph(func)
     changed = False
-    while _convert_one(func, limit):
-        changed = True
-        _remove_unreachable_inplace(func)
+    i = 0
+    while i < len(func.blocks):
+        p = func.blocks[i]
+        t = p.terminator
+        if p.id in g.by_id and isinstance(t, CondGoto) and _try_convert(
+                g, p, t.cond,
+                _classify_side(g, p, t.then_target, t.then_args, limit),
+                _classify_side(g, p, t.else_target, t.else_args, limit)):
+            changed = True
+            i = min([i + 1] + [g.pos[q] for q, _ in g.preds[p.id]])
+        else:
+            i += 1
+    g.flush()
     return changed
 
 
-def _convert_one(func: SSAFunction, limit: int) -> bool:
-    preds = predecessor_edges(func)
-    for p in func.blocks:
-        t = p.terminator
-        if not isinstance(t, CondGoto):
-            continue
-        then_side = _classify_side(func, preds, p, t.then_target, t.then_args, limit)
-        else_side = _classify_side(func, preds, p, t.else_target, t.else_args, limit)
-        if _try_convert(func, p, t.cond, then_side, else_side):
-            return True
-    return False
-
-
 def _side_exit(side):
-    """(join target, join args) for a side, or None if the arm returns."""
+    """(join target, join args) of a side that does not return."""
     if side[0] == "edge":
         return side[1], side[2]
-    term = side[1].terminator
-    if isinstance(term, Goto):
-        return term.target, term.args
-    return None
+    return side[1].terminator.target, side[1].terminator.args
 
 
-def _try_convert(func: SSAFunction, p: Block, cond: ValueId,
+def _try_convert(g: _Graph, p: Block, cond: ValueId,
                  then_side, else_side) -> bool:
+    """Hoist the arms into p and steer with selects.  The arm blocks are
+    left without predecessors and are deleted."""
+    func = g.func
+    arms = [s[1] for s in (then_side, else_side) if s[0] == "arm"]
     then_ret = then_side[0] == "arm" and isinstance(then_side[1].terminator, Ret)
     else_ret = else_side[0] == "arm" and isinstance(else_side[1].terminator, Ret)
-
-    if then_ret and else_ret:
-        p.instrs.extend(then_side[1].instrs)
-        p.instrs.extend(else_side[1].instrs)
-        tv = then_side[1].terminator.value
-        ev = else_side[1].terminator.value
-        p.terminator = Ret(_steer(func, p, cond, tv, ev, func.return_type))
-        return True
-    if then_ret or else_ret:
+    if then_ret != else_ret:
         return False  # one arm leaves the function, the other continues
-
-    tx = _side_exit(then_side)
-    ex = _side_exit(else_side)
-    if tx is None or ex is None or tx[0] != ex[0]:
-        return False
-    join = tx[0]
-    arm_ids = {s[1].id for s in (then_side, else_side) if s[0] == "arm"}
-    if join == p.id or join in arm_ids:
-        return False  # a loop edge, not a diamond
-
-    for side in (then_side, else_side):
-        if side[0] == "arm":
-            p.instrs.extend(side[1].instrs)
-    jparams = func.block(join).params
-    new_args = tuple(
-        _steer(func, p, cond, ta, ea, ty)
-        for (ta, ea), (_, ty) in zip(zip(tx[1], ex[1]), jparams))
-    p.terminator = Goto(join, new_args)
+    if not then_ret:
+        (join, then_args), (else_join, else_args) = (_side_exit(then_side),
+                                                     _side_exit(else_side))
+        if join != else_join or join == p.id or join in {a.id for a in arms}:
+            return False  # not a diamond: no common join, or a loop edge
+    for arm in arms:
+        p.instrs.extend(arm.instrs)
+    if then_ret:
+        g.jump(p, Ret(_steer(func, p, cond, then_side[1].terminator.value,
+                             else_side[1].terminator.value, func.return_type)))
+    else:
+        g.jump(p, Goto(join, tuple(
+            _steer(func, p, cond, ta, ea, ty)
+            for ta, ea, (_, ty) in zip(then_args, else_args,
+                                       g.by_id[join].params))))
+    for arm in arms:
+        g.delete(arm)
     return True
 
 

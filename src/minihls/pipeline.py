@@ -8,7 +8,8 @@ inspectable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 from . import source as src
 from .build import build_cdfg, resolve_latencies
@@ -32,6 +33,11 @@ class CompileResult:
     ssa: SSAFunction
     cdfg: CDFG
     n_buffers: int
+    stage_s: dict[str, float] = field(default_factory=dict)  # by STAGES name
+
+
+STAGES = ("parse", "infer", "lower", "verify", "optimize", "build",
+          "insert_buffers", "check")
 
 
 SIG_NAMES = {"i64": LatticeType.INT64, "f64": LatticeType.FLOAT64,
@@ -70,22 +76,30 @@ def compile_source(text: str, sig: tuple[LatticeType, ...] | None = None,
                    function: str | None = None, strict: bool = True,
                    opt: bool = True,
                    latencies: dict[str, int] | None = None) -> CompileResult:
-    program = src.parse_source(text)
+    stage_s = dict.fromkeys(STAGES, 0.0)
+
+    def timed(stage: str, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        stage_s[stage] = time.perf_counter() - start
+        return out
+
+    program = timed("parse", src.parse_source, text)
     func = (program.function(function) if function is not None
             else program.functions[0])
     if sig is None:
         sig = infer_sig(func)
-    typed = infer(func, sig, strict=strict)
-    ssa_unopt = lower(typed)
-    violations = verify(ssa_unopt)
+    typed = timed("infer", infer, func, sig, strict)
+    ssa_unopt = timed("lower", lower, typed)
+    violations = timed("verify", verify, ssa_unopt)
     if violations:
         raise PassError("lowering produced invalid IR: " + "; ".join(violations))
-    ssa = optimize(ssa_unopt) if opt else ssa_unopt
-    cdfg = build_cdfg(ssa, resolve_latencies(latencies))
-    n_buffers = insert_buffers(cdfg)
-    require_valid(cdfg)
+    ssa = timed("optimize", optimize, ssa_unopt) if opt else ssa_unopt
+    cdfg = timed("build", build_cdfg, ssa, resolve_latencies(latencies))
+    n_buffers = timed("insert_buffers", insert_buffers, cdfg)
+    timed("check", require_valid, cdfg)
     return CompileResult(program, func, sig, typed, ssa_unopt, ssa,
-                         cdfg, n_buffers)
+                         cdfg, n_buffers, stage_s)
 
 
 def parse_args_for(result: CompileResult, raw: list[str]) -> tuple:

@@ -265,6 +265,11 @@ _PRECEDENCE = {
 _UNARY_PRECEDENCE = 6
 _NONASSOC = {"<", "<=", ">", ">=", "==", "!="}
 
+# Most operators and parentheses around any operand of one expression.
+# The parser recurses thrice per parenthesis, the typechecker, lowering
+# and both interpreters once per operator: deeper nests overflow the stack.
+MAX_NESTING = 200
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -403,28 +408,38 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def parse_expr(self, min_prec: int = 1) -> Expr:
-        left = self.parse_unary()
+    def parse_expr(self, min_prec: int = 1, depth: int = 0) -> Expr:
+        """An expression whose root sits under `depth` operators and
+        parentheses; leaves the deepest operand's count in `self.deepest`."""
+        left = self.parse_unary(depth)
+        deepest = self.deepest
         while True:
             tok = self.peek()
             prec = _PRECEDENCE.get(tok.kind, 0)
             if tok.kind not in BINARY_OPS or prec < min_prec:
+                self.deepest = deepest
                 return left
             self.advance()
-            right = self.parse_expr(prec + 1)
+            right = self.parse_expr(prec + 1, depth + 1)
+            deepest = max(deepest + 1, self.deepest)  # tok also encloses left
+            if deepest > MAX_NESTING:
+                raise ParseError("expression nested too deeply", tok.pos)
             if (tok.kind in _NONASSOC and self.peek().kind in _NONASSOC
                     and _PRECEDENCE[self.peek().kind] == prec):
                 raise ParseError("comparison operators do not chain", self.peek().pos)
             left = Binary(tok.kind, left, right, tok.pos)
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self, depth: int) -> Expr:
         tok = self.peek()
+        if depth > MAX_NESTING:
+            raise ParseError("expression nested too deeply", tok.pos)
+        self.deepest = depth
         if tok.kind in UNARY_OPS:
             self.advance()
-            return Unary(tok.kind, self.parse_unary(), tok.pos)
-        return self.parse_primary()
+            return Unary(tok.kind, self.parse_unary(depth + 1), tok.pos)
+        return self.parse_primary(depth)
 
-    def parse_primary(self) -> Expr:
+    def parse_primary(self, depth: int) -> Expr:
         tok = self.advance()
         if tok.kind == "int":
             return IntLit(int(tok.value), tok.pos)
@@ -437,7 +452,7 @@ class _Parser:
         if tok.kind == "ident":
             return Var(str(tok.value), tok.pos)
         if tok.kind == "(":
-            inner = self.parse_expr()
+            inner = self.parse_expr(1, depth + 1)
             self.expect(")")
             return inner
         raise ParseError(f"expected an expression, found {tok.kind!r}", tok.pos,

@@ -2,7 +2,7 @@
 
 import json
 
-from minihls import cli
+from minihls import cli, source
 
 ANNOTATED = ("function double(a::Int64)\n"
              "  return a + a\nend\n")
@@ -26,6 +26,19 @@ def test_stats_table_includes_reference_columns(capsys):
     assert rows["newton_raphson"][5:7] == ["10", "225"]
     for row in rows.values():
         assert int(row[3]) > 0  # component totals are nonzero
+
+
+def test_stats_timing_adds_one_column_per_stage(capsys):
+    code, out, _ = run_cli(capsys, "stats", "--timing")
+    assert code == 0
+    header, *rows = [line.split("\t") for line in out.strip().split("\n")]
+    stages = ["parse", "infer", "lower", "verify", "optimize", "build",
+              "insert_buffers", "check"]
+    assert header == [*cli.STATS_COLUMNS, *(f"{s}_ms" for s in stages)]
+    assert len(rows) == 3
+    for row in rows:
+        assert len(row) == len(header)
+        assert all(float(v) >= 0 for v in row[len(cli.STATS_COLUMNS):])
 
 
 def test_stats_is_deterministic(capsys):
@@ -173,6 +186,16 @@ def test_parse_error_diagnostic_format(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", str(f), "1", "--sig", "i64")
     assert code == 1
     assert err.startswith("error[parse] 2:")
+
+
+def test_deep_nest_is_a_parse_diagnostic(tmp_path, capsys):
+    f = tmp_path / "deep.mjl"
+    f.write_text("function f(a)\n  return " + "(" * 3000 + "a" + ")" * 3000
+                 + "\nend\n")
+    code, _, err = run_cli(capsys, "run", str(f), "1", "--sig", "i64")
+    assert code == 1
+    col = 11 + source.MAX_NESTING
+    assert err == f"error[parse] 2:{col}: expression nested too deeply\n"
 
 
 def test_typecheck_error_diagnostic(tmp_path, capsys):

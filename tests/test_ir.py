@@ -1,8 +1,11 @@
 """SSA verifier and printer tests on hand-built functions."""
 
+import random
+
 from minihls.ir import (
     Block, CondGoto, ConstOp, Goto, Instr, Ret, SSAFunction, SelectOp,
-    dominators, print_function, verify,
+    dominators, predecessor_edges, print_function, reachable_blocks,
+    successor_edges, verify,
 )
 from minihls.lattice import IMPL_BY_OPCODE, LatticeType
 
@@ -102,19 +105,19 @@ def test_verify_catches_use_before_definition():
 def test_verify_catches_sibling_arm_use():
     f = diamond()
     # b2 reads v3, which is defined only along the b1 arm
-    f.block(2).instrs[0] = Instr(4, I, ADD, (3, 3))
+    f.blocks[2].instrs[0] = Instr(4, I, ADD, (3, 3))
     assert_caught(f, "dominate")
 
 
 def test_verify_catches_arg_count_mismatch():
     f = diamond()
-    f.block(1).terminator = Goto(3, ())
+    f.blocks[1].terminator = Goto(3, ())
     assert_caught(f, "declares 1 parameter")
 
 
 def test_verify_catches_arg_type_mismatch():
     f = diamond()
-    f.block(1).instrs[0] = Instr(3, F, ConstOp(1.0))
+    f.blocks[1].instrs[0] = Instr(3, F, ConstOp(1.0))
     assert_caught(f, "parameter")
 
 
@@ -186,5 +189,93 @@ def test_dominators_of_diamond():
 def test_clone_is_independent():
     f = diamond()
     g = f.clone()
-    g.block(1).instrs.clear()
-    assert len(f.block(1).instrs) == 1
+    g.blocks[1].instrs.clear()
+    assert len(f.blocks[1].instrs) == 1
+
+
+def reference_dominators(func):
+    """The set-based fixpoint that `verify` used before it switched to
+    immediate dominators, run over the reachable blocks only."""
+    live = reachable_blocks(func)
+    preds = {b: [p for p, _ in es if p in live]
+             for b, es in predecessor_edges(func).items() if b in live}
+    entry = func.entry.id
+    dom = {b: set(live) for b in live}
+    dom[entry] = {entry}
+    changed = True
+    while changed:
+        changed = False
+        for b in live - {entry}:
+            new = set.intersection(*(dom[p] for p in preds[b])) | {b}
+            if new != dom[b]:
+                dom[b], changed = new, True
+    return dom
+
+
+def random_cfg(rng):
+    """Blocks b0..bn-1: block k defines v(k+1) and reads two values of
+    random blocks; v0: Bool is the parameter every branch tests."""
+    n = rng.randint(2, 9)
+    blocks = []
+    for k in range(n):
+        uses = (rng.randrange(n) + 1, rng.randrange(n) + 1)
+        instrs = [Instr(k + 1, I, ConstOp(k)),
+                  Instr(n + 1 + k, I, ADD, uses)]
+        r = rng.random()
+        if r < 0.2:
+            term = Ret(k + 1)
+        elif r < 0.5:
+            term = Goto(rng.randrange(1, n))
+        else:
+            then = rng.randrange(1, n)
+            other = then if rng.random() < 0.15 else rng.randrange(1, n)
+            term = CondGoto(0, then, (), other, ())
+        blocks.append(Block(k, (), instrs, term))
+    return SSAFunction("r", ((0, B),), I, blocks,
+                       next_value=2 * n + 1, next_block=n)
+
+
+def successors(term):
+    return [t for t, _ in successor_edges(term)]
+
+
+def test_dominance_violations_match_the_set_fixpoint():
+    seen = set()
+    for seed in range(300):
+        f = random_cfg(random.Random(seed))
+        n = len(f.blocks)
+        dom = reference_dominators(f)
+        expected = []
+        for b in f.blocks:
+            for v in b.instrs[1].args:
+                d = v - 1  # v(d+1) is defined in block d
+                if b.id in dom and d != b.id and d not in dom[b.id]:
+                    expected.append(
+                        f"b{b.id}: v{n + 1 + b.id} uses v{v} whose definition "
+                        f"in b{d} does not dominate b{b.id}")
+        got = [v for v in verify(f) if "dominate" in v]
+        assert got == expected, f"seed {seed}"
+        for b in f.blocks:
+            t = b.terminator
+            seen.add("unreachable" if b.id not in dom else "reachable")
+            if isinstance(t, (Goto, CondGoto)) and b.id in successors(t):
+                seen.add("self-loop")
+            if isinstance(t, CondGoto) and t.then_target == t.else_target:
+                seen.add("both edges to one block")
+            if b.id in dom and any(s in dom[b.id] for s in successors(t)):
+                seen.add("loop")
+    assert seen == {"reachable", "unreachable", "self-loop",
+                    "both edges to one block", "loop"}
+
+
+def test_edge_from_unreachable_block_does_not_hide_dominance():
+    # b2 is unreachable and jumps into b3, so the old fixpoint, which
+    # counted that edge, found only {b3} dominating b3 and flagged b3's
+    # use of v1.  b1 does dominate b3 along every path from the entry.
+    b0 = Block(0, (), [], Goto(1))
+    b1 = Block(1, (), [Instr(1, I, ConstOp(1))], Goto(3))
+    b2 = Block(2, (), [], Goto(3))
+    b3 = Block(3, (), [Instr(2, I, ADD, (1, 1))], Ret(2))
+    f = SSAFunction("u", (), I, [b0, b1, b2, b3], next_value=3, next_block=4)
+    assert verify(f) == ["b2 is unreachable"]
+    assert dominators(f)[3] == {0, 1, 3}

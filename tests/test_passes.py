@@ -204,3 +204,46 @@ def test_values_passing_through_folded_joins(name):
         assert run_ssa(res.ssa, point) == want
         report = simulate(res.cdfg, point)
         assert (report.output, report.leftover) == (want, 0)
+
+
+def narrow_ladder(n):
+    """One loop over n if/else diamonds whose arms if-convert."""
+    lines = ["function ladder(a::Int64, b::Int64)",
+             "x = a", "y = b", "i = 0", "while i < 2"]
+    for k in range(n):
+        lines += [f"if x < y + {k}", "x = x + y", f"y = y - {k % 9 + 1}",
+                  "else", "x = x - y", "y = y * 2", "end"]
+    return "\n".join(lines + ["i = i + 1", "end", "return x + y", "end"]) + "\n"
+
+
+def test_optimize_work_grows_with_rounds_not_rewrites(monkeypatch):
+    # Counts calls, never times: the pred map and the reachable set are
+    # built a bounded number of times per fixpoint round, not once per
+    # rewrite, and the clone is structural.  Verification stays as it was:
+    # once on the clone and after each pass of each of the three rounds.
+    import copy
+    from minihls import ir, passes
+    res = compile_source(narrow_ladder(64), opt=False)
+    calls = {"predecessor_edges": 0, "reachable_blocks": 0, "verify": 0,
+             "deepcopy": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (ir, passes):
+        for name in ("predecessor_edges", "reachable_blocks", "verify"):
+            if hasattr(module, name):
+                counted(module, name)
+    counted(copy, "deepcopy")
+    out = optimize(res.ssa_unopt)
+    assert len(res.ssa_unopt.blocks) == 196 and len(out.blocks) == 4
+    assert calls["verify"] == 7
+    rounds = (calls["verify"] - 1) // 2
+    assert calls["predecessor_edges"] <= 2 * rounds
+    assert calls["reachable_blocks"] <= 2 * rounds
+    assert calls["deepcopy"] == 0

@@ -142,3 +142,44 @@ def test_roundtrip_preserves_precedence_parens():
     text = "function f(a, b)\n  return (a + b) * a\nend\n"
     printed = source.print_program(source.parse_source(text))
     assert "(a + b) * a" in printed
+
+
+def returning(expr):
+    return f"function f(a::Int64)\n  return {expr}\nend\n"
+
+
+DEEP = source.MAX_NESTING
+DEEPEST_ACCEPTED = {
+    "parentheses": ("(" * DEEP + "a" + ")" * DEEP, 3),
+    # The first a sits under DEEP operators.
+    "chain": (" + ".join(["a"] * (DEEP + 1)), 3 * (DEEP + 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEPEST_ACCEPTED))
+def test_deepest_accepted_expression_runs_everywhere(name):
+    from minihls.interp import run_source, run_ssa
+    from minihls.pipeline import compile_source
+    from minihls.sim import simulate
+    expr, want = DEEPEST_ACCEPTED[name]
+    res = compile_source(returning(expr))
+    assert run_source(res.func, (3,)) == want
+    assert run_ssa(res.ssa_unopt, (3,)) == want
+    assert run_ssa(res.ssa, (3,)) == want
+    assert simulate(res.cdfg, (3,)).output == want
+
+
+@pytest.mark.parametrize("expr, col", [
+    ("(" * (DEEP + 1) + "a" + ")" * (DEEP + 1), 11 + DEEP),
+    ("(" * 3000 + "a" + ")" * 3000, 11 + DEEP),
+    (" + ".join(["a"] * (DEEP + 2)), 12 + 4 * DEEP),
+    (" + ".join(["a"] * 5000), 12 + 4 * DEEP),
+    ("-" * (DEEP + 1) + "a", 11 + DEEP),
+    ("a * " + "(" * DEEP + "a" + ")" * DEEP, 14 + DEEP),
+], ids=["parentheses", "3000_parentheses", "chain", "5000_term_chain",
+        "unary", "parentheses_under_an_operator"])
+def test_deeper_expression_is_a_parse_error(expr, col):
+    with pytest.raises(ParseError) as exc:
+        source.parse_source(returning(expr))
+    assert exc.value.message == "expression nested too deeply"
+    assert (exc.value.pos.line, exc.value.pos.col) == (2, col)
