@@ -24,7 +24,7 @@ from .errors import CliError, MiniHlsError, Pos
 from .interp import DEFAULT_FUEL, run_source
 from .ir import print_function
 from .lattice import LatticeType, format_dispatch_table
-from .pipeline import STAGES, compile_source, parse_args_for, parse_sig
+from .pipeline import STAGES, compile_source, parse_args_for, parse_sig, timed
 from .sim import DEFAULT_MAX_CYCLES, SimPlan, simulate
 from .vhdl import emit_vhdl, lint_netlist
 
@@ -36,6 +36,8 @@ BASELINE_COUNTS = {
     "power": (4, 61),
     "newton_raphson": (10, 225),
 }
+
+_TIMED = (*STAGES, "emit", "lint")
 
 STATS_COLUMNS = ("program", "bb_unopt", "bb_opt", "components_total",
                  "components_by_kind", "bb_ref", "components_ref")
@@ -270,7 +272,12 @@ def _stats_row(name: str, res, timing: bool) -> list[str]:
     by_kind = ",".join(f"{k}={v}" for k, v in stats.items()
                        if v and k != "total")
     ref = BASELINE_COUNTS.get(name)
-    times = [f"{res.stage_s[s] * 1e3:.3f}" for s in STAGES] if timing else []
+    times = []
+    if timing:
+        stage_s = dict(res.stage_s)
+        files = timed(stage_s, "emit", emit_vhdl, res.cdfg)
+        timed(stage_s, "lint", lint_netlist, files)
+        times = [f"{stage_s[s] * 1e3:.3f}" for s in _TIMED]
     return [name, str(len(res.ssa_unopt.blocks)), str(len(res.ssa.blocks)),
             str(stats["total"]), by_kind,
             str(ref[0]) if ref else "", str(ref[1]) if ref else "", *times]
@@ -282,7 +289,7 @@ def cmd_stats(opts: _Options) -> int:
         programs = list(corpus.PROGRAMS) + programs
     writer = csv.writer(sys.stdout, delimiter="\t", lineterminator="\n")
     timing = opts.get("timing", False, _truthy)
-    writer.writerow([*STATS_COLUMNS, *(f"{s}_ms" for s in STAGES if timing)])
+    writer.writerow([*STATS_COLUMNS, *(f"{s}_ms" for s in _TIMED if timing)])
     for prog in programs:
         opts.args.program = prog
         res = _compile(opts)
@@ -377,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", action="store_true",
                    help="include the bundled corpus programs")
     p.add_argument("--timing", action="store_const", const=True,
-                   help="add one column per compile stage, in milliseconds")
+                   help="add columns timing each compile stage, emit and lint")
     _add_common(p, program_arg=False)
     p.set_defaults(handler=cmd_stats)
 

@@ -13,7 +13,7 @@ Two structural passes run to a joint fixpoint:
 
 Public entry points are pure: they clone the function and return the
 transformed copy.  `optimize` re-verifies the IR after every pass
-application and refuses to hand over a broken function.
+application that changed it and refuses to hand over a broken function.
 """
 
 from __future__ import annotations
@@ -46,15 +46,15 @@ def if_convert(func: SSAFunction, limit: int = SPECULATION_LIMIT) -> SSAFunction
 
 
 def optimize(func: SSAFunction, limit: int = SPECULATION_LIMIT) -> SSAFunction:
-    """Run all passes to a fixpoint, verifying after each application."""
+    """Run all passes to a fixpoint, verifying the input and every change."""
     out = func.clone()
     _check(out, "clone")
     while True:
-        changed = _merge_blocks_inplace(out)
-        _check(out, "merge_blocks")
-        changed |= _if_convert_inplace(out, limit)
-        _check(out, "if_convert")
-        if not changed:
+        if merged := _merge_blocks_inplace(out):
+            _check(out, "merge_blocks")
+        if converted := _if_convert_inplace(out, limit):
+            _check(out, "if_convert")
+        if not (merged or converted):
             return out
 
 

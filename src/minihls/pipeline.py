@@ -72,32 +72,33 @@ def infer_sig(func: src.FunctionDef) -> tuple[LatticeType, ...]:
     return tuple(types)
 
 
+def timed(stage_s: dict[str, float], stage: str, fn, *args):
+    """fn(*args), recording its wall time in seconds as stage_s[stage]."""
+    start = time.perf_counter()
+    out = fn(*args)
+    stage_s[stage] = time.perf_counter() - start
+    return out
+
+
 def compile_source(text: str, sig: tuple[LatticeType, ...] | None = None,
                    function: str | None = None, strict: bool = True,
                    opt: bool = True,
                    latencies: dict[str, int] | None = None) -> CompileResult:
     stage_s = dict.fromkeys(STAGES, 0.0)
-
-    def timed(stage: str, fn, *args):
-        start = time.perf_counter()
-        out = fn(*args)
-        stage_s[stage] = time.perf_counter() - start
-        return out
-
-    program = timed("parse", src.parse_source, text)
+    program = timed(stage_s, "parse", src.parse_source, text)
     func = (program.function(function) if function is not None
             else program.functions[0])
     if sig is None:
         sig = infer_sig(func)
-    typed = timed("infer", infer, func, sig, strict)
-    ssa_unopt = timed("lower", lower, typed)
-    violations = timed("verify", verify, ssa_unopt)
+    typed = timed(stage_s, "infer", infer, func, sig, strict)
+    ssa_unopt = timed(stage_s, "lower", lower, typed)
+    violations = timed(stage_s, "verify", verify, ssa_unopt)
     if violations:
         raise PassError("lowering produced invalid IR: " + "; ".join(violations))
-    ssa = timed("optimize", optimize, ssa_unopt) if opt else ssa_unopt
-    cdfg = timed("build", build_cdfg, ssa, resolve_latencies(latencies))
-    n_buffers = timed("insert_buffers", insert_buffers, cdfg)
-    timed("check", require_valid, cdfg)
+    ssa = timed(stage_s, "optimize", optimize, ssa_unopt) if opt else ssa_unopt
+    cdfg = timed(stage_s, "build", build_cdfg, ssa, resolve_latencies(latencies))
+    n_buffers = timed(stage_s, "insert_buffers", insert_buffers, cdfg)
+    timed(stage_s, "check", require_valid, cdfg)
     return CompileResult(program, func, sig, typed, ssa_unopt, ssa,
                          cdfg, n_buffers, stage_s)
 

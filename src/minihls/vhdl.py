@@ -20,9 +20,10 @@ from __future__ import annotations
 import json
 import re
 import struct
+from collections import Counter
 
 from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, KIND_ORDER,
-                   MERGE, OPERATOR, SINK, Component, Port, component_stats)
+                   MERGE, OPERATOR, SINK, Component, component_stats)
 from .errors import EmitError
 
 _HEADER = """library ieee;
@@ -334,15 +335,18 @@ def _top_text(g: CDFG, top_name: str) -> str:
     lines.append(";\n".join(plines))
     lines += ["  );", "end entity;", "",
               f"architecture structural of {top_name} is"]
+    # each component's channels in port order, by component id
+    ins = {c.id: [None] * len(c.in_widths) for c in g.components}
+    outs = {c.id: [None] * len(c.out_widths) for c in g.components}
     for ch in g.channels:
         if ch.width:
             lines.append(f"  signal ch_{ch.id}_data : {_slv(ch.width)};")
         lines.append(f"  signal ch_{ch.id}_valid : std_logic;")
         lines.append(f"  signal ch_{ch.id}_ready : std_logic;")
+        outs[ch.src.comp][ch.src.index] = ch
+        ins[ch.dst.comp][ch.dst.index] = ch
     lines.append("begin")
 
-    in_ch = {ch.dst: ch for ch in g.channels}
-    out_ch = {ch.src: ch for ch in g.channels}
     for c in g.components:
         label = f"cmp_{c.id}_{c.kind.lower()}"
         lines.append(f"  {label} : entity work.{entity_name(c)}")
@@ -352,9 +356,8 @@ def _top_text(g: CDFG, top_name: str) -> str:
                       "    )"]
         # (port, signal prefix, width): each port maps to its channel, but
         # the boundary side of an Entry or Exit maps to its top-level pin.
-        ends = [(f"in{i}", in_ch[Port(c.id, i)]) for i in range(len(c.in_widths))]
-        ends += [(f"out{i}", out_ch[Port(c.id, i)]) for i in range(len(c.out_widths))]
-        pins = [(prefix, f"ch_{ch.id}", ch.width) for prefix, ch in ends]
+        pins = [(f"in{i}", f"ch_{ch.id}", ch.width) for i, ch in enumerate(ins[c.id])]
+        pins += [(f"out{i}", f"ch_{ch.id}", ch.width) for i, ch in enumerate(outs[c.id])]
         if c.kind == ENTRY:
             pins.insert(0, ("in0", pin_of[c.id], c.out_widths[0]))
         elif c.kind == EXIT:
@@ -404,68 +407,78 @@ _ENTITY_RE = re.compile(
     r"entity (\w+) is\n(?:  generic \(\n.*?\n  \);\n)?  port \(\n(.*?)\n  \);\n"
     r"end entity;", re.DOTALL)
 _PORT_RE = re.compile(r"^\s*(\w+) : (in|out) ")
-_SIGNAL_RE = re.compile(r"^  signal (\w+) : ", re.MULTILINE)
+# A lookbehind after a leading literal stands for `^` but leaves the literal
+# to the regex engine's fast scan; _LINES is a DOTALL `.*?` by whole lines.
+_SIGNAL_RE = re.compile(r"  signal (?<![^\n]  signal )(\w+) : ")
+_LINES = r"[^\n]*(?:\n[^\n]*)*?"
 _INSTANCE_RE = re.compile(
-    r"^  (\w+) : entity work\.(\w+)\n(?:    generic map \(\n.*?\n    \)\n)?"
-    r"    port map \(\n(.*?)\n    \);", re.DOTALL | re.MULTILINE)
+    rf"  (?<![^\n]  )(\w+) : entity work\.(\w+)\n"
+    rf"(?:    generic map \(\n{_LINES}\n    \)\n)?    port map \(\n({_LINES})\n    \);")
 _MAP_RE = re.compile(r"^\s*(\w+) => (\w+),?$")
+_CLOCKS = ("clk", "rst")
+
+
+def _top_files(files: dict[str, str]) -> list[str]:
+    return [t for n, t in sorted(files.items())
+            if n.endswith(".vhd") and "architecture structural" in t]
 
 
 def lint_netlist(files: dict[str, str]) -> list[str]:
     """Check the emitted netlist against the emitter's own conventions."""
     bad: list[str] = []
+    tops = _top_files(files)
+    top = tops[0] if len(tops) == 1 else None
+    top_ports = None
     entities: dict[str, dict[str, str]] = {}  # name -> port -> direction
     for text in files.values():
         if not text.endswith("\n") or "\r" in text:
             bad.append("file must use bare LF endings and end with a newline")
         for m in _ENTITY_RE.finditer(text):
-            name, ports_text = m.group(1), m.group(2)
-            ports = {}
+            name, ports_text = m.groups()
+            ports = entities[name] = {}
             for line in ports_text.split(";\n"):
                 pm = _PORT_RE.match(line)
                 if pm is None:
                     bad.append(f"entity {name}: unparsable port line {line.strip()!r}")
                     continue
                 ports[pm.group(1)] = pm.group(2)
-            entities[name] = ports
-
-    top_files = [t for n, t in sorted(files.items())
-                 if n.endswith(".vhd") and "architecture structural" in t]
-    if len(top_files) != 1:
-        bad.append(f"expected exactly 1 structural top file, found {len(top_files)}")
+            if text is top and top_ports is None:
+                top_ports = ports
+    if top is None:
+        bad.append(f"expected exactly 1 structural top file, found {len(tops)}")
         return bad
-    top = top_files[0]
-
-    top_m = _ENTITY_RE.search(top)
-    top_ports: dict[str, str] = {}
-    if top_m is None:
+    if top_ports is None:
         bad.append("top entity declaration not found")
-    else:
-        for line in top_m.group(2).split(";\n"):
-            pm = _PORT_RE.match(line)
-            if pm:
-                top_ports[pm.group(1)] = pm.group(2)
+        top_ports = {}
 
-    signals = set(_SIGNAL_RE.findall(top))
-    drivers: dict[str, int] = {s: 0 for s in signals}
-    readers: dict[str, int] = {s: 0 for s in signals}
+    nets = set(_SIGNAL_RE.findall(top)).union(top_ports)
     # a top-level input pin drives a net; an output pin reads one
-    for pname, direction in top_ports.items():
-        drivers.setdefault(pname, 0)
-        readers.setdefault(pname, 0)
-        if direction == "in":
-            drivers[pname] += 1
-        else:
-            readers[pname] += 1
-
-    n_instances = 0
+    drivers = [p for p, d in top_ports.items() if d == "in"]
+    readers = [p for p, d in top_ports.items() if d == "out"]
+    # A canonical port map (each port once in declared order, clk and rst
+    # mapped to themselves) is one match of its entity's template, whose
+    # groups are the other actuals.  It is only right, and only built, if clk
+    # and rst are both ports of the entity and nets of the top.
+    templates = {}
     for m in _INSTANCE_RE.finditer(top):
-        label, ename, maps_text = m.group(1), m.group(2), m.group(3)
-        n_instances += 1
-        if ename not in entities:
+        label, ename, maps_text = m.groups()
+        ports = entities.get(ename)
+        if ports is None:
             bad.append(f"instance {label}: entity {ename} is not defined")
             continue
-        ports = entities[ename]
+        if ename not in templates:
+            rest = [d for p, d in ports.items() if p not in _CLOCKS]
+            maps = [f"      {p} => " + (p if p in _CLOCKS else r"(\w+)") for p in ports]
+            clocked = set(_CLOCKS) <= ports.keys() & nets
+            templates[ename] = (clocked and re.compile(",\n".join(maps)),
+                                [i for i, d in enumerate(rest) if d == "out"],
+                                [i for i, d in enumerate(rest) if d == "in"])
+        template, drives, reads = templates[ename]
+        canonical = template and template.fullmatch(maps_text)
+        if canonical and nets.issuperset(actuals := canonical.groups()):
+            drivers += [actuals[i] for i in drives]
+            readers += [actuals[i] for i in reads]
+            continue
         seen = {}
         for line in maps_text.split("\n"):
             mm = _MAP_RE.match(line)
@@ -477,32 +490,31 @@ def lint_netlist(files: dict[str, str]) -> list[str]:
                 bad.append(f"instance {label}: {ename} has no port {formal}")
                 continue
             seen[formal] = actual
-            if actual not in drivers:
+            if actual not in nets:
                 bad.append(f"instance {label}: actual {actual} is not a "
                            f"declared signal or top-level port")
                 continue
-            if ports[formal] == "out":
-                drivers[actual] += 1
-            else:
-                readers[actual] += 1
+            (drivers if ports[formal] == "out" else readers).append(actual)
         missing = set(ports) - set(seen)
         if missing:
             bad.append(f"instance {label}: unmapped ports "
                        + ", ".join(sorted(missing)))
-        for pin in ("clk", "rst"):
+        for pin in _CLOCKS:
             if seen.get(pin) != pin:
                 bad.append(f"instance {label}: {pin} must be mapped to {pin}")
 
-    for net in sorted(drivers):
-        if net in ("clk", "rst"):
-            continue
-        if drivers[net] != 1:
-            bad.append(f"net {net}: has {drivers[net]} drivers, must be 1")
-        if readers.get(net, 0) < 1:
-            bad.append(f"net {net}: is never read")
+    # every net but clk and rst has exactly one driver and a reader
+    checked = nets.difference(_CLOCKS)
+    driven, read = Counter(drivers), set(readers)
+    surplus = len(drivers) - driven["clk"] - driven["rst"] - len(checked)
+    if surplus or not (driven.keys() >= checked and read >= checked):
+        for net in sorted(checked):
+            if driven[net] != 1:
+                bad.append(f"net {net}: has {driven[net]} drivers, must be 1")
+            if net not in read:
+                bad.append(f"net {net}: is never read")
     return bad
 
 
 def instance_count(files: dict[str, str]) -> int:
-    tops = [t for t in files.values() if "architecture structural" in t]
-    return sum(len(_INSTANCE_RE.findall(t)) for t in tops)
+    return sum(1 for t in _top_files(files) for _ in _INSTANCE_RE.finditer(t))

@@ -28,14 +28,19 @@ def test_stats_table_includes_reference_columns(capsys):
         assert int(row[3]) > 0  # component totals are nonzero
 
 
-def test_stats_timing_adds_one_column_per_stage(capsys):
+def test_stats_timing_adds_one_column_per_stage(capsys, monkeypatch):
+    emitted = []
+    emit = cli.emit_vhdl
+    monkeypatch.setattr(cli, "emit_vhdl", lambda g: emitted.append(g) or emit(g))
+    code, out, _ = run_cli(capsys, "stats")
+    assert code == 0 and emitted == []  # only --timing emits
     code, out, _ = run_cli(capsys, "stats", "--timing")
     assert code == 0
     header, *rows = [line.split("\t") for line in out.strip().split("\n")]
     stages = ["parse", "infer", "lower", "verify", "optimize", "build",
-              "insert_buffers", "check"]
+              "insert_buffers", "check", "emit", "lint"]
     assert header == [*cli.STATS_COLUMNS, *(f"{s}_ms" for s in stages)]
-    assert len(rows) == 3
+    assert len(rows) == 3 and len(emitted) == 3
     for row in rows:
         assert len(row) == len(header)
         assert all(float(v) >= 0 for v in row[len(cli.STATS_COLUMNS):])

@@ -216,16 +216,31 @@ def narrow_ladder(n):
     return "\n".join(lines + ["i = i + 1", "end", "return x + y", "end"]) + "\n"
 
 
+def wide_ladder(n):
+    """One loop over n if/else diamonds whose arms are too wide to
+    if-convert, so the circuit keeps its Branch and Merge steering."""
+    lines = ["function ladder(a::Int64, b::Int64)",
+             "x = a", "y = b", "i = 0", "while i < 2"]
+    for k in range(n):
+        lines += [f"if x < y + {k}", f"x = x + y * {k % 7 + 2} - x",
+                  f"y = y - x * 3 + {k}", "else", "x = x - y * 2 + x",
+                  "y = y * 2 - x - 1", "end"]
+    return "\n".join(lines + ["i = i + 1", "end", "return x + y", "end"]) + "\n"
+
+
 def test_optimize_work_grows_with_rounds_not_rewrites(monkeypatch):
     # Counts calls, never times: the pred map and the reachable set are
     # built a bounded number of times per fixpoint round, not once per
-    # rewrite, and the clone is structural.  Verification stays as it was:
-    # once on the clone and after each pass of each of the three rounds.
+    # rewrite, and the clone is structural.  Verification runs once on the
+    # clone and once after each pass application that changed the IR:
+    # here only if_convert changes it in round 1, only merge_blocks in
+    # round 2 and neither in round 3, which ends the fixpoint.
     import copy
     from minihls import ir, passes
     res = compile_source(narrow_ladder(64), opt=False)
     calls = {"predecessor_edges": 0, "reachable_blocks": 0, "verify": 0,
              "deepcopy": 0}
+    reports = []  # (pass, changed) per application
 
     def counted(module, name):
         original = getattr(module, name)
@@ -235,15 +250,41 @@ def test_optimize_work_grows_with_rounds_not_rewrites(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
+    def reported(name):
+        original = getattr(passes, name)
+
+        def wrapper(*args, **kwargs):
+            changed = original(*args, **kwargs)
+            reports.append((name, changed))
+            return changed
+        monkeypatch.setattr(passes, name, wrapper)
+
     for module in (ir, passes):
         for name in ("predecessor_edges", "reachable_blocks", "verify"):
             if hasattr(module, name):
                 counted(module, name)
     counted(copy, "deepcopy")
+    reported("_merge_blocks_inplace")
+    reported("_if_convert_inplace")
     out = optimize(res.ssa_unopt)
     assert len(res.ssa_unopt.blocks) == 196 and len(out.blocks) == 4
-    assert calls["verify"] == 7
-    rounds = (calls["verify"] - 1) // 2
+    assert [changed for _, changed in reports] == [False, True, True, False,
+                                                   False, False]
+    rounds = sum(name == "_merge_blocks_inplace" for name, _ in reports)
+    assert rounds == 3
+    assert calls["verify"] == 1 + sum(changed for _, changed in reports) == 3
     assert calls["predecessor_edges"] <= 2 * rounds
     assert calls["reachable_blocks"] <= 2 * rounds
     assert calls["deepcopy"] == 0
+
+
+@pytest.mark.parametrize("stage", ["merge_blocks", "if_convert"])
+def test_optimize_rejects_a_pass_that_breaks_the_ir(monkeypatch, stage):
+    from minihls import passes
+
+    def corrupting(func, *args):
+        func.blocks[-1].terminator = Ret(func.next_value + 1)  # undefined
+        return True
+    monkeypatch.setattr(passes, f"_{stage}_inplace", corrupting)
+    with pytest.raises(PassError, match=f"after {stage}"):
+        optimize(lowered("power"))

@@ -1,8 +1,16 @@
 """Netlist emission: determinism, goldens, lint, instance accounting."""
 
+import hashlib
+import random
+import re
 from pathlib import Path
 
+import pytest
+from test_passes import narrow_ladder, wide_ladder
+
+from minihls import corpus
 from minihls.cdfg import component_stats
+from minihls.pipeline import compile_source
 from minihls.vhdl import emit_vhdl, entity_name, instance_count, lint_netlist
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,3 +146,190 @@ def test_lint_accepts_the_goldens(program):
     for p in (GOLDEN / program).iterdir():
         files[p.name] = p.read_text()
     assert lint_netlist(files) == []
+
+
+# Recorded before `_top_text` stopped keying channels by Port: the corpus
+# goldens hold at most 38 components, these ladders 233 and 299.
+LADDER_SHA256 = {
+    "narrow": (narrow_ladder(12), {
+        "ladder_top.vhd": "45b499117c4ec4c35b53cd1f5a46eeeca6e93023bbc357eb66a8809d6a295e8a",
+        "manifest.json": "6b93d68dff1408a5f38ae494db569969c0cbcae559c7caf71a5ed5a6bbdd4365",
+        "minihls_components.vhd": "8984a03c08a9da954c570b83815fcda84f8742d4653bf72dd8a03d80a792b527",
+    }),
+    "wide": (wide_ladder(6), {
+        "ladder_top.vhd": "92a46e5c5bfd924b6d6c3645aec2c23898fef3ffe33e36baefa0bc82b0288bcb",
+        "manifest.json": "2920a3dc82cb29451fc39ffc0e28a5307d4b0f8f3a11877cdaed519478bf7194",
+        "minihls_components.vhd": "e35b3ea92784b5b5360455a0c4a3db4b285eb6b0dfd6c3e7c65251abe45d884c",
+    }),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LADDER_SHA256))
+def test_ladder_emission_is_pinned(shape):
+    text, want = LADDER_SHA256[shape]
+    files = emit_vhdl(compile_source(text).cdfg)
+    assert {name: hashlib.sha256(body.encode()).hexdigest()
+            for name, body in files.items()} == want
+
+
+# -- lint differential ---------------------------------------------------------
+
+
+_REF_ENTITY_RE = re.compile(
+    r"entity (\w+) is\n(?:  generic \(\n.*?\n  \);\n)?  port \(\n(.*?)\n  \);\n"
+    r"end entity;", re.DOTALL)
+_REF_PORT_RE = re.compile(r"^\s*(\w+) : (in|out) ")
+_REF_SIGNAL_RE = re.compile(r"^  signal (\w+) : ", re.MULTILINE)
+_REF_INSTANCE_RE = re.compile(
+    r"^  (\w+) : entity work\.(\w+)\n(?:    generic map \(\n.*?\n    \)\n)?"
+    r"    port map \(\n(.*?)\n    \);", re.DOTALL | re.MULTILINE)
+_REF_MAP_RE = re.compile(r"^\s*(\w+) => (\w+),?$")
+
+
+def reference_lint(files):
+    """`vhdl.lint_netlist` as it was before its canonical-map fast path:
+    one regex match and dict update per port-map line."""
+    bad: list[str] = []
+    entities: dict[str, dict[str, str]] = {}  # name -> port -> direction
+    for text in files.values():
+        if not text.endswith("\n") or "\r" in text:
+            bad.append("file must use bare LF endings and end with a newline")
+        for m in _REF_ENTITY_RE.finditer(text):
+            name, ports_text = m.group(1), m.group(2)
+            ports = {}
+            for line in ports_text.split(";\n"):
+                pm = _REF_PORT_RE.match(line)
+                if pm is None:
+                    bad.append(f"entity {name}: unparsable port line {line.strip()!r}")
+                    continue
+                ports[pm.group(1)] = pm.group(2)
+            entities[name] = ports
+
+    top_files = [t for n, t in sorted(files.items())
+                 if n.endswith(".vhd") and "architecture structural" in t]
+    if len(top_files) != 1:
+        bad.append(f"expected exactly 1 structural top file, found {len(top_files)}")
+        return bad
+    top = top_files[0]
+
+    top_m = _REF_ENTITY_RE.search(top)
+    top_ports: dict[str, str] = {}
+    if top_m is None:
+        bad.append("top entity declaration not found")
+    else:
+        for line in top_m.group(2).split(";\n"):
+            pm = _REF_PORT_RE.match(line)
+            if pm:
+                top_ports[pm.group(1)] = pm.group(2)
+
+    signals = set(_REF_SIGNAL_RE.findall(top))
+    drivers: dict[str, int] = {s: 0 for s in signals}
+    readers: dict[str, int] = {s: 0 for s in signals}
+    # a top-level input pin drives a net; an output pin reads one
+    for pname, direction in top_ports.items():
+        drivers.setdefault(pname, 0)
+        readers.setdefault(pname, 0)
+        if direction == "in":
+            drivers[pname] += 1
+        else:
+            readers[pname] += 1
+
+    n_instances = 0
+    for m in _REF_INSTANCE_RE.finditer(top):
+        label, ename, maps_text = m.group(1), m.group(2), m.group(3)
+        n_instances += 1
+        if ename not in entities:
+            bad.append(f"instance {label}: entity {ename} is not defined")
+            continue
+        ports = entities[ename]
+        seen = {}
+        for line in maps_text.split("\n"):
+            mm = _REF_MAP_RE.match(line)
+            if mm is None:
+                bad.append(f"instance {label}: unparsable map line {line.strip()!r}")
+                continue
+            formal, actual = mm.group(1), mm.group(2)
+            if formal not in ports:
+                bad.append(f"instance {label}: {ename} has no port {formal}")
+                continue
+            seen[formal] = actual
+            if actual not in drivers:
+                bad.append(f"instance {label}: actual {actual} is not a "
+                           f"declared signal or top-level port")
+                continue
+            if ports[formal] == "out":
+                drivers[actual] += 1
+            else:
+                readers[actual] += 1
+        missing = set(ports) - set(seen)
+        if missing:
+            bad.append(f"instance {label}: unmapped ports "
+                       + ", ".join(sorted(missing)))
+        for pin in ("clk", "rst"):
+            if seen.get(pin) != pin:
+                bad.append(f"instance {label}: {pin} must be mapped to {pin}")
+
+    for net in sorted(drivers):
+        if net in ("clk", "rst"):
+            continue
+        if drivers[net] != 1:
+            bad.append(f"net {net}: has {drivers[net]} drivers, must be 1")
+        if readers.get(net, 0) < 1:
+            bad.append(f"net {net}: is never read")
+    return bad
+
+
+
+
+_EDIT_CHARS = "a_0 \n,;()=>:ck"
+
+
+def _mutant(files, rng):
+    """files with one line of one file deleted, duplicated or swapped with
+    another, or with one character overwritten."""
+    name = rng.choice(sorted(files))
+    lines = files[name].split("\n")
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    op = rng.randrange(4)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        lines[i], lines[j] = lines[j], lines[i]
+    text = "\n".join(lines)
+    if op == 3:
+        k = rng.randrange(len(text))
+        text = text[:k] + rng.choice(_EDIT_CHARS) + text[k + 1:]
+    return {**files, name: text}
+
+
+# only the line-by-line check of a port map reports these
+_LINE_BY_LINE = (" map line ", " has no port ", " is not a declared ",
+                 " unmapped ports ", " must be mapped to ")
+
+
+def test_lint_matches_the_reference_on_mutants(compiled):
+    bases = [emitted(compiled, p) for p in corpus.PROGRAMS]
+    bases.append(emit_vhdl(compile_source(narrow_ladder(1)).cdfg))
+    rng = random.Random(6)
+    mutants = [_mutant(bases[k % len(bases)], rng) for k in range(2000)]
+    # A literal clk => clk (or rst) in a map is wrong without that pin on
+    # the top, and any map is wrong without that port on the entity.
+    for files in bases:
+        top = next(n for n in files if n.endswith("_top.vhd"))
+        lib = "minihls_components.vhd"
+        for pin in ("clk", "rst"):
+            port = f"\n    {pin} : in std_logic;"
+            mutants.append({**files, top: files[top].replace(port, "", 1)})
+            mutants.append({**files, lib: files[lib].replace(port, ""),
+                            top: files[top].replace(f"\n      {pin} => {pin},", "")})
+    line_by_line = net_messages = 0
+    for files in mutants:
+        want = reference_lint(files)
+        assert lint_netlist(files) == want
+        line_by_line += any(s in p for p in want for s in _LINE_BY_LINE)
+        net_messages += any(p.startswith("net ") for p in want)
+    assert line_by_line > 500 and net_messages > 500
+    for files in mutants[-4 * len(bases):]:
+        assert any("clk" in p or "rst" in p for p in lint_netlist(files))
