@@ -69,6 +69,8 @@ class CDFG:
     components: list[Component] = field(default_factory=list)
     channels: list[Channel] = field(default_factory=list)
     return_width: int = 64
+    # the last `sim.SimPlan` built, reused while the circuit is unchanged
+    sim_plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def add_component(self, kind: str, in_widths, out_widths, **kw) -> Component:
         c = Component(len(self.components), kind,

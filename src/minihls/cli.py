@@ -25,7 +25,7 @@ from .interp import DEFAULT_FUEL, run_source
 from .ir import print_function
 from .lattice import LatticeType, format_dispatch_table
 from .pipeline import STAGES, compile_source, parse_args_for, parse_sig, timed
-from .sim import DEFAULT_MAX_CYCLES, SimPlan, simulate
+from .sim import DEFAULT_MAX_CYCLES, simulate
 from .vhdl import emit_vhdl, lint_netlist
 
 # Block and component totals for the bundled programs as produced by the
@@ -254,11 +254,10 @@ def cmd_diff(opts: _Options) -> int:
         return 0
     fuel = opts.get("fuel", DEFAULT_FUEL, int)
     max_cycles = opts.get("max_cycles", DEFAULT_MAX_CYCLES, int)
-    plan = SimPlan(res.cdfg)
     mismatches = 0
     for point in points:
         want = run_source(res.func, point, fuel=fuel)
-        got = simulate(plan, point, max_cycles=max_cycles).output
+        got = simulate(res.cdfg, point, max_cycles=max_cycles).output
         if not _agree(want, got):
             mismatches += 1
             print(f"mismatch at ({', '.join(map(_format_value, point))}): "

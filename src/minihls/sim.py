@@ -11,26 +11,28 @@ later; a Buffer behaves like a latency-1 identity operator.  A Merge with
 more than one valid input is a hard error, not an arbitration: the
 builder only emits merges whose inputs are mutually exclusive.
 
-Engine.  A `SimPlan` compiles a validated circuit once and serves any
-number of runs.  Each cycle a `Simulator` evaluates only its worklist, in
-ascending component order: the consumer of every channel filled and the
-producer of every channel emptied in the last commit, a full pipeline
-that freed a slot while a token waits at its input, and the pipelines
-holding a slot that comes due.  No other component can fire: it either
-declined last time and nothing around it changed, or it fired and waits
-for a neighbour.  Pipeline slots hold the absolute cycle they become
-ready, and when nothing fires but tokens are in flight the cycle counter
-jumps to the next release, never past `max_cycles`: the cycles skipped
-would fire nothing.
+Engine.  A `SimPlan` checks and compiles a circuit once and serves every
+run until a component or channel is added, removed, replaced or edited in
+place; the next run then checks the circuit again.  Each cycle a
+`Simulator` evaluates only its worklist, in ascending component order: the
+consumer of every channel filled and the producer of every channel emptied
+in the last commit, a full pipeline that freed a slot while a token waits
+at its input, and the pipelines holding a slot that comes due.  No other
+component can fire: it either declined last time and nothing around it
+changed, or it fired and waits for a neighbour.  Pipeline slots hold the
+absolute cycle they become ready, and when nothing fires but tokens are in
+flight the cycle counter jumps to the next release, never past
+`max_cycles`: the cycles skipped would fire nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
+from operator import attrgetter
 
 from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE,
-                   OPERATOR, SINK, require_valid)
+                   OPERATOR, SINK, Channel, Component, require_valid)
 from .errors import DeadlockError, MaxCyclesError, MergeConflictError, SimError
 from .interp import eval_op
 
@@ -142,9 +144,21 @@ _FIRING = {ENTRY: _emit, EXIT: _drain, SINK: _drain, CONST: _operator,
            OPERATOR: _operator}
 
 
+_COMPONENT_FIELDS = attrgetter(*(f.name for f in fields(Component)))
+_CHANNEL_FIELDS = attrgetter(*(f.name for f in fields(Channel)))
+
+
+def _snapshot(g: CDFG) -> tuple[list, ...]:
+    """Every component's and channel's identity and field values."""
+    return (list(map(id, g.components)), list(map(id, g.channels)),
+            list(map(_COMPONENT_FIELDS, g.components)),
+            list(map(_CHANNEL_FIELDS, g.channels)))
+
+
 class SimPlan:
-    """A circuit checked by `require_valid` and compiled for simulation;
-    the circuit must not change while the plan is in use.
+    """A circuit checked by `require_valid` and compiled for simulation.
+    `SimPlan.of(g)` reuses g's plan while `_snapshot(g)` is unchanged; the
+    plan holds g's components and channels, so their ids stay theirs.
 
     Components and channels are numbered by position.  `producer[k]` and
     `consumer[k]` are the components at either end of channel k,
@@ -155,8 +169,9 @@ class SimPlan:
 
     def __init__(self, g: CDFG):
         require_valid(g)
-        self.g = g
+        self.snapshot = _snapshot(g)
         comps = g.components
+        self.channels = list(g.channels)
         index = {c.id: i for i, c in enumerate(comps)}
         self.producer = [index[ch.src.comp] for ch in g.channels]
         self.consumer = [index[ch.dst.comp] for ch in g.channels]
@@ -174,10 +189,16 @@ class SimPlan:
         self.data_entries = [i for i in self.entries
                              if comps[i].out_widths[0]]
 
+    @classmethod
+    def of(cls, g: CDFG) -> SimPlan:
+        if g.sim_plan is None or g.sim_plan.snapshot != _snapshot(g):
+            g.sim_plan = cls(g)
+        return g.sim_plan
+
 
 class Simulator:
-    def __init__(self, g: CDFG | SimPlan, args: tuple, trace: bool = False):
-        plan = g if isinstance(g, SimPlan) else SimPlan(g)
+    def __init__(self, g: CDFG, args: tuple, trace: bool = False):
+        plan = SimPlan.of(g)
         if len(args) != len(plan.data_entries):
             raise SimError(f"circuit has {len(plan.data_entries)} data "
                            f"entries, got {len(args)} argument(s)")
@@ -197,9 +218,6 @@ class Simulator:
         self.produce: list[tuple[int, object]] = []
         self.fired: list[tuple[int, str]] = []
         self.worklist = set(plan.entries)  # on empty channels only Entry fires
-
-    def occupancy(self) -> int:
-        return self.tokens + len(self.entry_tokens)
 
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> SimReport:
         nodes, producer, consumer = (self.plan.nodes, self.plan.producer,
@@ -229,7 +247,7 @@ class Simulator:
                 worklist.add(producer[ch])
             for ch, value in produce:
                 if chan[ch] is not _ABSENT:
-                    raise SimError(f"channel {self.plan.g.channels[ch].id} "
+                    raise SimError(f"channel {self.plan.channels[ch].id} "
                                    f"driven while occupied")
                 chan[ch] = value
                 worklist.add(consumer[ch])
@@ -264,9 +282,10 @@ class Simulator:
         return SimReport(output=out, exit_cycle=exit_cycle,
                          total_cycles=self.cycle,
                          max_occupancy=self.max_occupancy,
-                         leftover=self.occupancy(), events=self.events)
+                         leftover=self.tokens + len(self.entry_tokens),
+                         events=self.events)
 
 
-def simulate(g: CDFG | SimPlan, args: tuple, max_cycles: int = DEFAULT_MAX_CYCLES,
+def simulate(g: CDFG, args: tuple, max_cycles: int = DEFAULT_MAX_CYCLES,
              trace: bool = False) -> SimReport:
     return Simulator(g, args, trace=trace).run(max_cycles)

@@ -16,7 +16,7 @@ from minihls.interp import run_source, run_ssa
 from minihls.ir import print_function, verify
 from minihls.lower import lower
 from minihls.passes import if_convert, merge_blocks, optimize
-from minihls.sim import SimPlan, simulate
+from minihls.sim import simulate
 from minihls.source import parse_source
 from minihls.vhdl import emit_vhdl, instance_count, lint_netlist
 
@@ -46,11 +46,11 @@ def sweep_runs():
     runs = {}
     t0 = time.perf_counter()
     for name in corpus.PROGRAMS:
-        plan = SimPlan(corpus_compile(name).cdfg)
+        g = corpus_compile(name).cdfg
         fn = parse_source(corpus.load(name)).functions[0]
         rows = []
         for point in SWEEPS[name]:
-            rows.append((point, run_source(fn, point), simulate(plan, point)))
+            rows.append((point, run_source(fn, point), simulate(g, point)))
         runs[name] = rows
     runs["elapsed"] = time.perf_counter() - t0
     return runs

@@ -1,5 +1,6 @@
 """Token-flow simulator: differential checks, stalls, conflicts, latency."""
 
+import dataclasses
 import hashlib
 import re
 
@@ -11,7 +12,7 @@ from minihls.errors import (BuildError, DeadlockError, MaxCyclesError,
                             MergeConflictError)
 from minihls.interp import run_source
 from minihls.pipeline import compile_source
-from minihls.sim import SimPlan, SimReport, simulate
+from minihls.sim import SimReport, simulate
 from minihls.source import parse_source
 from minihls import corpus
 
@@ -248,20 +249,90 @@ def test_full_buffer_takes_waiting_token_after_emitting():
     assert fingerprint(report) == (None, None, 40, 5, 5, "5cb9ee4d0be7fd44")
 
 
-def test_plan_validates_once_and_serves_every_run(compiled, monkeypatch):
-    g = compiled("power").cdfg
+def fresh_power():
+    """A power circuit of its own, never simulated: tests that edit a
+    circuit or count its checks must not share the cached compile."""
+    return compile_source(corpus.load("power"), corpus.SIGNATURES["power"]).cdfg
+
+
+def count_checks(monkeypatch):
     checks = []
     real_check = C.check
     monkeypatch.setattr(C, "check", lambda g: checks.append(g) or real_check(g))
-    plan = SimPlan(g)
-    runs = [simulate(plan, (b, 5), trace=True) for b in (-2, 3)]
+    return checks
+
+
+def test_unchanged_circuit_is_checked_once(monkeypatch):
+    g = fresh_power()
+    checks = count_checks(monkeypatch)
+    runs = [simulate(g, (b, 5), trace=True) for b in (-2, 3, -2, 3, 0)]
     assert len(checks) == 1
-    assert runs == [simulate(g, (b, 5), trace=True) for b in (-2, 3)]
-    assert len(checks) == 3  # building from a CDFG always validates
+    assert runs[:2] == runs[2:4]
     broken = CDFG("broken")
     broken.add_component(C.ENTRY, (), (64,), label="x")
-    with pytest.raises(BuildError):
-        SimPlan(broken)
+    for _ in range(2):
+        with pytest.raises(BuildError):
+            simulate(broken, (1,))
+    assert len(checks) == 3  # a circuit that fails keeps no plan
+
+
+POINT = (3, 5)
+
+
+def multiplier(g):
+    return next(c for c in g.components if c.opcode == "mul_i64")
+
+
+def splice_buffer(g):
+    """Splice a Buffer onto the multiplier's first input, as
+    `insert_buffers` does; the result must not change."""
+    ch = next(ch for ch in g.channels if ch.dst == Port(multiplier(g).id, 0))
+    buf = g.add_component(C.BUFFER, (ch.width,), (ch.width,), label="buf")
+    old_dst = ch.dst
+    ch.dst = Port(buf.id, 0)
+    g.add_channel(Port(buf.id, 0), old_dst, ch.width)
+    want = run_source(source_fn("power"), POINT)
+    return lambda report: report.output == want and report.leftover == 0
+
+
+def unpipeline_multiplier(g):
+    """Latency 0 in place: the events must be a fresh latency-0 compile's."""
+    multiplier(g).latency = 0
+    fresh = compile_source(corpus.load("power"), corpus.SIGNATURES["power"],
+                           latencies={"mul_i64": 0}).cdfg
+    want = fingerprint(simulate(fresh, POINT, trace=True))
+    return lambda report: fingerprint(report) == want
+
+
+def narrow_channel(g):
+    next(ch for ch in g.channels if ch.width == 64).width = 1
+
+
+def pop_channel(g):
+    g.channels.pop()
+
+
+def replace_multiplier(g):
+    i = g.components.index(multiplier(g))
+    g.components[i] = dataclasses.replace(g.components[i], opcode=None)
+
+
+@pytest.mark.parametrize("edit", [splice_buffer, unpipeline_multiplier,
+                                  narrow_channel, pop_channel,
+                                  replace_multiplier])
+def test_edited_circuit_is_checked_again(edit, monkeypatch):
+    """An edit after a run builds a new plan, so the circuit is checked
+    again: a valid edit simulates as edited, a breaking one raises."""
+    g = fresh_power()
+    simulate(g, POINT)
+    holds = edit(g)
+    checks = count_checks(monkeypatch)
+    if holds is None:
+        with pytest.raises(BuildError):
+            simulate(g, POINT)
+    else:
+        assert holds(simulate(g, POINT, trace=True))
+    assert checks == [g]
 
 
 # -- equivalence with the scan-every-component simulator --------------------
@@ -278,8 +349,7 @@ def fingerprint(report):
 
 
 def assert_pinned(g, pinned):
-    plan = SimPlan(g)
-    got = {p: fingerprint(simulate(plan, p, trace=True)) for p in pinned}
+    got = {p: fingerprint(simulate(g, p, trace=True)) for p in pinned}
     assert got == pinned
 
 
