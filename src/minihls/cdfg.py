@@ -13,8 +13,8 @@ turns a trigger token into its payload, an Operator computes its opcode
 over `latency` stages, Fork copies, Branch steers by a Bool, Merge passes
 its one valid input, a Buffer holds one token and a Sink drops tokens.
 `check` takes each kind's port counts from `_PORTS` and its width and
-field rules from `_RULES`; `sim._FIRING` and `vhdl.entity_name` give its
-firing rule and entity name.
+field rules from `_RULES`; `sim.SimPlan` binds its firing rule and
+`vhdl.entity_name` gives its entity name.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import BuildError
+from .lattice import DEFAULT_LATENCIES
 
 ENTRY = "Entry"
 EXIT = "Exit"
@@ -111,6 +112,8 @@ _RULES = {
     CONST: ((lambda c: c.in_widths[0] == 0, "trigger input must have width 0"),
             (lambda c: c.value is not None, "missing payload value")),
     OPERATOR: ((lambda c: c.opcode is not None, "missing opcode"),
+               (lambda c: c.opcode in DEFAULT_LATENCIES or c.opcode is None,
+                "unknown opcode"),
                (lambda c: c.latency >= 0, "negative latency")),
     BRANCH: ((lambda c: c.in_widths[1] == 1, "condition input must have width 1"),
              (lambda c: c.out_widths == (c.in_widths[0],) * 2,

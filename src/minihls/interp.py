@@ -1,9 +1,10 @@
 """Reference semantics.
 
-`eval_op` is the single arithmetic kernel: the source-level interpreter,
-the SSA interpreter, and the circuit simulator all call it, so their
-results are bit-identical by construction and differential runs compare
-scheduling, not arithmetic.
+`OPS`, which maps each opcode to its function, is the single arithmetic
+kernel: the source-level and SSA interpreters (through `eval_op`) and
+the circuit simulator all call its functions, so their results are
+bit-identical by construction and differential runs compare scheduling,
+not arithmetic.
 
 Int64 wraps to 64-bit two's complement on every operation.  `mod` is
 truncated toward zero and traps on a zero divisor.  Float64 is IEEE
@@ -12,17 +13,21 @@ infinity/nan by hand because Python raises where hardware would not.
 
 The source-level interpreter dispatches on runtime values, independent of
 static inference, which makes it an oracle for the type checker as well:
-on a type-stable program both must pick the same implementations.
+on a type-stable program both must pick the same implementations.  It
+looks operators up in a table built once from `lattice.dispatch_table`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Callable
 
 from . import source as src
 from .errors import DivByZeroError, EvalError, FuelExhaustedError, Pos
 from .ir import ConstOp, Goto, Instr, Ret, SelectOp, SSAFunction
-from .lattice import LatticeType, OperatorImpl, dispatch
+from .lattice import (SELECT_OPCODES, LatticeType, OperatorImpl, dispatch,
+                      dispatch_table)
 
 DEFAULT_FUEL = 1_000_000
 
@@ -50,54 +55,41 @@ def _fdiv(a: float, b: float) -> float:
     return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
+def _mod(a: int, b: int) -> int:
+    if b == 0:
+        raise DivByZeroError("integer mod by zero", Pos(0, 0))
+    return wrap64(a - b * _trunc_div(a, b))
+
+
+OPS: dict[str, Callable[..., Value]] = {
+    "add_i64": lambda a, b: wrap64(a + b),
+    "sub_i64": lambda a, b: wrap64(a - b),
+    "mul_i64": lambda a, b: wrap64(a * b),
+    "mod_i64": _mod,
+    "neg_i64": lambda a: wrap64(-a),
+    "fadd_f64": operator.add,
+    "fsub_f64": operator.sub,
+    "fmul_f64": operator.mul,
+    "fdiv_f64": _fdiv,
+    "fneg_f64": operator.neg,
+    "and_i1": lambda a, b: a and b,
+    "or_i1": lambda a, b: a or b,
+    "not_i1": operator.not_,
+    "sitofp": float,
+}
+for _cmp in ("lt", "le", "gt", "ge", "eq", "ne"):
+    OPS[f"cmp_{_cmp}_i64"] = OPS[f"fcmp_{_cmp}_f64"] = getattr(operator, _cmp)
+for _opcode in SELECT_OPCODES.values():
+    OPS[_opcode] = lambda c, a, b: a if c else b
+
+
 def eval_op(opcode: str, args: tuple, pos: Pos = Pos(0, 0)) -> Value:
-    a = args[0]
-    b = args[1] if len(args) > 1 else None
-    if opcode == "add_i64":
-        return wrap64(a + b)
-    if opcode == "sub_i64":
-        return wrap64(a - b)
-    if opcode == "mul_i64":
-        return wrap64(a * b)
-    if opcode == "mod_i64":
-        if b == 0:
-            raise DivByZeroError("integer mod by zero", pos)
-        return wrap64(a - b * _trunc_div(a, b))
-    if opcode == "neg_i64":
-        return wrap64(-a)
-    if opcode == "fadd_f64":
-        return a + b
-    if opcode == "fsub_f64":
-        return a - b
-    if opcode == "fmul_f64":
-        return a * b
-    if opcode == "fdiv_f64":
-        return _fdiv(a, b)
-    if opcode == "fneg_f64":
-        return -a
-    if opcode in ("cmp_lt_i64", "fcmp_lt_f64"):
-        return a < b
-    if opcode in ("cmp_le_i64", "fcmp_le_f64"):
-        return a <= b
-    if opcode in ("cmp_gt_i64", "fcmp_gt_f64"):
-        return a > b
-    if opcode in ("cmp_ge_i64", "fcmp_ge_f64"):
-        return a >= b
-    if opcode in ("cmp_eq_i64", "fcmp_eq_f64"):
-        return a == b
-    if opcode in ("cmp_ne_i64", "fcmp_ne_f64"):
-        return a != b
-    if opcode == "and_i1":
-        return a and b
-    if opcode == "or_i1":
-        return a or b
-    if opcode == "not_i1":
-        return not a
-    if opcode == "sitofp":
-        return float(a)
-    if opcode in ("select_i1", "select_i64", "select_f64"):
-        return args[1] if args[0] else args[2]
-    raise EvalError(f"unknown opcode {opcode!r}", pos)
+    if opcode not in OPS:
+        raise EvalError(f"unknown opcode {opcode!r}", pos)
+    try:
+        return OPS[opcode](*args)
+    except DivByZeroError as e:  # the trap is the caller's, at pos
+        raise DivByZeroError(e.message, pos) from None
 
 
 def type_of_value(v: Value) -> LatticeType:
@@ -178,12 +170,21 @@ def _eval_expr(e: src.Expr, env: dict, gas: _Fuel) -> Value:
     raise EvalError(f"unknown expression node {e!r}", e.pos)
 
 
+_PY_TYPES = {LatticeType.BOOL: bool, LatticeType.INT64: int,
+             LatticeType.FLOAT64: float}
+# (symbol, Python type of each operand) -> Dispatch, for every dispatch
+_DISPATCH = {(symbol, *map(_PY_TYPES.get, types)): d
+             for symbol, types, d in dispatch_table()}
+
+
 def _apply(symbol: str, operands: tuple, pos: Pos) -> Value:
-    d = dispatch(symbol, tuple(type_of_value(v) for v in operands), pos)
-    converted = tuple(
-        v if conv is None else eval_op(conv.opcode, (v,), pos)
-        for v, conv in zip(operands, d.conversions))
-    return eval_op(d.impl.opcode, converted, pos)
+    # on a miss, dispatch resolves the operands or raises NoMethodError at pos
+    d = (_DISPATCH.get((symbol, *map(type, operands)))
+         or dispatch(symbol, tuple(map(type_of_value, operands)), pos))
+    if any(d.conversions):
+        operands = tuple(v if conv is None else OPS[conv.opcode](v)
+                         for v, conv in zip(operands, d.conversions))
+    return eval_op(d.impl.opcode, operands, pos)
 
 
 def _exec_stmts(stmts, env: dict, gas: _Fuel):

@@ -11,9 +11,11 @@ later; a Buffer behaves like a latency-1 identity operator.  A Merge with
 more than one valid input is a hard error, not an arbitration: the
 builder only emits merges whose inputs are mutually exclusive.
 
-Engine.  A `SimPlan` checks and compiles a circuit once and serves every
-run until a component or channel is added, removed, replaced or edited in
-place; the next run then checks the circuit again.  Each cycle a
+Engine.  A `SimPlan` checks a circuit once, binds each component to one
+firing rule (a closure over its channels, opcode function, payload and
+depth) and serves every run until a component or channel is added,
+removed, replaced or edited in place; the next run then checks the
+circuit again.  Each cycle a
 `Simulator` evaluates only its worklist, in ascending component order: the
 consumer of every channel filled and the producer of every channel emptied
 in the last commit, a full pipeline that freed a slot while a token waits
@@ -29,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE,
                    OPERATOR, SINK, Channel, Component, require_valid)
 from .errors import DeadlockError, MaxCyclesError, MergeConflictError, SimError
-from .interp import eval_op
+from .interp import OPS
 
 DEFAULT_MAX_CYCLES = 100_000
 
@@ -51,97 +53,131 @@ class SimReport:
     events: list[tuple[int, int, str]] | None = None
 
 
-# Firing rules: `rule(sim, i, c, ins, outs)` decides for component c (index
-# i, input and output channel indices) on the start-of-cycle channels and
-# queues its consumptions, productions and events on the simulator.
+# Firing rules.  `SimPlan` binds each component once to a rule
+# `fire(s, chan)` that decides on the start-of-cycle channels and queues
+# its consumptions, productions and events on the simulator s.  A rule
+# captures only what the circuit fixes; the run's state stays on s.
 
-def _emit(s, i, c, ins, outs):
+def _reader(ins):
+    """chan -> the values on channels ins, in order, by one C-level call."""
+    if len(ins) == 1:
+        return itemgetter(slice(ins[0], ins[0] + 1))
+    return itemgetter(*ins)
+
+
+def _entry(i, c, ins, outs):
     """Entry emits its one token."""
-    if i in s.entry_tokens and s.chan[outs[0]] is _ABSENT:
-        s.produce.append((outs[0], s.entry_tokens.pop(i, None)))
-        s.fired.append((c.id, "emit"))
+    out, event = outs[0], (c.id, "emit")
+
+    def fire(s, chan):
+        if i in s.entry_tokens and chan[out] is _ABSENT:
+            s.produce.append((out, s.entry_tokens.pop(i)))
+            s.fired.append(event)
+    return fire
 
 
-def _drain(s, i, c, ins, outs):
+def _drain(i, c, ins, outs):
     """Exit and Sink take every token; an Exit's is the output."""
-    value = s.chan[ins[0]]
-    if value is not _ABSENT:
-        s.consume.append(ins[0])
-        if c.kind == EXIT:
-            s.outputs[c.id] = value
-        s.fired.append((c.id, "exit" if c.kind == EXIT else "sink"))
+    inp, is_exit = ins[0], c.kind == EXIT
+    event = (c.id, "exit" if is_exit else "sink")
+
+    def fire(s, chan):
+        value = chan[inp]
+        if value is not _ABSENT:
+            s.consume.append(inp)
+            if is_exit:
+                s.outputs[c.id] = value
+            s.fired.append(event)
+    return fire
 
 
-def _fork(s, i, c, ins, outs):
-    chan = s.chan
-    value = chan[ins[0]]
-    if value is not _ABSENT and all(chan[o] is _ABSENT for o in outs):
-        s.consume.append(ins[0])
-        s.produce.extend((o, value) for o in outs)
-        s.fired.append((c.id, "fire"))
+def _fork(i, c, ins, outs):
+    inp, event, read = ins[0], (c.id, "fire"), _reader(outs)
+    free = read([_ABSENT] * (max(outs) + 1))  # what read sees on free outputs
+
+    def fire(s, chan):
+        value = chan[inp]
+        if value is not _ABSENT and read(chan) == free:
+            s.consume.append(inp)
+            s.produce.extend([(o, value) for o in outs])
+            s.fired.append(event)
+    return fire
 
 
-def _branch(s, i, c, ins, outs):
-    chan = s.chan
-    value, cond = chan[ins[0]], chan[ins[1]]
-    if value is not _ABSENT and cond is not _ABSENT:
-        out = outs[0 if cond else 1]
-        if chan[out] is _ABSENT:
-            s.consume.extend(ins)
-            s.produce.append((out, value))
-            s.fired.append((c.id, "fire"))
+def _branch(i, c, ins, outs):
+    (data, cond), event = ins, (c.id, "fire")
+
+    def fire(s, chan):
+        value, flag = chan[data], chan[cond]
+        if value is not _ABSENT and flag is not _ABSENT:
+            out = outs[0 if flag else 1]
+            if chan[out] is _ABSENT:
+                s.consume.extend(ins)
+                s.produce.append((out, value))
+                s.fired.append(event)
+    return fire
 
 
-def _merge(s, i, c, ins, outs):
-    chan = s.chan
-    valid = [ch for ch in ins if chan[ch] is not _ABSENT]
-    if len(valid) > 1:
-        raise MergeConflictError(
-            f"merge {c.id} ({c.label}) has {len(valid)} valid "
-            f"inputs in cycle {s.cycle}")
-    if valid and chan[outs[0]] is _ABSENT:
-        s.consume.append(valid[0])
-        s.produce.append((outs[0], chan[valid[0]]))
-        s.fired.append((c.id, "fire"))
+def _merge(i, c, ins, outs):
+    out, event = outs[0], (c.id, "fire")
+
+    def fire(s, chan):
+        valid = [ch for ch in ins if chan[ch] is not _ABSENT]
+        if len(valid) > 1:
+            raise MergeConflictError(
+                f"merge {c.id} ({c.label}) has {len(valid)} valid "
+                f"inputs in cycle {s.cycle}")
+        if valid and chan[out] is _ABSENT:
+            s.consume.append(valid[0])
+            s.produce.append((out, chan[valid[0]]))
+            s.fired.append(event)
+    return fire
 
 
-def _operator(s, i, c, ins, outs):
+def _operator(i, c, ins, outs):
     """Latency-0 Operator, or Const: its trigger token yields the payload."""
-    values = [s.chan[ch] for ch in ins]
-    if _ABSENT not in values and s.chan[outs[0]] is _ABSENT:
-        s.consume.extend(ins)
-        s.produce.append((outs[0], c.value if c.kind == CONST
-                          else eval_op(c.opcode, tuple(values))))
-        s.fired.append((c.id, "fire"))
+    out, event, read = outs[0], (c.id, "fire"), _reader(ins)
+    fn = OPS[c.opcode] if c.kind == OPERATOR else lambda _, v=c.value: v
+
+    def fire(s, chan):
+        values = read(chan)
+        if _ABSENT not in values and chan[out] is _ABSENT:
+            s.consume.extend(ins)
+            s.produce.append((out, fn(*values)))
+            s.fired.append(event)
+    return fire
 
 
-def _pipeline(s, i, c, ins, outs):
+def _pipeline(i, c, ins, outs, depth):
     """Buffer, or Operator with latency > 0: a FIFO of up to `depth`
     (ready cycle, value) slots.  The head leaves once ready if the output
     is free, and a token enters if a slot was free at the cycle's start."""
-    slots, depth = s.pipes[i], s.plan.depth[i]
-    n = len(slots)
-    values = [s.chan[ch] for ch in ins]
-    waiting = _ABSENT not in values
-    if n and slots[0][0] <= s.cycle and s.chan[outs[0]] is _ABSENT:
-        s.produce.append((outs[0], slots.pop(0)[1]))
-        s.tokens -= 1
-        s.fired.append((c.id, "emit"))
-        if n == depth and waiting:
-            s.worklist.add(i)  # the freed slot takes the token next cycle
-    if n < depth and waiting:
-        s.consume.extend(ins)
-        ready = s.cycle + depth
-        slots.append((ready, values[0] if c.kind == BUFFER
-                      else eval_op(c.opcode, tuple(values))))
-        heappush(s.releases, (ready, i))
-        s.tokens += 1
-        s.fired.append((c.id, "accept"))
+    out, fn = outs[0], OPS[c.opcode] if c.kind == OPERATOR else lambda v: v
+    emitted, accepted, read = (c.id, "emit"), (c.id, "accept"), _reader(ins)
+
+    def fire(s, chan):
+        slots = s.pipes[i]
+        n = len(slots)
+        values = read(chan)
+        waiting = _ABSENT not in values
+        if n and slots[0][0] <= s.cycle and chan[out] is _ABSENT:
+            s.produce.append((out, slots.pop(0)[1]))
+            s.tokens -= 1
+            s.fired.append(emitted)
+            if n == depth and waiting:
+                s.worklist.add(i)  # the freed slot takes the token next cycle
+        if n < depth and waiting:
+            s.consume.extend(ins)
+            ready = s.cycle + depth
+            slots.append((ready, fn(*values)))
+            heappush(s.releases, (ready, i))
+            s.tokens += 1
+            s.fired.append(accepted)
+    return fire
 
 
-_FIRING = {ENTRY: _emit, EXIT: _drain, SINK: _drain, CONST: _operator,
-           FORK: _fork, BRANCH: _branch, MERGE: _merge, BUFFER: _pipeline,
-           OPERATOR: _operator}
+_BIND = {ENTRY: _entry, EXIT: _drain, SINK: _drain, CONST: _operator,
+         FORK: _fork, BRANCH: _branch, MERGE: _merge, OPERATOR: _operator}
 
 
 _COMPONENT_FIELDS = attrgetter(*(f.name for f in fields(Component)))
@@ -162,9 +198,9 @@ class SimPlan:
 
     Components and channels are numbered by position.  `producer[k]` and
     `consumer[k]` are the components at either end of channel k,
-    `nodes[i]` is component i's (firing rule, component, input channels,
-    output channels) and `depth[i]` the depth of a Buffer's or latency > 0
-    Operator's pipeline.
+    `depth[i]` is the depth of a Buffer's or latency > 0 Operator's
+    pipeline and `nodes[i]` component i's firing rule, bound once here to
+    its channels, opcode function, payload and depth.
     """
 
     def __init__(self, g: CDFG):
@@ -183,8 +219,10 @@ class SimPlan:
         self.depth = {i: c.latency if c.kind == OPERATOR else 1
                       for i, c in enumerate(comps) if c.kind == BUFFER
                       or (c.kind == OPERATOR and c.latency > 0)}
-        self.nodes = [(_pipeline if i in self.depth else _FIRING[c.kind],
-                       c, ins[i], outs[i]) for i, c in enumerate(comps)]
+        self.nodes = [_pipeline(i, c, ins[i], outs[i], self.depth[i])
+                      if i in self.depth
+                      else _BIND[c.kind](i, c, ins[i], outs[i])
+                      for i, c in enumerate(comps)]
         self.entries = [i for i, c in enumerate(comps) if c.kind == ENTRY]
         self.data_entries = [i for i in self.entries
                              if comps[i].out_widths[0]]
@@ -224,9 +262,8 @@ class Simulator:
                                      self.plan.consumer)
         chan, worklist, releases = self.chan, self.worklist, self.releases
         consume, produce, fired = self.consume, self.produce, self.fired
-        exit_cycle = None
+        cycle, exit_cycle = self.cycle, None
         while True:
-            cycle = self.cycle
             if cycle >= max_cycles:
                 raise MaxCyclesError(
                     f"no quiescence after {max_cycles} cycles",
@@ -236,40 +273,39 @@ class Simulator:
             work = sorted(worklist)
             worklist.clear()
             for i in work:
-                rule, c, ins, outs = nodes[i]
-                rule(self, i, c, ins, outs)
-
-            # Commit.  Consumptions before productions: a channel is never
-            # consumed and refilled in the same cycle because the producer
-            # saw it occupied in the snapshot.
-            for ch in consume:
-                chan[ch] = _ABSENT
-                worklist.add(producer[ch])
-            for ch, value in produce:
-                if chan[ch] is not _ABSENT:
-                    raise SimError(f"channel {self.plan.channels[ch].id} "
-                                   f"driven while occupied")
-                chan[ch] = value
-                worklist.add(consumer[ch])
-            self.tokens += len(produce) - len(consume)
-            if self.tokens + len(self.entry_tokens) > self.max_occupancy:
-                self.max_occupancy = self.tokens + len(self.entry_tokens)
-            if exit_cycle is None and self.outputs:
-                exit_cycle = cycle
+                nodes[i](self, chan)
 
             if fired:
+                # Commit.  Consumptions before productions: a channel is
+                # never consumed and refilled in the same cycle because the
+                # producer saw it occupied in the snapshot.
+                for ch in consume:
+                    chan[ch] = _ABSENT
+                    worklist.add(producer[ch])
+                for ch, value in produce:
+                    if chan[ch] is not _ABSENT:
+                        raise SimError(f"channel {self.plan.channels[ch].id} "
+                                       f"driven while occupied")
+                    chan[ch] = value
+                    worklist.add(consumer[ch])
+                self.tokens += len(produce) - len(consume)
+                occupancy = self.tokens + len(self.entry_tokens)
+                if occupancy > self.max_occupancy:
+                    self.max_occupancy = occupancy
+                if exit_cycle is None and self.outputs:
+                    exit_cycle = cycle
                 if self.events is not None:
-                    self.events.extend((cycle, comp, what)
-                                       for comp, what in fired)
+                    self.events += [(cycle, *event) for event in fired]
                 consume.clear()
                 produce.clear()
                 fired.clear()
-                self.cycle = cycle + 1
+                cycle += 1
             elif releases:
-                self.cycle = min(releases[0][0], max_cycles)
+                cycle = min(releases[0][0], max_cycles)
             else:
                 self.cycle = cycle + 1
                 break
+            self.cycle = cycle
         if not self.outputs:
             raise DeadlockError(
                 f"deadlock in cycle {self.cycle}: no component can fire and "

@@ -139,6 +139,7 @@ KIND_CASES = [
     (C.MERGE, (64, 1), (64,), {}, ["all ports must share one width"]),
     (C.BUFFER, (64,), (), {}, ["must have 1 input and 1 output"]),
     (C.BUFFER, (64,), (1,), {}, ["all ports must share one width"]),
+    (C.OPERATOR, (64,), (64,), {"opcode": "neg"}, ["unknown opcode"]),
 ]
 
 

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from minihls import corpus, typecheck
-from minihls.errors import DivByZeroError, FuelExhaustedError
+from minihls.errors import (DivByZeroError, FuelExhaustedError, NoMethodError,
+                            Pos)
 from minihls.interp import (
     coerce_args, eval_op, run_source, run_ssa, type_of_value, wrap64,
 )
@@ -155,6 +156,19 @@ def test_source_and_ssa_agree_on_corpus(program, sweeps):
     ssa = lowered(program)
     for point in sweeps[program]:
         assert run_source(fn, point) == run_ssa(ssa, point)
+
+
+def test_operator_errors_keep_their_position():
+    # One `+` resolves Int64+Int64 on one call and has no method for
+    # Bool+Int64 on the next; one `%` traps on a zero divisor.
+    fn = source_fn("function f(a, b)\n  c = a + b\n  return b % c\nend\n")
+    assert run_source(fn, (2, 5)) == 5
+    with pytest.raises(NoMethodError) as info:
+        run_source(fn, (True, 5))
+    assert info.value.pos == Pos(2, 9)
+    with pytest.raises(DivByZeroError) as info:
+        run_source(fn, (-5, 5))
+    assert info.value.pos == Pos(3, 12)
 
 
 def test_logical_and_is_strict_in_both_operands():

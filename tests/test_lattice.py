@@ -10,7 +10,9 @@ import itertools
 
 import pytest
 
+from minihls import vhdl
 from minihls.errors import NoMethodError
+from minihls.interp import OPS
 from minihls.lattice import (
     DEFAULT_LATENCIES, LatticeType, dispatch, dispatch_table,
     format_dispatch_table, join, join_all,
@@ -138,6 +140,11 @@ def test_default_latencies_cover_every_opcode():
     opcodes.add("sitofp")
     assert opcodes <= set(DEFAULT_LATENCIES)
     assert all(v >= 0 for v in DEFAULT_LATENCIES.values())
+    # The arithmetic kernel, the latency map and the VHDL library agree on
+    # the opcodes, so a new one missing from any table fails here.
+    assert (set(OPS) == set(DEFAULT_LATENCIES)
+            == set(vhdl._INT_EXPR) | set(vhdl._CMP_EXPR))
+    assert len(OPS) == 29
 
 
 def test_widths():

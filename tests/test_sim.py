@@ -11,8 +11,9 @@ from minihls.cdfg import CDFG, Port, component_stats
 from minihls.errors import (BuildError, DeadlockError, MaxCyclesError,
                             MergeConflictError)
 from minihls.interp import run_source
+from minihls.lattice import DEFAULT_LATENCIES
 from minihls.pipeline import compile_source
-from minihls.sim import SimReport, simulate
+from minihls.sim import SimReport, Simulator, simulate
 from minihls.source import parse_source
 from minihls import corpus
 
@@ -202,6 +203,45 @@ def test_operator_latency_pipelines_tokens(compiled):
     assert slow.exit_cycle - fast.exit_cycle >= 8
 
 
+# Loop-free, with every operator shape the corpus lacks: unary `-` and
+# `!`, Int64 -> Float64 promotion (sitofp), a guarded `%`, `/`, a Bool
+# parameter and if-converted selects.
+MIXED = """
+function mixed(a::Int64, b::Int64, flag::Bool)
+  m = 0
+  if b != 0
+    m = a % b
+  end
+  x = -a
+  if !flag
+    x = x + m
+  end
+  y = x / 2
+  if flag && y > 0.5
+    y = -y
+  end
+  return y * 1.5 - m + b
+end
+"""
+
+
+@pytest.mark.parametrize("latencies", [
+    dict.fromkeys(DEFAULT_LATENCIES, 0), None,
+    dict.fromkeys(DEFAULT_LATENCIES, 3)], ids=["zero", "default", "three"])
+def test_every_operator_shape_matches_interpreter(latencies):
+    g = compile_source(MIXED, latencies=latencies).cdfg
+    shapes = {(c.opcode, len(c.in_widths)) for c in g.components
+              if c.kind == C.OPERATOR}
+    assert {("neg_i64", 1), ("not_i1", 1), ("sitofp", 1), ("mod_i64", 2),
+            ("fdiv_f64", 2), ("select_i64", 3), ("select_f64", 3)} <= shapes
+    fn = parse_source(MIXED).functions[0]
+    for point in [(7, 3, True), (-7, 0, False), (9, -4, False), (0, 5, True),
+                  (5, 2, True), (-8, -3, False)]:
+        report = simulate(g, point)
+        assert report.output == run_source(fn, point), point
+        assert report.leftover == 0
+
+
 def test_simulator_rejects_invalid_graph():
     g = CDFG("broken")
     g.add_component(C.ENTRY, (), (64,), label="x")
@@ -356,6 +396,18 @@ def assert_pinned(g, pinned):
 def test_event_trace_pinned_on_corpus_sweeps(program, compiled, sweeps):
     assert list(SEED_FINGERPRINTS[program]) == sweeps[program]
     assert_pinned(compiled(program).cdfg, SEED_FINGERPRINTS[program])
+
+
+def test_simulators_sharing_a_plan_keep_their_own_state(program):
+    """Two runs set up on one circuit before either runs, then run in
+    reverse order, each give the events of a run of its own."""
+    g = compile_source(corpus.load(program), corpus.SIGNATURES[program]).cdfg
+    pinned = SEED_FINGERPRINTS[program]
+    points = [list(pinned)[0], list(pinned)[-1]]
+    sims = [Simulator(g, p, trace=True) for p in points]
+    assert sims[0].plan is sims[1].plan
+    got = [fingerprint(s.run()) for s in reversed(sims)]
+    assert got == [pinned[p] for p in reversed(points)]
 
 
 @pytest.mark.parametrize("latency", [0, 2, 6, 12])
