@@ -206,7 +206,7 @@ class _Builder:
             w = ins.ty.width
             if isinstance(ins.op, ConstOp):
                 c = g.add_component(CONST, (0,), (w,), label=f"v{ins.result}",
-                                    value=ins.op.value)
+                                    value=ins.op.value, pos=ins.pos)
                 self.demand(srcs[CONTROL], Port(c.id, 0))
             else:
                 if isinstance(ins.op, SelectOp):
@@ -219,7 +219,7 @@ class _Builder:
                     raise BuildError(f"unknown instruction op {ins.op!r}")
                 c = g.add_component(OPERATOR, widths, (w,),
                                     label=f"v{ins.result}", opcode=opcode,
-                                    latency=self.lat[opcode])
+                                    latency=self.lat[opcode], pos=ins.pos)
                 for i, arg in enumerate(ins.args):
                     self.demand(srcs[arg], Port(c.id, i))
             srcs[ins.result] = self.new_net(w, Port(c.id, 0))

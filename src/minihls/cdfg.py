@@ -8,6 +8,13 @@ fan-out is always an explicit Fork.  Cycles are legal only when broken by
 a Buffer, which `check` enforces by requiring the buffer-free subgraph to
 be acyclic.
 
+Components, channels and ports are immutable records, so a circuit
+changes only when an element of `components` or `channels` is appended,
+removed or replaced; `insert_buffers` replaces each back-edge channel in
+its list slot.  Comparing the two lists with earlier copies therefore
+tells whether a circuit is the one `require_valid` last accepted or
+`sim.SimPlan` last compiled.
+
 Kinds (`KIND_ORDER`): Entry and Exit cross the circuit boundary, Const
 turns a trigger token into its payload, an Operator computes its opcode
 over `latency` stages, Fork copies, Branch steers by a Bool, Merge passes
@@ -22,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import BuildError
+from .errors import BuildError, Pos
 from .lattice import DEFAULT_LATENCIES
 
 ENTRY = "Entry"
@@ -38,13 +45,13 @@ SINK = "Sink"
 KIND_ORDER = (ENTRY, EXIT, CONST, OPERATOR, FORK, BRANCH, MERGE, BUFFER, SINK)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Port:
     comp: int
     index: int
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Component:
     id: int
     kind: str
@@ -54,9 +61,10 @@ class Component:
     opcode: str | None = None  # Operator only
     latency: int = 0  # Operator pipeline depth
     value: object = None  # Const payload
+    pos: Pos = field(compare=False, default=Pos(0, 0))  # Const, Operator
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Channel:
     id: int
     src: Port
@@ -70,6 +78,9 @@ class CDFG:
     components: list[Component] = field(default_factory=list)
     channels: list[Channel] = field(default_factory=list)
     return_width: int = 64
+    # copies of the lists `require_valid` last found valid
+    checked: tuple[list, list] | None = field(
+        default=None, init=False, repr=False, compare=False)
     # the last `sim.SimPlan` built, reused while the circuit is unchanged
     sim_plan: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -237,11 +248,13 @@ def insert_buffers(g: CDFG) -> int:
     roots = [c.id for c in g.components if c.kind == ENTRY]
     roots += [cid for cid in sorted(adj) if cid not in roots]
     back = [ch for _, ch in _back_edges(adj, roots)]
+    # positions by object: channel ids need not equal list positions
+    slot = {id(ch): k for k, ch in enumerate(g.channels)}
     for ch in back:
         buf = g.add_component(BUFFER, (ch.width,), (ch.width,), label="buf")
-        old_dst = ch.dst
-        ch.dst = Port(buf.id, 0)
-        g.add_channel(Port(buf.id, 0), old_dst, ch.width)
+        g.channels[slot[id(ch)]] = Channel(ch.id, ch.src, Port(buf.id, 0),
+                                           ch.width)
+        g.add_channel(Port(buf.id, 0), ch.dst, ch.width)
     return len(back)
 
 
@@ -293,6 +306,11 @@ def export_dot(g: CDFG) -> str:
 
 
 def require_valid(g: CDFG) -> None:
+    """Raise `BuildError` listing every violation of `check`.  A circuit
+    whose lists equal the ones last found valid is not checked again."""
+    if g.checked == (g.components, g.channels):
+        return
     bad = check(g)
     if bad:
         raise BuildError("invalid circuit: " + "; ".join(bad))
+    g.checked = (list(g.components), list(g.channels))

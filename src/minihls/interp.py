@@ -33,6 +33,7 @@ DEFAULT_FUEL = 1_000_000
 
 _U64 = 1 << 64
 _I64_MAX = (1 << 63) - 1
+_NO_POS = Pos(0, 0)  # where no source position applies; the CLI omits it
 
 Value = object  # bool, int in [-2^63, 2^63), or float
 
@@ -57,7 +58,7 @@ def _fdiv(a: float, b: float) -> float:
 
 def _mod(a: int, b: int) -> int:
     if b == 0:
-        raise DivByZeroError("integer mod by zero", Pos(0, 0))
+        raise DivByZeroError("integer mod by zero", _NO_POS)
     return wrap64(a - b * _trunc_div(a, b))
 
 
@@ -83,7 +84,7 @@ for _opcode in SELECT_OPCODES.values():
     OPS[_opcode] = lambda c, a, b: a if c else b
 
 
-def eval_op(opcode: str, args: tuple, pos: Pos = Pos(0, 0)) -> Value:
+def eval_op(opcode: str, args: tuple, pos: Pos = _NO_POS) -> Value:
     if opcode not in OPS:
         raise EvalError(f"unknown opcode {opcode!r}", pos)
     try:
@@ -256,7 +257,7 @@ def run_ssa(func: SSAFunction, args: tuple, fuel: int = DEFAULT_FUEL) -> Value:
             gas.burn(ins.pos)
             env[ins.result] = _apply_instr(ins, env)
         t = block.terminator
-        gas.burn(Pos(0, 0))
+        gas.burn(_NO_POS)
         if isinstance(t, Ret):
             return env[t.value]
         if isinstance(t, Goto):

@@ -11,11 +11,12 @@ later; a Buffer behaves like a latency-1 identity operator.  A Merge with
 more than one valid input is a hard error, not an arbitration: the
 builder only emits merges whose inputs are mutually exclusive.
 
-Engine.  A `SimPlan` checks a circuit once, binds each component to one
-firing rule (a closure over its channels, opcode function, payload and
-depth) and serves every run until a component or channel is added,
-removed, replaced or edited in place; the next run then checks the
-circuit again.  Each cycle a
+Engine.  A `SimPlan` binds each component of a circuit that
+`require_valid` accepted to one firing rule (a closure over its channels,
+opcode function, payload and depth) and serves every run until a
+component or channel is added, removed or replaced by an unequal one.
+Components and channels are immutable, so comparing the circuit's two
+lists with the plan's copies, in C, tells whether it changed.  Each cycle a
 `Simulator` evaluates only its worklist, in ascending component order: the
 consumer of every channel filled and the producer of every channel emptied
 in the last commit, a full pipeline that freed a slot while a token waits
@@ -29,13 +30,14 @@ flight the cycle counter jumps to the next release, never past
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE,
-                   OPERATOR, SINK, Channel, Component, require_valid)
-from .errors import DeadlockError, MaxCyclesError, MergeConflictError, SimError
+                   OPERATOR, SINK, require_valid)
+from .errors import (DeadlockError, DivByZeroError, MaxCyclesError,
+                     MergeConflictError, SimError)
 from .interp import OPS
 
 DEFAULT_MAX_CYCLES = 100_000
@@ -180,21 +182,11 @@ _BIND = {ENTRY: _entry, EXIT: _drain, SINK: _drain, CONST: _operator,
          FORK: _fork, BRANCH: _branch, MERGE: _merge, OPERATOR: _operator}
 
 
-_COMPONENT_FIELDS = attrgetter(*(f.name for f in fields(Component)))
-_CHANNEL_FIELDS = attrgetter(*(f.name for f in fields(Channel)))
-
-
-def _snapshot(g: CDFG) -> tuple[list, ...]:
-    """Every component's and channel's identity and field values."""
-    return (list(map(id, g.components)), list(map(id, g.channels)),
-            list(map(_COMPONENT_FIELDS, g.components)),
-            list(map(_CHANNEL_FIELDS, g.channels)))
-
-
 class SimPlan:
     """A circuit checked by `require_valid` and compiled for simulation.
-    `SimPlan.of(g)` reuses g's plan while `_snapshot(g)` is unchanged; the
-    plan holds g's components and channels, so their ids stay theirs.
+    The plan keeps copies of g's component and channel lists, and
+    `SimPlan.of(g)` reuses it while g's lists equal them: the records are
+    immutable, so equal lists mean an equal circuit.
 
     Components and channels are numbered by position.  `producer[k]` and
     `consumer[k]` are the components at either end of channel k,
@@ -205,8 +197,7 @@ class SimPlan:
 
     def __init__(self, g: CDFG):
         require_valid(g)
-        self.snapshot = _snapshot(g)
-        comps = g.components
+        self.components = comps = list(g.components)
         self.channels = list(g.channels)
         index = {c.id: i for i, c in enumerate(comps)}
         self.producer = [index[ch.src.comp] for ch in g.channels]
@@ -229,9 +220,11 @@ class SimPlan:
 
     @classmethod
     def of(cls, g: CDFG) -> SimPlan:
-        if g.sim_plan is None or g.sim_plan.snapshot != _snapshot(g):
-            g.sim_plan = cls(g)
-        return g.sim_plan
+        plan = g.sim_plan
+        if (plan is None or plan.components != g.components
+                or plan.channels != g.channels):
+            g.sim_plan = plan = cls(g)
+        return plan
 
 
 class Simulator:
@@ -272,8 +265,12 @@ class Simulator:
                 worklist.add(heappop(releases)[1])
             work = sorted(worklist)
             worklist.clear()
-            for i in work:
-                nodes[i](self, chan)
+            try:
+                for i in work:
+                    nodes[i](self, chan)
+            except DivByZeroError as e:  # the trap is at component i's source
+                raise DivByZeroError(e.message,
+                                     self.plan.components[i].pos) from None
 
             if fired:
                 # Commit.  Consumptions before productions: a channel is

@@ -39,6 +39,9 @@ UNARY_OPS = {"-", "!"}
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+# Numeric literals take ASCII digits only; `str.isdigit` also accepts
+# digits such as '²' and '٣', which `int` rejects or reads as numbers.
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -79,28 +82,28 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start, start_pos = i, pos()
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             is_float = False
             if i < n and text[i] == ".":
-                if i + 1 >= n or not text[i + 1].isdigit():
+                if i + 1 >= n or text[i + 1] not in _DIGITS:
                     raise LexError("expected digit after decimal point",
                                    Pos(line, col + (i - start)))
                 is_float = True
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             if i < n and text[i] in "eE":
                 is_float = True
                 i += 1
                 if i < n and text[i] in "+-":
                     i += 1
-                if i >= n or not text[i].isdigit():
+                if i >= n or text[i] not in _DIGITS:
                     raise LexError("malformed exponent in numeric literal",
                                    Pos(line, col + (i - start)))
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             if i < n and text[i] == ".":
                 raise LexError("malformed numeric literal (second decimal point)",

@@ -1,5 +1,7 @@
 """Circuit graph invariants, buffer insertion, serialization."""
 
+import dataclasses
+
 import pytest
 
 from minihls import cdfg as C
@@ -88,13 +90,14 @@ def test_check_catches_double_driven_port():
 
 def test_check_catches_width_mismatch():
     g = tiny_passthrough()
-    g.channels[0].width = 1
+    g.channels[0] = dataclasses.replace(g.channels[0], width=1)
     assert any("width" in p for p in check(g))
 
 
 def test_check_catches_bad_fork_arity():
     g = tiny_passthrough()
-    g.components[1].kind = C.FORK  # 1-in 1-out is not a legal fork
+    # 1-in 1-out is not a legal fork
+    g.components[1] = dataclasses.replace(g.components[1], kind=C.FORK)
     assert any("Fork" in p and ">=2" in p for p in check(g))
 
 
@@ -250,6 +253,27 @@ def test_insert_buffers_breaks_cycles():
     n = insert_buffers(g)
     assert n == 1
     assert check(g) == []
+
+
+def test_insert_buffers_replaces_the_back_edge_in_its_slot():
+    g = tiny_passthrough()
+    a = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")
+    b = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")
+    g.add_channel(Port(a.id, 0), Port(b.id, 0), 64)
+    g.add_channel(Port(b.id, 0), Port(a.id, 0), 64)
+    g.channels.reverse()  # channel ids no longer equal list positions
+    assert insert_buffers(g) == 1
+    assert [(ch.id, ch.src.comp, ch.dst.comp) for ch in g.channels] == [
+        (3, 4, 5), (2, 3, 4), (1, 1, 2), (0, 0, 1), (4, 5, 3)]
+    assert check(g) == []
+
+
+def test_records_are_immutable():
+    g = tiny_passthrough()
+    for record in (g.components[1], g.channels[0], g.channels[0].src):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
 
 
 def test_buffered_cycle_is_accepted():

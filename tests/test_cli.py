@@ -2,7 +2,7 @@
 
 import json
 
-from minihls import cli, source
+from minihls import cdfg, cli, source
 
 ANNOTATED = ("function double(a::Int64)\n"
              "  return a + a\nend\n")
@@ -72,6 +72,17 @@ def test_diff_sweep_range_and_list(capsys):
                            "--sweep=-2..2", "--sweep=-1,0,3")
     assert code == 0
     assert "15 point(s), 0 mismatch(es)" in out
+
+
+def test_diff_checks_its_circuit_once(capsys, monkeypatch):
+    checks = []
+    check = cdfg.check
+    monkeypatch.setattr(cdfg, "check", lambda g: checks.append(g) or check(g))
+    code, out, _ = run_cli(capsys, "diff", "power",
+                           "--sweep=-1..1", "--sweep=0..3")
+    assert code == 0
+    assert "12 point(s), 0 mismatch(es)" in out
+    assert len(checks) == 1
 
 
 def test_diff_empty_sweep_warns_and_exits_zero(capsys):
@@ -201,6 +212,23 @@ def test_deep_nest_is_a_parse_diagnostic(tmp_path, capsys):
     assert code == 1
     col = 11 + source.MAX_NESTING
     assert err == f"error[parse] 2:{col}: expression nested too deeply\n"
+
+
+def test_non_ascii_digit_is_a_lex_diagnostic(tmp_path, capsys):
+    f = tmp_path / "digit.mjl"
+    f.write_text("function f(a)\n    return a + 1٣\nend\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", str(f), "3", "--sig", "i64")
+    assert code == 1
+    assert err == "error[lex] 2:17: unexpected character '٣'\n"
+
+
+def test_trap_in_circuit_is_reported_at_its_source(tmp_path, capsys):
+    f = tmp_path / "mod.mjl"
+    f.write_text("function f(a, b)\n    return a % b\nend\n")
+    for cmd in ("run", "sim"):
+        code, _, err = run_cli(capsys, cmd, "--sig", "i64,i64", str(f), "5", "0")
+        assert code == 1
+        assert err == "error[eval] 2:14: integer mod by zero\n"
 
 
 def test_typecheck_error_diagnostic(tmp_path, capsys):

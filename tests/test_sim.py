@@ -8,8 +8,8 @@ import pytest
 
 from minihls import cdfg as C
 from minihls.cdfg import CDFG, Port, component_stats
-from minihls.errors import (BuildError, DeadlockError, MaxCyclesError,
-                            MergeConflictError)
+from minihls.errors import (BuildError, DeadlockError, DivByZeroError,
+                            MaxCyclesError, MergeConflictError, Pos)
 from minihls.interp import run_source
 from minihls.lattice import DEFAULT_LATENCIES
 from minihls.pipeline import compile_source
@@ -303,17 +303,17 @@ def count_checks(monkeypatch):
 
 
 def test_unchanged_circuit_is_checked_once(monkeypatch):
-    g = fresh_power()
     checks = count_checks(monkeypatch)
+    g = fresh_power()
     runs = [simulate(g, (b, 5), trace=True) for b in (-2, 3, -2, 3, 0)]
-    assert len(checks) == 1
+    assert len(checks) == 1  # the compile's check serves every run
     assert runs[:2] == runs[2:4]
     broken = CDFG("broken")
     broken.add_component(C.ENTRY, (), (64,), label="x")
     for _ in range(2):
         with pytest.raises(BuildError):
             simulate(broken, (1,))
-    assert len(checks) == 3  # a circuit that fails keeps no plan
+    assert len(checks) == 3  # a circuit that fails is not recorded as valid
 
 
 POINT = (3, 5)
@@ -323,21 +323,25 @@ def multiplier(g):
     return next(c for c in g.components if c.opcode == "mul_i64")
 
 
+def replace_record(records, record, **changes):
+    """Replace `record` in its list slot by a copy with `changes`."""
+    records[records.index(record)] = dataclasses.replace(record, **changes)
+
+
 def splice_buffer(g):
     """Splice a Buffer onto the multiplier's first input, as
     `insert_buffers` does; the result must not change."""
     ch = next(ch for ch in g.channels if ch.dst == Port(multiplier(g).id, 0))
     buf = g.add_component(C.BUFFER, (ch.width,), (ch.width,), label="buf")
-    old_dst = ch.dst
-    ch.dst = Port(buf.id, 0)
-    g.add_channel(Port(buf.id, 0), old_dst, ch.width)
+    replace_record(g.channels, ch, dst=Port(buf.id, 0))
+    g.add_channel(Port(buf.id, 0), ch.dst, ch.width)
     want = run_source(source_fn("power"), POINT)
     return lambda report: report.output == want and report.leftover == 0
 
 
 def unpipeline_multiplier(g):
-    """Latency 0 in place: the events must be a fresh latency-0 compile's."""
-    multiplier(g).latency = 0
+    """Latency 0 in its slot: the events must be a fresh latency-0 compile's."""
+    replace_record(g.components, multiplier(g), latency=0)
     fresh = compile_source(corpus.load("power"), corpus.SIGNATURES["power"],
                            latencies={"mul_i64": 0}).cdfg
     want = fingerprint(simulate(fresh, POINT, trace=True))
@@ -345,7 +349,8 @@ def unpipeline_multiplier(g):
 
 
 def narrow_channel(g):
-    next(ch for ch in g.channels if ch.width == 64).width = 1
+    replace_record(g.channels, next(ch for ch in g.channels if ch.width == 64),
+                   width=1)
 
 
 def pop_channel(g):
@@ -353,8 +358,7 @@ def pop_channel(g):
 
 
 def replace_multiplier(g):
-    i = g.components.index(multiplier(g))
-    g.components[i] = dataclasses.replace(g.components[i], opcode=None)
+    replace_record(g.components, multiplier(g), opcode=None)
 
 
 @pytest.mark.parametrize("edit", [splice_buffer, unpipeline_multiplier,
@@ -373,6 +377,31 @@ def test_edited_circuit_is_checked_again(edit, monkeypatch):
     else:
         assert holds(simulate(g, POINT, trace=True))
     assert checks == [g]
+
+
+def test_only_an_unequal_replacement_builds_a_new_plan(monkeypatch):
+    g = fresh_power()
+    simulate(g, POINT)
+    plan = g.sim_plan
+    checks = count_checks(monkeypatch)
+    replace_record(g.components, multiplier(g))  # equal values
+    replace_record(g.channels, g.channels[0])
+    simulate(g, POINT)
+    assert checks == [] and g.sim_plan is plan
+    replace_record(g.components, multiplier(g), latency=1)
+    assert simulate(g, POINT).output == 243
+    assert checks == [g] and g.sim_plan is not plan
+
+
+@pytest.mark.parametrize("latency", [0, 3])
+def test_trap_in_a_circuit_reports_its_source_position(latency):
+    g = compile_source("function f(a, b)\n  return a % b\nend\n",
+                       corpus.SIGNATURES["power"],
+                       latencies={"mod_i64": latency}).cdfg
+    assert simulate(g, (7, 4)).output == 3
+    with pytest.raises(DivByZeroError) as info:
+        simulate(g, (5, 0))
+    assert info.value.pos == Pos(2, 12)
 
 
 # -- equivalence with the scan-every-component simulator --------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from minihls import source
-from minihls.errors import LexError, MissingReturnError, ParseError
+from minihls.errors import LexError, MissingReturnError, ParseError, Pos
 
 
 def toks(text):
@@ -45,6 +45,16 @@ def test_tokenize_rejects_stray_character():
     with pytest.raises(LexError) as exc:
         source.tokenize("x = 1 $ 2")
     assert "$" in str(exc.value)
+
+
+@pytest.mark.parametrize("literal, col, char", [("²", 16, "²"), ("1٣", 17, "٣")],
+                         ids=["superscript", "arabic_indic"])
+def test_numbers_take_ascii_digits_only(literal, col, char):
+    with pytest.raises(LexError) as exc:
+        source.tokenize(f"function f(a)\n    return a + {literal}\nend\n")
+    assert exc.value.pos == Pos(2, col)
+    assert exc.value.message == f"unexpected character {char!r}"
+    assert toks("x² a٣") == [("ident", "x²"), ("ident", "a٣")]
 
 
 def test_parse_simple_function():
