@@ -11,17 +11,20 @@ be acyclic.
 Components, channels and ports are immutable records, so a circuit
 changes only when an element of `components` or `channels` is appended,
 removed or replaced; `insert_buffers` replaces each back-edge channel in
-its list slot.  Comparing the two lists with earlier copies therefore
-tells whether a circuit is the one `require_valid` last accepted or
-`sim.SimPlan` last compiled.
+its list slot.  A Const payload compares by its type and repr, so -0.0
+and 0.0 are different payloads.  Comparing the two lists with the copies
+that `require_valid` recorded when it last accepted the circuit therefore
+tells whether the circuit changed since; `sim.SimPlan` is reused while it
+was built from the record held now.
 
 Kinds (`KIND_ORDER`): Entry and Exit cross the circuit boundary, Const
 turns a trigger token into its payload, an Operator computes its opcode
 over `latency` stages, Fork copies, Branch steers by a Bool, Merge passes
 its one valid input, a Buffer holds one token and a Sink drops tokens.
-`check` takes each kind's port counts from `_PORTS` and its width and
-field rules from `_RULES`; `sim.SimPlan` binds its firing rule and
-`vhdl.entity_name` gives its entity name.
+Each kind is one entry per table: `check` takes its port counts from
+`_PORTS` and its width and field rules from `_RULES`, `sim._BIND` its
+firing rule and `vhdl._ARCH` its VHDL architecture; `vhdl.entity_name`
+gives its entity name.
 """
 
 from __future__ import annotations
@@ -60,8 +63,16 @@ class Component:
     label: str = ""
     opcode: str | None = None  # Operator only
     latency: int = 0  # Operator pipeline depth
-    value: object = None  # Const payload
+    value: object = field(compare=False, default=None)  # Const payload
     pos: Pos = field(compare=False, default=Pos(0, 0))  # Const, Operator
+    # Compared in the payload's place: -0.0 == 0.0 and 1 == 1.0 == True,
+    # but a type and a repr tell those payloads apart.
+    value_key: tuple | None = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        if self.value is not None:
+            object.__setattr__(self, "value_key",
+                               (type(self.value), repr(self.value)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,7 +318,8 @@ def export_dot(g: CDFG) -> str:
 
 def require_valid(g: CDFG) -> None:
     """Raise `BuildError` listing every violation of `check`.  A circuit
-    whose lists equal the ones last found valid is not checked again."""
+    whose lists equal the ones last found valid is not checked again, and
+    its record `g.checked` stays the same object."""
     if g.checked == (g.components, g.channels):
         return
     bad = check(g)

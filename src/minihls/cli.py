@@ -23,7 +23,7 @@ from .cdfg import component_stats, export_dot, to_json
 from .errors import CliError, MiniHlsError, Pos
 from .interp import DEFAULT_FUEL, run_source
 from .ir import print_function
-from .lattice import LatticeType, format_dispatch_table
+from .lattice import LatticeType, format_dispatch_table, format_value
 from .pipeline import STAGES, compile_source, parse_args_for, parse_sig, timed
 from .sim import DEFAULT_MAX_CYCLES, simulate
 from .vhdl import emit_vhdl, lint_netlist
@@ -41,12 +41,6 @@ _TIMED = (*STAGES, "emit", "lint")
 
 STATS_COLUMNS = ("program", "bb_unopt", "bb_opt", "components_total",
                  "components_by_kind", "bb_ref", "components_ref")
-
-
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return repr(v) if isinstance(v, float) else str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +131,6 @@ def _compile(opts: _Options):
         latencies=parse_latency_spec(latency) if latency else None)
 
 
-def _maybe_dump(opts: _Options, res) -> None:
-    if opts.get("dump_ir", False, _truthy):
-        print("== unoptimized ==")
-        print(print_function(res.ssa_unopt), end="")
-        if res.ssa is not res.ssa_unopt:
-            print("== optimized ==")
-            print(print_function(res.ssa), end="")
-    if opts.get("dump_cdfg", False, _truthy):
-        print(to_json(res.cdfg), end="")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -155,7 +138,6 @@ def _maybe_dump(opts: _Options, res) -> None:
 
 def cmd_compile(opts: _Options) -> int:
     res = _compile(opts)
-    _maybe_dump(opts, res)
     files = emit_vhdl(res.cdfg)
     problems = lint_netlist(files)
     if problems:
@@ -176,16 +158,14 @@ def cmd_compile(opts: _Options) -> int:
 
 def cmd_run(opts: _Options) -> int:
     res = _compile(opts)
-    _maybe_dump(opts, res)
     values = parse_args_for(res, opts.args.values)
     fuel = opts.get("fuel", DEFAULT_FUEL, int)
-    print(_format_value(run_source(res.func, values, fuel=fuel)))
+    print(format_value(run_source(res.func, values, fuel=fuel)))
     return 0
 
 
 def cmd_sim(opts: _Options) -> int:
     res = _compile(opts)
-    _maybe_dump(opts, res)
     values = parse_args_for(res, opts.args.values)
     max_cycles = opts.get("max_cycles", DEFAULT_MAX_CYCLES, int)
     trace = opts.get("trace")
@@ -196,7 +176,7 @@ def cmd_sim(opts: _Options) -> int:
             writer = csv.writer(fh)
             writer.writerow(["cycle", "component", "event"])
             writer.writerows(report.events)
-    print(_format_value(report.output))
+    print(format_value(report.output))
     print(f"cycles={report.exit_cycle} total={report.total_cycles} "
           f"max_occupancy={report.max_occupancy} leftover={report.leftover}",
           file=sys.stderr)
@@ -242,7 +222,6 @@ def _agree(a, b) -> bool:
 
 def cmd_diff(opts: _Options) -> int:
     res = _compile(opts)
-    _maybe_dump(opts, res)
     sweeps_spec = opts.args.sweep or []
     if len(sweeps_spec) != len(res.sig):
         raise CliError(f"{res.func.name} has {len(res.sig)} parameter(s); "
@@ -260,8 +239,8 @@ def cmd_diff(opts: _Options) -> int:
         got = simulate(res.cdfg, point, max_cycles=max_cycles).output
         if not _agree(want, got):
             mismatches += 1
-            print(f"mismatch at ({', '.join(map(_format_value, point))}): "
-                  f"interp={_format_value(want)} sim={_format_value(got)}")
+            print(f"mismatch at ({', '.join(map(format_value, point))}): "
+                  f"interp={format_value(want)} sim={format_value(got)}")
     print(f"{res.func.name}: {len(points)} point(s), {mismatches} mismatch(es)")
     return 1 if mismatches else 0
 
@@ -334,10 +313,6 @@ def _add_common(p: argparse.ArgumentParser, program_arg: bool = True) -> None:
     p.add_argument("--latency",
                    help="operator latency overrides, e.g. mul_i64=4,fdiv_f64=12")
     p.add_argument("--config", help="flat key=value option file")
-    p.add_argument("--dump-ir", dest="dump_ir", action="store_const",
-                   const=True, help="also print the SSA before and after passes")
-    p.add_argument("--dump-cdfg", dest="dump_cdfg", action="store_const",
-                   const=True, help="also print the circuit as JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import Pos
-from .lattice import LatticeType, OperatorImpl
+from .lattice import LatticeType, OperatorImpl, format_value
 
 ValueId = int
 BlockId = int
@@ -363,14 +363,8 @@ def verify(func: SSAFunction) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Textual form (golden tests, --dump-ir)
+# Textual form (golden tests, dump-ir)
 # ---------------------------------------------------------------------------
-
-
-def _format_const(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _format_edge(target: BlockId, args: tuple[ValueId, ...]) -> str:
@@ -391,7 +385,7 @@ def print_function(func: SSAFunction) -> str:
             lines.append(f"b{b.id}:")
         for ins in b.instrs:
             if isinstance(ins.op, ConstOp):
-                rhs = f"const {_format_const(ins.op.value)}"
+                rhs = f"const {format_value(ins.op.value)}"
             elif isinstance(ins.op, SelectOp):
                 rhs = f"select {', '.join(f'v{a}' for a in ins.args)}"
             else:

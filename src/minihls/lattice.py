@@ -56,6 +56,14 @@ ANNOTATION_TO_TYPE = {"Bool": LatticeType.BOOL, "Int64": LatticeType.INT64,
                       "Float64": LatticeType.FLOAT64}
 
 
+def format_value(v: object) -> str:
+    """A value as the language writes it: true/false, the shortest repr of
+    a float and the decimal digits of an int."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(v) if isinstance(v, float) else str(v)
+
+
 def join(a: LatticeType, b: LatticeType) -> LatticeType:
     if a == b:
         return a

@@ -15,8 +15,9 @@ Engine.  A `SimPlan` binds each component of a circuit that
 `require_valid` accepted to one firing rule (a closure over its channels,
 opcode function, payload and depth) and serves every run until a
 component or channel is added, removed or replaced by an unequal one.
-Components and channels are immutable, so comparing the circuit's two
-lists with the plan's copies, in C, tells whether it changed.  Each cycle a
+Every run asks `require_valid`, which keeps a record of the lists it last
+accepted and renews it only when the circuit changed, so the plan is
+reused while it was built from the record held now.  Each cycle a
 `Simulator` evaluates only its worklist, in ascending component order: the
 consumer of every channel filled and the producer of every channel emptied
 in the last commit, a full pipeline that freed a slot while a token waits
@@ -184,9 +185,9 @@ _BIND = {ENTRY: _entry, EXIT: _drain, SINK: _drain, CONST: _operator,
 
 class SimPlan:
     """A circuit checked by `require_valid` and compiled for simulation.
-    The plan keeps copies of g's component and channel lists, and
-    `SimPlan.of(g)` reuses it while g's lists equal them: the records are
-    immutable, so equal lists mean an equal circuit.
+    The plan keeps the record `g.checked` of the lists it was built from,
+    and `SimPlan.of(g)` reuses it while `require_valid(g)` leaves that
+    record in place.
 
     Components and channels are numbered by position.  `producer[k]` and
     `consumer[k]` are the components at either end of channel k,
@@ -197,14 +198,14 @@ class SimPlan:
 
     def __init__(self, g: CDFG):
         require_valid(g)
-        self.components = comps = list(g.components)
-        self.channels = list(g.channels)
+        self.checked = g.checked
+        self.components, self.channels = comps, chans = g.checked
         index = {c.id: i for i, c in enumerate(comps)}
-        self.producer = [index[ch.src.comp] for ch in g.channels]
-        self.consumer = [index[ch.dst.comp] for ch in g.channels]
+        self.producer = [index[ch.src.comp] for ch in chans]
+        self.consumer = [index[ch.dst.comp] for ch in chans]
         ins = [[0] * len(c.in_widths) for c in comps]
         outs = [[0] * len(c.out_widths) for c in comps]
-        for k, ch in enumerate(g.channels):
+        for k, ch in enumerate(chans):
             outs[self.producer[k]][ch.src.index] = k
             ins[self.consumer[k]][ch.dst.index] = k
         self.depth = {i: c.latency if c.kind == OPERATOR else 1
@@ -220,9 +221,9 @@ class SimPlan:
 
     @classmethod
     def of(cls, g: CDFG) -> SimPlan:
+        require_valid(g)
         plan = g.sim_plan
-        if (plan is None or plan.components != g.components
-                or plan.channels != g.channels):
+        if plan is None or plan.checked is not g.checked:
             g.sim_plan = plan = cls(g)
         return plan
 

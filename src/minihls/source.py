@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import LexError, MissingReturnError, ParseError, Pos
+from .lattice import format_value
 
 KEYWORDS = {
     "function", "if", "elseif", "else", "while", "end", "return", "true", "false",
@@ -492,12 +493,8 @@ def parse_source(text: str) -> SourceProgram:
 
 
 def print_expr(e: Expr, parent_prec: int = 0, rhs: bool = False) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, FloatLit):
-        return repr(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
+    if isinstance(e, (IntLit, FloatLit, BoolLit)):
+        return format_value(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):

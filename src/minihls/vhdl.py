@@ -5,6 +5,10 @@ specialized entity per (kind, width, arity, latency) combination that the
 circuit actually uses, a structural top-level that instantiates every
 component and wires the channels, and a manifest describing both.
 
+Each kind's architecture is one entry of `_ARCH`, and every data/valid/
+ready port triple, of an entity, a top-level pin or a port map, comes from
+`_handshake`.  A circuit that `require_valid` rejects raises `BuildError`.
+
 Conventions (the lint checks the emitted text against exactly these):
 * every entity takes clk and rst, and every instance connects them
 * channel k becomes signals ch_<k>_valid / ch_<k>_ready, plus ch_<k>_data
@@ -21,9 +25,11 @@ import json
 import re
 import struct
 from collections import Counter
+from functools import cache
+from itertools import count
 
-from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, KIND_ORDER,
-                   MERGE, OPERATOR, SINK, Component, component_stats)
+from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE,
+                   OPERATOR, SINK, Component, component_stats, require_valid)
 from .errors import EmitError
 
 _HEADER = """library ieee;
@@ -38,7 +44,8 @@ def _slv(width: int) -> str:
 
 
 def _data_width(c: Component) -> int:
-    """The width that `check` makes a non-Operator's data ports share."""
+    """An Operator's result width; for any other kind the width that
+    `check` makes its data ports share."""
     return (c.out_widths or c.in_widths)[0]
 
 
@@ -46,42 +53,41 @@ def entity_name(c: Component) -> str:
     """`op_<opcode>_l<latency>` for an Operator, `<kind>_w<data width>`
     for any other kind, with `_n<ports>` on the fanned side of a Fork or
     Merge."""
+    if c.kind not in _ARCH:
+        raise EmitError(f"cannot name an entity for kind {c.kind!r}")
     if c.kind == OPERATOR:
         return f"op_{c.opcode}_l{c.latency}"
-    if c.kind not in KIND_ORDER:
-        raise EmitError(f"cannot name an entity for kind {c.kind!r}")
     name = f"{c.kind.lower()}_w{_data_width(c)}"
     if c.kind in (FORK, MERGE):
         name += f"_n{max(len(c.in_widths), len(c.out_widths))}"
     return name
 
 
-def _entity_ports(c: Component) -> list[tuple[str, str, int]]:
-    """(name, direction, width) with width 0 meaning std_logic."""
+def _handshake(prefix: str, width: int,
+               inward: bool) -> tuple[tuple[str, str, int], ...]:
+    """(name, direction, width) of the ports of one channel end:
+    <prefix>_data when width > 0, <prefix>_valid and <prefix>_ready.  Data
+    and valid flow in on an inward end; ready flows the other way."""
+    fwd, back = ("in", "out") if inward else ("out", "in")
+    valid, ready = (f"{prefix}_valid", fwd, 0), (f"{prefix}_ready", back, 0)
+    return ((f"{prefix}_data", fwd, width), valid, ready) if width else (valid, ready)
+
+
+def _entity(name: str, ends, generic: list[str], arch: str) -> list[str]:
+    """An entity whose ports are clk, rst and the handshake of each
+    (prefix, width, inward) end, then the first line of its architecture."""
     ports = [("clk", "in", 0), ("rst", "in", 0)]
-    ins = list(c.in_widths)
-    outs = list(c.out_widths)
-    # Entry and Exit are pass-throughs: the side the model does not show
-    # faces the top-level pins.
-    if c.kind == ENTRY:
-        ins = [c.out_widths[0]]
-    if c.kind == EXIT:
-        outs = [c.in_widths[0]]
-    for i, w in enumerate(ins):
-        if w:
-            ports.append((f"in{i}_data", "in", w))
-        ports.append((f"in{i}_valid", "in", 0))
-        ports.append((f"in{i}_ready", "out", 0))
-    for i, w in enumerate(outs):
-        if w:
-            ports.append((f"out{i}_data", "out", w))
-        ports.append((f"out{i}_valid", "out", 0))
-        ports.append((f"out{i}_ready", "in", 0))
-    return ports
+    for end in ends:
+        ports += _handshake(*end)
+    return [f"entity {name} is", *generic, "  port (",
+            ";\n".join(f"    {n} : {d} {_slv(w) if w else 'std_logic'}"
+                       for n, d, w in ports),
+            "  );", "end entity;", "", f"architecture {arch} of {name} is"]
 
 
 # ---------------------------------------------------------------------------
-# Architectures
+# Architectures: `_ARCH` maps each kind to the body of its architecture,
+# given the component and its data width.
 # ---------------------------------------------------------------------------
 
 
@@ -129,10 +135,10 @@ def _result_lines(c: Component) -> list[str]:
     raise EmitError(f"no VHDL template for opcode {c.opcode!r}")
 
 
-def _arch_operator(c: Component) -> list[str]:
+def _arch_operator(c: Component, w: int) -> list[str]:
     n = len(c.in_widths)
     valids = " and ".join(f"in{i}_valid" for i in range(n))
-    decls = [f"  signal result : {_slv(c.out_widths[0])};"]
+    decls = [f"  signal result : {_slv(w)};"]
     body = _result_lines(c)
     if c.latency == 0:
         decls.append("  signal fire : std_logic;")
@@ -143,7 +149,7 @@ def _arch_operator(c: Component) -> list[str]:
         return decls + ["begin"] + body
     depth = c.latency
     decls += [
-        f"  type pipe_t is array (0 to {depth - 1}) of {_slv(c.out_widths[0])};",
+        f"  type pipe_t is array (0 to {depth - 1}) of {_slv(w)};",
         "  signal data_pipe : pipe_t;",
         f"  signal valid_pipe : std_logic_vector(0 to {depth - 1});",
         "  signal accept : std_logic;",
@@ -177,106 +183,91 @@ def _arch_operator(c: Component) -> list[str]:
     return decls + ["begin"] + body
 
 
-def _arch_simple(c: Component) -> list[str]:
-    w = _data_width(c)
-    if c.kind in (ENTRY, EXIT, CONST):
-        lines = ["begin",
-                 "  out0_valid <= in0_valid;",
-                 "  in0_ready <= out0_ready;"]
-        if c.kind == CONST:
-            lines.append("  out0_data <= g_value;")
-        elif w:
-            lines.append("  out0_data <= in0_data;")
-        return lines
-    if c.kind == SINK:
-        return ["begin", "  in0_ready <= '1';"]
-    if c.kind == FORK:
-        n = len(c.out_widths)
-        ready = " and ".join(f"out{i}_ready" for i in range(n))
-        lines = ["  signal all_ready : std_logic;", "begin",
-                 f"  all_ready <= {ready};",
-                 "  in0_ready <= all_ready;"]
-        for i in range(n):
-            lines.append(f"  out{i}_valid <= in0_valid;")
-            if w:
-                lines.append(f"  out{i}_data <= in0_data;")
-        return lines
-    if c.kind == BRANCH:
-        lines = ["  signal taken : std_logic;", "begin",
-                 "  taken <= in0_valid and in1_valid;",
-                 "  out0_valid <= taken and in1_data(0);",
-                 "  out1_valid <= taken and not in1_data(0);",
-                 "  in0_ready <= taken and "
-                 "((in1_data(0) and out0_ready) or (not in1_data(0) and out1_ready));",
-                 "  in1_ready <= taken and "
-                 "((in1_data(0) and out0_ready) or (not in1_data(0) and out1_ready));"]
-        if w:
-            lines += ["  out0_data <= in0_data;", "  out1_data <= in0_data;"]
-        return lines
-    if c.kind == MERGE:
-        n = len(c.in_widths)
-        valids = " or ".join(f"in{i}_valid" for i in range(n))
-        lines = ["begin", f"  out0_valid <= {valids};"]
-        # inputs are mutually exclusive by construction, so per-input
-        # ready needs no arbitration
-        for i in range(n):
-            lines.append(f"  in{i}_ready <= in{i}_valid and out0_ready;")
-        if w:
-            expr = f"in{n - 1}_data"
-            for i in range(n - 2, -1, -1):
-                expr = f"in{i}_data when in{i}_valid = '1' else " + expr
-            lines.append(f"  out0_data <= {expr};")
-        return lines
-    if c.kind == BUFFER:
-        lines = ["  signal full : std_logic;"]
-        if w:
-            lines.append(f"  signal data_reg : {_slv(w)};")
-        lines += ["begin",
-                  "  in0_ready <= not full;",
-                  "  out0_valid <= full;"]
-        if w:
-            lines.append("  out0_data <= data_reg;")
-        lines += [
-            "  process (clk)",
-            "  begin",
-            "    if rising_edge(clk) then",
-            "      if rst = '1' then",
-            "        full <= '0';",
-            "      elsif full = '0' and in0_valid = '1' then",
-            "        full <= '1';"]
-        if w:
-            lines.append("        data_reg <= in0_data;")
-        lines += [
-            "      elsif full = '1' and out0_ready = '1' then",
-            "        full <= '0';",
-            "      end if;",
-            "    end if;",
-            "  end process;"]
-        return lines
-    raise EmitError(f"no architecture template for kind {c.kind!r}")
+def _arch_pass(c: Component, w: int, data: str = "in0_data") -> list[str]:
+    """Entry, Exit and Const hand their token on; a Const's data is its
+    g_value generic."""
+    lines = ["begin", "  out0_valid <= in0_valid;", "  in0_ready <= out0_ready;"]
+    if w:
+        lines.append(f"  out0_data <= {data};")
+    return lines
 
 
-def _format_entity(c: Component) -> str:
-    name = entity_name(c)
-    lines = [f"entity {name} is"]
-    if c.kind == CONST:
-        lines += ["  generic (",
-                  f"    g_value : {_slv(c.out_widths[0])}",
-                  "  );"]
-    lines.append("  port (")
-    plines = []
-    for pname, direction, width in _entity_ports(c):
-        ptype = _slv(width) if width else "std_logic"
-        plines.append(f"    {pname} : {direction} {ptype}")
-    lines.append(";\n".join(plines))
-    lines += ["  );", "end entity;", ""]
-    lines.append(f"architecture behav of {name} is")
-    if c.kind == OPERATOR:
-        lines += _arch_operator(c)
-    else:
-        lines += _arch_simple(c)
-    lines += ["end architecture;"]
-    return "\n".join(lines)
+def _arch_fork(c: Component, w: int) -> list[str]:
+    n = len(c.out_widths)
+    ready = " and ".join(f"out{i}_ready" for i in range(n))
+    lines = ["  signal all_ready : std_logic;", "begin",
+             f"  all_ready <= {ready};",
+             "  in0_ready <= all_ready;"]
+    for i in range(n):
+        lines.append(f"  out{i}_valid <= in0_valid;")
+        if w:
+            lines.append(f"  out{i}_data <= in0_data;")
+    return lines
+
+
+def _arch_branch(c: Component, w: int) -> list[str]:
+    lines = ["  signal taken : std_logic;", "begin",
+             "  taken <= in0_valid and in1_valid;",
+             "  out0_valid <= taken and in1_data(0);",
+             "  out1_valid <= taken and not in1_data(0);",
+             "  in0_ready <= taken and "
+             "((in1_data(0) and out0_ready) or (not in1_data(0) and out1_ready));",
+             "  in1_ready <= taken and "
+             "((in1_data(0) and out0_ready) or (not in1_data(0) and out1_ready));"]
+    if w:
+        lines += ["  out0_data <= in0_data;", "  out1_data <= in0_data;"]
+    return lines
+
+
+def _arch_merge(c: Component, w: int) -> list[str]:
+    n = len(c.in_widths)
+    valids = " or ".join(f"in{i}_valid" for i in range(n))
+    lines = ["begin", f"  out0_valid <= {valids};"]
+    # inputs are mutually exclusive by construction, so per-input
+    # ready needs no arbitration
+    for i in range(n):
+        lines.append(f"  in{i}_ready <= in{i}_valid and out0_ready;")
+    if w:
+        expr = f"in{n - 1}_data"
+        for i in range(n - 2, -1, -1):
+            expr = f"in{i}_data when in{i}_valid = '1' else " + expr
+        lines.append(f"  out0_data <= {expr};")
+    return lines
+
+
+def _arch_buffer(c: Component, w: int) -> list[str]:
+    lines = ["  signal full : std_logic;"]
+    if w:
+        lines.append(f"  signal data_reg : {_slv(w)};")
+    lines += ["begin",
+              "  in0_ready <= not full;",
+              "  out0_valid <= full;"]
+    if w:
+        lines.append("  out0_data <= data_reg;")
+    lines += [
+        "  process (clk)",
+        "  begin",
+        "    if rising_edge(clk) then",
+        "      if rst = '1' then",
+        "        full <= '0';",
+        "      elsif full = '0' and in0_valid = '1' then",
+        "        full <= '1';"]
+    if w:
+        lines.append("        data_reg <= in0_data;")
+    lines += [
+        "      elsif full = '1' and out0_ready = '1' then",
+        "        full <= '0';",
+        "      end if;",
+        "    end if;",
+        "  end process;"]
+    return lines
+
+
+_ARCH = {ENTRY: _arch_pass, EXIT: _arch_pass,
+         CONST: lambda c, w: _arch_pass(c, w, "g_value"),
+         OPERATOR: _arch_operator, FORK: _arch_fork, BRANCH: _arch_branch,
+         MERGE: _arch_merge, BUFFER: _arch_buffer,
+         SINK: lambda c, w: ["begin", "  in0_ready <= '1';"]}
 
 
 # ---------------------------------------------------------------------------
@@ -298,96 +289,78 @@ def _const_bits(c: Component) -> str:
     raise EmitError(f"cannot encode constant {v!r}")
 
 
-def _top_ports(g: CDFG) -> tuple[list[tuple[str, str, int]], dict[int, str]]:
-    """Top-level pins plus the pin name prefix of each Entry and Exit,
-    keyed by component id."""
-    ports = [("clk", "in", 0), ("rst", "in", 0)]
-    pin_of: dict[int, str] = {}
-    arg_idx = 0
-    for c in g.components:
-        if c.kind == ENTRY:
-            w = c.out_widths[0]
-            if w:
-                pin = f"arg{arg_idx}"
-                arg_idx += 1
-                ports.append((f"{pin}_data", "in", w))
-            else:
-                pin = "start"
-            ports.append((f"{pin}_valid", "in", 0))
-            ports.append((f"{pin}_ready", "out", 0))
-            pin_of[c.id] = pin
-        elif c.kind == EXIT:
-            w = c.in_widths[0]
-            pin = "result"
-            if w:
-                ports.append((f"{pin}_data", "out", w))
-            ports.append((f"{pin}_valid", "out", 0))
-            ports.append((f"{pin}_ready", "in", 0))
-            pin_of[c.id] = pin
-    return ports, pin_of
+# Templates kept per channel end or per width and split where a prefix goes,
+# so that `prefix.join(template)` gives the text: the port map lines of an
+# end, whose prefix is that of the nets it connects to, and the signal
+# declarations of a channel, whose prefix is ch_<id>.
+@cache
+def _port_map(port: str, width: int, inward: bool) -> tuple[str, ...]:
+    lines = [f"      {formal} => {net}" for (formal, _, _), (net, _, _)
+             in zip(_handshake(port, width, inward), _handshake("\0", width, inward))]
+    return tuple(",\n".join(lines).split("\0"))
 
 
-def _top_text(g: CDFG, top_name: str) -> str:
-    ports, pin_of = _top_ports(g)
-    lines = [_HEADER, f"entity {top_name} is", "  port ("]
-    plines = [f"    {n} : {d} {_slv(w) if w else 'std_logic'}"
-              for n, d, w in ports]
-    lines.append(";\n".join(plines))
-    lines += ["  );", "end entity;", "",
-              f"architecture structural of {top_name} is"]
-    # each component's channels in port order, by component id
-    ins = {c.id: [None] * len(c.in_widths) for c in g.components}
-    outs = {c.id: [None] * len(c.out_widths) for c in g.components}
-    for ch in g.channels:
-        if ch.width:
-            lines.append(f"  signal ch_{ch.id}_data : {_slv(ch.width)};")
-        lines.append(f"  signal ch_{ch.id}_valid : std_logic;")
-        lines.append(f"  signal ch_{ch.id}_ready : std_logic;")
-        outs[ch.src.comp][ch.src.index] = ch
-        ins[ch.dst.comp][ch.dst.index] = ch
-    lines.append("begin")
-
-    for c in g.components:
-        label = f"cmp_{c.id}_{c.kind.lower()}"
-        lines.append(f"  {label} : entity work.{entity_name(c)}")
-        if c.kind == CONST:
-            lines += ["    generic map (",
-                      f"      g_value => {_const_bits(c)}",
-                      "    )"]
-        # (port, signal prefix, width): each port maps to its channel, but
-        # the boundary side of an Entry or Exit maps to its top-level pin.
-        pins = [(f"in{i}", f"ch_{ch.id}", ch.width) for i, ch in enumerate(ins[c.id])]
-        pins += [(f"out{i}", f"ch_{ch.id}", ch.width) for i, ch in enumerate(outs[c.id])]
-        if c.kind == ENTRY:
-            pins.insert(0, ("in0", pin_of[c.id], c.out_widths[0]))
-        elif c.kind == EXIT:
-            pins.append(("out0", pin_of[c.id], c.in_widths[0]))
-        maps = ["clk => clk", "rst => rst"]
-        for prefix, pin, width in pins:
-            if width:
-                maps.append(f"{prefix}_data => {pin}_data")
-            maps.append(f"{prefix}_valid => {pin}_valid")
-            maps.append(f"{prefix}_ready => {pin}_ready")
-        lines.append("    port map (")
-        lines.append(",\n".join(f"      {m}" for m in maps))
-        lines += ["    );"]
-    lines += ["end architecture;"]
-    return "\n".join(lines) + "\n"
+@cache
+def _signals(width: int) -> tuple[str, ...]:
+    lines = [f"  signal {n} : {_slv(w) if w else 'std_logic'};"
+             for n, _, w in _handshake("\0", width, True)]
+    return tuple("\n".join(lines).split("\0"))
 
 
 def emit_vhdl(g: CDFG) -> dict[str, str]:
-    """Returns {filename: content}; writing them is the caller's job."""
+    """Returns {filename: content}; writing them is the caller's job.
+    Raises `BuildError` for a circuit that `require_valid` rejects."""
+    require_valid(g)
+    top_name = f"{g.name}_top"
+    # each component's channels in port order, by component id
+    ins = {c.id: [None] * len(c.in_widths) for c in g.components}
+    outs = {c.id: [None] * len(c.out_widths) for c in g.components}
+    body = []
+    for ch in g.channels:
+        body.append(f"ch_{ch.id}".join(_signals(ch.width)))
+        outs[ch.src.comp][ch.src.index] = ch
+        ins[ch.dst.comp][ch.dst.index] = ch
+    body.append("begin")
     entities: dict[str, str] = {}
+    pins = []  # the boundary end of each Entry and Exit
+    args = map("arg{}".format, count())
     for c in g.components:
+        # (port, width, inward, net): each port maps to its channel, but the
+        # boundary side of an Entry or Exit maps to a top-level pin.
+        ends = [(f"in{i}", ch.width, True, f"ch_{ch.id}")
+                for i, ch in enumerate(ins[c.id])]
+        ends += [(f"out{i}", ch.width, False, f"ch_{ch.id}")
+                 for i, ch in enumerate(outs[c.id])]
+        if c.kind == ENTRY:
+            w = c.out_widths[0]
+            ends.insert(0, ("in0", w, True, next(args) if w else "start"))
+            pins.append(ends[0])
+        elif c.kind == EXIT:
+            ends.append(("out0", c.in_widths[0], False, "result"))
+            pins.append(ends[-1])
         name = entity_name(c)
         if name not in entities:
-            entities[name] = _format_entity(c)
+            w = _data_width(c)
+            generic = (["  generic (", f"    g_value : {_slv(w)}", "  );"]
+                       if c.kind == CONST else [])
+            entities[name] = "\n".join(
+                _entity(name, [e[:3] for e in ends], generic, "behav")
+                + _ARCH[c.kind](c, w) + ["end architecture;"])
+        body.append(f"  cmp_{c.id}_{c.kind.lower()} : entity work.{name}")
+        if c.kind == CONST:
+            body += ["    generic map (", f"      g_value => {_const_bits(c)}",
+                     "    )"]
+        maps = [net.join(_port_map(port, w, inward))
+                for port, w, inward, net in ends]
+        body += ["    port map (",
+                 ",\n".join(["      clk => clk", "      rst => rst", *maps]),
+                 "    );"]
+    top = _entity(top_name, [(net, w, inward) for _, w, inward, net in pins],
+                  [], "structural")
     lib = _HEADER + "\n" + "\n\n".join(
         entities[name] for name in sorted(entities)) + "\n"
-    top_name = f"{g.name}_top"
-    top = _top_text(g, top_name)
     lib_file = "minihls_components.vhd"
-    top_file = f"{g.name}_top.vhd"
+    top_file = f"{top_name}.vhd"
     manifest = json.dumps({
         "top": top_name,
         "files": [lib_file, top_file],
@@ -395,7 +368,9 @@ def emit_vhdl(g: CDFG) -> dict[str, str]:
         "components": component_stats(g),
         "channels": len(g.channels),
     }, indent=2, sort_keys=True) + "\n"
-    return {lib_file: lib, top_file: top, "manifest.json": manifest}
+    return {lib_file: lib,
+            top_file: "\n".join([_HEADER, *top, *body, "end architecture;\n"]),
+            "manifest.json": manifest}
 
 
 # ---------------------------------------------------------------------------

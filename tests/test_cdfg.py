@@ -276,6 +276,13 @@ def test_records_are_immutable():
                 setattr(record, f.name, getattr(record, f.name))
 
 
+def test_payloads_that_compare_equal_make_unequal_records():
+    const = C.Component(0, C.CONST, (0,), (64,), value=0.0)
+    assert dataclasses.replace(const) == const
+    for value in (-0.0, 0, False):
+        assert dataclasses.replace(const, value=value) != const
+
+
 def test_buffered_cycle_is_accepted():
     g = tiny_passthrough()
     a = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")

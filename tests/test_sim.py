@@ -11,7 +11,7 @@ from minihls.cdfg import CDFG, Port, component_stats
 from minihls.errors import (BuildError, DeadlockError, DivByZeroError,
                             MaxCyclesError, MergeConflictError, Pos)
 from minihls.interp import run_source
-from minihls.lattice import DEFAULT_LATENCIES
+from minihls.lattice import DEFAULT_LATENCIES, LatticeType
 from minihls.pipeline import compile_source
 from minihls.sim import SimReport, Simulator, simulate
 from minihls.source import parse_source
@@ -391,6 +391,16 @@ def test_only_an_unequal_replacement_builds_a_new_plan(monkeypatch):
     replace_record(g.components, multiplier(g), latency=1)
     assert simulate(g, POINT).output == 243
     assert checks == [g] and g.sim_plan is not plan
+
+
+def test_an_edit_to_an_equal_comparing_payload_builds_a_new_plan():
+    """-0.0 == 0.0, but at a = -2.0, a * 0.0 is -0.0 and a * -0.0 is 0.0."""
+    g = compile_source("function f(a)\n  return a * 0.0\nend\n",
+                       (LatticeType.FLOAT64,)).cdfg
+    assert repr(simulate(g, (-2.0,)).output) == "-0.0"
+    const = next(c for c in g.components if c.kind == C.CONST)
+    replace_record(g.components, const, value=-0.0)
+    assert repr(simulate(g, (-2.0,)).output) == "0.0"
 
 
 @pytest.mark.parametrize("latency", [0, 3])

@@ -10,6 +10,7 @@ from test_passes import narrow_ladder, wide_ladder
 
 from minihls import corpus
 from minihls.cdfg import component_stats
+from minihls.errors import BuildError
 from minihls.pipeline import compile_source
 from minihls.vhdl import emit_vhdl, entity_name, instance_count, lint_netlist
 
@@ -97,6 +98,23 @@ def test_negative_int_const_is_twos_complement():
     files = emit_vhdl(g)
     assert 'x"ffffffffffffffff"' in files["negc_top.vhd"]
     assert lint_netlist(files) == []
+
+
+def test_emit_rejects_an_invalid_circuit():
+    from minihls import cdfg as C
+    from minihls.cdfg import CDFG
+    g = CDFG("loose")  # an Entry and an Exit with no channel between them
+    g.add_component(C.ENTRY, (), (64,))
+    g.add_component(C.EXIT, (64,), ())
+    with pytest.raises(BuildError, match="invalid circuit"):
+        emit_vhdl(g)
+
+
+def test_emit_does_not_check_a_compiled_circuit_again(monkeypatch):
+    from minihls import cdfg as C
+    g = compile_source(corpus.load("power"), corpus.SIGNATURES["power"]).cdfg
+    monkeypatch.setattr(C, "check", lambda g: pytest.fail("checked again"))
+    assert lint_netlist(emit_vhdl(g)) == []
 
 
 # -- lint negatives ----------------------------------------------------------
