@@ -60,7 +60,9 @@ def resolve_latencies(overrides: dict[str, int] | None) -> dict[str, int]:
 def build_cdfg(func: SSAFunction,
                latencies: dict[str, int] | None = None) -> CDFG:
     """Construct the unbuffered circuit; run `insert_buffers` afterwards
-    to make loop graphs pass the structural check."""
+    to make loop graphs pass the structural check.  Every Merge is
+    created before any Const, Operator, Branch or Fork; `insert_buffers`
+    relies on that order to cut each loop at its header's latch inputs."""
     violations = verify(func)
     if violations:
         raise BuildError("refusing to build from invalid IR: "

@@ -6,11 +6,13 @@ Bool, 0 for pure control (a token with no payload).  Every output port
 drives exactly one channel and every input port is fed by exactly one;
 fan-out is always an explicit Fork.  Cycles are legal only when broken by
 a Buffer, which `check` enforces by requiring the buffer-free subgraph to
-be acyclic.
+be acyclic.  `insert_buffers` breaks each cycle where it enters a loop
+header: one Buffer per loop-carried value, on the header Merge's latch
+input.
 
 Components, channels and ports are immutable records, so a circuit
 changes only when an element of `components` or `channels` is appended,
-removed or replaced; `insert_buffers` replaces each back-edge channel in
+removed or replaced; `insert_buffers` replaces each channel it cuts in
 its list slot.  A Const payload compares by its type and repr, so -0.0
 and 0.0 are different payloads.  Comparing the two lists with the copies
 that `require_valid` recorded when it last accepted the circuit therefore
@@ -132,6 +134,7 @@ _ONE_WIDTH = ((lambda c: len(set(c.in_widths + c.out_widths)) == 1,
 # kind -> (holds, message) width and field rules, run once the counts hold.
 _RULES = {
     CONST: ((lambda c: c.in_widths[0] == 0, "trigger input must have width 0"),
+            (lambda c: c.out_widths[0] != 0, "output must not have width 0"),
             (lambda c: c.value is not None, "missing payload value")),
     OPERATOR: ((lambda c: c.opcode is not None, "missing opcode"),
                (lambda c: c.opcode in DEFAULT_LATENCIES or c.opcode is None,
@@ -180,8 +183,8 @@ def check(g: CDFG) -> list[str]:
     # (component, index), and the buffer-free adjacency for the cycle check.
     out_seen: dict[tuple[int, int], int] = {}
     in_seen: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[Channel]] = {c.id: [] for c in g.components
-                                     if c.kind != BUFFER}
+    adj: dict[int, list[int]] = {c.id: [] for c in g.components
+                                 if c.kind != BUFFER}
     for ch in g.channels:
         src, dst = ch.src, ch.dst
         for port, side, c in ((src, "source", by_id.get(src.comp)),
@@ -200,7 +203,7 @@ def check(g: CDFG) -> list[str]:
         out_seen[src.comp, src.index] = out_seen.get((src.comp, src.index), 0) + 1
         in_seen[dst.comp, dst.index] = in_seen.get((dst.comp, dst.index), 0) + 1
         if src.comp in adj and dst.comp in adj:
-            adj[src.comp].append(ch)
+            adj[src.comp].append(dst.comp)
 
     for c in g.components:
         for i in range(len(c.out_widths)):
@@ -214,59 +217,87 @@ def check(g: CDFG) -> list[str]:
                 bad.append(f"component {c.id} ({c.kind}): input {i} is fed by "
                            f"{n} channels, must be exactly 1")
 
-    for path, ch in _back_edges(adj, sorted(adj)):
-        cyc = path[path.index(ch.dst.comp):] + [ch.dst.comp]
+    cycle = _first_cycle(adj)
+    if cycle is not None:
         bad.append("cycle without a Buffer through components "
-                   + " -> ".join(str(c) for c in cyc))
-        break
+                   + " -> ".join(map(str, cycle)))
     return bad
 
 
-def _back_edges(adj: dict[int, list[Channel]], roots):
-    """Iterative depth-first search over `adj` (component id -> outgoing
-    channels), started from each unvisited root in order.  Yields
-    (path, channel) for every channel that closes a cycle, where `path`
-    lists the components on the search stack at that moment."""
-    GRAY, BLACK = 1, 2
-    color: dict[int, int] = {}
-    for root in roots:
-        if root in color:
+def _first_cycle(adj: dict[int, list[int]]) -> list[int] | None:
+    """The first cycle that an iterative depth-first search over `adj`
+    (component id -> consumer ids), rooted at each unvisited id in
+    ascending order, closes: its component ids with the first repeated
+    at the end.  None when `adj` is acyclic."""
+    seen: set[int] = set()
+    for root in sorted(adj):
+        if root in seen:
             continue
-        color[root] = GRAY
-        path = [root]
-        stack = [iter(adj[root])]
+        seen.add(root)
+        path, on_path, stack = [root], {root}, [iter(adj[root])]
         while stack:
-            ch = next(stack[-1], None)
-            if ch is None:
-                color[path.pop()] = BLACK
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                on_path.discard(path.pop())
                 stack.pop()
-                continue
-            nxt = ch.dst.comp
-            if nxt not in color:
-                color[nxt] = GRAY
+            elif nxt in on_path:
+                return path[path.index(nxt):] + [nxt]
+            elif nxt not in seen:
+                seen.add(nxt)
+                on_path.add(nxt)
                 path.append(nxt)
                 stack.append(iter(adj[nxt]))
-            elif color[nxt] == GRAY:
-                yield path, ch
+    return None
 
 
 def insert_buffers(g: CDFG) -> int:
-    """Splice a Buffer on every back-edge channel found by depth-first
-    search from the entry components.  Returns the number inserted."""
-    adj: dict[int, list[Channel]] = {c.id: [] for c in g.components}
-    for ch in g.channels:
-        adj[ch.src.comp].append(ch)
-    roots = [c.id for c in g.components if c.kind == ENTRY]
-    roots += [cid for cid in sorted(adj) if cid not in roots]
-    back = [ch for _, ch in _back_edges(adj, roots)]
-    # positions by object: channel ids need not equal list positions
-    slot = {id(ch): k for k, ch in enumerate(g.channels)}
-    for ch in back:
-        buf = g.add_component(BUFFER, (ch.width,), (ch.width,), label="buf")
-        g.channels[slot[id(ch)]] = Channel(ch.id, ch.src, Port(buf.id, 0),
-                                           ch.width)
-        g.add_channel(Port(buf.id, 0), ch.dst, ch.width)
-    return len(back)
+    """Splice a Buffer onto channels until every cycle holds one, and
+    return the number inserted.
+
+    A topological sweep places every component whose producers are all
+    placed; Buffers count as placed from the start.  When it stalls, it
+    takes the lowest-id unplaced component with a placed producer, or
+    else the lowest-id unplaced one, splices a Buffer onto each of its
+    inputs whose producer is unplaced, and places it.  `build` creates
+    every Merge before the components of block bodies, so the cuts fall
+    on Merge inputs: in a loop, on its header Merges' latch inputs, one
+    Buffer per loop-carried value.  A circuit whose cycles all hold a
+    Buffer gets none."""
+    consumers: dict[int, list[int]] = {c.id: [] for c in g.components}
+    into: dict[int, list[int]] = {c.id: [] for c in g.components}
+    for k, ch in enumerate(g.channels):  # list positions, not channel ids
+        consumers[ch.src.comp].append(ch.dst.comp)
+        into[ch.dst.comp].append(k)
+    waiting = {cid: len(ks) for cid, ks in into.items()}
+    ready = [c.id for c in g.components if c.kind == BUFFER or not into[c.id]]
+    placed: set[int] = set()
+    fed: set[int] = set()  # unplaced ids with a placed producer
+    n_buffers = 0
+    while len(placed) < len(into):
+        if not ready:
+            cut = min(fed or into.keys() - placed)
+            for k in into[cut]:
+                ch = g.channels[k]
+                if ch.src.comp not in placed:
+                    buf = g.add_component(BUFFER, (ch.width,), (ch.width,),
+                                          label="buf")
+                    g.channels[k] = Channel(ch.id, ch.src, Port(buf.id, 0),
+                                            ch.width)
+                    g.add_channel(Port(buf.id, 0), ch.dst, ch.width)
+                    n_buffers += 1
+            ready.append(cut)
+        cid = ready.pop()
+        if cid in placed:
+            continue
+        placed.add(cid)
+        fed.discard(cid)
+        for d in consumers[cid]:
+            waiting[d] -= 1
+            if waiting[d] == 0:
+                ready.append(d)
+            elif d not in placed:
+                fed.add(d)
+    return n_buffers
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,12 @@ STATS_COLUMNS = ("program", "bb_unopt", "bb_opt", "components_total",
 # ---------------------------------------------------------------------------
 
 
+# The keys `_Options.get` reads; a config file may hold no other.
+CONFIG_KEYS = frozenset({"function", "sig", "lenient", "no_opt", "latency",
+                         "out", "fuel", "max_cycles", "trace", "format",
+                         "timing"})
+
+
 def load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -56,8 +62,10 @@ def load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        cfg[key] = value
     return cfg
 
 
@@ -315,6 +323,24 @@ def _add_common(p: argparse.ArgumentParser, program_arg: bool = True) -> None:
     p.add_argument("--config", help="flat key=value option file")
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand parser that takes options and positionals in any
+    order, so `run power --no-opt 2 3` reads as `run power 2 3 --no-opt`."""
+
+    _intermixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        # The intermixed parse calls this method itself, once for the
+        # options and once for the positionals.
+        if self._intermixing:
+            return super().parse_known_args(args, namespace)
+        self._intermixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixing = False
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minihls",
@@ -322,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "dataflow circuit")
     parser.add_argument("--dump-dispatch", action="store_true",
                         help="print the operator dispatch table and exit")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", parser_class=_Subcommand)
 
     p = sub.add_parser("compile", help="emit a VHDL netlist")
     _add_common(p)

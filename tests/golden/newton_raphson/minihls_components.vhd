@@ -90,41 +90,6 @@ begin
   end process;
 end architecture;
 
-entity buffer_w1 is
-  port (
-    clk : in std_logic;
-    rst : in std_logic;
-    in0_data : in std_logic_vector(0 downto 0);
-    in0_valid : in std_logic;
-    in0_ready : out std_logic;
-    out0_data : out std_logic_vector(0 downto 0);
-    out0_valid : out std_logic;
-    out0_ready : in std_logic
-  );
-end entity;
-
-architecture behav of buffer_w1 is
-  signal full : std_logic;
-  signal data_reg : std_logic_vector(0 downto 0);
-begin
-  in0_ready <= not full;
-  out0_valid <= full;
-  out0_data <= data_reg;
-  process (clk)
-  begin
-    if rising_edge(clk) then
-      if rst = '1' then
-        full <= '0';
-      elsif full = '0' and in0_valid = '1' then
-        full <= '1';
-        data_reg <= in0_data;
-      elsif full = '1' and out0_ready = '1' then
-        full <= '0';
-      end if;
-    end if;
-  end process;
-end architecture;
-
 entity buffer_w64 is
   port (
     clk : in std_logic;

@@ -135,7 +135,6 @@ architecture structural of newton_raphson_top is
   signal ch_42_data : std_logic_vector(63 downto 0);
   signal ch_42_valid : std_logic;
   signal ch_42_ready : std_logic;
-  signal ch_43_data : std_logic_vector(63 downto 0);
   signal ch_43_valid : std_logic;
   signal ch_43_ready : std_logic;
   signal ch_44_data : std_logic_vector(63 downto 0);
@@ -144,20 +143,6 @@ architecture structural of newton_raphson_top is
   signal ch_45_data : std_logic_vector(63 downto 0);
   signal ch_45_valid : std_logic;
   signal ch_45_ready : std_logic;
-  signal ch_46_data : std_logic_vector(63 downto 0);
-  signal ch_46_valid : std_logic;
-  signal ch_46_ready : std_logic;
-  signal ch_47_data : std_logic_vector(63 downto 0);
-  signal ch_47_valid : std_logic;
-  signal ch_47_ready : std_logic;
-  signal ch_48_data : std_logic_vector(63 downto 0);
-  signal ch_48_valid : std_logic;
-  signal ch_48_ready : std_logic;
-  signal ch_49_valid : std_logic;
-  signal ch_49_ready : std_logic;
-  signal ch_50_data : std_logic_vector(0 downto 0);
-  signal ch_50_valid : std_logic;
-  signal ch_50_ready : std_logic;
 begin
   cmp_0_entry : entity work.entry_w64
     port map (
@@ -196,8 +181,8 @@ begin
       rst => rst,
       in0_valid => ch_3_valid,
       in0_ready => ch_3_ready,
-      in1_valid => ch_19_valid,
-      in1_ready => ch_19_ready,
+      in1_valid => ch_43_valid,
+      in1_ready => ch_43_ready,
       out0_valid => ch_4_valid,
       out0_ready => ch_4_ready
     );
@@ -208,9 +193,9 @@ begin
       in0_data => ch_9_data,
       in0_valid => ch_9_valid,
       in0_ready => ch_9_ready,
-      in1_data => ch_42_data,
-      in1_valid => ch_42_valid,
-      in1_ready => ch_42_ready,
+      in1_data => ch_44_data,
+      in1_valid => ch_44_valid,
+      in1_ready => ch_44_ready,
       out0_data => ch_7_data,
       out0_valid => ch_7_valid,
       out0_ready => ch_7_ready
@@ -222,9 +207,9 @@ begin
       in0_data => ch_0_data,
       in0_valid => ch_0_valid,
       in0_ready => ch_0_ready,
-      in1_data => ch_43_data,
-      in1_valid => ch_43_valid,
-      in1_ready => ch_43_ready,
+      in1_data => ch_45_data,
+      in1_valid => ch_45_valid,
+      in1_ready => ch_45_ready,
       out0_data => ch_8_data,
       out0_valid => ch_8_valid,
       out0_ready => ch_8_ready
@@ -262,9 +247,9 @@ begin
       in0_data => ch_7_data,
       in0_valid => ch_7_valid,
       in0_ready => ch_7_ready,
-      in1_data => ch_48_data,
-      in1_valid => ch_48_valid,
-      in1_ready => ch_48_ready,
+      in1_data => ch_10_data,
+      in1_valid => ch_10_valid,
+      in1_ready => ch_10_ready,
       out0_data => ch_11_data,
       out0_valid => ch_11_valid,
       out0_ready => ch_11_ready
@@ -273,8 +258,8 @@ begin
     port map (
       clk => clk,
       rst => rst,
-      in0_valid => ch_49_valid,
-      in0_ready => ch_49_ready,
+      in0_valid => ch_6_valid,
+      in0_ready => ch_6_ready,
       in1_data => ch_12_data,
       in1_valid => ch_12_valid,
       in1_ready => ch_12_ready,
@@ -290,9 +275,9 @@ begin
       in0_data => ch_8_data,
       in0_valid => ch_8_valid,
       in0_ready => ch_8_ready,
-      in1_data => ch_50_data,
-      in1_valid => ch_50_valid,
-      in1_ready => ch_50_ready,
+      in1_data => ch_13_data,
+      in1_valid => ch_13_valid,
+      in1_ready => ch_13_ready,
       out0_data => ch_21_data,
       out0_valid => ch_21_valid,
       out0_ready => ch_21_ready,
@@ -334,9 +319,9 @@ begin
       in0_data => ch_27_data,
       in0_valid => ch_27_valid,
       in0_ready => ch_27_ready,
-      in1_data => ch_44_data,
-      in1_valid => ch_44_valid,
-      in1_ready => ch_44_ready,
+      in1_data => ch_28_data,
+      in1_valid => ch_28_valid,
+      in1_ready => ch_28_ready,
       out0_data => ch_29_data,
       out0_valid => ch_29_valid,
       out0_ready => ch_29_ready
@@ -375,9 +360,9 @@ begin
       in0_data => ch_29_data,
       in0_valid => ch_29_valid,
       in0_ready => ch_29_ready,
-      in1_data => ch_45_data,
-      in1_valid => ch_45_valid,
-      in1_ready => ch_45_ready,
+      in1_data => ch_31_data,
+      in1_valid => ch_31_valid,
+      in1_ready => ch_31_ready,
       out0_data => ch_32_data,
       out0_valid => ch_32_valid,
       out0_ready => ch_32_ready
@@ -416,9 +401,9 @@ begin
       in0_data => ch_34_data,
       in0_valid => ch_34_valid,
       in0_ready => ch_34_ready,
-      in1_data => ch_46_data,
-      in1_valid => ch_46_valid,
-      in1_ready => ch_46_ready,
+      in1_data => ch_38_data,
+      in1_valid => ch_38_valid,
+      in1_ready => ch_38_ready,
       out0_data => ch_39_data,
       out0_valid => ch_39_valid,
       out0_ready => ch_39_ready
@@ -457,9 +442,9 @@ begin
       in0_data => ch_39_data,
       in0_valid => ch_39_valid,
       in0_ready => ch_39_ready,
-      in1_data => ch_47_data,
-      in1_valid => ch_47_valid,
-      in1_ready => ch_47_ready,
+      in1_data => ch_41_data,
+      in1_valid => ch_41_valid,
+      in1_ready => ch_41_ready,
       in2_data => ch_36_data,
       in2_valid => ch_36_valid,
       in2_ready => ch_36_ready,
@@ -567,14 +552,12 @@ begin
       out3_valid => ch_36_valid,
       out3_ready => ch_36_ready
     );
-  cmp_30_buffer : entity work.buffer_w64
+  cmp_30_buffer : entity work.buffer_w0
     port map (
       clk => clk,
       rst => rst,
-      in0_data => ch_37_data,
-      in0_valid => ch_37_valid,
-      in0_ready => ch_37_ready,
-      out0_data => ch_43_data,
+      in0_valid => ch_19_valid,
+      in0_ready => ch_19_ready,
       out0_valid => ch_43_valid,
       out0_ready => ch_43_ready
     );
@@ -582,9 +565,9 @@ begin
     port map (
       clk => clk,
       rst => rst,
-      in0_data => ch_28_data,
-      in0_valid => ch_28_valid,
-      in0_ready => ch_28_ready,
+      in0_data => ch_42_data,
+      in0_valid => ch_42_valid,
+      in0_ready => ch_42_ready,
       out0_data => ch_44_data,
       out0_valid => ch_44_valid,
       out0_ready => ch_44_ready
@@ -593,64 +576,11 @@ begin
     port map (
       clk => clk,
       rst => rst,
-      in0_data => ch_31_data,
-      in0_valid => ch_31_valid,
-      in0_ready => ch_31_ready,
+      in0_data => ch_37_data,
+      in0_valid => ch_37_valid,
+      in0_ready => ch_37_ready,
       out0_data => ch_45_data,
       out0_valid => ch_45_valid,
       out0_ready => ch_45_ready
-    );
-  cmp_33_buffer : entity work.buffer_w64
-    port map (
-      clk => clk,
-      rst => rst,
-      in0_data => ch_38_data,
-      in0_valid => ch_38_valid,
-      in0_ready => ch_38_ready,
-      out0_data => ch_46_data,
-      out0_valid => ch_46_valid,
-      out0_ready => ch_46_ready
-    );
-  cmp_34_buffer : entity work.buffer_w64
-    port map (
-      clk => clk,
-      rst => rst,
-      in0_data => ch_41_data,
-      in0_valid => ch_41_valid,
-      in0_ready => ch_41_ready,
-      out0_data => ch_47_data,
-      out0_valid => ch_47_valid,
-      out0_ready => ch_47_ready
-    );
-  cmp_35_buffer : entity work.buffer_w64
-    port map (
-      clk => clk,
-      rst => rst,
-      in0_data => ch_10_data,
-      in0_valid => ch_10_valid,
-      in0_ready => ch_10_ready,
-      out0_data => ch_48_data,
-      out0_valid => ch_48_valid,
-      out0_ready => ch_48_ready
-    );
-  cmp_36_buffer : entity work.buffer_w0
-    port map (
-      clk => clk,
-      rst => rst,
-      in0_valid => ch_6_valid,
-      in0_ready => ch_6_ready,
-      out0_valid => ch_49_valid,
-      out0_ready => ch_49_ready
-    );
-  cmp_37_buffer : entity work.buffer_w1
-    port map (
-      clk => clk,
-      rst => rst,
-      in0_data => ch_13_data,
-      in0_valid => ch_13_valid,
-      in0_ready => ch_13_ready,
-      out0_data => ch_50_data,
-      out0_valid => ch_50_valid,
-      out0_ready => ch_50_ready
     );
 end architecture;

@@ -117,7 +117,6 @@ architecture structural of power_top is
   signal ch_34_data : std_logic_vector(63 downto 0);
   signal ch_34_valid : std_logic;
   signal ch_34_ready : std_logic;
-  signal ch_35_data : std_logic_vector(63 downto 0);
   signal ch_35_valid : std_logic;
   signal ch_35_ready : std_logic;
   signal ch_36_data : std_logic_vector(63 downto 0);
@@ -129,8 +128,6 @@ architecture structural of power_top is
   signal ch_38_data : std_logic_vector(63 downto 0);
   signal ch_38_valid : std_logic;
   signal ch_38_ready : std_logic;
-  signal ch_39_valid : std_logic;
-  signal ch_39_ready : std_logic;
 begin
   cmp_0_entry : entity work.entry_w64
     port map (
@@ -180,8 +177,8 @@ begin
       rst => rst,
       in0_valid => ch_4_valid,
       in0_ready => ch_4_ready,
-      in1_valid => ch_22_valid,
-      in1_ready => ch_22_ready,
+      in1_valid => ch_35_valid,
+      in1_ready => ch_35_ready,
       out0_valid => ch_5_valid,
       out0_ready => ch_5_ready
     );
@@ -192,9 +189,9 @@ begin
       in0_data => ch_13_data,
       in0_valid => ch_13_valid,
       in0_ready => ch_13_ready,
-      in1_data => ch_32_data,
-      in1_valid => ch_32_valid,
-      in1_ready => ch_32_ready,
+      in1_data => ch_36_data,
+      in1_valid => ch_36_valid,
+      in1_ready => ch_36_ready,
       out0_data => ch_8_data,
       out0_valid => ch_8_valid,
       out0_ready => ch_8_ready
@@ -220,9 +217,9 @@ begin
       in0_data => ch_0_data,
       in0_valid => ch_0_valid,
       in0_ready => ch_0_ready,
-      in1_data => ch_36_data,
-      in1_valid => ch_36_valid,
-      in1_ready => ch_36_ready,
+      in1_data => ch_38_data,
+      in1_valid => ch_38_valid,
+      in1_ready => ch_38_ready,
       out0_data => ch_12_data,
       out0_valid => ch_12_valid,
       out0_ready => ch_12_ready
@@ -260,9 +257,9 @@ begin
       in0_data => ch_10_data,
       in0_valid => ch_10_valid,
       in0_ready => ch_10_ready,
-      in1_data => ch_38_data,
-      in1_valid => ch_38_valid,
-      in1_ready => ch_38_ready,
+      in1_data => ch_14_data,
+      in1_valid => ch_14_valid,
+      in1_ready => ch_14_ready,
       out0_data => ch_15_data,
       out0_valid => ch_15_valid,
       out0_ready => ch_15_ready
@@ -271,8 +268,8 @@ begin
     port map (
       clk => clk,
       rst => rst,
-      in0_valid => ch_39_valid,
-      in0_ready => ch_39_ready,
+      in0_valid => ch_7_valid,
+      in0_ready => ch_7_ready,
       in1_data => ch_16_data,
       in1_valid => ch_16_valid,
       in1_ready => ch_16_ready,
@@ -336,9 +333,9 @@ begin
     port map (
       clk => clk,
       rst => rst,
-      in0_data => ch_35_data,
-      in0_valid => ch_35_valid,
-      in0_ready => ch_35_ready,
+      in0_data => ch_28_data,
+      in0_valid => ch_28_valid,
+      in0_ready => ch_28_ready,
       in1_data => ch_25_data,
       in1_valid => ch_25_valid,
       in1_ready => ch_25_ready,
@@ -477,14 +474,12 @@ begin
       in0_valid => ch_31_valid,
       in0_ready => ch_31_ready
     );
-  cmp_27_buffer : entity work.buffer_w64
+  cmp_27_buffer : entity work.buffer_w0
     port map (
       clk => clk,
       rst => rst,
-      in0_data => ch_28_data,
-      in0_valid => ch_28_valid,
-      in0_ready => ch_28_ready,
-      out0_data => ch_35_data,
+      in0_valid => ch_22_valid,
+      in0_ready => ch_22_ready,
       out0_valid => ch_35_valid,
       out0_ready => ch_35_ready
     );
@@ -492,9 +487,9 @@ begin
     port map (
       clk => clk,
       rst => rst,
-      in0_data => ch_26_data,
-      in0_valid => ch_26_valid,
-      in0_ready => ch_26_ready,
+      in0_data => ch_32_data,
+      in0_valid => ch_32_valid,
+      in0_ready => ch_32_ready,
       out0_data => ch_36_data,
       out0_valid => ch_36_valid,
       out0_ready => ch_36_ready
@@ -514,20 +509,11 @@ begin
     port map (
       clk => clk,
       rst => rst,
-      in0_data => ch_14_data,
-      in0_valid => ch_14_valid,
-      in0_ready => ch_14_ready,
+      in0_data => ch_26_data,
+      in0_valid => ch_26_valid,
+      in0_ready => ch_26_ready,
       out0_data => ch_38_data,
       out0_valid => ch_38_valid,
       out0_ready => ch_38_ready
-    );
-  cmp_31_buffer : entity work.buffer_w0
-    port map (
-      clk => clk,
-      rst => rst,
-      in0_valid => ch_7_valid,
-      in0_ready => ch_7_ready,
-      out0_valid => ch_39_valid,
-      out0_ready => ch_39_ready
     );
 end architecture;

@@ -4,7 +4,11 @@ import dataclasses
 
 import pytest
 
+from test_passes import wide_ladder
+from test_sim import DIAMONDS
+
 from minihls import cdfg as C
+from minihls import corpus
 from minihls.build import build_cdfg
 from minihls.cdfg import (
     CDFG, Port, check, component_stats, export_dot,
@@ -13,6 +17,7 @@ from minihls.cdfg import (
 from minihls.errors import BuildError
 from minihls.lattice import LatticeType
 from minihls.lower import lower
+from minihls.pipeline import compile_source
 from minihls.source import parse_source
 from minihls import typecheck
 
@@ -67,9 +72,41 @@ def test_corpus_unoptimized_graphs_check_clean(program, compiled):
 
 
 def test_loop_programs_get_buffers(compiled):
-    assert compiled("power").n_buffers > 0
-    assert compiled("newton_raphson").n_buffers > 0
+    """One Buffer per loop-carried value, the control token included."""
+    assert compiled("power").n_buffers == 4
+    assert compiled("newton_raphson").n_buffers == 3
     assert compiled("if_else").n_buffers == 0
+    assert compile_source(wide_ladder(10)).n_buffers == 4
+
+
+# The corpus, with and without the passes, and two loops of diamonds.
+PLACEMENT_SOURCES = [
+    *((name, opt) for name in corpus.PROGRAMS for opt in (True, False)),
+    *((name, True) for name in DIAMONDS)]
+
+
+def placement_circuit(name, opt):
+    if name in DIAMONDS:
+        return compile_source(DIAMONDS[name]).cdfg
+    return compile_source(corpus.load(name), corpus.SIGNATURES[name],
+                          opt=opt).cdfg
+
+
+@pytest.mark.parametrize("name, opt", PLACEMENT_SOURCES)
+def test_insert_buffers_on_its_own_output_adds_nothing(name, opt):
+    g = placement_circuit(name, opt)
+    before = to_json(g)
+    assert insert_buffers(g) == 0
+    assert to_json(g) == before
+
+
+@pytest.mark.parametrize("name, opt", PLACEMENT_SOURCES)
+def test_every_buffer_feeds_a_merge(name, opt):
+    g = placement_circuit(name, opt)
+    kind = {c.id: c.kind for c in g.components}
+    fed = [kind[ch.dst.comp] for ch in g.channels
+           if kind[ch.src.comp] == C.BUFFER]
+    assert fed == [C.MERGE] * component_stats(g)["Buffer"]
 
 
 def test_check_catches_dangling_port():
@@ -143,6 +180,7 @@ KIND_CASES = [
     (C.BUFFER, (64,), (), {}, ["must have 1 input and 1 output"]),
     (C.BUFFER, (64,), (1,), {}, ["all ports must share one width"]),
     (C.OPERATOR, (64,), (64,), {"opcode": "neg"}, ["unknown opcode"]),
+    (C.CONST, (0,), (0,), {"value": 5}, ["output must not have width 0"]),
 ]
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from minihls import cdfg, cli, source
 
 ANNOTATED = ("function double(a::Int64)\n"
@@ -163,6 +165,22 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
                            "--config", str(cfg))
     assert code == 0
     assert "== optimized ==" not in out
+
+
+def test_config_rejects_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("# misspelt\nsigg=f64\n")
+    code, out, err = run_cli(capsys, "run", "power", "2", "3",
+                             "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"error[cli] {cfg}:2: unknown key 'sigg'\n"
+
+
+@pytest.mark.parametrize("argv", [("power", "--no-opt", "2", "3"),
+                                  ("power", "2", "3", "--no-opt"),
+                                  ("--no-opt", "power", "2", "3")])
+def test_options_may_come_between_the_program_and_its_values(capsys, argv):
+    assert run_cli(capsys, "run", *argv) == (0, "8\n", "")
 
 
 def test_cli_flag_beats_config(tmp_path, capsys):

@@ -110,6 +110,20 @@ def test_emit_rejects_an_invalid_circuit():
         emit_vhdl(g)
 
 
+def test_emit_rejects_a_const_without_data():
+    from minihls import cdfg as C
+    g = C.CDFG("widthless")
+    g.add_component(C.ENTRY, (), (0,))
+    g.add_component(C.CONST, (0,), (0,), value=5)
+    g.add_component(C.EXIT, (0,), ())
+    g.add_channel(C.Port(0, 0), C.Port(1, 0), 0)
+    g.add_channel(C.Port(1, 0), C.Port(2, 0), 0)
+    problem = "component 1 (Const): output must not have width 0"
+    assert C.check(g) == [problem]
+    with pytest.raises(BuildError, match=re.escape(problem)):
+        emit_vhdl(g)
+
+
 def test_emit_does_not_check_a_compiled_circuit_again(monkeypatch):
     from minihls import cdfg as C
     g = compile_source(corpus.load("power"), corpus.SIGNATURES["power"]).cdfg
@@ -166,18 +180,19 @@ def test_lint_accepts_the_goldens(program):
     assert lint_netlist(files) == []
 
 
-# Recorded before `_top_text` stopped keying channels by Port: the corpus
-# goldens hold at most 38 components, these ladders 233 and 299.
+# Recorded after `insert_buffers` began cutting cycles at their loop
+# headers: the corpus goldens hold at most 33 components, these ladders
+# 197 and 275.
 LADDER_SHA256 = {
     "narrow": (narrow_ladder(12), {
-        "ladder_top.vhd": "45b499117c4ec4c35b53cd1f5a46eeeca6e93023bbc357eb66a8809d6a295e8a",
-        "manifest.json": "6b93d68dff1408a5f38ae494db569969c0cbcae559c7caf71a5ed5a6bbdd4365",
+        "ladder_top.vhd": "69c3c01e194aa5cfd160c3a73f3f7f2d1a703bec010fcedf233c7ebe458eac89",
+        "manifest.json": "6b40a6de11238092caf897997173653fc68755d49da4f58cf0cb4b27e3388877",
         "minihls_components.vhd": "8984a03c08a9da954c570b83815fcda84f8742d4653bf72dd8a03d80a792b527",
     }),
     "wide": (wide_ladder(6), {
-        "ladder_top.vhd": "92a46e5c5bfd924b6d6c3645aec2c23898fef3ffe33e36baefa0bc82b0288bcb",
-        "manifest.json": "2920a3dc82cb29451fc39ffc0e28a5307d4b0f8f3a11877cdaed519478bf7194",
-        "minihls_components.vhd": "e35b3ea92784b5b5360455a0c4a3db4b285eb6b0dfd6c3e7c65251abe45d884c",
+        "ladder_top.vhd": "453ee3209a1691a0c803224a0d294f53a7ae94584dc43bcc1bca46a0fc1a2b64",
+        "manifest.json": "fe7b62efb5359c7bc4815598d81fac98861967127290343bf84f9d2af77866a1",
+        "minihls_components.vhd": "139539d7c89927886dd5436d8e0383a8a6bb46fa5c30952e51f29d0865c4c9c9",
     }),
 }
 
