@@ -61,8 +61,9 @@ def build_cdfg(func: SSAFunction,
                latencies: dict[str, int] | None = None) -> CDFG:
     """Construct the unbuffered circuit; run `insert_buffers` afterwards
     to make loop graphs pass the structural check.  Every Merge is
-    created before any Const, Operator, Branch or Fork; `insert_buffers`
-    relies on that order to cut each loop at its header's latch inputs."""
+    created before any Const, Operator, Branch or Fork, and the return
+    Merge after the block Merges; `insert_buffers` relies on that order to
+    cut each loop at its header's latch inputs."""
     violations = verify(func)
     if violations:
         raise BuildError("refusing to build from invalid IR: "
@@ -162,17 +163,7 @@ class _Builder:
         ctrl_net = self.new_net(0, Port(ctrl_entry.id, 0))
 
         rw = func.return_type.width
-        ret_blocks = [b.id for b in func.blocks
-                      if isinstance(b.terminator, Ret)]
         exit_c = g.add_component(EXIT, (rw,), (), label="ret")
-        if len(ret_blocks) >= 2:
-            ret_merge = g.add_component(
-                MERGE, (rw,) * len(ret_blocks), (rw,), label="ret")
-            g.add_channel(Port(ret_merge.id, 0), Port(exit_c.id, 0), rw)
-            self.return_slot = {bid: Port(ret_merge.id, i)
-                                for i, bid in enumerate(ret_blocks)}
-        else:
-            self.return_slot = {bid: Port(exit_c.id, 0) for bid in ret_blocks}
 
         # Per-block input nets: merges where several edges arrive, an
         # unsourced net (fused later) where only one does.
@@ -194,6 +185,19 @@ class _Builder:
                     else:
                         srcs[key] = self.new_net(w)
             self.local[b.id] = srcs
+
+        # After the block Merges: the buffer sweep cuts the lowest-id
+        # stalled component, so it cuts loop headers, not the return Merge.
+        ret_blocks = [b.id for b in func.blocks
+                      if isinstance(b.terminator, Ret)]
+        if len(ret_blocks) >= 2:
+            ret_merge = g.add_component(
+                MERGE, (rw,) * len(ret_blocks), (rw,), label="ret")
+            g.add_channel(Port(ret_merge.id, 0), Port(exit_c.id, 0), rw)
+            self.return_slot = {bid: Port(ret_merge.id, i)
+                                for i, bid in enumerate(ret_blocks)}
+        else:
+            self.return_slot = {bid: Port(exit_c.id, 0) for bid in ret_blocks}
 
         for b in func.blocks:
             self._build_block(b)

@@ -23,6 +23,8 @@ Kinds (`KIND_ORDER`): Entry and Exit cross the circuit boundary, Const
 turns a trigger token into its payload, an Operator computes its opcode
 over `latency` stages, Fork copies, Branch steers by a Bool, Merge passes
 its one valid input, a Buffer holds one token and a Sink drops tokens.
+An opcode is valid when `lattice.IMPL_BY_OPCODE` has a row for it; the
+row gives the simulator its function and the emitter its VHDL.
 Each kind is one entry per table: `check` takes its port counts from
 `_PORTS` and its width and field rules from `_RULES`, `sim._BIND` its
 firing rule and `vhdl._ARCH` its VHDL architecture; `vhdl.entity_name`
@@ -35,7 +37,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import BuildError, Pos
-from .lattice import DEFAULT_LATENCIES
+from .lattice import IMPL_BY_OPCODE
 
 ENTRY = "Entry"
 EXIT = "Exit"
@@ -137,7 +139,7 @@ _RULES = {
             (lambda c: c.out_widths[0] != 0, "output must not have width 0"),
             (lambda c: c.value is not None, "missing payload value")),
     OPERATOR: ((lambda c: c.opcode is not None, "missing opcode"),
-               (lambda c: c.opcode in DEFAULT_LATENCIES or c.opcode is None,
+               (lambda c: c.opcode in IMPL_BY_OPCODE or c.opcode is None,
                 "unknown opcode"),
                (lambda c: c.latency >= 0, "negative latency")),
     BRANCH: ((lambda c: c.in_widths[1] == 1, "condition input must have width 1"),

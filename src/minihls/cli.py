@@ -24,7 +24,8 @@ from .errors import CliError, MiniHlsError, Pos
 from .interp import DEFAULT_FUEL, run_source
 from .ir import print_function
 from .lattice import LatticeType, format_dispatch_table, format_value
-from .pipeline import STAGES, compile_source, parse_args_for, parse_sig, timed
+from .pipeline import (STAGES, compile_source, parse_args_for, parse_sig,
+                       parse_value, timed)
 from .sim import DEFAULT_MAX_CYCLES, simulate
 from .vhdl import emit_vhdl, lint_netlist
 
@@ -192,29 +193,16 @@ def cmd_sim(opts: _Options) -> int:
 
 
 def _parse_sweep(spec: str, ty: LatticeType) -> list:
+    """A comma-separated list of values, or lo..hi (both included) for an
+    Int64; each value is spelled as `parse_value` reads it."""
     spec = spec.strip()
     if not spec:
         return []
     if ".." in spec and ty == LatticeType.INT64:
-        lo_text, _, hi_text = spec.partition("..")
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            raise CliError(f"bad sweep range {spec!r}") from None
-        return list(range(lo, hi + 1))
-    out = []
-    for part in spec.split(","):
-        part = part.strip()
-        try:
-            if ty == LatticeType.INT64:
-                out.append(int(part))
-            elif ty == LatticeType.FLOAT64:
-                out.append(float(part))
-            else:
-                out.append({"true": True, "false": False}[part])
-        except (ValueError, KeyError):
-            raise CliError(f"cannot parse sweep value {part!r} as {ty}") from None
-    return out
+        lo, _, hi = spec.partition("..")
+        return list(range(parse_value(lo.strip(), ty),
+                          parse_value(hi.strip(), ty) + 1))
+    return [parse_value(part.strip(), ty) for part in spec.split(",")]
 
 
 def _agree(a, b) -> bool:

@@ -1,15 +1,10 @@
 """Reference semantics.
 
-`OPS`, which maps each opcode to its function, is the single arithmetic
-kernel: the source-level and SSA interpreters (through `eval_op`) and
-the circuit simulator all call its functions, so their results are
+The `fn` of each `lattice.IMPL_BY_OPCODE` row is the single arithmetic
+kernel: the source-level and SSA interpreters and the circuit simulator
+all call it (the interpreters through `eval_op`), so their results are
 bit-identical by construction and differential runs compare scheduling,
 not arithmetic.
-
-Int64 wraps to 64-bit two's complement on every operation.  `mod` is
-truncated toward zero and traps on a zero divisor.  Float64 is IEEE
-double (Python's float); division by zero is mapped to signed
-infinity/nan by hand because Python raises where hardware would not.
 
 The source-level interpreter dispatches on runtime values, independent of
 static inference, which makes it an oracle for the type checker as well:
@@ -19,76 +14,24 @@ looks operators up in a table built once from `lattice.dispatch_table`.
 
 from __future__ import annotations
 
-import math
-import operator
-from collections.abc import Callable
-
 from . import source as src
 from .errors import DivByZeroError, EvalError, FuelExhaustedError, Pos
 from .ir import ConstOp, Goto, Instr, Ret, SelectOp, SSAFunction
-from .lattice import (SELECT_OPCODES, LatticeType, OperatorImpl, dispatch,
-                      dispatch_table)
+from .lattice import (IMPL_BY_OPCODE, LatticeType, OperatorImpl, dispatch,
+                      dispatch_table, wrap64)
 
 DEFAULT_FUEL = 1_000_000
 
-_U64 = 1 << 64
-_I64_MAX = (1 << 63) - 1
 _NO_POS = Pos(0, 0)  # where no source position applies; the CLI omits it
 
 Value = object  # bool, int in [-2^63, 2^63), or float
 
 
-def wrap64(n: int) -> int:
-    n &= _U64 - 1
-    return n - _U64 if n > _I64_MAX else n
-
-
-def _trunc_div(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
-def _fdiv(a: float, b: float) -> float:
-    if b != 0.0:
-        return a / b
-    if math.isnan(a) or a == 0.0:
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
-def _mod(a: int, b: int) -> int:
-    if b == 0:
-        raise DivByZeroError("integer mod by zero", _NO_POS)
-    return wrap64(a - b * _trunc_div(a, b))
-
-
-OPS: dict[str, Callable[..., Value]] = {
-    "add_i64": lambda a, b: wrap64(a + b),
-    "sub_i64": lambda a, b: wrap64(a - b),
-    "mul_i64": lambda a, b: wrap64(a * b),
-    "mod_i64": _mod,
-    "neg_i64": lambda a: wrap64(-a),
-    "fadd_f64": operator.add,
-    "fsub_f64": operator.sub,
-    "fmul_f64": operator.mul,
-    "fdiv_f64": _fdiv,
-    "fneg_f64": operator.neg,
-    "and_i1": lambda a, b: a and b,
-    "or_i1": lambda a, b: a or b,
-    "not_i1": operator.not_,
-    "sitofp": float,
-}
-for _cmp in ("lt", "le", "gt", "ge", "eq", "ne"):
-    OPS[f"cmp_{_cmp}_i64"] = OPS[f"fcmp_{_cmp}_f64"] = getattr(operator, _cmp)
-for _opcode in SELECT_OPCODES.values():
-    OPS[_opcode] = lambda c, a, b: a if c else b
-
-
 def eval_op(opcode: str, args: tuple, pos: Pos = _NO_POS) -> Value:
-    if opcode not in OPS:
+    if opcode not in IMPL_BY_OPCODE:
         raise EvalError(f"unknown opcode {opcode!r}", pos)
     try:
-        return OPS[opcode](*args)
+        return IMPL_BY_OPCODE[opcode].fn(*args)
     except DivByZeroError as e:  # the trap is the caller's, at pos
         raise DivByZeroError(e.message, pos) from None
 
@@ -183,7 +126,7 @@ def _apply(symbol: str, operands: tuple, pos: Pos) -> Value:
     d = (_DISPATCH.get((symbol, *map(type, operands)))
          or dispatch(symbol, tuple(map(type_of_value, operands)), pos))
     if any(d.conversions):
-        operands = tuple(v if conv is None else OPS[conv.opcode](v)
+        operands = tuple(v if conv is None else conv.fn(v)
                          for v, conv in zip(operands, d.conversions))
     return eval_op(d.impl.opcode, operands, pos)
 

@@ -8,14 +8,25 @@ Float64 through an explicit int-to-float conversion, division always
 produces Float64, and logical operators require Bool.  Each resolved
 operator names a hardware opcode (``add_i64``, ``fmul_f64``, ...), which
 is the unit the circuit generator and VHDL library work with.
+
+`IMPL_BY_OPCODE` is the one opcode table: each row holds an opcode's
+operator symbol, signature, default latency, function on Python values
+(the arithmetic kernel every interpreter and the simulator call) and the
+VHDL statement that drives its result.  Dispatch, `DEFAULT_LATENCIES`,
+`SELECT_OPCODES` and `SITOFP` are derived from it, so adding an opcode
+means adding one row.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import itertools
+import math
+import operator
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
-from .errors import NoMethodError, Pos
+from .errors import DivByZeroError, NoMethodError, Pos
 
 
 class LatticeType(enum.Enum):
@@ -81,60 +92,122 @@ def join_all(types) -> LatticeType:
     return result
 
 
+# Int64 arithmetic wraps to 64-bit two's complement; `mod` truncates
+# toward zero and traps on a zero divisor.  Float64 is IEEE double, so
+# division by zero yields a signed infinity or nan where Python would raise.
+_U64 = 1 << 64
+_I64_MAX = (1 << 63) - 1
+
+
+def wrap64(n: int) -> int:
+    n &= _U64 - 1
+    return n - _U64 if n > _I64_MAX else n
+
+
+def _trunc_div(a: int, b: int) -> int:
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
+def _fdiv(a: float, b: float) -> float:
+    if b != 0.0:
+        return a / b
+    if math.isnan(a) or a == 0.0:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _mod(a: int, b: int) -> int:
+    if b == 0:  # the caller re-raises at the operator's position
+        raise DivByZeroError("integer mod by zero", Pos(0, 0))
+    return wrap64(a - b * _trunc_div(a, b))
+
+
 @dataclass(frozen=True)
 class OperatorImpl:
-    """One concrete operator implementation selected by dispatch."""
+    """One opcode: the symbol dispatch resolves to it (None if none does),
+    its signature, default latency in cycles, function on Python values,
+    the VHDL statement that drives `result`, and whether it traps."""
 
-    symbol: str
+    symbol: str | None
     opcode: str
     operand_types: tuple[LatticeType, ...]
     result_type: LatticeType
+    latency: int = field(compare=False, repr=False)
+    fn: Callable[..., object] = field(compare=False, repr=False)
+    vhdl: str = field(compare=False, repr=False)
+    traps: bool = field(default=False, compare=False, repr=False)
 
     def __str__(self) -> str:
         args = ", ".join(t.short for t in self.operand_types)
         return f"{self.opcode}({args}) -> {self.result_type.short}"
 
 
-def _impl(symbol: str, opcode: str, operands: tuple[LatticeType, ...],
-          result: LatticeType) -> OperatorImpl:
-    return OperatorImpl(symbol, opcode, operands, result)
-
-
 B, I, F = LatticeType.BOOL, LatticeType.INT64, LatticeType.FLOAT64
 
-# The int-to-float conversion inserted by promotion.
-SITOFP = _impl("sitofp", "sitofp", (I,), F)
 
+# VHDL statements that drive an operator's `result` signal from an expression
+_INT = "result <= std_logic_vector({});"
+_FLOAT = "result <= to_slv({});"
+_FLAG = "result(0) <= '1' when {} else '0';"
+
+# Every opcode, one row each.  A latency only affects cycle counts, never
+# results; the CLI and config can override it.
+_ROWS = [
+    OperatorImpl("+", "add_i64", (I, I), I, 0, lambda a, b: wrap64(a + b),
+                 _INT.format("signed(in0_data) + signed(in1_data)")),
+    OperatorImpl("-", "sub_i64", (I, I), I, 0, lambda a, b: wrap64(a - b),
+                 _INT.format("signed(in0_data) - signed(in1_data)")),
+    OperatorImpl("*", "mul_i64", (I, I), I, 2, lambda a, b: wrap64(a * b),
+                 _INT.format("resize(signed(in0_data) * signed(in1_data), 64)")),
+    OperatorImpl("%", "mod_i64", (I, I), I, 8, _mod,
+                 _INT.format("signed(in0_data) rem signed(in1_data)"), traps=True),
+    OperatorImpl("-", "neg_i64", (I,), I, 0, lambda a: wrap64(-a),
+                 _INT.format("-signed(in0_data)")),
+    OperatorImpl("+", "fadd_f64", (F, F), F, 4, operator.add,
+                 _FLOAT.format("to_float64(in0_data) + to_float64(in1_data)")),
+    OperatorImpl("-", "fsub_f64", (F, F), F, 4, operator.sub,
+                 _FLOAT.format("to_float64(in0_data) - to_float64(in1_data)")),
+    OperatorImpl("*", "fmul_f64", (F, F), F, 4, operator.mul,
+                 _FLOAT.format("to_float64(in0_data) * to_float64(in1_data)")),
+    OperatorImpl("/", "fdiv_f64", (F, F), F, 8, _fdiv,
+                 _FLOAT.format("to_float64(in0_data) / to_float64(in1_data)")),
+    OperatorImpl("-", "fneg_f64", (F,), F, 0, operator.neg,
+                 _FLOAT.format("-to_float64(in0_data)")),
+    OperatorImpl("&&", "and_i1", (B, B), B, 0, lambda a, b: a and b,
+                 _FLAG.format("(in0_data(0) and in1_data(0)) = '1'")),
+    OperatorImpl("||", "or_i1", (B, B), B, 0, lambda a, b: a or b,
+                 _FLAG.format("(in0_data(0) or in1_data(0)) = '1'")),
+    OperatorImpl("!", "not_i1", (B,), B, 0, operator.not_,
+                 _FLAG.format("in0_data(0) = '0'")),
+    # the int-to-float conversion that promotion inserts
+    OperatorImpl(None, "sitofp", (I,), F, 2, float,
+                 _FLOAT.format("to_float(signed(in0_data), 11, 52)")),
+]
+for _sym, _name, _vop in (("<", "lt", "<"), ("<=", "le", "<="), (">", "gt", ">"),
+                          (">=", "ge", ">="), ("==", "eq", "="), ("!=", "ne", "/=")):
+    _fn = getattr(operator, _name)
+    _ROWS += [
+        OperatorImpl(_sym, f"cmp_{_name}_i64", (I, I), B, 0, _fn,
+                     _FLAG.format(f"signed(in0_data) {_vop} signed(in1_data)")),
+        OperatorImpl(_sym, f"fcmp_{_name}_f64", (F, F), B, 1, _fn,
+                     _FLAG.format(f"to_float64(in0_data) {_vop} to_float64(in1_data)"))]
 # Strict (non-short-circuit) select over already computed values; created
 # by if-conversion rather than by dispatch.
-SELECT_OPCODES = {B: "select_i1", I: "select_i64", F: "select_f64"}
+_SELECTS = [OperatorImpl(None, f"select_{t.short}", (B, t, t), t, 0,
+                         lambda c, a, b: a if c else b,
+                         "result <= in1_data when in0_data(0) = '1' else in2_data;")
+            for t in (B, I, F)]
 
-_INT_ARITH = {"+": "add_i64", "-": "sub_i64", "*": "mul_i64", "%": "mod_i64"}
-_FLOAT_ARITH = {"+": "fadd_f64", "-": "fsub_f64", "*": "fmul_f64", "/": "fdiv_f64"}
-_CMP_NAMES = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge", "==": "eq", "!=": "ne"}
-_LOGICAL = {"&&": "and_i1", "||": "or_i1"}
-
-_TABLE: dict[tuple[str, tuple[LatticeType, ...]], OperatorImpl] = {}
-
-
-def _register(impl: OperatorImpl) -> None:
-    key = (impl.symbol, impl.operand_types)
-    assert key not in _TABLE, key
-    _TABLE[key] = impl
-
-
-for _sym, _op in _INT_ARITH.items():
-    _register(_impl(_sym, _op, (I, I), I))
-for _sym, _op in _FLOAT_ARITH.items():
-    _register(_impl(_sym, _op, (F, F), F))
-for _sym, _name in _CMP_NAMES.items():
-    _register(_impl(_sym, f"cmp_{_name}_i64", (I, I), B))
-    _register(_impl(_sym, f"fcmp_{_name}_f64", (F, F), B))
-for _sym, _op in _LOGICAL.items():
-    _register(_impl(_sym, _op, (B, B), B))
-_register(_impl("-", "neg_i64", (I,), I))
-_register(_impl("-", "fneg_f64", (F,), F))
-_register(_impl("!", "not_i1", (B,), B))
+IMPL_BY_OPCODE: dict[str, OperatorImpl] = {imp.opcode: imp
+                                           for imp in _ROWS + _SELECTS}
+DEFAULT_LATENCIES: dict[str, int] = {op: imp.latency
+                                     for op, imp in IMPL_BY_OPCODE.items()}
+SITOFP = IMPL_BY_OPCODE["sitofp"]
+SELECT_OPCODES = {imp.result_type: imp.opcode for imp in _SELECTS}
+# (symbol, operand types) -> the row dispatch picks
+_TABLE = {(imp.symbol, imp.operand_types): imp
+          for imp in _ROWS if imp.symbol is not None}
 
 # Symbols whose mixed Int64/Float64 operands promote to Float64. `/` also
 # promotes an all-Int64 pair so that division always runs in Float64;
@@ -184,21 +257,14 @@ def dispatch_table() -> list[tuple[str, tuple[LatticeType, ...], Dispatch]]:
     """
     from .source import BINARY_OPS, UNARY_OPS
 
-    concrete = (B, I, F)
     rows = []
-    for symbol in sorted(BINARY_OPS):
-        for a in concrete:
-            for b in concrete:
+    for symbols, arity in ((BINARY_OPS, 2), (UNARY_OPS, 1)):
+        for symbol in sorted(symbols):
+            for types in itertools.product((B, I, F), repeat=arity):
                 try:
-                    rows.append((symbol, (a, b), dispatch(symbol, (a, b))))
+                    rows.append((symbol, types, dispatch(symbol, types)))
                 except NoMethodError:
                     continue
-    for symbol in sorted(UNARY_OPS):
-        for a in concrete:
-            try:
-                rows.append((symbol, (a,), dispatch(symbol, (a,))))
-            except NoMethodError:
-                continue
     return rows
 
 
@@ -210,22 +276,3 @@ def format_dispatch_table() -> str:
             args.append(t.short if conv is None else f"{t.short}~{conv.opcode}")
         lines.append(f"{symbol}\t{','.join(args)}\t{d.impl.opcode}\t{d.impl.result_type.short}")
     return "\n".join(lines) + "\n"
-
-
-# Default operator latencies in cycles; overridable via the CLI/config.
-# Exact values only affect cycle counts, never results.
-DEFAULT_LATENCIES: dict[str, int] = {
-    "add_i64": 0, "sub_i64": 0, "neg_i64": 0,
-    "mul_i64": 2, "mod_i64": 8,
-    "and_i1": 0, "or_i1": 0, "not_i1": 0,
-    "fadd_f64": 4, "fsub_f64": 4, "fmul_f64": 4, "fdiv_f64": 8, "fneg_f64": 0,
-    "sitofp": 2,
-    "select_i1": 0, "select_i64": 0, "select_f64": 0,
-}
-for _name in _CMP_NAMES.values():
-    DEFAULT_LATENCIES[f"cmp_{_name}_i64"] = 0
-    DEFAULT_LATENCIES[f"fcmp_{_name}_f64"] = 1
-
-
-IMPL_BY_OPCODE: dict[str, OperatorImpl] = {imp.opcode: imp for imp in _TABLE.values()}
-IMPL_BY_OPCODE["sitofp"] = SITOFP

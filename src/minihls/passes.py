@@ -24,10 +24,6 @@ from .ir import (Block, CondGoto, Goto, Instr, Ret, SelectOp, SSAFunction, Value
                  terminator_uses, verify)
 from .lattice import OperatorImpl
 
-# mod_i64 traps on a zero divisor, so it must never run down an untaken
-# path.  Float division is fine: it yields inf/nan instead of trapping.
-UNSAFE_TO_SPECULATE = frozenset({"mod_i64"})
-
 # Max instructions hoisted per arm.  Keeps if-conversion from swallowing
 # whole functions and bounds the speculative work per branch.
 SPECULATION_LIMIT = 4
@@ -224,9 +220,10 @@ def _remove_unreachable_inplace(func: SSAFunction) -> bool:
 
 
 def _speculation_safe(ins: Instr) -> bool:
-    if isinstance(ins.op, OperatorImpl):
-        return ins.op.opcode not in UNSAFE_TO_SPECULATE
-    return True  # consts and selects have no side conditions
+    """A trapping opcode (mod_i64 on a zero divisor) must never run down an
+    untaken path; float division yields inf/nan instead, and consts and
+    selects have no side conditions."""
+    return not (isinstance(ins.op, OperatorImpl) and ins.op.traps)
 
 
 def _classify_side(g: _Graph, origin: Block, target: int, args, limit: int):

@@ -103,22 +103,23 @@ def compile_source(text: str, sig: tuple[LatticeType, ...] | None = None,
                          cdfg, n_buffers, stage_s)
 
 
+def parse_value(text: str, ty: LatticeType):
+    """One command-line value of type `ty`: true or false; an integer
+    literal as Python reads it with base prefixes (0x2, but not 010); or
+    a float."""
+    try:
+        if ty == LatticeType.BOOL:
+            if text not in ("true", "false"):
+                raise ValueError(text)
+            return text == "true"
+        return int(text, 0) if ty == LatticeType.INT64 else float(text)
+    except ValueError:
+        raise CliError(f"cannot parse {text!r} as {ty}") from None
+
+
 def parse_args_for(result: CompileResult, raw: list[str]) -> tuple:
     """Parse CLI argument strings against the compiled signature."""
     if len(raw) != len(result.sig):
         raise CliError(f"{result.func.name} expects {len(result.sig)} "
                        f"argument(s), got {len(raw)}")
-    values = []
-    for text, ty in zip(raw, result.sig):
-        try:
-            if ty == LatticeType.BOOL:
-                if text not in ("true", "false"):
-                    raise ValueError(text)
-                values.append(text == "true")
-            elif ty == LatticeType.INT64:
-                values.append(int(text, 0))
-            else:
-                values.append(float(text))
-        except ValueError:
-            raise CliError(f"cannot parse {text!r} as {ty}") from None
-    return coerce_args(result.sig, tuple(values))
+    return coerce_args(result.sig, tuple(map(parse_value, raw, result.sig)))

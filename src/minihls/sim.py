@@ -39,7 +39,7 @@ from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE,
                    OPERATOR, SINK, require_valid)
 from .errors import (DeadlockError, DivByZeroError, MaxCyclesError,
                      MergeConflictError, SimError)
-from .interp import OPS
+from .lattice import IMPL_BY_OPCODE
 
 DEFAULT_MAX_CYCLES = 100_000
 
@@ -140,7 +140,8 @@ def _merge(i, c, ins, outs):
 def _operator(i, c, ins, outs):
     """Latency-0 Operator, or Const: its trigger token yields the payload."""
     out, event, read = outs[0], (c.id, "fire"), _reader(ins)
-    fn = OPS[c.opcode] if c.kind == OPERATOR else lambda _, v=c.value: v
+    fn = (IMPL_BY_OPCODE[c.opcode].fn if c.kind == OPERATOR
+          else lambda _, v=c.value: v)
 
     def fire(s, chan):
         values = read(chan)
@@ -155,7 +156,8 @@ def _pipeline(i, c, ins, outs, depth):
     """Buffer, or Operator with latency > 0: a FIFO of up to `depth`
     (ready cycle, value) slots.  The head leaves once ready if the output
     is free, and a token enters if a slot was free at the cycle's start."""
-    out, fn = outs[0], OPS[c.opcode] if c.kind == OPERATOR else lambda v: v
+    out = outs[0]
+    fn = IMPL_BY_OPCODE[c.opcode].fn if c.kind == OPERATOR else lambda v: v
     emitted, accepted, read = (c.id, "emit"), (c.id, "accept"), _reader(ins)
 
     def fire(s, chan):

@@ -5,9 +5,10 @@ specialized entity per (kind, width, arity, latency) combination that the
 circuit actually uses, a structural top-level that instantiates every
 component and wires the channels, and a manifest describing both.
 
-Each kind's architecture is one entry of `_ARCH`, and every data/valid/
-ready port triple, of an entity, a top-level pin or a port map, comes from
-`_handshake`.  A circuit that `require_valid` rejects raises `BuildError`.
+Each kind's architecture is one entry of `_ARCH`; an Operator's drives its
+`result` signal with the `vhdl` statement of its opcode's
+`lattice.IMPL_BY_OPCODE` row.  Every data/valid/ready port triple, of an
+entity, a top-level pin or a port map, comes from `_handshake`.  A circuit that `require_valid` rejects raises `BuildError`.
 
 Conventions (the lint checks the emitted text against exactly these):
 * every entity takes clk and rst, and every instance connects them
@@ -31,6 +32,7 @@ from itertools import count
 from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE,
                    OPERATOR, SINK, Component, component_stats, require_valid)
 from .errors import EmitError
+from .lattice import IMPL_BY_OPCODE
 
 _HEADER = """library ieee;
 use ieee.std_logic_1164.all;
@@ -91,55 +93,11 @@ def _entity(name: str, ends, generic: list[str], arch: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-_INT_EXPR = {
-    "add_i64": "std_logic_vector(signed(in0_data) + signed(in1_data))",
-    "sub_i64": "std_logic_vector(signed(in0_data) - signed(in1_data))",
-    "mul_i64": "std_logic_vector(resize(signed(in0_data) * signed(in1_data), 64))",
-    "mod_i64": "std_logic_vector(signed(in0_data) rem signed(in1_data))",
-    "neg_i64": "std_logic_vector(-signed(in0_data))",
-    "fadd_f64": "to_slv(to_float64(in0_data) + to_float64(in1_data))",
-    "fsub_f64": "to_slv(to_float64(in0_data) - to_float64(in1_data))",
-    "fmul_f64": "to_slv(to_float64(in0_data) * to_float64(in1_data))",
-    "fdiv_f64": "to_slv(to_float64(in0_data) / to_float64(in1_data))",
-    "fneg_f64": "to_slv(-to_float64(in0_data))",
-    "sitofp": "to_slv(to_float(signed(in0_data), 11, 52))",
-    "select_i1": "in1_data when in0_data(0) = '1' else in2_data",
-    "select_i64": "in1_data when in0_data(0) = '1' else in2_data",
-    "select_f64": "in1_data when in0_data(0) = '1' else in2_data",
-}
-
-_CMP_EXPR = {
-    "cmp_lt_i64": "signed(in0_data) < signed(in1_data)",
-    "cmp_le_i64": "signed(in0_data) <= signed(in1_data)",
-    "cmp_gt_i64": "signed(in0_data) > signed(in1_data)",
-    "cmp_ge_i64": "signed(in0_data) >= signed(in1_data)",
-    "cmp_eq_i64": "signed(in0_data) = signed(in1_data)",
-    "cmp_ne_i64": "signed(in0_data) /= signed(in1_data)",
-    "fcmp_lt_f64": "to_float64(in0_data) < to_float64(in1_data)",
-    "fcmp_le_f64": "to_float64(in0_data) <= to_float64(in1_data)",
-    "fcmp_gt_f64": "to_float64(in0_data) > to_float64(in1_data)",
-    "fcmp_ge_f64": "to_float64(in0_data) >= to_float64(in1_data)",
-    "fcmp_eq_f64": "to_float64(in0_data) = to_float64(in1_data)",
-    "fcmp_ne_f64": "to_float64(in0_data) /= to_float64(in1_data)",
-    "and_i1": "(in0_data(0) and in1_data(0)) = '1'",
-    "or_i1": "(in0_data(0) or in1_data(0)) = '1'",
-    "not_i1": "in0_data(0) = '0'",
-}
-
-
-def _result_lines(c: Component) -> list[str]:
-    if c.opcode in _INT_EXPR:
-        return [f"  result <= {_INT_EXPR[c.opcode]};"]
-    if c.opcode in _CMP_EXPR:
-        return [f"  result(0) <= '1' when {_CMP_EXPR[c.opcode]} else '0';"]
-    raise EmitError(f"no VHDL template for opcode {c.opcode!r}")
-
-
 def _arch_operator(c: Component, w: int) -> list[str]:
     n = len(c.in_widths)
     valids = " and ".join(f"in{i}_valid" for i in range(n))
     decls = [f"  signal result : {_slv(w)};"]
-    body = _result_lines(c)
+    body = [f"  {IMPL_BY_OPCODE[c.opcode].vhdl}"]
     if c.latency == 0:
         decls.append("  signal fire : std_logic;")
         body += [f"  fire <= {valids} and out0_ready;"]

@@ -15,9 +15,12 @@ from minihls.cdfg import (
     from_json, insert_buffers, require_valid, to_json,
 )
 from minihls.errors import BuildError
+from minihls.interp import run_source
+from minihls.ir import successor_edges
 from minihls.lattice import LatticeType
 from minihls.lower import lower
 from minihls.pipeline import compile_source
+from minihls.sim import simulate
 from minihls.source import parse_source
 from minihls import typecheck
 
@@ -107,6 +110,54 @@ def test_every_buffer_feeds_a_merge(name, opt):
     fed = [kind[ch.dst.comp] for ch in g.channels
            if kind[ch.src.comp] == C.BUFFER]
     assert fed == [C.MERGE] * component_stats(g)["Buffer"]
+
+
+EARLY_RETURN = """
+function f(a::Int64, b::Int64)
+    if a < 0
+        return b
+    end
+    i = 0
+    while i < a
+        b = b + 1
+        i = i + 1
+    end
+    return b
+end
+"""
+
+
+def blocks_on_a_cycle(func):
+    succs = {b.id: {t for t, _ in successor_edges(b.terminator)}
+             for b in func.blocks}
+    on_cycle = set()
+    for start in succs:
+        seen, todo = set(), [start]
+        while todo:
+            for t in succs[todo.pop()] - seen:
+                seen.add(t)
+                todo.append(t)
+        if start in seen:
+            on_cycle.add(start)
+    return on_cycle
+
+
+def test_early_return_gets_one_buffer_per_loop_carried_value():
+    """The return Merge is created after the block Merges, so the cuts
+    land on the loop header's latch inputs and none on the return."""
+    res = compile_source(EARLY_RETURN)
+    g = res.cdfg
+    assert res.n_buffers == 4
+    by_id = {c.id: c for c in g.components}
+    fed = [by_id[ch.dst.comp] for ch in g.channels
+           if by_id[ch.src.comp].kind == C.BUFFER]
+    assert len(fed) == 4 and all(c.kind == C.MERGE for c in fed)
+    headers = {int(c.label[1:].split(".")[0]) for c in fed}  # "b<id>.<value>"
+    assert len(headers) == 1 and headers <= blocks_on_a_cycle(res.ssa)
+    for point in [(-1, 5), (3, 4), (0, 2)]:
+        report = simulate(g, point)
+        assert report.output == run_source(res.func, point)
+        assert report.leftover == 0
 
 
 def test_check_catches_dangling_port():

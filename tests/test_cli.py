@@ -76,6 +76,24 @@ def test_diff_sweep_range_and_list(capsys):
     assert "15 point(s), 0 mismatch(es)" in out
 
 
+@pytest.mark.parametrize("sweeps", [("--sweep=0x2", "--sweep=3"),
+                                    ("--sweep=0x1..0x2", "--sweep=3")])
+def test_run_and_diff_read_values_alike(capsys, sweeps):
+    code, out, _ = run_cli(capsys, "run", "power", "0x2", "3")
+    assert code == 0 and out.strip() == "8"
+    code, out, _ = run_cli(capsys, "diff", "power", *sweeps)
+    assert code == 0 and "0 mismatch(es)" in out
+
+
+@pytest.mark.parametrize("argv", [("run", "power", "2", "010"),
+                                  ("diff", "power", "--sweep=2", "--sweep=010"),
+                                  ("diff", "power", "--sweep=2", "--sweep=1..010")])
+def test_run_and_diff_reject_a_leading_zero_alike(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "cannot parse '010' as Int64" in err
+
+
 def test_diff_checks_its_circuit_once(capsys, monkeypatch):
     checks = []
     check = cdfg.check

@@ -10,11 +10,9 @@ import itertools
 
 import pytest
 
-from minihls import vhdl
 from minihls.errors import NoMethodError
-from minihls.interp import OPS
 from minihls.lattice import (
-    DEFAULT_LATENCIES, LatticeType, dispatch, dispatch_table,
+    DEFAULT_LATENCIES, IMPL_BY_OPCODE, LatticeType, dispatch, dispatch_table,
     format_dispatch_table, join, join_all,
 )
 
@@ -136,15 +134,16 @@ def test_format_dispatch_table_is_deterministic_and_complete():
 
 
 def test_default_latencies_cover_every_opcode():
-    opcodes = {d.impl.opcode for _, _, d in dispatch_table()}
-    opcodes.add("sitofp")
-    assert opcodes <= set(DEFAULT_LATENCIES)
+    # One row per opcode holds its function, latency and VHDL statement,
+    # so a new opcode missing any of them fails here.
+    assert len(IMPL_BY_OPCODE) == 29
+    for opcode, row in IMPL_BY_OPCODE.items():
+        assert row.opcode == opcode
+        assert callable(row.fn) and row.vhdl.startswith("result")
+    assert DEFAULT_LATENCIES == {op: row.latency
+                                 for op, row in IMPL_BY_OPCODE.items()}
     assert all(v >= 0 for v in DEFAULT_LATENCIES.values())
-    # The arithmetic kernel, the latency map and the VHDL library agree on
-    # the opcodes, so a new one missing from any table fails here.
-    assert (set(OPS) == set(DEFAULT_LATENCIES)
-            == set(vhdl._INT_EXPR) | set(vhdl._CMP_EXPR))
-    assert len(OPS) == 29
+    assert {d.impl.opcode for _, _, d in dispatch_table()} <= set(IMPL_BY_OPCODE)
 
 
 def test_widths():
