@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
+import functools
 import sys
 from pathlib import Path
 
@@ -192,7 +192,7 @@ def cmd_sim(opts: _Options) -> int:
     return 0
 
 
-def _parse_sweep(spec: str, ty: LatticeType) -> list:
+def _parse_sweep(spec: str, ty: LatticeType) -> list | range:
     """A comma-separated list of values, or lo..hi (both included) for an
     Int64; each value is spelled as `parse_value` reads it."""
     spec = spec.strip()
@@ -200,8 +200,7 @@ def _parse_sweep(spec: str, ty: LatticeType) -> list:
         return []
     if ".." in spec and ty == LatticeType.INT64:
         lo, _, hi = spec.partition("..")
-        return list(range(parse_value(lo.strip(), ty),
-                          parse_value(hi.strip(), ty) + 1))
+        return range(parse_value(lo.strip(), ty), parse_value(hi.strip(), ty) + 1)
     return [parse_value(part.strip(), ty) for part in spec.split(",")]
 
 
@@ -223,21 +222,23 @@ def cmd_diff(opts: _Options) -> int:
         raise CliError(f"{res.func.name} has {len(res.sig)} parameter(s); "
                        f"pass one --sweep per parameter")
     sweeps = [_parse_sweep(s, ty) for s, ty in zip(sweeps_spec, res.sig)]
-    points = list(itertools.product(*sweeps))
-    if not points:
+    if not all(sweeps):
         print("warning: empty sweep, nothing to compare", file=sys.stderr)
         return 0
     fuel = opts.get("fuel", DEFAULT_FUEL, int)
     max_cycles = opts.get("max_cycles", DEFAULT_MAX_CYCLES, int)
+    # the product made point by point, first sweep slowest: a range may not fit
+    points = functools.reduce(
+        lambda head, sweep: ((*p, v) for p in head for v in sweep), sweeps, [()])
     mismatches = 0
-    for point in points:
+    for n, point in enumerate(points, 1):
         want = run_source(res.func, point, fuel=fuel)
         got = simulate(res.cdfg, point, max_cycles=max_cycles).output
         if not _agree(want, got):
             mismatches += 1
             print(f"mismatch at ({', '.join(map(format_value, point))}): "
                   f"interp={format_value(want)} sim={format_value(got)}")
-    print(f"{res.func.name}: {len(points)} point(s), {mismatches} mismatch(es)")
+    print(f"{res.func.name}: {n} point(s), {mismatches} mismatch(es)")
     return 1 if mismatches else 0
 
 

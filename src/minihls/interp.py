@@ -2,21 +2,27 @@
 
 The `fn` of each `lattice.IMPL_BY_OPCODE` row is the single arithmetic
 kernel: the source-level and SSA interpreters and the circuit simulator
-all call it (the interpreters through `eval_op`), so their results are
-bit-identical by construction and differential runs compare scheduling,
-not arithmetic.
+all call it, so their results are bit-identical by construction and
+differential runs compare scheduling, not arithmetic.
 
-The source-level interpreter dispatches on runtime values, independent of
-static inference, which makes it an oracle for the type checker as well:
-on a type-stable program both must pick the same implementations.  It
-looks operators up in a table built once from `lattice.dispatch_table`.
+Each interpreter resolves a program once into a plan kept on it; plan
+closures take what they use as default arguments, as a cell per name
+would double a plan's objects.  `run_source` compiles each AST node into
+a closure that dispatches on runtime values, independent of static
+inference, so it is an oracle for the type checker as well; an operator's
+closure caches the row for the operand types it last saw.  `run_ssa`
+turns each block into steps.  Both charge a statement's or a block's fuel
+at once, and with too little left stop where counting node by node would.
 """
 
 from __future__ import annotations
 
+from math import inf
+from operator import is_, itemgetter
+
 from . import source as src
 from .errors import DivByZeroError, EvalError, FuelExhaustedError, Pos
-from .ir import ConstOp, Goto, Instr, Ret, SelectOp, SSAFunction
+from .ir import ConstOp, Instr, SelectOp, SSAFunction, successor_edges
 from .lattice import (IMPL_BY_OPCODE, LatticeType, OperatorImpl, dispatch,
                       dispatch_table, wrap64)
 
@@ -69,49 +75,18 @@ def coerce_args(sig: tuple[LatticeType, ...], raw: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class _Fuel:
-    def __init__(self, amount: int):
-        self.left = amount
-
-    def burn(self, pos: Pos) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise FuelExhaustedError("evaluation fuel exhausted", pos)
-
-
-_RETURN = object()  # sentinel key for the return slot
-
-
 def run_source(func: src.FunctionDef, args: tuple,
                fuel: int = DEFAULT_FUEL) -> Value:
     if len(args) != len(func.params):
         raise EvalError(
             f"{func.name} takes {len(func.params)} argument(s), got {len(args)}",
             func.pos)
-    env: dict = {p.name: v for p, v in zip(func.params, args)}
-    gas = _Fuel(fuel)
-    result = _exec_stmts(func.body, env, gas)
-    if result is _RETURN:
+    if func.plan is None:
+        object.__setattr__(func, "plan", _body(func.body))
+    result = func.plan({p.name: v for p, v in zip(func.params, args)}, [max(fuel, 0)])
+    if result is None:
         raise EvalError(f"{func.name} fell off the end", func.pos)
     return result
-
-
-def _eval_expr(e: src.Expr, env: dict, gas: _Fuel) -> Value:
-    gas.burn(e.pos)
-    if isinstance(e, (src.IntLit, src.FloatLit, src.BoolLit)):
-        return e.value
-    if isinstance(e, src.Var):
-        if e.name not in env:
-            raise EvalError(f"undefined variable {e.name!r}", e.pos)
-        return env[e.name]
-    if isinstance(e, src.Unary):
-        v = _eval_expr(e.operand, env, gas)
-        return _apply(e.op, (v,), e.pos)
-    if isinstance(e, src.Binary):
-        left = _eval_expr(e.left, env, gas)
-        right = _eval_expr(e.right, env, gas)  # && and || are strict
-        return _apply(e.op, (left, right), e.pos)
-    raise EvalError(f"unknown expression node {e!r}", e.pos)
 
 
 _PY_TYPES = {LatticeType.BOOL: bool, LatticeType.INT64: int,
@@ -121,54 +96,122 @@ _DISPATCH = {(symbol, *map(_PY_TYPES.get, types)): d
              for symbol, types, d in dispatch_table()}
 
 
-def _apply(symbol: str, operands: tuple, pos: Pos) -> Value:
-    # on a miss, dispatch resolves the operands or raises NoMethodError at pos
-    d = (_DISPATCH.get((symbol, *map(type, operands)))
-         or dispatch(symbol, tuple(map(type_of_value, operands)), pos))
+def _apply(e: src.Unary | src.Binary, args: tuple, cache: list):
+    """Operator `e` applied to `args` by dispatch, which may raise
+    NoMethodError.  `cache` gets the types of `args` and the row function
+    if that needs no conversion and cannot trap."""
+    d = (_DISPATCH.get((e.op, *map(type, args)))
+         or dispatch(e.op, tuple(map(type_of_value, args)), e.pos))
     if any(d.conversions):
-        operands = tuple(v if conv is None else conv.fn(v)
-                         for v, conv in zip(operands, d.conversions))
-    return eval_op(d.impl.opcode, operands, pos)
+        args = tuple(v if conv is None else conv.fn(v)
+                     for v, conv in zip(args, d.conversions))
+    elif not d.impl.traps:
+        cache[:] = (*map(type, args), d.impl.fn)
+    return eval_op(d.impl.opcode, args, e.pos)
 
 
-def _exec_stmts(stmts, env: dict, gas: _Fuel):
-    """Returns the function result, or _RETURN if control falls through."""
-    for s in stmts:
-        gas.burn(s.pos)
-        if isinstance(s, src.Assign):
-            env[s.target] = _eval_expr(s.value, env, gas)
-        elif isinstance(s, src.Return):
-            return _eval_expr(s.value, env, gas)
-        elif isinstance(s, src.If):
-            r = _exec_if(s, env, gas)
-            if r is not _RETURN:
-                return r
-        elif isinstance(s, src.While):
-            while _truth(s.cond, env, gas):
-                r = _exec_stmts(s.body, env, gas)
-                if r is not _RETURN:
-                    return r
-        else:
-            raise EvalError(f"unknown statement node {s!r}", s.pos)
-    return _RETURN
+def _expr(e: src.Expr, nodes: list):
+    """Compile `e` into a closure of the environment; appends each node's
+    (AST node, subtree size, closure) to `nodes` in evaluation order."""
+    at = len(nodes)
+    nodes.append(None)
+    if isinstance(e, src.Var):
+        run = itemgetter(e.name)  # `_replay` reports a missing name
+    elif isinstance(e, src.Binary):
+        def run(env, x=_expr(e.left, nodes), y=_expr(e.right, nodes), e=e,
+                cache=[None, None, None]):  # operand types last seen, row fn
+            a, b = x(env), y(env)  # && and || are strict
+            ta, tb, fn = cache
+            if type(a) is ta and type(b) is tb:
+                return fn(a, b)
+            return _apply(e, (a, b), cache)
+    elif isinstance(e, src.Unary):
+        def run(env, x=_expr(e.operand, nodes), e=e, cache=[None, None]):
+            a = x(env)
+            ta, fn = cache
+            return fn(a) if type(a) is ta else _apply(e, (a,), cache)
+    elif isinstance(e, (src.IntLit, src.FloatLit, src.BoolLit)):
+        run = lambda env, v=e.value: v
+    else:
+        raise EvalError(f"unknown expression node {e!r}", e.pos)
+    nodes[at] = (e, len(nodes) - at, run)
+    return run
 
 
-def _truth(cond: src.Expr, env: dict, gas: _Fuel) -> bool:
-    v = _eval_expr(cond, env, gas)
-    if not isinstance(v, bool):
-        raise EvalError(f"condition evaluated to non-Bool {v!r}", cond.pos)
-    return v
+def _unit(e: src.Expr, stmt: src.Stmt | None = None, test: bool = False):
+    """A closure of (env, gas) evaluating `e`, after the statement `stmt` if
+    given, charging their fuel at once; gas is [fuel left].  A `test` must
+    be a Bool."""
+    value, cost = _expr(e, nodes := []), len(nodes) + (stmt is not None)
+
+    def run(env, gas, e=e, stmt=stmt, value=value, cost=cost, test=test):
+        if gas[0] < cost:
+            _replay(e, stmt, gas[0], env)
+        gas[0] -= cost
+        try:
+            v = value(env)
+        except KeyError:  # a name is missing: the replay finds which read
+            _replay(e, stmt, cost, env)
+        if test and v is not True and v is not False:
+            raise EvalError(f"condition evaluated to non-Bool {v!r}", e.pos)
+        return v
+    return run
 
 
-def _exec_if(s: src.If, env: dict, gas: _Fuel):
-    if _truth(s.cond, env, gas):
-        return _exec_stmts(s.then, env, gas)
-    for cond, body in s.elifs:
-        if _truth(cond, env, gas):
-            return _exec_stmts(body, env, gas)
-    if s.orelse is not None:
-        return _exec_stmts(s.orelse, env, gas)
-    return _RETURN
+def _replay(e: src.Expr, stmt: src.Stmt | None, left: int, env: dict):
+    """Raise what `_unit(e, stmt)` raises run node by node with fuel for
+    `left` nodes: the error of a subtree that fits, else running out."""
+    nodes, i = [] if stmt is None else [(stmt, inf, None)], 0  # stmt first
+    _expr(e, nodes)
+    try:
+        while i < left:
+            _, size, run = nodes[i]
+            if i + size <= left:  # a whole subtree is paid for
+                run(env)
+                i += size
+            else:  # the node is, but its operator would run after node `left`
+                i += 1
+    except KeyError as err:  # from the first read of a missing name
+        raise EvalError(f"undefined variable {err.args[0]!r}", next(
+            n.pos for n, _, _ in nodes if n == src.Var(err.args[0]))) from None
+    raise FuelExhaustedError("evaluation fuel exhausted", nodes[left][0].pos)
+
+
+def _stmt(s: src.Stmt):
+    """Compile a statement into a closure of (env, gas) that returns the
+    function's result, or None if control falls through."""
+    if isinstance(s, src.Assign):
+        def run(env, gas, target=s.target, value=_unit(s.value, s)):
+            env[target] = value(env, gas)
+    elif isinstance(s, src.Return):
+        run = _unit(s.value, s)
+    elif isinstance(s, src.If):
+        def run(env, gas, arms=[(_unit(s.cond, s, True), _body(s.then))] + [
+                (_unit(c, None, True), _body(b)) for c, b in s.elifs],
+                orelse=_body(s.orelse or ())):
+            for test, body in arms:
+                if test(env, gas):
+                    return body(env, gas)
+            return orelse(env, gas)
+    elif isinstance(s, src.While):
+        def run(env, gas, first=_unit(s.cond, s, True),
+                again=_unit(s.cond, None, True), body=_body(s.body)):
+            test = first  # also charges the statement
+            while test(env, gas):
+                if (result := body(env, gas)) is not None:
+                    return result
+                test = again
+    else:
+        raise EvalError(f"unknown statement node {s!r}", s.pos)
+    return run
+
+
+def _body(stmts):
+    def run(env, gas, steps=tuple(map(_stmt, stmts))):
+        for step in steps:
+            if (result := step(env, gas)) is not None:
+                return result
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -176,40 +219,55 @@ def _exec_if(s: src.If, env: dict, gas: _Fuel):
 # ---------------------------------------------------------------------------
 
 
-def _apply_instr(ins: Instr, env: dict) -> Value:
+def _step(ins: Instr) -> tuple:
+    """(result id, function, argument count, argument ids padded to three
+    with None); a constant has no function and its value as first id."""
     if isinstance(ins.op, ConstOp):
-        return ins.op.value
-    args = tuple(env[a] for a in ins.args)
-    if isinstance(ins.op, SelectOp):
-        return args[1] if args[0] else args[2]
-    if isinstance(ins.op, OperatorImpl):
-        return eval_op(ins.op.opcode, args, ins.pos)
-    raise EvalError(f"unknown instruction op {ins.op!r}", ins.pos)
+        return ins.result, None, 0, ins.op.value, None, None
+    if isinstance(ins.op, SelectOp):  # every select row has this function
+        fn = IMPL_BY_OPCODE["select_i1"].fn
+    elif isinstance(ins.op, OperatorImpl):
+        row = IMPL_BY_OPCODE.get(ins.op.opcode)
+        fn = row.fn if row and not row.traps else (  # eval_op raises at ins
+            lambda *args: eval_op(ins.op.opcode, args, ins.pos))
+    else:
+        raise EvalError(f"unknown instruction op {ins.op!r}", ins.pos)
+    return (ins.result, fn, len(ins.args), *ins.args, None, None, None)[:6]
 
 
 def run_ssa(func: SSAFunction, args: tuple, fuel: int = DEFAULT_FUEL) -> Value:
     if len(args) != len(func.params):
         raise EvalError(
             f"{func.name} takes {len(func.params)} argument(s), got {len(args)}")
+    record = []  # what the plan is built from, compared by identity
+    for b in func.blocks:
+        record += (b, b.params, b.terminator, *b.instrs)
+    if (func.plan is None or len(func.plan[0]) != len(record)
+            or not all(map(is_, func.plan[0], record))):
+        # per block: steps, fuel cost, instruction and terminator positions,
+        # returned and branch value ids, (block index, param ids, argument
+        # ids) of each out-edge, false first
+        index = {b.id: i for i, b in enumerate(func.blocks)}
+        params = [tuple(p for p, _ in b.params) for b in func.blocks]
+        func.plan = (record, [
+            (tuple(map(_step, b.instrs)), len(b.instrs) + 1,
+             (*(ins.pos for ins in b.instrs), _NO_POS),
+             getattr(b.terminator, "value", None),
+             getattr(b.terminator, "cond", None),
+             tuple((index[t], params[index[t]], args)
+                   for t, args in reversed(successor_edges(b.terminator))))
+            for b in func.blocks])
+    plan, fuel, i = func.plan[1], max(fuel, 0), 0
     env: dict = {vid: v for (vid, _), v in zip(func.params, args)}
-    gas = _Fuel(fuel)
-    block = func.entry
-    by_id = {b.id: b for b in func.blocks}
     while True:
-        for ins in block.instrs:
-            gas.burn(ins.pos)
-            env[ins.result] = _apply_instr(ins, env)
-        t = block.terminator
-        gas.burn(_NO_POS)
-        if isinstance(t, Ret):
-            return env[t.value]
-        if isinstance(t, Goto):
-            target, edge_args = t.target, t.args
-        else:
-            if env[t.cond]:
-                target, edge_args = t.then_target, t.then_args
-            else:
-                target, edge_args = t.else_target, t.else_args
-        nxt = by_id[target]
-        env.update({pid: env[a] for (pid, _), a in zip(nxt.params, edge_args)})
-        block = nxt
+        steps, cost, where, ret, cond, edges = plan[i]
+        for result, fn, n, x, y, z in steps if fuel >= cost else steps[:fuel]:
+            env[result] = (fn(env[x], env[y]) if n == 2 else fn(env[x]) if n == 1
+                           else x if n == 0 else fn(env[x], env[y], env[z]))
+        if fuel < cost:  # the fuel paid for the steps run, not for `where[fuel]`
+            raise FuelExhaustedError("evaluation fuel exhausted", where[fuel])
+        fuel -= cost
+        if ret is not None:
+            return env[ret]
+        i, pids, argids = edges[1] if cond is not None and env[cond] else edges[0]
+        env.update(zip(pids, tuple(map(env.__getitem__, argids))))  # read all first

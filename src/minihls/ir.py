@@ -88,6 +88,8 @@ class SSAFunction:
     blocks: list[Block]
     next_value: ValueId = 0
     next_block: BlockId = 0
+    # the `interp.run_ssa` plan, reused while the blocks are unchanged
+    plan: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def entry(self) -> Block:

@@ -104,17 +104,19 @@ def compile_source(text: str, sig: tuple[LatticeType, ...] | None = None,
 
 
 def parse_value(text: str, ty: LatticeType):
-    """One command-line value of type `ty`: true or false; an integer
-    literal as Python reads it with base prefixes (0x2, but not 010); or
-    a float."""
+    """One command-line value of type `ty`: true or false; an Int64 literal
+    as Python reads it with base prefixes (0x2, but not 010); or a float."""
     try:
         if ty == LatticeType.BOOL:
             if text not in ("true", "false"):
                 raise ValueError(text)
             return text == "true"
-        return int(text, 0) if ty == LatticeType.INT64 else float(text)
+        value = int(text, 0) if ty == LatticeType.INT64 else float(text)
     except ValueError:
         raise CliError(f"cannot parse {text!r} as {ty}") from None
+    if ty == LatticeType.INT64 and not src.INT64_MIN <= value <= src.INT64_MAX:
+        raise CliError(f"integer {text} out of Int64 range")
+    return value
 
 
 def parse_args_for(result: CompileResult, raw: list[str]) -> tuple:

@@ -239,6 +239,8 @@ class FunctionDef:
     params: tuple[Param, ...]
     body: tuple[Stmt, ...]
     pos: Pos = field(compare=False, default=Pos(0, 0))
+    # the closures `interp.run_source` compiles on its first call
+    plan: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

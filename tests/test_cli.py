@@ -94,6 +94,33 @@ def test_run_and_diff_reject_a_leading_zero_alike(capsys, argv):
     assert "cannot parse '010' as Int64" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "power", "9223372036854775808", "1"),
+    ("sim", "power", "2", "-9223372036854775809"),
+    ("diff", "power", "--sweep=0..0x10000000000000000", "--sweep=1")])
+def test_int64_values_out_of_range_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error[cli] integer ") and "out of Int64 range" in err
+
+
+def test_int64_range_ends_are_accepted(capsys):
+    code, out, _ = run_cli(capsys, "run", "power", "-9223372036854775808", "1")
+    assert code == 0 and out == "-9223372036854775808\n"
+    code, out, _ = run_cli(capsys, "run", "power", "9223372036854775807", "1")
+    assert code == 0 and out == "9223372036854775807\n"
+
+
+def test_diff_runs_points_as_it_makes_them(capsys):
+    code, out, _ = run_cli(capsys, "diff", "power", "--sweep=-5..5", "--sweep=3")
+    assert code == 0 and out == "power: 11 point(s), 0 mismatch(es)\n"
+    # a sweep far too long to hold: the first point already stops the run
+    code, out, err = run_cli(capsys, "diff", "power", "--fuel=1", "--sweep=1",
+                             "--sweep=0..9223372036854775807")
+    assert code == 1 and out == ""
+    assert "evaluation fuel exhausted" in err
+
+
 def test_diff_checks_its_circuit_once(capsys, monkeypatch):
     checks = []
     check = cdfg.check

@@ -1,17 +1,20 @@
 """Reference semantics: wrapping, division, trapping, fuel, strictness."""
 
+import dataclasses
 import math
 
 import pytest
 
 from minihls import corpus, typecheck
-from minihls.errors import (DivByZeroError, FuelExhaustedError, NoMethodError,
-                            Pos)
+from minihls.errors import (DivByZeroError, EvalError, FuelExhaustedError,
+                            NoMethodError, Pos)
 from minihls.interp import (
     coerce_args, eval_op, run_source, run_ssa, type_of_value, wrap64,
 )
-from minihls.lattice import LatticeType
+from minihls.ir import Ret
+from minihls.lattice import IMPL_BY_OPCODE, LatticeType
 from minihls.lower import lower
+from minihls.pipeline import compile_source
 from minihls.source import parse_source
 
 INT64_MIN = -(2**63)
@@ -194,3 +197,128 @@ def test_run_source_validates_argument_count():
     fn = source_fn("function f(a, b)\n  return a + b\nend\n")
     with pytest.raises(Exception):
         run_source(fn, (1,))
+
+
+# -- pinned fuel, dispatch and trap semantics --------------------------------
+
+
+def test_fuel_thresholds_are_exact():
+    res = compile_source(corpus.load("power"), corpus.SIGNATURES["power"])
+    assert run_source(res.func, (2, 3), fuel=41) == 8
+    with pytest.raises(FuelExhaustedError) as info:
+        run_source(res.func, (2, 3), fuel=40)
+    assert info.value.pos == Pos(8, 12)  # the `acc` of `return acc`
+    for func in (res.ssa_unopt, res.ssa):
+        assert run_ssa(func, (2, 3), fuel=27) == 8
+        with pytest.raises(FuelExhaustedError) as info:
+            run_ssa(func, (2, 3), fuel=26)
+        assert info.value.pos == Pos(0, 0)  # the return terminator
+
+
+def retyped_loop(second):
+    """`y = x + 1` sees an Int64 `x` on its first visit and `second` on
+    its next."""
+    return source_fn("function f(n)\n  x = 1\n  y = 0\n  i = 0\n"
+                     "  while i < n\n    y = x + 1\n"
+                     f"    x = {second}\n    i = i + 1\n  end\n"
+                     "  return y\nend\n")
+
+
+def test_dispatch_follows_the_operands_of_each_visit():
+    assert run_source(retyped_loop("0.5"), (2,)) == 1.5
+    with pytest.raises(NoMethodError) as info:
+        run_source(retyped_loop("true"), (2,))
+    assert info.value.pos == Pos(6, 11)
+
+
+def trapping_ssa(text="function f(a, b)\n  c = a + 1\n  return c % b\nend\n"):
+    return lower(typecheck.infer(source_fn(text), (I, I)))
+
+
+def test_ssa_trap_keeps_its_position():
+    ssa = trapping_ssa()
+    assert run_ssa(ssa, (6, 4)) == 3
+    with pytest.raises(DivByZeroError) as info:
+        run_ssa(ssa, (6, 0))
+    assert info.value.pos == Pos(3, 12)
+    # the `%` is the third instruction: fuel for two stops before it traps
+    assert ssa.blocks[0].instrs[2].op.opcode == "mod_i64"
+    with pytest.raises(FuelExhaustedError) as info:
+        run_ssa(ssa, (6, 0), fuel=2)
+    assert info.value.pos == Pos(3, 12)
+    with pytest.raises(DivByZeroError):
+        run_ssa(ssa, (6, 0), fuel=3)
+
+
+def test_fuel_runs_out_where_counting_node_by_node_would():
+    # `return a % b + 1` visits return, +, %, a, b, 1; `%` runs after b
+    fn = source_fn("function f(a, b)\n  return a % b + 1\nend\n")
+    with pytest.raises(DivByZeroError) as info:
+        run_source(fn, (1, 0), fuel=5)  # pays for the whole `a % b`
+    assert info.value.pos == Pos(2, 12)
+    with pytest.raises(FuelExhaustedError) as info:
+        run_source(fn, (1, 0), fuel=4)  # not for b
+    assert info.value.pos == Pos(2, 14)
+    fn = source_fn("function f(a)\n  return x + a\nend\n")
+    with pytest.raises(FuelExhaustedError) as info:
+        run_source(fn, (1,), fuel=2)
+    assert info.value.pos == Pos(2, 10)
+    for fuel in (3, 100):
+        with pytest.raises(EvalError, match="undefined variable 'x'") as info:
+            run_source(fn, (1,), fuel=fuel)
+        assert info.value.pos == Pos(2, 10)
+
+
+def test_conditions_must_be_bool():
+    for cond, pos in (("  if a\n", Pos(2, 6)), ("  while a\n", Pos(2, 9)),
+                      ("  if a < 0\n  elseif a\n", Pos(3, 10))):
+        fn = source_fn(f"function f(a)\n{cond}    a = 0\n  end\n  return a\nend\n")
+        with pytest.raises(EvalError, match="to non-Bool 1") as info:
+            run_source(fn, (1,))
+        assert info.value.pos == pos
+
+
+# -- plans: built once per program, rebuilt when it changes ------------------
+
+
+def test_unchanged_programs_are_planned_once():
+    for run, program in ((run_source, source_fn(corpus.load("power"))),
+                         (run_ssa, lowered("power"))):
+        assert program.plan is None
+        assert run(program, (2, 3)) == 8
+        plan = program.plan
+        assert [run(program, (2, n)) for n in (4, 3)] == [16, 8]
+        assert program.plan is plan
+
+
+def test_replaced_instruction_or_terminator_is_replanned():
+    ssa = trapping_ssa()
+    assert run_ssa(ssa, (6, 4)) == 3
+    block = ssa.blocks[0]
+    k, ins = 2, block.instrs[2]  # the `%`
+    block.instrs[k] = dataclasses.replace(ins, op=IMPL_BY_OPCODE["sub_i64"])
+    assert run_ssa(ssa, (6, 4)) == 3  # (6 + 1) - 4
+    block.instrs[k] = ins
+    block.terminator = Ret(ssa.params[0][0])
+    assert run_ssa(ssa, (6, 4)) == 6
+    block.terminator = Ret(ins.result)
+    assert run_ssa(ssa, (6, 4)) == 3
+    # an equal instruction at another position is a new one too
+    block.instrs[k] = dataclasses.replace(ins, pos=Pos(9, 9))
+    assert block.instrs[k] == ins
+    with pytest.raises(DivByZeroError) as info:
+        run_ssa(ssa, (6, 0))
+    assert info.value.pos == Pos(9, 9)
+
+
+def test_equal_programs_report_their_own_positions():
+    text = "function f(a, b)\n  c = a + 1\n  return c % b\nend\n"
+    fns = [source_fn(text), source_fn("\n\n" + text)]
+    ssas = [trapping_ssa(text), trapping_ssa("\n\n" + text)]
+    assert fns[0] == fns[1] and ssas[0] == ssas[1]
+    for _ in range(2):
+        for fn, ssa, line in zip(fns, ssas, (3, 5)):
+            for run, program in ((run_source, fn), (run_ssa, ssa)):
+                with pytest.raises(DivByZeroError) as info:
+                    run(program, (6, 0))
+                assert info.value.pos == Pos(line, 12)
