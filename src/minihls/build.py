@@ -25,7 +25,7 @@ from .errors import BuildError
 from .ir import (Block, CondGoto, ConstOp, Goto, Ret, SelectOp, SSAFunction,
                  postorder, predecessor_edges, successor_edges, terminator_uses,
                  verify)
-from .lattice import DEFAULT_LATENCIES, OperatorImpl, SELECT_OPCODES
+from .lattice import DEFAULT_LATENCIES, SELECT_OPCODES
 
 CONTROL = "ctrl"  # input-map key for the control token; value keys are ints
 
@@ -218,11 +218,9 @@ class _Builder:
                 if isinstance(ins.op, SelectOp):
                     opcode = SELECT_OPCODES[ins.ty]
                     widths = (1, w, w)
-                elif isinstance(ins.op, OperatorImpl):
+                else:
                     opcode = ins.op.opcode
                     widths = tuple(t.width for t in ins.op.operand_types)
-                else:
-                    raise BuildError(f"unknown instruction op {ins.op!r}")
                 c = g.add_component(OPERATOR, widths, (w,),
                                     label=f"v{ins.result}", opcode=opcode,
                                     latency=self.lat[opcode], pos=ins.pos)

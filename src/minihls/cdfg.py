@@ -14,10 +14,10 @@ Components, channels and ports are immutable records, so a circuit
 changes only when an element of `components` or `channels` is appended,
 removed or replaced; `insert_buffers` replaces each channel it cuts in
 its list slot.  A Const payload compares by its type and repr, so -0.0
-and 0.0 are different payloads.  Comparing the two lists with the copies
-that `require_valid` recorded when it last accepted the circuit therefore
-tells whether the circuit changed since; `sim.SimPlan` is reused while it
-was built from the record held now.
+and 0.0 differ, and a source position compares too, as traps report it.
+Comparing the two lists with the copies that `require_valid` recorded
+when it last accepted the circuit tells whether the circuit changed
+since; `sim.SimPlan` is reused while it was built from the record held now.
 
 Kinds (`KIND_ORDER`): Entry and Exit cross the circuit boundary, Const
 turns a trigger token into its payload, an Operator computes its opcode
@@ -68,7 +68,7 @@ class Component:
     opcode: str | None = None  # Operator only
     latency: int = 0  # Operator pipeline depth
     value: object = field(compare=False, default=None)  # Const payload
-    pos: Pos = field(compare=False, default=Pos(0, 0))  # Const, Operator
+    pos: Pos = Pos(0, 0)  # Const, Operator: where a trap is reported
     # Compared in the payload's place: -0.0 == 0.0 and 1 == 1.0 == True,
     # but a type and a repr tell those payloads apart.
     value_key: tuple | None = field(init=False, repr=False, default=None)

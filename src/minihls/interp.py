@@ -11,20 +11,21 @@ would double a plan's objects.  `run_source` compiles each AST node into
 a closure that dispatches on runtime values, independent of static
 inference, so it is an oracle for the type checker as well; an operator's
 closure caches the row for the operand types it last saw.  `run_ssa`
-turns each block into steps.  Both charge a statement's or a block's fuel
-at once, and with too little left stop where counting node by node would.
+runs IR that `ir.verify` accepts, as steps per block kept with verify's
+record.  Both charge a statement's or a block's fuel at once, and with
+too little left stop where counting node by node would.
 """
 
 from __future__ import annotations
 
 from math import inf
-from operator import is_, itemgetter
+from operator import itemgetter
 
 from . import source as src
 from .errors import DivByZeroError, EvalError, FuelExhaustedError, Pos
-from .ir import ConstOp, Instr, SelectOp, SSAFunction, successor_edges
-from .lattice import (IMPL_BY_OPCODE, LatticeType, OperatorImpl, dispatch,
-                      dispatch_table, wrap64)
+from .ir import ConstOp, Instr, SelectOp, SSAFunction, successor_edges, verify
+from .lattice import (IMPL_BY_OPCODE, LatticeType, dispatch, dispatch_table,
+                      wrap64)
 
 DEFAULT_FUEL = 1_000_000
 
@@ -62,8 +63,7 @@ def coerce_args(sig: tuple[LatticeType, ...], raw: tuple) -> tuple:
             v = float(v)
         if type_of_value(v) != ty:
             raise EvalError(
-                f"argument {i} must be {ty}, got {type_of_value(v).__class__.__name__}"
-                f" {v!r}")
+                f"argument {i} must be {ty}, got {type_of_value(v)} {v!r}")
         if ty == LatticeType.INT64:
             v = wrap64(v)
         out.append(v)
@@ -224,14 +224,11 @@ def _step(ins: Instr) -> tuple:
     with None); a constant has no function and its value as first id."""
     if isinstance(ins.op, ConstOp):
         return ins.result, None, 0, ins.op.value, None, None
-    if isinstance(ins.op, SelectOp):  # every select row has this function
-        fn = IMPL_BY_OPCODE["select_i1"].fn
-    elif isinstance(ins.op, OperatorImpl):
-        row = IMPL_BY_OPCODE.get(ins.op.opcode)
-        fn = row.fn if row and not row.traps else (  # eval_op raises at ins
-            lambda *args: eval_op(ins.op.opcode, args, ins.pos))
-    else:
-        raise EvalError(f"unknown instruction op {ins.op!r}", ins.pos)
+    # every select row has the function of select_i1
+    row = IMPL_BY_OPCODE["select_i1" if isinstance(ins.op, SelectOp)
+                         else ins.op.opcode]
+    fn = row.fn if not row.traps else (  # eval_op raises at ins
+        lambda *args: eval_op(row.opcode, args, ins.pos))
     return (ins.result, fn, len(ins.args), *ins.args, None, None, None)[:6]
 
 
@@ -239,17 +236,15 @@ def run_ssa(func: SSAFunction, args: tuple, fuel: int = DEFAULT_FUEL) -> Value:
     if len(args) != len(func.params):
         raise EvalError(
             f"{func.name} takes {len(func.params)} argument(s), got {len(args)}")
-    record = []  # what the plan is built from, compared by identity
-    for b in func.blocks:
-        record += (b, b.params, b.terminator, *b.instrs)
-    if (func.plan is None or len(func.plan[0]) != len(record)
-            or not all(map(is_, func.plan[0], record))):
+    if violations := verify(func):
+        raise EvalError("refusing to run invalid IR: " + "; ".join(violations))
+    if func.plan is None or func.plan[0] is not func.checked:
         # per block: steps, fuel cost, instruction and terminator positions,
         # returned and branch value ids, (block index, param ids, argument
         # ids) of each out-edge, false first
         index = {b.id: i for i, b in enumerate(func.blocks)}
         params = [tuple(p for p, _ in b.params) for b in func.blocks]
-        func.plan = (record, [
+        func.plan = (func.checked, [
             (tuple(map(_step, b.instrs)), len(b.instrs) + 1,
              (*(ins.pos for ins in b.instrs), _NO_POS),
              getattr(b.terminator, "value", None),

@@ -7,19 +7,20 @@ onto the merge components of the elastic circuit.  Every value id is
 defined exactly once (function param, block param, or instruction result)
 and every use must be dominated by its definition.
 
-Passes never mutate an `Instr` or a terminator in place: a rewrite builds
-a new one and assigns it to the block's list or `terminator` field.  So
+Instructions and terminators are immutable records: a rewrite builds a
+new one and assigns it to the block's list or `terminator` field.  So
 `SSAFunction.clone` copies only the blocks and their instruction lists
-and shares everything below them.
+and shares everything below them, `verify`'s record included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Union
 
 from .errors import Pos
-from .lattice import LatticeType, OperatorImpl, format_value
+from .lattice import IMPL_BY_OPCODE, LatticeType, OperatorImpl, format_value
 
 ValueId = int
 BlockId = int
@@ -40,7 +41,7 @@ class SelectOp:
 Op = Union[OperatorImpl, ConstOp, SelectOp]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Instr:
     result: ValueId
     ty: LatticeType
@@ -49,13 +50,13 @@ class Instr:
     pos: Pos = field(default=Pos(0, 0), compare=False)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Goto:
     target: BlockId
     args: tuple[ValueId, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CondGoto:
     cond: ValueId
     then_target: BlockId
@@ -64,7 +65,7 @@ class CondGoto:
     else_args: tuple[ValueId, ...]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Ret:
     value: ValueId
 
@@ -88,7 +89,9 @@ class SSAFunction:
     blocks: list[Block]
     next_value: ValueId = 0
     next_block: BlockId = 0
-    # the `interp.run_ssa` plan, reused while the blocks are unchanged
+    # the entries `verify` last found valid
+    checked: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # the `interp.run_ssa` plan, reused while it was built from `checked`
     plan: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -103,8 +106,10 @@ class SSAFunction:
     def clone(self) -> "SSAFunction":
         blocks = [Block(b.id, b.params, list(b.instrs), b.terminator)
                   for b in self.blocks]
-        return SSAFunction(self.name, self.params, self.return_type, blocks,
-                           self.next_value, self.next_block)
+        out = SSAFunction(self.name, self.params, self.return_type, blocks,
+                          self.next_value, self.next_block)
+        out.checked = self.checked  # the same entries
+        return out
 
     def value_types(self) -> dict[ValueId, LatticeType]:
         types = dict(self.params)
@@ -224,8 +229,16 @@ _CONST_KIND = {LatticeType.BOOL: bool, LatticeType.INT64: int,
 def verify(func: SSAFunction) -> list[str]:
     """Check every structural invariant; returns violations, never raises.
 
-    Run after lowering and after every optimization pass.
+    Run after lowering and after every optimization pass.  A clean walk
+    keeps the entries it read (params, return type, and each block's id,
+    params, terminator and instructions) in `func.checked`; while each is
+    the same object, `verify` returns [] without walking.
     """
+    record = [func.params, func.return_type]
+    for b in func.blocks:
+        record += (b.id, b.params, b.terminator, *b.instrs)
+    if len(func.checked) == len(record) and all(map(is_, func.checked, record)):
+        return []
     violations: list[str] = []
     if not func.blocks:
         return ["function has no blocks"]
@@ -300,7 +313,10 @@ def verify(func: SSAFunction) -> list[str]:
         for ins in b.instrs:
             if isinstance(ins.op, OperatorImpl):
                 expect = ins.op.operand_types
-                if len(ins.args) != len(expect):
+                if ins.op.opcode not in IMPL_BY_OPCODE:
+                    violations.append(
+                        f"v{ins.result}: unknown opcode {ins.op.opcode!r}")
+                elif len(ins.args) != len(expect):
                     violations.append(
                         f"v{ins.result}: {ins.op.opcode} expects {len(expect)} "
                         f"operand(s), got {len(ins.args)}")
@@ -361,6 +377,8 @@ def verify(func: SSAFunction) -> list[str]:
             for vid in terminator_uses(b.terminator):
                 check_use(vid, b.id, len(b.instrs), f"b{b.id} terminator")
 
+    if not violations:
+        func.checked = record
     return violations
 
 

@@ -186,10 +186,10 @@ _BIND = {ENTRY: _entry, EXIT: _drain, SINK: _drain, CONST: _operator,
 
 
 class SimPlan:
-    """A circuit checked by `require_valid` and compiled for simulation.
-    The plan keeps the record `g.checked` of the lists it was built from,
-    and `SimPlan.of(g)` reuses it while `require_valid(g)` leaves that
-    record in place.
+    """A circuit checked by `require_valid` and compiled for simulation,
+    made by `SimPlan.of(g)`.  The plan keeps the record `g.checked` of the
+    lists it was built from, and `of` reuses it while `require_valid(g)`
+    leaves that record in place.
 
     Components and channels are numbered by position.  `producer[k]` and
     `consumer[k]` are the components at either end of channel k,
@@ -199,7 +199,6 @@ class SimPlan:
     """
 
     def __init__(self, g: CDFG):
-        require_valid(g)
         self.checked = g.checked
         self.components, self.channels = comps, chans = g.checked
         index = {c.id: i for i, c in enumerate(comps)}

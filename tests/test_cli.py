@@ -76,6 +76,13 @@ def test_diff_sweep_range_and_list(capsys):
     assert "15 point(s), 0 mismatch(es)" in out
 
 
+def test_diff_compares_float_results(capsys):
+    code, out, _ = run_cli(capsys, "diff", "newton_raphson",
+                           "--sweep=1.0,2.0,0.5")
+    assert code == 0
+    assert out.strip() == "newton_raphson: 3 point(s), 0 mismatch(es)"
+
+
 @pytest.mark.parametrize("sweeps", [("--sweep=0x2", "--sweep=3"),
                                     ("--sweep=0x1..0x2", "--sweep=3")])
 def test_run_and_diff_read_values_alike(capsys, sweeps):

@@ -121,6 +121,13 @@ def test_coerce_args_promotes_ints_for_float_params():
     assert coerce_args((B, I), (True, 5)) == (True, 5)
 
 
+def test_coerce_args_names_the_type_it_got():
+    with pytest.raises(EvalError, match=r"argument 0 must be Int64, got Float64 1\.5$"):
+        coerce_args((I,), (1.5,))
+    with pytest.raises(EvalError, match="argument 1 must be Bool, got Int64 1$"):
+        coerce_args((I, B), (1, 1))
+
+
 # -- whole-program evaluation ------------------------------------------------
 
 

@@ -1,13 +1,24 @@
-"""SSA verifier and printer tests on hand-built functions."""
+"""SSA verifier and printer tests on hand-built functions, and the
+verifier's record on compiled ones."""
 
+import dataclasses
 import random
 
+import pytest
+from test_passes import narrow_ladder, wide_ladder
+
+from minihls import corpus, ir
+from minihls.build import build_cdfg
+from minihls.errors import MiniHlsError
+from minihls.interp import run_ssa
 from minihls.ir import (
     Block, CondGoto, ConstOp, Goto, Instr, Ret, SSAFunction, SelectOp,
     dominators, predecessor_edges, print_function, reachable_blocks,
     successor_edges, verify,
 )
 from minihls.lattice import IMPL_BY_OPCODE, LatticeType
+from minihls.passes import optimize
+from minihls.pipeline import compile_source
 
 B, I, F = LatticeType.BOOL, LatticeType.INT64, LatticeType.FLOAT64
 
@@ -279,3 +290,81 @@ def test_edge_from_unreachable_block_does_not_hide_dominance():
     f = SSAFunction("u", (), I, [b0, b1, b2, b3], next_value=3, next_block=4)
     assert verify(f) == ["b2 is unreachable"]
     assert dominators(f)[3] == {0, 1, 3}
+
+
+# -- the verifier's record: each distinct IR is walked once -----------------
+
+
+@pytest.mark.parametrize("record", [Instr(1, I, ConstOp(1)), Goto(1, (2,)),
+                                   CondGoto(0, 1, (), 2, ()), Ret(2)],
+                         ids=lambda r: type(r).__name__)
+def test_ir_records_are_frozen(record):
+    for f in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
+
+
+def count_walks(monkeypatch):
+    """Full verifier walks, counted as dominance computations."""
+    walks = []
+    real = ir._dominance
+    monkeypatch.setattr(ir, "_dominance", lambda *a: walks.append(1) or real(*a))
+    return walks
+
+
+def compile_shape(shape):
+    if shape in corpus.PROGRAMS:
+        return compile_source(corpus.load(shape), corpus.SIGNATURES[shape])
+    return compile_source({"narrow": narrow_ladder, "wide": wide_ladder}[shape](40))
+
+
+# Lowering's output is walked, then each pass application that changed the
+# IR; the clone `optimize` checks first and the function `build_cdfg` gets
+# are the ones already walked.
+@pytest.mark.parametrize("shape, walks", [("narrow", 3), ("wide", 1),
+                                          ("if_else", 2), ("power", 1),
+                                          ("newton_raphson", 3)])
+def test_a_compile_walks_each_distinct_ir_once(shape, walks, monkeypatch):
+    counted = count_walks(monkeypatch)
+    res = compile_shape(shape)
+    assert len(counted) == walks
+    point = tuple(1.0 if t == F else 1 for t in res.sig)
+    for func in (res.ssa, res.ssa_unopt):  # run_ssa adds no walk
+        run_ssa(func, point)
+    assert len(counted) == walks
+
+
+def test_a_clone_shares_the_record():
+    f = straightline()
+    assert verify(f) == []
+    assert f.clone().checked is f.checked
+
+
+def test_a_replaced_instruction_is_walked_again(monkeypatch):
+    res = compile_shape("power")
+    walks = count_walks(monkeypatch)
+    block = next(b for b in res.ssa.blocks if b.instrs)
+    ins = block.instrs[0]
+    block.instrs[0] = dataclasses.replace(ins)  # equal, but another object
+    assert run_ssa(res.ssa, (2, 10)) == 1024
+    assert len(walks) == 1
+    assert run_ssa(res.ssa, (2, 10)) == 1024 and verify(res.ssa) == []
+    assert len(walks) == 1
+
+
+def test_a_breaking_edit_is_rejected_everywhere():
+    res = compile_shape("power")
+    res.ssa.blocks[-1].terminator = Ret(res.ssa.next_value + 1)  # undefined
+    for stage in (optimize, build_cdfg, lambda f: run_ssa(f, (2, 3))):
+        with pytest.raises(MiniHlsError, match="undefined value"):
+            stage(res.ssa)
+
+
+def test_an_unknown_opcode_is_rejected():
+    f = straightline()
+    bogus = dataclasses.replace(ADD, opcode="bogus_i64")
+    f.entry.instrs[1] = dataclasses.replace(f.entry.instrs[1], op=bogus)
+    assert verify(f) == ["v2: unknown opcode 'bogus_i64'"]
+    for stage in (build_cdfg, lambda f: run_ssa(f, (1,))):
+        with pytest.raises(MiniHlsError, match="unknown opcode 'bogus_i64'"):
+            stage(f)

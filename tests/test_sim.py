@@ -393,6 +393,21 @@ def test_only_an_unequal_replacement_builds_a_new_plan(monkeypatch):
     assert checks == [g] and g.sim_plan is not plan
 
 
+def test_a_component_moved_to_another_position_builds_a_new_plan(monkeypatch):
+    g = compile_source("function f(a, b)\n  c = a + 1\n  return c % b\nend\n",
+                       corpus.SIGNATURES["power"]).cdfg
+    assert simulate(g, (6, 4)).output == 3
+    plan = g.sim_plan
+    checks = count_checks(monkeypatch)
+    mod = next(c for c in g.components if c.opcode == "mod_i64")
+    assert mod.pos == Pos(3, 12)
+    replace_record(g.components, mod, pos=Pos(9, 9))
+    with pytest.raises(DivByZeroError) as info:
+        simulate(g, (6, 0))
+    assert info.value.pos == Pos(9, 9)
+    assert checks == [g] and g.sim_plan is not plan
+
+
 def test_an_edit_to_an_equal_comparing_payload_builds_a_new_plan():
     """-0.0 == 0.0, but at a = -2.0, a * 0.0 is -0.0 and a * -0.0 is 0.0."""
     g = compile_source("function f(a)\n  return a * 0.0\nend\n",

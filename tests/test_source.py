@@ -57,6 +57,16 @@ def test_numbers_take_ascii_digits_only(literal, col, char):
     assert toks("x² a٣") == [("ident", "x²"), ("ident", "a٣")]
 
 
+@pytest.mark.parametrize("literal, col, message", [
+    ("1.e5", 17, "expected digit after decimal point"),
+    ("1e", 18, "malformed exponent in numeric literal"),
+    ("1.2.3", 19, "malformed numeric literal (second decimal point)")])
+def test_malformed_numbers_are_reported_where_they_go_wrong(literal, col, message):
+    with pytest.raises(LexError) as exc:
+        source.tokenize(f"function f(a)\n    return a + {literal}\nend\n")
+    assert (exc.value.pos, exc.value.message) == (Pos(2, col), message)
+
+
 def test_parse_simple_function():
     prog = source.parse_source(
         "function add(a, b)\n  return a + b\nend\n")

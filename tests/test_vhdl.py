@@ -85,6 +85,15 @@ def test_const_payload_encodings(compiled):
     assert 'x"0000000000000001"' in int_top  # acc = 1 / n - 1
 
 
+def test_bool_consts_are_one_bit_literals():
+    g = compile_source("function f(a::Int64)\n  b = true\n  if a > 0\n"
+                       "    b = false\n  end\n  return b\nend\n").cdfg
+    files = emit_vhdl(g)
+    values = re.findall(r"g_value => (\S+)", files["f_top.vhd"])
+    assert sorted(values) == ['"0"', '"1"', 'x"0000000000000000"']
+    assert lint_netlist(files) == []
+
+
 def test_negative_int_const_is_twos_complement():
     # source-level -1 lowers as const 1 + neg, so build the graph by hand
     from minihls import cdfg as C
