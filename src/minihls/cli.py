@@ -53,6 +53,7 @@ STATS_COLUMNS = ("program", "bb_unopt", "bb_opt", "components_total",
 CONFIG_KEYS = frozenset({"function", "sig", "lenient", "no_opt", "latency",
                          "out", "fuel", "max_cycles", "trace", "format",
                          "timing"})
+DUMP_FORMATS = ("json", "dot")
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -85,23 +86,25 @@ class _Options:
         self.args = args
         self.cfg = load_config(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, key: str, default=None, cast=None):
+    def get(self, key: str, default=None, cast=None, choices=None):
         value = getattr(self.args, key, None)
         if value is not None:
             return value
         if key in self.cfg:
             raw = self.cfg[key]
             try:
-                return cast(raw) if cast else raw
+                value = cast(raw) if cast else raw
+                if choices is None or value in choices:
+                    return value
             except ValueError:
-                raise CliError(f"{self.args.config}: invalid value for "
-                               f"{key}: {raw!r}") from None
+                pass
+            raise CliError(f"{self.args.config}: invalid value for {key}: {raw!r}")
         return default
 
-    def max_cycles(self) -> int:
-        n = self.get("max_cycles", DEFAULT_MAX_CYCLES, int)
-        if n < 1:
-            raise CliError(f"max_cycles must be at least 1, got {n}")
+    def at_least(self, key: str, default: int, least: int) -> int:
+        n = self.get(key, default, int)
+        if n < least:
+            raise CliError(f"{key} must be at least {least}, got {n}")
         return n
 
 
@@ -178,7 +181,7 @@ def cmd_compile(opts: _Options) -> int:
 def cmd_run(opts: _Options) -> int:
     res = _compile(opts)
     values = parse_args_for(res, opts.args.values)
-    fuel = opts.get("fuel", DEFAULT_FUEL, int)
+    fuel = opts.at_least("fuel", DEFAULT_FUEL, 0)
     print(format_value(run_source(res.func, values, fuel=fuel)))
     return 0
 
@@ -187,7 +190,8 @@ def cmd_sim(opts: _Options) -> int:
     res = _compile(opts)
     values = parse_args_for(res, opts.args.values)
     trace = opts.get("trace")
-    report = simulate(res.cdfg, values, max_cycles=opts.max_cycles(),
+    max_cycles = opts.at_least("max_cycles", DEFAULT_MAX_CYCLES, 1)
+    report = simulate(res.cdfg, values, max_cycles=max_cycles,
                       trace=trace is not None)
     if trace is not None:
         with open(trace, "w", newline="") as fh:
@@ -234,8 +238,8 @@ def cmd_diff(opts: _Options) -> int:
     if not all(sweeps):
         print("warning: empty sweep, nothing to compare", file=sys.stderr)
         return 0
-    fuel = opts.get("fuel", DEFAULT_FUEL, int)
-    max_cycles = opts.max_cycles()
+    fuel = opts.at_least("fuel", DEFAULT_FUEL, 0)
+    max_cycles = opts.at_least("max_cycles", DEFAULT_MAX_CYCLES, 1)
     # the product made point by point, first sweep slowest: a range may not fit
     points = functools.reduce(
         lambda head, sweep: ((*p, v) for p in head for v in sweep), sweeps, [()])
@@ -294,7 +298,7 @@ def cmd_dump_ir(opts: _Options) -> int:
 
 def cmd_dump_cdfg(opts: _Options) -> int:
     res = _compile(opts)
-    fmt = opts.get("format", "json")
+    fmt = opts.get("format", "json", choices=DUMP_FORMATS)
     if fmt == "dot":
         print(export_dot(res.cdfg), end="")
     else:
@@ -393,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-cdfg", help="print the circuit graph")
     _add_common(p)
-    p.add_argument("--format", choices=("json", "dot"))
+    p.add_argument("--format", choices=DUMP_FORMATS)
     p.set_defaults(handler=cmd_dump_cdfg)
     return parser
 

@@ -10,6 +10,14 @@ Each kind's architecture is one entry of `_ARCH`; an Operator's drives its
 `lattice.IMPL_BY_OPCODE` row.  Every data/valid/ready port triple, of an
 entity, a top-level pin or a port map, comes from `_handshake`.  A circuit that `require_valid` rejects raises `BuildError`.
 
+Text is built once per shape, in caches keyed by content and bounded, since
+hand-made circuits and edited libraries bring shapes without end.  A valid
+circuit's channel has the width of both its ports, so a component's
+(kind, port widths, opcode, latency) fixes its entity text and instance
+template (`_shape`), and a channel's width its signal declarations
+(`_signals`).  The lint parses each distinct entity declaration once and
+compiles its canonical port-map template once (`_declaration`).
+
 Conventions (the lint checks the emitted text against exactly these):
 * every entity takes clk and rst, and every instance connects them
 * channel k becomes signals ch_<k>_valid / ch_<k>_ready, plus ch_<k>_data
@@ -26,8 +34,9 @@ import json
 import re
 import struct
 from collections import Counter
-from functools import cache
+from functools import lru_cache
 from itertools import count
+from operator import itemgetter
 
 from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE,
                    OPERATOR, SINK, Component, component_stats, require_valid)
@@ -247,22 +256,49 @@ def _const_bits(c: Component) -> str:
     raise EmitError(f"cannot encode constant {v!r}")
 
 
-# Templates kept per channel end or per width and split where a prefix goes,
-# so that `prefix.join(template)` gives the text: the port map lines of an
-# end, whose prefix is that of the nets it connects to, and the signal
-# declarations of a channel, whose prefix is ch_<id>.
-@cache
-def _port_map(port: str, width: int, inward: bool) -> tuple[str, ...]:
-    lines = [f"      {formal} => {net}" for (formal, _, _), (net, _, _)
-             in zip(_handshake(port, width, inward), _handshake("\0", width, inward))]
-    return tuple(",\n".join(lines).split("\0"))
-
-
-@cache
+@lru_cache(maxsize=256)
 def _signals(width: int) -> tuple[str, ...]:
-    lines = [f"  signal {n} : {_slv(w) if w else 'std_logic'};"
-             for n, _, w in _handshake("\0", width, True)]
-    return tuple("\n".join(lines).split("\0"))
+    """A channel's signal declarations, split where its id goes."""
+    return tuple("\n".join(f"  signal {n} : {_slv(w) if w else 'std_logic'};"
+                           for n, _, w in _handshake("ch_\0", width, True)).split("\0"))
+
+
+@lru_cache(maxsize=1024)
+def _shape(kind: str, in_widths: tuple[int, ...], out_widths: tuple[int, ...],
+           opcode: str | None, latency: int) -> tuple[str, str, str, itemgetter]:
+    """(entity name, entity text, instance template, field picker).  The
+    picker takes the component id, the channel id at each port (inputs in
+    order, then outputs last to first) and last an Entry's or Exit's pin or
+    a Const's value bits, and gives the template's `%s` values in order."""
+    c = Component(0, kind, in_widths, out_widths, opcode=opcode, latency=latency)
+    name = entity_name(c)
+    n = len(in_widths) + len(out_widths)
+    # (port, width, inward, field): each port maps to the channel in that
+    # field, but the boundary side of an Entry or Exit maps to its pin.
+    ends = [(f"in{i}", w, True, i + 1) for i, w in enumerate(in_widths)]
+    ends += [(f"out{i}", w, False, n - i) for i, w in enumerate(out_widths)]
+    if kind == ENTRY:
+        ends.insert(0, ("in0", out_widths[0], True, n + 1))
+    elif kind == EXIT:
+        ends.append(("out0", in_widths[0], False, n + 1))
+    w = _data_width(c)
+    generic = (["  generic (", f"    g_value : {_slv(w)}", "  );"]
+               if kind == CONST else [])
+    text = "\n".join(_entity(name, [e[:3] for e in ends], generic, "behav")
+                     + _ARCH[kind](c, w) + ["end architecture;"])
+    lines, order = [f"  cmp_%s_{kind.lower()} : entity work.{name}"], [0]
+    if kind == CONST:
+        lines += ["    generic map (", "      g_value => %s", "    )"]
+        order.append(n + 1)
+    maps = ["      clk => clk", "      rst => rst"]
+    for port, width, inward, field in ends:
+        net = "%s" if field > n else "ch_%s"
+        for (formal, _, _), (actual, _, _) in zip(_handshake(port, width, inward),
+                                                  _handshake(net, width, inward)):
+            maps.append(f"      {formal} => {actual}")
+            order.append(field)
+    lines += ["    port map (", ",\n".join(maps), "    );"]
+    return name, text, "\n".join(lines), itemgetter(*order)
 
 
 def emit_vhdl(g: CDFG) -> dict[str, str]:
@@ -270,51 +306,32 @@ def emit_vhdl(g: CDFG) -> dict[str, str]:
     Raises `BuildError` for a circuit that `require_valid` rejects."""
     require_valid(g)
     top_name = f"{g.name}_top"
-    # each component's channels in port order, by component id
-    ins = {c.id: [None] * len(c.in_widths) for c in g.components}
-    outs = {c.id: [None] * len(c.out_widths) for c in g.components}
+    # each component's fields for its picker, the pin or bits still to come
+    fields = {c.id: [c.id] + [None] * (len(c.in_widths) + len(c.out_widths))
+              for c in g.components}
     body = []
     for ch in g.channels:
-        body.append(f"ch_{ch.id}".join(_signals(ch.width)))
-        outs[ch.src.comp][ch.src.index] = ch
-        ins[ch.dst.comp][ch.dst.index] = ch
+        k = str(ch.id)
+        body.append(k.join(_signals(ch.width)))
+        fields[ch.src.comp][~ch.src.index] = k
+        fields[ch.dst.comp][ch.dst.index + 1] = k
     body.append("begin")
     entities: dict[str, str] = {}
     pins = []  # the boundary end of each Entry and Exit
     args = map("arg{}".format, count())
     for c in g.components:
-        # (port, width, inward, net): each port maps to its channel, but the
-        # boundary side of an Entry or Exit maps to a top-level pin.
-        ends = [(f"in{i}", ch.width, True, f"ch_{ch.id}")
-                for i, ch in enumerate(ins[c.id])]
-        ends += [(f"out{i}", ch.width, False, f"ch_{ch.id}")
-                 for i, ch in enumerate(outs[c.id])]
-        if c.kind == ENTRY:
-            w = c.out_widths[0]
-            ends.insert(0, ("in0", w, True, next(args) if w else "start"))
-            pins.append(ends[0])
-        elif c.kind == EXIT:
-            ends.append(("out0", c.in_widths[0], False, "result"))
-            pins.append(ends[-1])
-        name = entity_name(c)
-        if name not in entities:
-            w = _data_width(c)
-            generic = (["  generic (", f"    g_value : {_slv(w)}", "  );"]
-                       if c.kind == CONST else [])
-            entities[name] = "\n".join(
-                _entity(name, [e[:3] for e in ends], generic, "behav")
-                + _ARCH[c.kind](c, w) + ["end architecture;"])
-        body.append(f"  cmp_{c.id}_{c.kind.lower()} : entity work.{name}")
+        name, text, template, pick = _shape(c.kind, c.in_widths, c.out_widths,
+                                            c.opcode, c.latency)
+        entities.setdefault(name, text)
+        last = fields[c.id]
         if c.kind == CONST:
-            body += ["    generic map (", f"      g_value => {_const_bits(c)}",
-                     "    )"]
-        maps = [net.join(_port_map(port, w, inward))
-                for port, w, inward, net in ends]
-        body += ["    port map (",
-                 ",\n".join(["      clk => clk", "      rst => rst", *maps]),
-                 "    );"]
-    top = _entity(top_name, [(net, w, inward) for _, w, inward, net in pins],
-                  [], "structural")
+            last.append(_const_bits(c))
+        elif c.kind in (ENTRY, EXIT):
+            w = _data_width(c)
+            last.append("result" if c.kind == EXIT else next(args) if w else "start")
+            pins.append((last[-1], w, c.kind == ENTRY))
+        body.append(template % pick(last))
+    top = _entity(top_name, pins, [], "structural")
     lib = _HEADER + "\n" + "\n\n".join(
         entities[name] for name in sorted(entities)) + "\n"
     lib_file = "minihls_components.vhd"
@@ -356,25 +373,43 @@ def _top_files(files: dict[str, str]) -> list[str]:
             if n.endswith(".vhd") and "architecture structural" in t]
 
 
+@lru_cache(maxsize=512)
+def _declaration(ports_text: str) -> tuple:
+    """An entity's port list parsed once: port -> direction (shared by
+    every lint, so never changed), the lines that do not parse, and the
+    template of a canonical port map (each port once in declared order,
+    clk and rst mapped to themselves) with the indices of the groups, the
+    other actuals, that the entity drives and reads.  It is only built if
+    clk and rst are both ports."""
+    ports, unparsable = {}, []
+    for line in ports_text.split(";\n"):
+        pm = _PORT_RE.match(line)
+        if pm is None:
+            unparsable.append(line.strip())
+        else:
+            ports[pm.group(1)] = pm.group(2)
+    rest = [d for p, d in ports.items() if p not in _CLOCKS]
+    maps = [f"      {p} => " + (p if p in _CLOCKS else r"(\w+)") for p in ports]
+    return (ports, unparsable,
+            set(_CLOCKS) <= ports.keys() and re.compile(",\n".join(maps)),
+            [i for i, d in enumerate(rest) if d == "out"],
+            [i for i, d in enumerate(rest) if d == "in"])
+
+
 def lint_netlist(files: dict[str, str]) -> list[str]:
     """Check the emitted netlist against the emitter's own conventions."""
     bad: list[str] = []
     tops = _top_files(files)
     top = tops[0] if len(tops) == 1 else None
     top_ports = None
-    entities: dict[str, dict[str, str]] = {}  # name -> port -> direction
+    entities: dict[str, tuple] = {}  # name -> `_declaration`
     for text in files.values():
         if not text.endswith("\n") or "\r" in text:
             bad.append("file must use bare LF endings and end with a newline")
-        for m in _ENTITY_RE.finditer(text):
-            name, ports_text = m.groups()
-            ports = entities[name] = {}
-            for line in ports_text.split(";\n"):
-                pm = _PORT_RE.match(line)
-                if pm is None:
-                    bad.append(f"entity {name}: unparsable port line {line.strip()!r}")
-                    continue
-                ports[pm.group(1)] = pm.group(2)
+        for name, ports_text in _ENTITY_RE.findall(text):
+            ports, unparsable, *_ = entities[name] = _declaration(ports_text)
+            bad += [f"entity {name}: unparsable port line {line!r}"
+                    for line in unparsable]
             if text is top and top_ports is None:
                 top_ports = ports
     if top is None:
@@ -388,27 +423,17 @@ def lint_netlist(files: dict[str, str]) -> list[str]:
     # a top-level input pin drives a net; an output pin reads one
     drivers = [p for p, d in top_ports.items() if d == "in"]
     readers = [p for p, d in top_ports.items() if d == "out"]
-    # A canonical port map (each port once in declared order, clk and rst
-    # mapped to themselves) is one match of its entity's template, whose
-    # groups are the other actuals.  It is only right, and only built, if clk
-    # and rst are both ports of the entity and nets of the top.
-    templates = {}
-    for m in _INSTANCE_RE.finditer(top):
-        label, ename, maps_text = m.groups()
-        ports = entities.get(ename)
-        if ports is None:
+    # A canonical map's template takes clk and rst as they are, so it is
+    # only right if they are nets of the top.
+    clocked = nets.issuperset(_CLOCKS)
+    for label, ename, maps_text in _INSTANCE_RE.findall(top):
+        decl = entities.get(ename)
+        if decl is None:
             bad.append(f"instance {label}: entity {ename} is not defined")
             continue
-        if ename not in templates:
-            rest = [d for p, d in ports.items() if p not in _CLOCKS]
-            maps = [f"      {p} => " + (p if p in _CLOCKS else r"(\w+)") for p in ports]
-            clocked = set(_CLOCKS) <= ports.keys() & nets
-            templates[ename] = (clocked and re.compile(",\n".join(maps)),
-                                [i for i, d in enumerate(rest) if d == "out"],
-                                [i for i, d in enumerate(rest) if d == "in"])
-        template, drives, reads = templates[ename]
-        canonical = template and template.fullmatch(maps_text)
-        if canonical and nets.issuperset(actuals := canonical.groups()):
+        ports, _, template, drives, reads = decl
+        m = clocked and template and template.fullmatch(maps_text)
+        if m and nets.issuperset(actuals := m.groups()):
             drivers += [actuals[i] for i in drives]
             readers += [actuals[i] for i in reads]
             continue

@@ -304,6 +304,27 @@ def test_max_cycles_below_one_is_rejected_from_the_config(tmp_path, capsys):
         1, "", "error[cli] max_cycles must be at least 1, got 0\n")
 
 
+@pytest.mark.parametrize("argv", [("run", "power", "2", "3"),
+                                  ("diff", "power", "--sweep=2", "--sweep=3")])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_negative_fuel_is_rejected(tmp_path, capsys, argv, from_file):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("fuel=-5\n")
+    extra = ("--config", str(cfg)) if from_file else ("--fuel=-5",)
+    assert run_cli(capsys, *argv, *extra) == (
+        1, "", "error[cli] fuel must be at least 0, got -5\n")
+
+
+def test_config_value_outside_the_flags_choices_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("format=xml\n")
+    assert run_cli(capsys, "dump-cdfg", "power", "--config", str(cfg)) == (
+        1, "", f"error[cli] {cfg}: invalid value for format: 'xml'\n")
+    cfg.write_text("format=dot\n")
+    code, out, _ = run_cli(capsys, "dump-cdfg", "power", "--config", str(cfg))
+    assert code == 0 and out.startswith("digraph power {")
+
+
 @pytest.mark.parametrize("argv", [("power", "--no-opt", "2", "3"),
                                   ("power", "2", "3", "--no-opt"),
                                   ("--no-opt", "power", "2", "3")])

@@ -1,5 +1,7 @@
 """Netlist emission: determinism, goldens, lint, instance accounting."""
 
+import copy
+import dataclasses
 import hashlib
 import random
 import re
@@ -8,9 +10,9 @@ from pathlib import Path
 import pytest
 from test_passes import narrow_ladder, wide_ladder
 
-from minihls import corpus
+from minihls import corpus, vhdl
 from minihls.cdfg import component_stats
-from minihls.errors import BuildError
+from minihls.errors import BuildError, EmitError
 from minihls.pipeline import compile_source
 from minihls.vhdl import emit_vhdl, entity_name, instance_count, lint_netlist
 
@@ -214,6 +216,39 @@ def test_ladder_emission_is_pinned(shape):
             for name, body in files.items()} == want
 
 
+@pytest.mark.parametrize("ladders_first", [True, False])
+def test_emission_does_not_depend_on_cache_state(compiled, ladders_first):
+    vhdl._shape.cache_clear()
+    vhdl._signals.cache_clear()
+
+    def ladders():
+        for text, want in LADDER_SHA256.values():
+            files = emit_vhdl(compile_source(text).cdfg)
+            assert {name: hashlib.sha256(body.encode()).hexdigest()
+                    for name, body in files.items()} == want
+
+    def goldens():
+        for program in corpus.PROGRAMS:
+            for fname, text in emitted(compiled, program).items():
+                assert text == (GOLDEN / program / fname).read_text()
+
+    for step in (ladders, goldens) if ladders_first else (goldens, ladders):
+        step()
+
+
+def test_unknown_kind_is_an_emit_error_after_its_neighbours_are_cached(
+        compiled, monkeypatch):
+    g = copy.deepcopy(compiled("power").cdfg)
+    emit_vhdl(g)
+    k = next(i for i, c in enumerate(g.components) if c.kind == "Fork")
+    g.components[k] = dataclasses.replace(g.components[k], kind="Widget")
+    monkeypatch.setattr(vhdl, "require_valid", lambda g: None)
+    with pytest.raises(EmitError, match="cannot name an entity for kind 'Widget'"):
+        emit_vhdl(g)
+    with pytest.raises(EmitError, match="cannot name an entity"):
+        entity_name(g.components[k])
+
+
 # -- lint differential ---------------------------------------------------------
 
 
@@ -375,3 +410,38 @@ def test_lint_matches_the_reference_on_mutants(compiled):
     assert line_by_line > 500 and net_messages > 500
     for files in mutants[-4 * len(bases):]:
         assert any("clk" in p or "rst" in p for p in lint_netlist(files))
+
+
+def test_lint_matches_the_reference_on_wide_ladder_mutants():
+    base = emit_vhdl(compile_source(wide_ladder(2)).cdfg)
+    rng = random.Random(16)
+    line_by_line = net_messages = 0
+    for _ in range(300):
+        files = _mutant(base, rng)
+        want = reference_lint(files)
+        assert lint_netlist(files) == want
+        line_by_line += any(s in p for p in want for s in _LINE_BY_LINE)
+        net_messages += any(p.startswith("net ") for p in want)
+    assert line_by_line > 60 and net_messages > 60
+
+
+def test_lint_carries_no_verdict_from_one_netlist_to_the_next(compiled):
+    clean = emitted(compiled, "power")
+    lib = "minihls_components.vhd"
+    broken = {**clean, lib: clean[lib].replace(
+        "    clk : in std_logic;", "    clk : inout std_logic;", 1)}
+    for files in (broken, clean, broken):
+        assert lint_netlist(files) == reference_lint(files)
+    assert any("unparsable port line 'clk : inout std_logic'" in p
+               for p in lint_netlist(broken))
+    assert lint_netlist(clean) == []
+
+
+def test_a_second_lint_of_a_netlist_compiles_no_pattern(compiled, monkeypatch):
+    files = emitted(compiled, "newton_raphson")
+    assert lint_netlist(files) == []
+    compiles = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *a: compiles.append(a) or compile_(*a))
+    assert lint_netlist(files) == []
+    assert compiles == []
