@@ -23,8 +23,9 @@ Kinds (`KIND_ORDER`): Entry and Exit cross the circuit boundary, Const
 turns a trigger token into its payload, an Operator computes its opcode
 over `latency` stages, Fork copies, Branch steers by a Bool, Merge passes
 its one valid input, a Buffer holds one token and a Sink drops tokens.
-An opcode is valid when `lattice.IMPL_BY_OPCODE` has a row for it; the
-row gives the simulator its function and the emitter its VHDL.
+An opcode is valid when `lattice.IMPL_BY_OPCODE` has a row for it, and
+an Operator's port widths must be those of the row's signature; the row
+gives the simulator its function and the emitter its VHDL.
 Each kind is one entry per table: `check` takes its port counts from
 `_PORTS` and its width and field rules from `_RULES`, `sim._BIND` its
 firing rule and `vhdl._ARCH` its VHDL architecture; `vhdl.entity_name`
@@ -133,6 +134,10 @@ _PORTS = {ENTRY: (0, 1), EXIT: (1, 0), SINK: (1, 0), CONST: (1, 1),
 _ONE_WIDTH = ((lambda c: len(set(c.in_widths + c.out_widths)) == 1,
                "all ports must share one width"),)
 
+# opcode -> its Operator's (input widths, output widths)
+_WIDTHS = {op: (tuple(t.width for t in imp.operand_types), (imp.result_type.width,))
+           for op, imp in IMPL_BY_OPCODE.items()}
+
 # kind -> (holds, message) width and field rules, run once the counts hold.
 _RULES = {
     CONST: ((lambda c: c.in_widths[0] == 0, "trigger input must have width 0"),
@@ -141,7 +146,10 @@ _RULES = {
     OPERATOR: ((lambda c: c.opcode is not None, "missing opcode"),
                (lambda c: c.opcode in IMPL_BY_OPCODE or c.opcode is None,
                 "unknown opcode"),
-               (lambda c: c.latency >= 0, "negative latency")),
+               (lambda c: c.latency >= 0, "negative latency"),
+               (lambda c: _WIDTHS.get(c.opcode, (c.in_widths, c.out_widths))
+                == (c.in_widths, c.out_widths),
+                "port widths must match the opcode's signature")),
     BRANCH: ((lambda c: c.in_widths[1] == 1, "condition input must have width 1"),
              (lambda c: c.out_widths == (c.in_widths[0],) * 2,
               "output widths must match the data input")),

@@ -7,11 +7,10 @@ where one exists, a source position, so the CLI can print uniform
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     """1-based line / column of a token or AST node."""
 
     line: int

@@ -11,16 +11,30 @@ The accepted surface syntax is a small Julia-flavoured imperative subset:
         return acc
     end
 
-Statements are newline- or semicolon-terminated, comments run from ``#``
-to end of line, and source files conventionally use the ``.mjl``
-extension.  Parameters may carry an optional ``::Int64`` / ``::Float64``
-annotation; unannotated parameters are typed from the entry signature
-supplied to type inference.
+Statements are newline- or semicolon-terminated, and source files
+conventionally use the ``.mjl`` extension.  Parameters may carry an
+optional ``::Int64`` / ``::Float64`` annotation; unannotated parameters
+are typed from the entry signature supplied to type inference.
+
+`tokenize` scans the text with one compiled pattern, by these rules:
+an identifier is a letter (``str.isalpha``) or ``_``, then letters,
+digits (``str.isalnum``) or ``_``, and is a keyword if spelled as one.
+A number has ASCII digits only: digits, an optional ``.`` and digits,
+an optional exponent (``e`` or ``E``, a sign or none, digits); with a
+point or an exponent it is a Float64, else an in-range Int64, and a
+point or exponent without digits, or a second point, is an error.  An
+operator is the longest of `OPERATORS` the text starts with.  Space,
+tab and ``\\r`` separate tokens, one column each; a comment runs from
+``#`` to the end of the line.  A run of newlines, blank lines and
+comment-only lines is one ``newline`` token, and there is none before
+the first token.  Any other character is an error.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple, NoReturn
 
 from .errors import LexError, MissingReturnError, ParseError, Pos
 from .lattice import format_value
@@ -29,7 +43,7 @@ KEYWORDS = {
     "function", "if", "elseif", "else", "while", "end", "return", "true", "false",
 }
 
-# Multi-char operators first so the lexer matches greedily.
+# Multi-char operators first so the scanner matches greedily.
 OPERATORS = [
     "::", "<=", ">=", "==", "!=", "&&", "||",
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "(", ")", ",", ";",
@@ -40,105 +54,79 @@ UNARY_OPS = {"-", "!"}
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
-# Numeric literals take ASCII digits only; `str.isdigit` also accepts
-# digits such as '²' and '٣', which `int` rejects or reads as numbers.
-_DIGITS = frozenset("0123456789")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "int", "float", "newline", "eof", a keyword, or an operator
     value: object
     pos: Pos
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind!r}, {self.value!r}, {self.pos})"
+
+# One match per token: the blanks and the comment before it, then the
+# token in one group.  A number matches only whole, so a malformed one,
+# like a character no token starts with, ends up in `bad`; `word` holds
+# identifiers with a non-ASCII first character, which must be a letter.
+_SCAN = re.compile(r"""[ \t\r]*(?:\#[^\n]*)?(?:
+    (?P<sym>[A-Za-z_]\w*|%s)
+  | (?P<newline>\n(?:[ \t\r]*(?:\#[^\n]*)?\n)*)
+  | (?P<int>[0-9]+(?![.eE0-9]))
+  | (?P<float>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+(?![.0-9])|(?![.eE0-9])))
+  | (?P<word>[^\W\d]\w*)
+  | (?P<eof>\Z)
+  | (?P<bad>.))""" % "|".join(map(re.escape, OPERATORS)), re.VERBOSE)
+# the longest well-formed start of a number; `_lex_error` reads what follows
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+# the token kind of each keyword and operator; other words are identifiers
+_KINDS = {w: w for w in (*KEYWORDS, *OPERATORS)}
+_new = tuple.__new__  # a Token or Pos without the NamedTuple's Python __new__
 
 
 def tokenize(text: str) -> list[Token]:
     """Split source text into tokens, each carrying its line/column."""
     tokens: list[Token] = []
-    i = 0
-    line, col = 1, 1
-    n = len(text)
-
-    def pos() -> Pos:
-        return Pos(line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            # Collapse runs of blank lines into a single separator token.
-            if tokens and tokens[-1].kind != "newline":
-                tokens.append(Token("newline", "\n", pos()))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            start, start_pos = i, pos()
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            is_float = False
-            if i < n and text[i] == ".":
-                if i + 1 >= n or text[i + 1] not in _DIGITS:
-                    raise LexError("expected digit after decimal point",
-                                   Pos(line, col + (i - start)))
-                is_float = True
-                i += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            if i < n and text[i] in "eE":
-                is_float = True
-                i += 1
-                if i < n and text[i] in "+-":
-                    i += 1
-                if i >= n or text[i] not in _DIGITS:
-                    raise LexError("malformed exponent in numeric literal",
-                                   Pos(line, col + (i - start)))
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            if i < n and text[i] == ".":
-                raise LexError("malformed numeric literal (second decimal point)",
-                               Pos(line, col + (i - start)))
-            lexeme = text[start:i]
-            if is_float:
-                tokens.append(Token("float", float(lexeme), start_pos))
-            else:
-                value = int(lexeme)
-                if value > INT64_MAX:
-                    raise LexError(f"integer literal {lexeme} out of Int64 range", start_pos)
-                tokens.append(Token("int", value, start_pos))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start, start_pos = i, pos()
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, start_pos))
-            col += i - start
-            continue
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(op, op, pos()))
-                i += len(op)
-                col += len(op)
-                break
+    append = tokens.append
+    line, base = 1, -1  # the index in `text` of column 0 of `line`
+    for m in _SCAN.finditer(text):  # the last match is always `eof`
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        pos = _new(Pos, (line, start - base))
+        if kind == "sym" or kind == "word" and text[start].isalpha():
+            value = text[start:end]
+            append(_new(Token, (_KINDS.get(value, "ident"), value, pos)))
+        elif kind == "newline":
+            if tokens:
+                append(_new(Token, ("newline", "\n", pos)))
+            line += text.count("\n", start, end)
+            base = end - 1
+        elif kind == "int" and (value := int(text[start:end])) <= INT64_MAX:
+            append(_new(Token, ("int", value, pos)))
+        elif kind == "float":
+            append(_new(Token, ("float", float(text[start:end]), pos)))
+        elif kind == "eof":
+            break
         else:
-            raise LexError(f"unexpected character {ch!r}", pos())
-
-    tokens.append(Token("eof", None, pos()))
+            _lex_error(text, start, pos)
+    append(_new(Token, ("eof", None, pos)))
     return tokens
+
+
+def _lex_error(text: str, i: int, pos: Pos) -> NoReturn:
+    """Raise the LexError for the token at `text[i]` and `pos`, where the
+    scan stops: a character no token starts with, or a malformed or too
+    large number."""
+    m = _NUMBER.match(text, i)
+    if m is None:
+        raise LexError(f"unexpected character {text[i]!r}", pos)
+    j = m.end()
+    if text[j:j + 1] == ".":
+        message = ("expected digit after decimal point" if m[0].isdigit()
+                   else "malformed numeric literal (second decimal point)")
+    elif text[j:j + 1] in ("e", "E"):
+        j += 2 if text[j + 1:j + 2] in ("+", "-") else 1
+        message = "malformed exponent in numeric literal"
+    else:
+        raise LexError(f"integer literal {m[0]} out of Int64 range", pos)
+    raise LexError(message, Pos(pos.line, pos.col + j - i))
 
 
 # ---------------------------------------------------------------------------

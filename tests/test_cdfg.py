@@ -232,6 +232,11 @@ KIND_CASES = [
     (C.BUFFER, (64,), (1,), {}, ["all ports must share one width"]),
     (C.OPERATOR, (64,), (64,), {"opcode": "neg"}, ["unknown opcode"]),
     (C.CONST, (0,), (0,), {"value": 5}, ["output must not have width 0"]),
+    (C.OPERATOR, (64, 64, 64), (64,), {"opcode": "add_i64"},
+     ["port widths must match the opcode's signature"]),
+    (C.OPERATOR, (64, 64), (1,), {"opcode": "add_i64"},
+     ["port widths must match the opcode's signature"]),
+    (C.OPERATOR, (1, 64, 64), (64,), {"opcode": "select_i64"}, []),
 ]
 
 
@@ -281,6 +286,21 @@ def fork_into_add(*wiring):
     for src, dst, width in wiring:
         g.add_channel(Port(*src), Port(*dst), width)
     return g
+
+
+def test_operator_with_an_extra_input_is_rejected_before_it_runs():
+    g = CDFG("three")
+    g.add_component(C.ENTRY, (), (64,), label="x")
+    g.add_component(C.FORK, (64,), (64, 64, 64))
+    g.add_component(C.OPERATOR, (64, 64, 64), (64,), opcode="add_i64")
+    g.add_component(C.EXIT, (64,), ())
+    for src, dst in (((0, 0), (1, 0)), ((1, 0), (2, 0)), ((1, 1), (2, 1)),
+                     ((1, 2), (2, 2)), ((2, 0), (3, 0))):
+        g.add_channel(Port(*src), Port(*dst), 64)
+    assert check(g) == [
+        "component 2 (Operator): port widths must match the opcode's signature"]
+    with pytest.raises(BuildError, match="component 2 .Operator.: port widths"):
+        simulate(g, (1,))
 
 
 def test_check_messages_are_pinned():

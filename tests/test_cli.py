@@ -426,3 +426,15 @@ def test_stats_on_user_file_has_empty_ref_columns(tmp_path, capsys):
     row = out.splitlines()[-1].split("\t")  # keep trailing empty columns
     assert row[0] == "double"
     assert row[5] == "" and row[6] == ""
+
+
+@pytest.mark.parametrize("text, where", [
+    ("function f(a)\n    return a # done", "2:20"),
+    ("function f(a)\n    return a # done\n", "3:1"),
+    ("function f(a)\n    return a\t ", "2:15")],
+    ids=["comment", "comment_then_newline", "blanks"])
+def test_end_of_file_is_reported_after_the_last_character(tmp_path, capsys, text, where):
+    f = tmp_path / "open.mjl"
+    f.write_text(text)
+    assert run_cli(capsys, "run", str(f), "1") == (
+        1, "", f"error[parse] {where}: expected 'end', found 'eof'\n")

@@ -203,3 +203,89 @@ def test_deeper_expression_is_a_parse_error(expr, col):
         source.parse_source(returning(expr))
     assert exc.value.message == "expression nested too deeply"
     assert (exc.value.pos.line, exc.value.pos.col) == (2, col)
+
+
+# ---------------------------------------------------------------------------
+# The scanner against the character-by-character reference lexer
+# ---------------------------------------------------------------------------
+
+
+def lex(tokenizer, text):
+    """The tokens, or the LexError's message and position."""
+    try:
+        return tokenizer(text)
+    except LexError as e:
+        return (e.message, e.pos)
+
+
+def load_ladder_generator():
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ladder_program
+
+
+def test_scanner_matches_the_reference_on_corpus_ladders_and_mutants():
+    from lex_reference import reference_tokenize
+    from test_mutants import all_mutants
+    from minihls import corpus
+    ladder = load_ladder_generator()
+    texts = [corpus.load(name) for name in corpus.PROGRAMS]
+    texts += [ladder(n, wide, seed) for n in range(1, 9) for wide in (False, True)
+              for seed in (0, 1, 2)]
+    texts += [text for _, text in all_mutants()]
+    for text in texts:
+        assert lex(source.tokenize, text) == lex(reference_tokenize, text), text
+
+
+RANDOM_ALPHABET = (" \t\r\n#0123456789.eE+-" + ":<>=!&|*/%(),;"
+                   + "abcxyzABCXYZ_" + "éª²٣Ⅷ½$")
+NUMBER_ALPHABET = "0123456789.eE+- \nx"  # malformed numbers are common here
+
+
+def test_scanner_matches_the_reference_on_random_strings():
+    import random
+    from lex_reference import reference_tokenize
+    rng = random.Random(17)
+    outcomes = {}
+    for _ in range(20000):
+        alphabet = rng.choice((RANDOM_ALPHABET, NUMBER_ALPHABET))
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 16)))
+        got = lex(source.tokenize, text)
+        assert got == lex(reference_tokenize, text), repr(text)
+        key = " ".join(got[0].split()[:2]) if isinstance(got, tuple) else "tokens"
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # the tokens and each error but the Int64 range occur often
+    assert set(outcomes) == {"tokens", "unexpected character", "expected digit",
+                             "malformed exponent", "malformed numeric"}
+    assert min(outcomes.values()) > 100, outcomes
+
+
+@pytest.mark.parametrize("text, want", [
+    ("99999999999999999999", ("integer literal 99999999999999999999 out of Int64 range",
+                              Pos(1, 1))),
+    ("a = 1e+\n", ("malformed exponent in numeric literal", Pos(1, 8))),
+    ("a = 1.5e3.", ("malformed numeric literal (second decimal point)", Pos(1, 10))),
+    ("½", ("unexpected character '½'", Pos(1, 1))),
+    ("x\tⅧ", ("unexpected character 'Ⅷ'", Pos(1, 3)))])
+def test_scanner_reports_lexical_errors_where_the_reference_does(text, want):
+    from lex_reference import reference_tokenize
+    assert lex(source.tokenize, text) == lex(reference_tokenize, text) == want
+
+
+def test_tab_and_carriage_return_are_one_column_each():
+    t = source.tokenize("a\t\r b\n\n  # note\n\nc # last")
+    assert [(tok.kind, tok.pos) for tok in t] == [
+        ("ident", Pos(1, 1)), ("ident", Pos(1, 5)), ("newline", Pos(1, 6)),
+        ("ident", Pos(5, 1)), ("eof", Pos(5, 9))]
+
+
+def test_token_counts_and_parse_match_the_tracer_contract(program):
+    from minihls import corpus
+    text = corpus.load(program)
+    tokens = source.tokenize(text)
+    assert len(tokens) == {"if_else": 44, "power": 37, "newton_raphson": 72}[program]
+    assert source.parse(tokens) == source.parse_source(text)
