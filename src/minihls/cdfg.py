@@ -35,7 +35,12 @@ gives its entity name.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import repeat, starmap
+from operator import attrgetter, getitem, is_not
 
 from .errors import BuildError, Pos
 from .lattice import IMPL_BY_OPCODE
@@ -157,76 +162,87 @@ _RULES = {
 }
 
 
-def _count_holds(have: int, want: int) -> bool:
-    return have == want if want >= 0 else have >= -want
+_SHAPE = attrgetter("kind", "in_widths", "out_widths", "opcode", "latency")
 
 
-def _count_text(want: int, noun: str) -> str:
-    if want < 0:
-        return f">={-want} {noun}s"
-    return f"{want} {noun}" + ("" if want == 1 else "s")
+@lru_cache(maxsize=1024)
+def _kind_violations(shape: tuple, has_value: bool) -> tuple[str, ...]:
+    """The messages, each to follow `component <id>`, of the kind rules,
+    which read a component's `_SHAPE` and whether it holds a payload."""
+    kind, in_widths, out_widths, opcode, latency = shape
+    if kind not in _PORTS:
+        return (f": unknown kind {kind!r}",)
+    counts = tuple(zip((len(in_widths), len(out_widths)), _PORTS[kind], ("input", "output")))
+    if all(have == n if n >= 0 else have >= -n for have, n, _ in counts):
+        c = Component(0, kind, in_widths, out_widths, opcode=opcode,
+                      latency=latency, value=has_value or None)
+        return tuple(f" ({kind}): {msg}" for holds, msg in _RULES.get(kind, ()) if not holds(c))
+    return (f" ({kind}): must have " + " and ".join(
+        f">={-n} {noun}s" if n < 0 else f"{n} {noun}{'' if n == 1 else 's'}"
+        for _, n, noun in counts),)
 
 
-def _kind_violations(c: Component) -> list[str]:
-    if c.kind not in _PORTS:
-        return [f"component {c.id}: unknown kind {c.kind!r}"]
-    n_in, n_out = _PORTS[c.kind]
-    if (_count_holds(len(c.in_widths), n_in)
-            and _count_holds(len(c.out_widths), n_out)):
-        return [f"component {c.id} ({c.kind}): {msg}"
-                for holds, msg in _RULES.get(c.kind, ()) if not holds(c)]
-    return [f"component {c.id} ({c.kind}): must have "
-            f"{_count_text(n_in, 'input')} and {_count_text(n_out, 'output')}"]
+def _ends(comps: list[Component], chans: list[Channel], end: str, ports: str):
+    """The component ids and port indices at each channel's `end`, and the
+    widths of those ports if they are each of the `ports` once, else None."""
+    ids, indices = (list(map(attrgetter(f"{end}.{f}"), chans)) for f in ("comp", "index"))
+    lists = list(map(attrgetter(ports), comps))
+    if (len(indices) == sum(map(len, lists)) == len(set(zip(ids, indices)))
+            and min(indices, default=0) >= 0):
+        by_id = dict(zip(map(attrgetter("id"), comps), lists))
+        with suppress(LookupError):  # a missing component or too high an index
+            return ids, indices, list(map(getitem, map(by_id.__getitem__, ids), indices))
+    return ids, indices, None
 
 
 def check(g: CDFG) -> list[str]:
-    """All structural violations; an empty list means the graph is well formed."""
-    bad: list[str] = []
-    by_id = {c.id: c for c in g.components}
-    if len(by_id) != len(g.components):
+    """All structural violations; an empty list means the graph is well formed.
+
+    Each rule is tested in bulk, and walks the elements to word its messages
+    only if that fails: kind rules once per shape (cached), ports by `_ends`."""
+    comps, chans = g.components, g.channels
+    if len(set(map(attrgetter("id"), comps))) != len(comps):
         return ["duplicate component ids"]
+    bad: list[str] = []
+    present = map(is_not, map(attrgetter("value"), comps), repeat(None))
+    shapes = list(zip(map(_SHAPE, comps), present))
+    if any(starmap(_kind_violations, set(shapes))):
+        for c, shape in zip(comps, shapes):
+            bad += [f"component {c.id}{tail}" for tail in _kind_violations(*shape)]
 
-    for c in g.components:
-        bad.extend(_kind_violations(c))
+    src_ids, src_idx, out_at = _ends(comps, chans, "src", "out_widths")
+    dst_ids, dst_idx, in_at = _ends(comps, chans, "dst", "in_widths")
+    if not out_at == list(map(attrgetter("width"), chans)) == in_at:
+        by_id = {c.id: c for c in comps}
+        for ch in chans:
+            src, dst = ch.src, ch.dst
+            for port, side, c in ((src, "source", by_id.get(src.comp)),
+                                  (dst, "dest", by_id.get(dst.comp))):
+                if c is None:
+                    bad.append(f"channel {ch.id}: {side} component {port.comp} missing")
+                    continue
+                plist = c.out_widths if port is src else c.in_widths
+                if not 0 <= port.index < len(plist):
+                    bad.append(f"channel {ch.id}: {side} port {port.index} out of "
+                               f"range for component {c.id} ({c.kind})")
+                elif plist[port.index] != ch.width:
+                    bad.append(f"channel {ch.id}: width {ch.width} does not match "
+                               f"{side} port width {plist[port.index]} "
+                               f"on component {c.id} ({c.kind})")
+    if out_at is None or in_at is None:
+        out_seen, in_seen = Counter(zip(src_ids, src_idx)), Counter(zip(dst_ids, dst_idx))
+        for c in comps:
+            bad += [f"component {c.id} ({c.kind}): output {i} drives {n} channels, "
+                    "must be exactly 1" for i in range(len(c.out_widths))
+                    if (n := out_seen[c.id, i]) != 1]
+            bad += [f"component {c.id} ({c.kind}): input {i} is fed by {n} channels, "
+                    "must be exactly 1" for i in range(len(c.in_widths))
+                    if (n := in_seen[c.id, i]) != 1]
 
-    # One pass over the channels: port checks, port use counts keyed by
-    # (component, index), and the buffer-free adjacency for the cycle check.
-    out_seen: dict[tuple[int, int], int] = {}
-    in_seen: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {c.id: [] for c in g.components
-                                 if c.kind != BUFFER}
-    for ch in g.channels:
-        src, dst = ch.src, ch.dst
-        for port, side, c in ((src, "source", by_id.get(src.comp)),
-                              (dst, "dest", by_id.get(dst.comp))):
-            if c is None:
-                bad.append(f"channel {ch.id}: {side} component {port.comp} missing")
-                continue
-            plist = c.out_widths if port is src else c.in_widths
-            if not 0 <= port.index < len(plist):
-                bad.append(f"channel {ch.id}: {side} port {port.index} out of "
-                           f"range for component {c.id} ({c.kind})")
-            elif plist[port.index] != ch.width:
-                bad.append(f"channel {ch.id}: width {ch.width} does not match "
-                           f"{side} port width {plist[port.index]} "
-                           f"on component {c.id} ({c.kind})")
-        out_seen[src.comp, src.index] = out_seen.get((src.comp, src.index), 0) + 1
-        in_seen[dst.comp, dst.index] = in_seen.get((dst.comp, dst.index), 0) + 1
-        if src.comp in adj and dst.comp in adj:
-            adj[src.comp].append(dst.comp)
-
-    for c in g.components:
-        for i in range(len(c.out_widths)):
-            n = out_seen.get((c.id, i), 0)
-            if n != 1:
-                bad.append(f"component {c.id} ({c.kind}): output {i} drives "
-                           f"{n} channels, must be exactly 1")
-        for i in range(len(c.in_widths)):
-            n = in_seen.get((c.id, i), 0)
-            if n != 1:
-                bad.append(f"component {c.id} ({c.kind}): input {i} is fed by "
-                           f"{n} channels, must be exactly 1")
-
+    adj: dict[int, list[int]] = {c.id: [] for c in comps if c.kind != BUFFER}
+    for s, d in zip(src_ids, dst_ids):
+        if s in adj and d in adj:
+            adj[s].append(d)
     cycle = _first_cycle(adj)
     if cycle is not None:
         bad.append("cycle without a Buffer through components "

@@ -56,9 +56,18 @@ CONFIG_KEYS = frozenset({"function", "sig", "lenient", "no_opt", "latency",
 DUMP_FORMATS = ("json", "dot")
 
 
+def _read_text(path: str | Path) -> str:
+    """A file as strict UTF-8 text with its line ends kept, as `parse_source` reads it."""
+    try:
+        return Path(path).read_bytes().decode()
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8 text: byte {e.object[e.start]:#04x} "
+                       f"at offset {e.start}") from None
+
+
 def load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -129,7 +138,7 @@ def _resolve_program(name_or_path: str) -> tuple[str, str | None]:
     """Returns (source text, bundled name or None)."""
     p = Path(name_or_path)
     if p.exists():
-        return p.read_text(), None
+        return _read_text(p), None
     if name_or_path in corpus.PROGRAMS:
         return corpus.load(name_or_path), name_or_path
     raise CliError(f"no such file or bundled program: {name_or_path!r}")
@@ -264,6 +273,7 @@ def _stats_row(name: str, res, timing: bool) -> list[str]:
     times = []
     if timing:
         stage_s = dict(res.stage_s)
+        lint_netlist(emit_vhdl(res.cdfg))  # untimed: pays the first-use costs
         files = timed(stage_s, "emit", emit_vhdl, res.cdfg)
         timed(stage_s, "lint", lint_netlist, files)
         times = [f"{stage_s[s] * 1e3:.3f}" for s in _TIMED]

@@ -36,6 +36,8 @@ class LatticeType(enum.Enum):
     FLOAT64 = "Float64"
     TOP = "Top"
 
+    __hash__ = object.__hash__  # members are singletons, compared by identity
+
     def __str__(self) -> str:
         return self.value
 
@@ -47,11 +49,6 @@ class LatticeType(enum.Enum):
     def short(self) -> str:
         return _SHORT_NAMES[self]
 
-    @property
-    def width(self) -> int:
-        """Bit width of the hardware representation of this type."""
-        return _WIDTHS[self]
-
 
 _SHORT_NAMES = {
     LatticeType.BOOL: "i1",
@@ -61,7 +58,8 @@ _SHORT_NAMES = {
     LatticeType.TOP: "top",
 }
 
-_WIDTHS = {LatticeType.BOOL: 1, LatticeType.INT64: 64, LatticeType.FLOAT64: 64}
+# the bit width of a concrete type in hardware; the others have no `width`
+LatticeType.BOOL.width, LatticeType.INT64.width, LatticeType.FLOAT64.width = 1, 64, 64
 
 ANNOTATION_TO_TYPE = {"Bool": LatticeType.BOOL, "Int64": LatticeType.INT64,
                       "Float64": LatticeType.FLOAT64}

@@ -357,12 +357,12 @@ _ENTITY_RE = re.compile(
     r"entity (\w+) is\n(?:  generic \(\n.*?\n  \);\n)?  port \(\n(.*?)\n  \);\n"
     r"end entity;", re.DOTALL)
 _PORT_RE = re.compile(r"^\s*(\w+) : (in|out) ")
-# A lookbehind after a leading literal stands for `^` but leaves the literal
-# to the regex engine's fast scan; _LINES is a DOTALL `.*?` by whole lines.
-_SIGNAL_RE = re.compile(r"  signal (?<![^\n]  signal )(\w+) : ")
+# Scanned behind an added newline, a leading "\n" is `^` that the regex engine's
+# literal scan finds; _LINES is a DOTALL `.*?` by whole lines.
+_SIGNAL_RE = re.compile(r"\n  signal (\w+) : ")
 _LINES = r"[^\n]*(?:\n[^\n]*)*?"
 _INSTANCE_RE = re.compile(
-    rf"  (?<![^\n]  )(\w+) : entity work\.(\w+)\n"
+    rf"\n  (\w+) : entity work\.(\w+)\n"
     rf"(?:    generic map \(\n{_LINES}\n    \)\n)?    port map \(\n({_LINES})\n    \);")
 _MAP_RE = re.compile(r"^\s*(\w+) => (\w+),?$")
 _CLOCKS = ("clk", "rst")
@@ -373,12 +373,18 @@ def _top_files(files: dict[str, str]) -> list[str]:
             if n.endswith(".vhd") and "architecture structural" in t]
 
 
+def _picker(indices: list[int]) -> itemgetter:
+    """An itemgetter that gives a tuple, also of one index or none."""
+    return itemgetter(*indices) if len(indices) > 1 else itemgetter(
+        slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
 @lru_cache(maxsize=512)
 def _declaration(ports_text: str) -> tuple:
     """An entity's port list parsed once: port -> direction (shared by
     every lint, so never changed), the lines that do not parse, and the
     template of a canonical port map (each port once in declared order,
-    clk and rst mapped to themselves) with the indices of the groups, the
+    clk and rst mapped to themselves) with pickers of the groups, the
     other actuals, that the entity drives and reads.  It is only built if
     clk and rst are both ports."""
     ports, unparsable = {}, []
@@ -392,8 +398,8 @@ def _declaration(ports_text: str) -> tuple:
     maps = [f"      {p} => " + (p if p in _CLOCKS else r"(\w+)") for p in ports]
     return (ports, unparsable,
             set(_CLOCKS) <= ports.keys() and re.compile(",\n".join(maps)),
-            [i for i, d in enumerate(rest) if d == "out"],
-            [i for i, d in enumerate(rest) if d == "in"])
+            _picker([i for i, d in enumerate(rest) if d == "out"]),
+            _picker([i for i, d in enumerate(rest) if d == "in"]))
 
 
 def lint_netlist(files: dict[str, str]) -> list[str]:
@@ -419,14 +425,14 @@ def lint_netlist(files: dict[str, str]) -> list[str]:
         bad.append("top entity declaration not found")
         top_ports = {}
 
-    nets = set(_SIGNAL_RE.findall(top)).union(top_ports)
+    nets = set(_SIGNAL_RE.findall("\n" + top)).union(top_ports)
     # a top-level input pin drives a net; an output pin reads one
     drivers = [p for p, d in top_ports.items() if d == "in"]
     readers = [p for p, d in top_ports.items() if d == "out"]
     # A canonical map's template takes clk and rst as they are, so it is
     # only right if they are nets of the top.
     clocked = nets.issuperset(_CLOCKS)
-    for label, ename, maps_text in _INSTANCE_RE.findall(top):
+    for label, ename, maps_text in _INSTANCE_RE.findall("\n" + top):
         decl = entities.get(ename)
         if decl is None:
             bad.append(f"instance {label}: entity {ename} is not defined")
@@ -434,8 +440,8 @@ def lint_netlist(files: dict[str, str]) -> list[str]:
         ports, _, template, drives, reads = decl
         m = clocked and template and template.fullmatch(maps_text)
         if m and nets.issuperset(actuals := m.groups()):
-            drivers += [actuals[i] for i in drives]
-            readers += [actuals[i] for i in reads]
+            drivers += drives(actuals)
+            readers += reads(actuals)
             continue
         seen = {}
         for line in maps_text.split("\n"):
@@ -475,4 +481,4 @@ def lint_netlist(files: dict[str, str]) -> list[str]:
 
 
 def instance_count(files: dict[str, str]) -> int:
-    return sum(1 for t in _top_files(files) for _ in _INSTANCE_RE.finditer(t))
+    return sum(1 for t in _top_files(files) for _ in _INSTANCE_RE.finditer("\n" + t))

@@ -1,10 +1,13 @@
 """Circuit graph invariants, buffer insertion, serialization."""
 
 import dataclasses
+import random
+import re
 
 import pytest
 
-from test_passes import wide_ladder
+from check_reference import reference_check
+from test_passes import narrow_ladder, wide_ladder
 from test_sim import DIAMONDS
 
 from minihls import cdfg as C
@@ -17,7 +20,7 @@ from minihls.cdfg import (
 from minihls.errors import BuildError
 from minihls.interp import run_source
 from minihls.ir import successor_edges
-from minihls.lattice import LatticeType
+from minihls.lattice import IMPL_BY_OPCODE, LatticeType
 from minihls.lower import lower
 from minihls.pipeline import compile_source
 from minihls.sim import simulate
@@ -428,3 +431,114 @@ def test_dot_export_mentions_every_component(program, compiled):
 def test_power_graph_strictly_larger_than_addpair(compiled):
     small = component_stats(addpair_graph())["total"]
     assert component_stats(compiled("power").cdfg)["total"] > small
+
+
+# Every message `check` words, each of which the mutants must bring about.
+CHECK_FAMILIES = [re.compile(p) for p in (
+    r"^duplicate component ids$",
+    r"^component \d+: unknown kind ",
+    r"^component \d+ \(\w+\): must have ",
+    *(rf"^component \d+ \(\w+\): {re.escape(msg)}$"
+      for msg in sorted({msg for rules in C._RULES.values() for _, msg in rules})),
+    r"^channel \d+: source component \d+ missing$",
+    r"^channel \d+: dest component \d+ missing$",
+    r"^channel \d+: source port -?\d+ out of range ",
+    r"^channel \d+: dest port -?\d+ out of range ",
+    r"^channel \d+: width \d+ does not match source port width ",
+    r"^channel \d+: width \d+ does not match dest port width ",
+    r"^component \d+ \(\w+\): output \d+ drives \d+ channels",
+    r"^component \d+ \(\w+\): input \d+ is fed by \d+ channels",
+    r"^cycle without a Buffer through components ",
+)]
+_KINDS = (*C.KIND_ORDER, "Gizmo")
+_OPCODES = (*sorted(IMPL_BY_OPCODE), None, "bogus")
+
+
+def _widths(rng, widths):
+    """`widths` with one entry changed, or a new tuple of 0 to 3 widths."""
+    if widths and rng.random() < 0.7:
+        k = rng.randrange(len(widths))
+        return widths[:k] + (rng.choice((0, 1, 64)),) + widths[k + 1:]
+    return tuple(rng.choice((0, 1, 64)) for _ in range(rng.randrange(4)))
+
+
+def _mutate(g, rng):
+    """One edit of a component's kind, widths, opcode, latency, payload,
+    id or list slot, or of a channel's width, endpoint or index, or one
+    channel deleted, duplicated, swapped in the list or swapped in its
+    destination with another.  Opcodes and latencies are mostly edited
+    on Operators, payloads on Consts."""
+    comps, chans = g.components, g.channels
+    k = rng.randrange(len(comps))
+    i, j = rng.randrange(len(chans)), rng.randrange(len(chans))
+    ch, c = chans[i], comps[k]
+    op = rng.randrange(15)
+    if op in (3, 4, 5) and rng.random() < 0.8:
+        kind = C.CONST if op == 5 else C.OPERATOR
+        k = rng.choice([n for n, x in enumerate(comps) if x.kind == kind] or [k])
+        c = comps[k]
+    if op == 0:
+        comps[k] = dataclasses.replace(c, kind=rng.choice(_KINDS))
+    elif op == 1:
+        comps[k] = dataclasses.replace(c, in_widths=_widths(rng, c.in_widths))
+    elif op == 2:
+        comps[k] = dataclasses.replace(c, out_widths=_widths(rng, c.out_widths))
+    elif op == 3:
+        comps[k] = dataclasses.replace(c, opcode=rng.choice(_OPCODES))
+    elif op == 4:
+        comps[k] = dataclasses.replace(c, latency=rng.choice((-1, 0, 3)))
+    elif op == 5:
+        comps[k] = dataclasses.replace(c, value=rng.choice((None, 5, True)))
+    elif op == 6:
+        comps[k] = dataclasses.replace(c, id=rng.choice(comps).id)
+    elif op == 7:
+        comps[k], comps[-1] = comps[-1], comps[k]
+    elif op == 8:
+        chans[i] = dataclasses.replace(ch, width=rng.choice((0, 1, 64, 32)))
+    elif op == 9:
+        side = rng.choice(("src", "dst"))
+        comp = rng.choice((rng.choice(comps).id, len(comps) + 3))
+        chans[i] = dataclasses.replace(ch, **{side: Port(comp, getattr(ch, side).index)})
+    elif op == 10:
+        side = rng.choice(("src", "dst"))
+        index = rng.choice((-1, 0, 1, 2, 3))
+        chans[i] = dataclasses.replace(ch, **{side: Port(getattr(ch, side).comp, index)})
+    elif op == 11:
+        del chans[i]
+    elif op == 12:
+        chans.insert(j, ch)
+    elif op == 13:
+        chans[i], chans[j] = chans[j], chans[i]
+    else:
+        chans[i] = dataclasses.replace(ch, dst=chans[j].dst)
+        chans[j] = dataclasses.replace(chans[j], dst=ch.dst)
+
+
+def check_mutants(circuits, n, seed):
+    """n seeded mutants, each a copy of one of `circuits` with 1 to 3 edits."""
+    rng = random.Random(seed)
+    for k in range(n):
+        base = circuits[k % len(circuits)]
+        g = CDFG(base.name, list(base.components), list(base.channels))
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            _mutate(g, rng)
+        yield g
+
+
+def test_check_matches_the_reference_on_mutants(compiled):
+    circuits = [compiled(p, opt=opt).cdfg for p in corpus.PROGRAMS
+                for opt in (True, False)]
+    circuits += [compile_source(src(n)).cdfg
+                 for src in (narrow_ladder, wide_ladder) for n in (1, 2)]
+    seen = [0] * len(CHECK_FAMILIES)
+    clean = 0
+    for g in check_mutants(circuits, 2400, 18):
+        want = reference_check(g)
+        assert check(g) == want
+        clean += not want
+        for f, family in enumerate(CHECK_FAMILIES):
+            seen[f] += any(map(family.search, want))
+    assert all(n >= 3 for n in seen), list(zip(seen, CHECK_FAMILIES))
+    assert clean >= 100
+    for g in circuits:
+        assert check(g) == reference_check(g) == []

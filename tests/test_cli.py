@@ -5,6 +5,7 @@ import json
 import pytest
 
 from minihls import cdfg, cli, source
+from minihls.errors import ParseError
 
 ANNOTATED = ("function double(a::Int64)\n"
              "  return a + a\nend\n")
@@ -42,7 +43,9 @@ def test_stats_timing_adds_one_column_per_stage(capsys, monkeypatch):
     stages = ["parse", "infer", "lower", "verify", "optimize", "build",
               "insert_buffers", "check", "emit", "lint"]
     assert header == [*cli.STATS_COLUMNS, *(f"{s}_ms" for s in stages)]
-    assert len(rows) == 3 and len(emitted) == 3
+    # one untimed call to warm the caches, then the timed one
+    assert len(rows) == 3 and len(emitted) == 6
+    assert emitted[0::2] == emitted[1::2]
     for row in rows:
         assert len(row) == len(header)
         assert all(float(v) >= 0 for v in row[len(cli.STATS_COLUMNS):])
@@ -438,3 +441,37 @@ def test_end_of_file_is_reported_after_the_last_character(tmp_path, capsys, text
     f.write_text(text)
     assert run_cli(capsys, "run", str(f), "1") == (
         1, "", f"error[parse] {where}: expected 'end', found 'eof'\n")
+
+
+def test_a_program_file_that_is_not_utf8_is_a_cli_diagnostic(tmp_path, capsys):
+    f = tmp_path / "bad.mjl"
+    f.write_bytes(b"function f(a)\n  return a\xff\nend\n")
+    assert run_cli(capsys, "run", str(f), "1", "--sig", "i64") == (
+        1, "", f"error[cli] {f}: not UTF-8 text: byte 0xff at offset 24\n")
+
+
+def test_a_config_file_that_is_not_utf8_is_a_cli_diagnostic(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"fuel=10\nsig=i64\xff\n")
+    assert run_cli(capsys, "run", "power", "2", "3", "--config", str(cfg)) == (
+        1, "", f"error[cli] {cfg}: not UTF-8 text: byte 0xff at offset 15\n")
+
+
+def test_a_file_with_lone_cr_line_ends_reads_as_parse_source_reads_it(
+        tmp_path, capsys):
+    text = "function f(a::Int64)\r  return a\rend\r"
+    f = tmp_path / "cr.mjl"
+    f.write_bytes(text.encode())
+    with pytest.raises(ParseError) as err:
+        source.parse_source(text)
+    assert str(err.value.pos) == "1:24"
+    assert run_cli(capsys, "run", str(f), "1") == (
+        1, "", f"error[parse] {err.value.pos}: {err.value.message}\n")
+
+
+def test_a_file_with_crlf_line_ends_runs(tmp_path, capsys):
+    text = "function f(a::Int64)\r\n  return a + 1\r\nend\r\n"
+    f = tmp_path / "crlf.mjl"
+    f.write_bytes(text.encode())
+    assert source.parse_source(text).functions[0].name == "f"
+    assert run_cli(capsys, "run", str(f), "3") == (0, "4\n", "")

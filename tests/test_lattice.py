@@ -150,3 +150,15 @@ def test_widths():
     assert B.width == 1
     assert I.width == 64
     assert F.width == 64
+
+
+@pytest.mark.parametrize("ty", [BOT, TOP])
+def test_a_non_concrete_type_has_no_width(ty):
+    with pytest.raises(AttributeError):
+        ty.width
+
+
+def test_types_hash_by_identity():
+    for ty in LatticeType:
+        assert hash(ty) == object.__hash__(ty)
+    assert len({B, I, F, BOT, TOP, LatticeType("Int64")}) == 5

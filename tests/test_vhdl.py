@@ -445,3 +445,33 @@ def test_a_second_lint_of_a_netlist_compiles_no_pattern(compiled, monkeypatch):
     monkeypatch.setattr(re, "compile", lambda *a: compiles.append(a) or compile_(*a))
     assert lint_netlist(files) == []
     assert compiles == []
+
+
+def _moved_to_the_start(files, first, last):
+    """files with the lines of the top file from the one starting with
+    `first` through the one starting with `last` moved to its start."""
+    top = next(n for n in files if n.endswith("_top.vhd"))
+    lines = files[top].split("\n")
+    i = next(k for k, line in enumerate(lines) if line.startswith(first))
+    j = next(k for k, line in enumerate(lines) if k >= i and line.startswith(last))
+    return {**files, top: "\n".join(lines[i:j + 1] + lines[:i] + lines[j + 1:])}
+
+
+def test_a_signal_on_the_first_line_is_declared(compiled):
+    files = _moved_to_the_start(emitted(compiled, "power"), "  signal ch_0_valid",
+                                "  signal ch_0_valid")
+    want = reference_lint(files)
+    assert lint_netlist(files) == want
+    assert not any("ch_0_valid" in p for p in want)
+
+
+def test_an_instance_on_the_first_line_is_linted_and_counted(compiled):
+    files = emitted(compiled, "power")
+    moved = _moved_to_the_start(files, "  cmp_0_", "    );")
+    want = reference_lint(moved)
+    assert lint_netlist(moved) == want
+    assert instance_count(moved) == instance_count(files)
+    broken = {n: t.replace("  cmp_0_entry : entity work.entry_w64",
+                           "  cmp_0_entry : entity work.nowhere") for n, t in moved.items()}
+    assert lint_netlist(broken) == reference_lint(broken)
+    assert "instance cmp_0_entry: entity nowhere is not defined" in lint_netlist(broken)
