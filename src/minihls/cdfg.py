@@ -27,9 +27,9 @@ An opcode is valid when `lattice.IMPL_BY_OPCODE` has a row for it, and
 an Operator's port widths must be those of the row's signature; the row
 gives the simulator its function and the emitter its VHDL.
 Each kind is one entry per table: `check` takes its port counts from
-`_PORTS` and its width and field rules from `_RULES`, `sim._BIND` its
-firing rule and `vhdl._ARCH` its VHDL architecture; `vhdl.entity_name`
-gives its entity name.
+`_PORTS` and its width and field rules from `_RULES`, `sim._FIRE` the
+template of its firing rule and `vhdl._ARCH` its VHDL architecture;
+`vhdl.entity_name` gives its entity name.
 """
 
 from __future__ import annotations
@@ -80,6 +80,10 @@ class Component:
     value_key: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        # Widths are tuples whatever the caller passed: per-shape caches key on them.
+        if type(self.in_widths) is not tuple or type(self.out_widths) is not tuple:
+            object.__setattr__(self, "in_widths", tuple(self.in_widths))
+            object.__setattr__(self, "out_widths", tuple(self.out_widths))
         if self.value is not None:
             object.__setattr__(self, "value_key",
                                (type(self.value), repr(self.value)))

@@ -12,31 +12,28 @@ more than one valid input is a hard error, not an arbitration: the
 builder only emits merges whose inputs are mutually exclusive.
 
 Engine.  A `SimPlan` binds each component of a circuit that
-`require_valid` accepted to one firing rule (a closure over its channels,
-opcode function, payload and depth) and serves every run until a
-component or channel is added, removed or replaced by an unequal one.
-Every run asks `require_valid`, which keeps a record of the lists it last
-accepted and renews it only when the circuit changed, so the plan is
-reused while it was built from the record held now.  Each cycle a
-`Simulator` evaluates only its worklist, in ascending component order:
-each component whose blocking event the last commit brought.  A filled
-channel wakes its consumer, but a two-input join other than a Merge only
-once its other input holds a token too.  An emptied channel wakes its
-producer only if that is `stalled`: holding a token that an occupied
-output kept back.  A pipeline wakes when a slot comes due, and a full one
-that freed a slot while a token waits at its input wakes itself.  No other
-component can fire: it still lacks an input or is stalled on an occupied
-output.  Pipeline slots hold the absolute cycle they become ready, and
-when nothing fires but tokens are in flight the cycle counter jumps to the
-next release, never past `max_cycles`: the cycles skipped would fire
-nothing.
+`require_valid` accepted to a firing rule, a kernel compiled once per
+shape from its kind's template that reads each channel by name, and
+serves every run until a component or channel is added, removed or
+replaced by an unequal one.  Each cycle a `Simulator` evaluates only its
+worklist, in ascending component order: each component whose blocking
+event the last commit brought.  A filled channel wakes its consumer, but a
+two-input join other than a Merge only once its other input holds a token
+too.  An emptied channel wakes its producer only if that is `stalled`:
+holding a token that an occupied output kept back.  A Buffer is a one-slot
+register that wakes itself in the cycle after it takes a token.  A
+pipeline holds the absolute cycle each token becomes ready and wakes when
+one comes due; a full one that freed a slot while a token waits at its
+input wakes itself.  No other component can fire.  When nothing fires but
+a pipeline holds tokens, the cycle counter jumps to the next release,
+never past `max_cycles`: the cycles skipped would fire nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
-from operator import itemgetter
 
 from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE,
                    OPERATOR, SINK, require_valid)
@@ -59,158 +56,160 @@ class SimReport:
     events: list[tuple[int, int, str]] | None = None
 
 
-# Firing rules.  `SimPlan` binds each component once to a rule
-# `fire(s, chan)` that decides on the start-of-cycle channels and queues
-# its consumptions, productions and events on the simulator s.  A rule
-# captures only what the circuit fixes; the run's state stays on s.
+# Firing rules.  A rule `fire(s, chan)` decides on the start-of-cycle
+# channels and queues its consumptions, productions and events on the
+# simulator s, which holds the run's state.  `_FIRE` holds per kind, and
+# for a pipelined Operator, the body of `make(i, c, ins, outs, fn, depth)`,
+# which binds component i's record, channels (ik, ok), opcode function and
+# depth.  `_factory` fills it in per shape with fixed names and counts:
+# `{read}` reads input k into xk, `{valid}` and `{free}` test that every
+# input holds a token and every output is free, `{xs}` lists the inputs,
+# `{fan}` pairs each output with x0, `{clash}` tests that two inputs hold
+# a token and `{pick}` takes the one that does, or returns.
 
-def _reader(ins):
-    """chan -> the values on channels ins, in order, by one C-level call."""
-    if len(ins) == 1:
-        return itemgetter(slice(ins[0], ins[0] + 1))
-    return itemgetter(*ins)
+_PIPELINE = "Pipeline"
 
-
-def _entry(i, c, ins, outs):
-    """Entry emits its one token in cycle 0, on free channels: no stall."""
-    out, event = outs[0], (c.id, "emit")
-
+_FIRE = {ENTRY: """
+    event = c.id, "emit"
     def fire(s, chan):
-        if i in s.entry_tokens and chan[out] is _ABSENT:
-            s.produce.append((out, s.entry_tokens.pop(i)))
+        if i in s.entry_tokens and chan[o0] is _ABSENT:
+            s.produce.append((o0, s.entry_tokens.pop(i)))
+            s.fired.append(event)""", EXIT: """
+    event = c.id, "exit"
+    def fire(s, chan):
+        if chan[i0] is not _ABSENT:
+            s.consume.append(i0)
+            s.outputs[c.id] = chan[i0]
+            s.fired.append(event)""", SINK: """
+    event = c.id, "sink"
+    def fire(s, chan):
+        if chan[i0] is not _ABSENT:
+            s.consume.append(i0)
+            s.fired.append(event)""", CONST: """
+    event, value = (c.id, "fire"), c.value
+    def fire(s, chan):
+        if chan[i0] is not _ABSENT and chan[o0] is _ABSENT:
+            s.consume.append(i0)
+            s.produce.append((o0, value))
             s.fired.append(event)
-    return fire
-
-
-def _drain(i, c, ins, outs):
-    """Exit and Sink take every token; an Exit's is the output."""
-    inp, is_exit = ins[0], c.kind == EXIT
-    event = (c.id, "exit" if is_exit else "sink")
-
+        elif chan[i0] is not _ABSENT:
+            s.stalled.add(i)""", OPERATOR: """
+    event = c.id, "fire"
     def fire(s, chan):
-        value = chan[inp]
-        if value is not _ABSENT:
-            s.consume.append(inp)
-            if is_exit:
-                s.outputs[c.id] = value
-            s.fired.append(event)
-    return fire
-
-
-def _fork(i, c, ins, outs):
-    inp, event, read = ins[0], (c.id, "fire"), _reader(outs)
-    free = read([_ABSENT] * (max(outs) + 1))  # what read sees on free outputs
-
-    def fire(s, chan):
-        value = chan[inp]
-        if value is not _ABSENT and read(chan) == free:
-            s.consume.append(inp)
-            s.produce.extend([(o, value) for o in outs])
-            s.fired.append(event)
-        elif value is not _ABSENT:
-            s.stalled.add(i)
-    return fire
-
-
-def _branch(i, c, ins, outs):
-    (data, cond), event = ins, (c.id, "fire")
-
-    def fire(s, chan):
-        value, flag = chan[data], chan[cond]
-        if value is not _ABSENT and flag is not _ABSENT:
-            out = outs[0 if flag else 1]
-            if chan[out] is _ABSENT:
-                s.consume.extend(ins)
-                s.produce.append((out, value))
-                s.fired.append(event)
-            else:
-                s.stalled.add(i)
-    return fire
-
-
-def _merge(i, c, ins, outs):
-    out, event = outs[0], (c.id, "fire")
-
-    def fire(s, chan):
-        valid = [ch for ch in ins if chan[ch] is not _ABSENT]
-        if len(valid) > 1:
-            raise MergeConflictError(
-                f"merge {c.id} ({c.label}) has {len(valid)} valid "
-                f"inputs in cycle {s.cycle}")
-        if valid and chan[out] is _ABSENT:
-            s.consume.append(valid[0])
-            s.produce.append((out, chan[valid[0]]))
-            s.fired.append(event)
-        elif valid:
-            s.stalled.add(i)
-    return fire
-
-
-def _operator(i, c, ins, outs):
-    """Latency-0 Operator, or Const: its trigger token yields the payload."""
-    out, event, read = outs[0], (c.id, "fire"), _reader(ins)
-    fn = (IMPL_BY_OPCODE[c.opcode].fn if c.kind == OPERATOR
-          else lambda _, v=c.value: v)
-
-    def fire(s, chan):
-        values = read(chan)
-        if _ABSENT not in values and chan[out] is _ABSENT:
+        {read}
+        if {valid} and chan[o0] is _ABSENT:
             s.consume.extend(ins)
-            s.produce.append((out, fn(*values)))
+            s.produce.append((o0, fn({xs})))
             s.fired.append(event)
-        elif _ABSENT not in values:
-            s.stalled.add(i)
-    return fire
-
-
-def _pipeline(i, c, ins, outs, depth):
-    """Buffer, or Operator with latency > 0: a FIFO of up to `depth`
-    (ready cycle, value) slots.  The head leaves once ready if the output
-    is free, and a token enters if a slot was free at the cycle's start."""
-    out = outs[0]
-    fn = IMPL_BY_OPCODE[c.opcode].fn if c.kind == OPERATOR else lambda v: v
-    emitted, accepted, read = (c.id, "emit"), (c.id, "accept"), _reader(ins)
-
+        elif {valid}:
+            s.stalled.add(i)""", FORK: """
+    event = c.id, "fire"
     def fire(s, chan):
-        slots = s.pipes[i]
+        x0 = chan[i0]
+        if x0 is not _ABSENT and {free}:
+            s.consume.append(i0)
+            s.produce.extend(({fan}))
+            s.fired.append(event)
+        elif x0 is not _ABSENT:
+            s.stalled.add(i)""", BRANCH: """
+    event = c.id, "fire"
+    def fire(s, chan):
+        {read}
+        out = o0 if x1 else o1  # o0 while the condition is absent
+        if {valid} and chan[out] is _ABSENT:
+            s.consume.extend(ins)
+            s.produce.append((out, x0))
+            s.fired.append(event)
+        elif {valid}:
+            s.stalled.add(i)""", MERGE: """
+    event, conflict = (c.id, "fire"), "merge %s (%s) has " % (c.id, c.label)
+    def fire(s, chan):
+        {read}
+        if {clash}:
+            raise MergeConflictError(conflict + "%s valid inputs in cycle %s" % (
+                sum(chan[k] is not _ABSENT for k in ins), s.cycle))
+        {pick}
+        if chan[o0] is _ABSENT:
+            s.consume.append(ch)
+            s.produce.append((o0, v))
+            s.fired.append(event)
+        else:
+            s.stalled.add(i)""", BUFFER: """
+    emitted, accepted = (c.id, "emit"), (c.id, "accept")
+    def fire(s, chan):
+        regs, x0 = s.regs, chan[i0]
+        if regs[i] is _ABSENT and x0 is not _ABSENT:
+            s.consume.append(i0)
+            regs[i] = x0
+            s.worklist.add(i)  # it emits from the next cycle on
+            s.tokens += 1
+            s.fired.append(accepted)
+        elif regs[i] is not _ABSENT and chan[o0] is _ABSENT:
+            s.produce.append((o0, regs[i]))
+            regs[i] = _ABSENT
+            s.tokens -= 1
+            s.fired.append(emitted)
+            if x0 is not _ABSENT:
+                s.worklist.add(i)  # the freed slot takes it next cycle
+        elif regs[i] is not _ABSENT:
+            s.stalled.add(i)""", _PIPELINE: """
+    emitted, accepted = (c.id, "emit"), (c.id, "accept")
+    def fire(s, chan):
+        slots, cycle = s.pipes[i], s.cycle
         n = len(slots)
-        values = read(chan)
-        waiting = _ABSENT not in values
-        if n and slots[0][0] <= s.cycle and chan[out] is _ABSENT:
-            s.produce.append((out, slots.pop(0)[1]))
+        {read}
+        waiting = {valid}
+        if n and slots[0][0] <= cycle and chan[o0] is _ABSENT:
+            s.produce.append((o0, slots.pop(0)[1]))
             s.tokens -= 1
             s.fired.append(emitted)
             if n == depth and waiting:
-                s.worklist.add(i)  # the freed slot takes the token next cycle
-        if slots and slots[0][0] <= s.cycle:
+                s.worklist.add(i)  # the freed slot takes it next cycle
+        if slots and slots[0][0] <= cycle:
             s.stalled.add(i)  # a due slot waits for the output to empty
         if n < depth and waiting:
             s.consume.extend(ins)
-            ready = s.cycle + depth
-            slots.append((ready, fn(*values)))
-            heappush(s.releases, (ready, i))
+            slots.append((cycle + depth, fn({xs})))
+            heappush(s.releases, (cycle + depth, i))
             s.tokens += 1
-            s.fired.append(accepted)
-    return fire
+            s.fired.append(accepted)"""}
 
 
-_BIND = {ENTRY: _entry, EXIT: _drain, SINK: _drain, CONST: _operator,
-         FORK: _fork, BRANCH: _branch, MERGE: _merge, OPERATOR: _operator}
+@lru_cache(maxsize=256)
+def _factory(template: str, n_in: int, n_out: int):
+    """`make` for one shape, compiled from `_FIRE[template]`."""
+    ins, outs = [f"i{k}" for k in range(n_in)], [f"o{k}" for k in range(n_out)]
+    xs = [f"x{k}" for k in range(n_in)]
+    body = _FIRE[template].format(
+        read="; ".join(f"{x} = chan[{i}]" for x, i in zip(xs, ins)),
+        valid=" and ".join(f"{x} is not _ABSENT" for x in xs), xs=", ".join(xs),
+        free=" and ".join(f"chan[{o}] is _ABSENT" for o in outs),
+        fan="".join(f"({o}, x0), " for o in outs),
+        clash=" or ".join(f"{x} is not _ABSENT is not {y}"
+                          for k, x in enumerate(xs) for y in xs[k + 1:]),
+        pick="\n        ".join([*(f"{'elif' if k else 'if'} {x} is not _ABSENT:"
+                                  f" ch, v = i{k}, {x}" for k, x in enumerate(xs)),
+                                "else: return"]))
+    head = "".join(f"    {', '.join(ends)}, = {name}\n"
+                   for ends, name in ((ins, "ins"), (outs, "outs")) if ends)
+    text = f"def make(i, c, ins, outs, fn, depth):\n{head}{body}\n    return fire\n"
+    scope = {"_ABSENT": _ABSENT, "MergeConflictError": MergeConflictError,
+             "heappush": heappush}
+    exec(compile(text, f"<sim rule {template} {n_in}x{n_out}>", "exec"), scope)
+    return scope["make"]
 
 
 class SimPlan:
     """A circuit checked by `require_valid` and compiled for simulation,
-    made by `SimPlan.of(g)`.  The plan keeps the record `g.checked` of the
-    lists it was built from, and `of` reuses it while `require_valid(g)`
-    leaves that record in place.
+    made by `SimPlan.of(g)`, which reuses it while `require_valid(g)`
+    leaves the record `g.checked` it was built from in place.
 
     Components and channels are numbered by position.  `producer[k]` and
     `consumer[k]` are the components at either end of channel k,
     `sibling[k]` is the other input of channel k's consumer if that is a
-    two-input join (any kind but Merge), else k itself,
-    `depth[i]` is the depth of a Buffer's or latency > 0 Operator's
-    pipeline and `nodes[i]` component i's firing rule, bound once here to
-    its channels, opcode function, payload and depth.
+    two-input join (any kind but Merge), else k itself, `depth[i]` is the
+    depth of a pipelined Operator, `buffers` lists the Buffers and
+    `nodes[i]` is component i's firing rule.
     """
 
     def __init__(self, g: CDFG):
@@ -229,13 +228,14 @@ class SimPlan:
             if len(ins[i]) == 2 and c.kind != MERGE:
                 a, b = ins[i]
                 self.sibling[a], self.sibling[b] = b, a
-        self.depth = {i: c.latency if c.kind == OPERATOR else 1
-                      for i, c in enumerate(comps) if c.kind == BUFFER
-                      or (c.kind == OPERATOR and c.latency > 0)}
-        self.nodes = [_pipeline(i, c, ins[i], outs[i], self.depth[i])
-                      if i in self.depth
-                      else _BIND[c.kind](i, c, ins[i], outs[i])
-                      for i, c in enumerate(comps)]
+        self.depth = {i: c.latency for i, c in enumerate(comps)
+                      if c.kind == OPERATOR and c.latency > 0}
+        self.buffers = [i for i, c in enumerate(comps) if c.kind == BUFFER]
+        self.nodes = [_factory(_PIPELINE if i in self.depth else c.kind,
+                               len(ins[i]), len(outs[i]))(
+            i, c, tuple(ins[i]), tuple(outs[i]), c.kind == OPERATOR
+            and IMPL_BY_OPCODE[c.opcode].fn, self.depth.get(i))
+            for i, c in enumerate(comps)]
         self.entries = [i for i, c in enumerate(comps) if c.kind == ENTRY]
         self.data_entries = [i for i in self.entries
                              if comps[i].out_widths[0]]
@@ -260,13 +260,12 @@ class Simulator:
         self.entry_tokens = dict.fromkeys(plan.entries)  # control: None
         self.entry_tokens.update(zip(plan.data_entries, args))
         self.pipes: dict[int, list] = {i: [] for i in plan.depth}
-        # (ready cycle, component) of every token inside a pipeline
-        self.releases: list[tuple[int, int]] = []
+        self.regs = dict.fromkeys(plan.buffers, _ABSENT)  # a Buffer's token
+        self.releases: list[tuple[int, int]] = []  # (ready cycle, i) per slot
         self.tokens = 0  # in channels and pipelines
         self.outputs: dict[int, object] = {}
         self.events: list[tuple[int, int, str]] | None = [] if trace else None
-        self.cycle = 0
-        self.max_occupancy = 0
+        self.cycle = self.max_occupancy = 0
         self.consume: list[int] = []
         self.produce: list[tuple[int, object]] = []
         self.fired: list[tuple[int, str]] = []
@@ -277,7 +276,7 @@ class Simulator:
         nodes, producer, consumer = (self.plan.nodes, self.plan.producer,
                                      self.plan.consumer)
         chan, worklist, releases = self.chan, self.worklist, self.releases
-        sibling, stalled = self.plan.sibling, self.stalled
+        sibling, stalled, events = self.plan.sibling, self.stalled, self.events
         consume, produce, fired = self.consume, self.produce, self.fired
         cycle, exit_cycle = self.cycle, None
         while True:
@@ -287,7 +286,7 @@ class Simulator:
                     report=self._report(exit_cycle))
             while releases and releases[0][0] <= cycle:
                 worklist.add(heappop(releases)[1])
-            work = sorted(worklist)
+            work = sorted(worklist) if len(worklist) > 1 else [*worklist]
             worklist.clear()
             try:
                 for i in work:
@@ -318,8 +317,8 @@ class Simulator:
                     self.max_occupancy = occupancy
                 if exit_cycle is None and self.outputs:
                     exit_cycle = cycle
-                if self.events is not None:
-                    self.events += [(cycle, *event) for event in fired]
+                if events is not None:
+                    events += [(cycle, *event) for event in fired]
                 consume.clear()
                 produce.clear()
                 fired.clear()

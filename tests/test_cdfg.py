@@ -395,6 +395,21 @@ def test_payloads_that_compare_equal_make_unequal_records():
         assert dataclasses.replace(const, value=value) != const
 
 
+def test_components_built_with_list_widths_hold_tuples():
+    """Per-shape caches key on a component's widths, so a component built
+    directly with lists must work like one built by `add_component`."""
+    from minihls.vhdl import emit_vhdl, lint_netlist
+    g = CDFG("lists")
+    g.components += [C.Component(0, C.ENTRY, [], [64], label="x"),
+                     C.Component(1, C.EXIT, [64], [])]
+    g.add_channel(Port(0, 0), Port(1, 0), 64)
+    assert [c.in_widths for c in g.components] == [(), (64,)]
+    assert [c.out_widths for c in g.components] == [(64,), ()]
+    assert check(g) == []
+    assert simulate(g, (5,)).output == 5
+    assert lint_netlist(emit_vhdl(g)) == []
+
+
 def test_buffered_cycle_is_accepted():
     g = tiny_passthrough()
     a = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")

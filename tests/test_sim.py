@@ -9,6 +9,7 @@ import re
 import pytest
 
 from minihls import cdfg as C
+from minihls import sim as sim_module
 from minihls.cdfg import CDFG, Port, component_stats
 from minihls.errors import (BuildError, DeadlockError, DivByZeroError,
                             MaxCyclesError, MergeConflictError, MiniHlsError,
@@ -20,6 +21,7 @@ from minihls.sim import DEFAULT_MAX_CYCLES, SimReport, Simulator, simulate
 from minihls.source import parse_source
 from minihls import corpus
 from test_passes import narrow_ladder, wide_ladder
+from sim_reference import ReferenceSimulator
 
 
 def source_fn(name):
@@ -577,6 +579,220 @@ def test_worklist_wakes_only_components_that_can_fire(compiled, source, args):
          else compile_source(source)).cdfg
     calls, firing = rule_calls(g, args)
     assert calls <= 1.05 * firing, (calls, firing)
+
+
+# -- the closure engine as reference -----------------------------------------
+#
+# `sim_reference` is the engine the per-shape kernels replaced: a closure
+# per kind reading its channels through `itemgetter`, and Buffers that
+# wait on the release heap like pipelines.  Both must give equal traced
+# reports, or raise equal errors, on every circuit and budget.
+
+def reference_outcome(g, args, max_cycles):
+    try:
+        return ReferenceSimulator(g, args, trace=True).run(max_cycles)
+    except MiniHlsError as e:
+        return type(e), e.message, e.pos, getattr(e, "report", None)
+
+
+def assert_reference_agrees(g, points, budgets=(DEFAULT_MAX_CYCLES, 37)):
+    for args in points:
+        for max_cycles in budgets:
+            assert outcome(g, args, max_cycles) == reference_outcome(
+                g, args, max_cycles), (args, max_cycles)
+
+
+@pytest.mark.parametrize("latencies", [
+    {}, {"mul_i64": 0}, {"mul_i64": 6, "add_i64": 1}],
+    ids=["default", "mul0", "mul6-add1"])
+@pytest.mark.parametrize("opt", [True, False], ids=["opt", "no-opt"])
+def test_reference_agrees_on_corpus(program, compiled, sweeps, opt, latencies):
+    points = sweeps[program][::max(1, len(sweeps[program]) // 4)]
+    assert_reference_agrees(
+        compiled(program, opt=opt, latencies=latencies).cdfg, points)
+
+
+@pytest.mark.parametrize("ladder", [narrow_ladder, wide_ladder])
+def test_reference_agrees_on_ladders(ladder):
+    for n in range(1, 9):
+        assert_reference_agrees(compile_source(ladder(n)).cdfg,
+                                [(3, 5), (-4, 2), (0, 0)])
+
+
+@pytest.mark.parametrize("seed", [7, 11, 23])
+def test_reference_agrees_with_buffers_spliced_at_random(seed):
+    g = fresh_power()
+    rng = random.Random(seed)
+    for ch in rng.sample(g.channels, 10):
+        buf = g.add_component(C.BUFFER, (ch.width,), (ch.width,), label="buf")
+        replace_record(g.channels, ch, dst=Port(buf.id, 0))
+        g.add_channel(Port(buf.id, 0), ch.dst, ch.width)
+    assert_reference_agrees(g, [(2, 0), (-3, 4), (2, 10)])
+
+
+def test_reference_agrees_under_backpressure_and_idle_cycles():
+    assert_reference_agrees(flood(), [(5, 7)], budgets=(37, 200))
+    assert_reference_agrees(slow_negate(), [(7,)])
+
+
+@pytest.mark.parametrize("latency", [0, 3])
+def test_reference_agrees_on_hand_built_circuits(latency):
+    g = compile_source("function f(a, b)\n  return a % b\nend\n",
+                       corpus.SIGNATURES["power"],
+                       latencies={"mod_i64": latency}).cdfg
+    assert_reference_agrees(g, [(7, 4), (5, 0)])
+    assert_reference_agrees(wide_shapes(latency),
+                            [(5, True), (-3, False), (0, True)])
+    assert_reference_agrees(backlog(latency), [(1, 2, 3, 4, 5)])
+
+
+def backlog(latency):
+    """Four tokens reach a 4-input Merge two cycles apart, behind 0 to 3
+    Buffers, and pass a latency-2 negate and then a Buffer towards an adder
+    whose other input waits on a negate of latency 10 + `latency`.  They
+    back up: one waits at the adder, one in the Buffer, one at its input
+    and one is due in the negate, so the negate stalls on a due slot and
+    the Buffer frees its slot with a token waiting."""
+    g = CDFG("backlog")
+
+    def add(kind, ins=(64,), outs=(64,), **kw):
+        return g.add_component(kind, ins, outs, **kw)
+
+    def link(src, dst, k=0):
+        g.add_channel(Port(src.id, 0), Port(dst.id, k), 64)
+    merge = add(C.MERGE, (64,) * 4)
+    for k in range(4):
+        prev = add(C.ENTRY, ())
+        for _ in range(k):
+            buf = add(C.BUFFER)
+            link(prev, buf)
+            prev = buf
+        link(prev, merge, k)
+    neg = add(C.OPERATOR, opcode="neg_i64", latency=2)
+    buf = add(C.BUFFER)
+    slow = add(C.OPERATOR, opcode="neg_i64", latency=10 + latency)
+    adder = add(C.OPERATOR, (64, 64), opcode="add_i64")
+    exit_, entry = add(C.EXIT, outs=()), add(C.ENTRY, ())
+    for src, dst, k in ((merge, neg, 0), (neg, buf, 0), (buf, adder, 0),
+                        (entry, slow, 0), (slow, adder, 1), (adder, exit_, 0)):
+        link(src, dst, k)
+    return g
+
+
+def wide_shapes(latency):
+    """Shapes the compiler rarely makes.  Entry x feeds a 4-output Fork
+    and Entry f a 3-output Fork.  A 3-input select (latency `latency`)
+    chooses between two copies of x; a Branch steered by f and a negate
+    one cycle slower than the select feed a 3-input Merge, whose tokens a
+    3-output Fork hands to two Sinks and an adder that also takes the
+    select's result.  The Merge's second token backs up in the adder."""
+    g = CDFG("wide_shapes")
+    for kind, ins, outs, kw in (
+            (C.ENTRY, (), (64,), {"label": "x"}),
+            (C.ENTRY, (), (1,), {"label": "f"}),
+            (C.FORK, (64,), (64,) * 4, {}), (C.FORK, (1,), (1,) * 3, {}),
+            (C.OPERATOR, (1, 64, 64), (64,),
+             {"opcode": "select_i64", "latency": latency}),
+            (C.BRANCH, (64, 1), (64, 64), {}),
+            (C.OPERATOR, (64,), (64,),
+             {"opcode": "neg_i64", "latency": latency + 1}),
+            (C.MERGE, (64,) * 3, (64,), {}), (C.FORK, (64,), (64,) * 3, {}),
+            (C.SINK, (64,), (), {}), (C.SINK, (64,), (), {}),
+            (C.OPERATOR, (64, 64), (64,), {"opcode": "add_i64"}),
+            (C.EXIT, (64,), (), {}), (C.SINK, (1,), (), {})):
+        g.add_component(kind, ins, outs, **kw)
+    for src, dst, width in (((0, 0), (2, 0), 64), ((1, 0), (3, 0), 1),
+                            ((3, 0), (4, 0), 1), ((2, 0), (4, 1), 64),
+                            ((2, 1), (4, 2), 64), ((2, 2), (5, 0), 64),
+                            ((3, 1), (5, 1), 1), ((2, 3), (6, 0), 64),
+                            ((5, 0), (7, 0), 64), ((5, 1), (7, 1), 64),
+                            ((6, 0), (7, 2), 64), ((7, 0), (8, 0), 64),
+                            ((8, 0), (9, 0), 64), ((8, 1), (10, 0), 64),
+                            ((4, 0), (11, 0), 64), ((8, 2), (11, 1), 64),
+                            ((11, 0), (12, 0), 64), ((3, 2), (13, 0), 1)):
+        g.add_channel(Port(*src), Port(*dst), width)
+    return g
+
+
+@pytest.mark.parametrize("latency", [0, 3])
+def test_wide_shapes_compute_what_they_should(latency):
+    """The select and the Branch pass x on, so the adder doubles it; the
+    negated copy waits behind the adder.  Each shape has its own kernel,
+    whose code object is named after the shape."""
+    g = wide_shapes(latency)
+    for x, flag in [(5, True), (-3, False)]:
+        report = simulate(g, (x, flag))
+        assert (report.output, report.leftover) == (2 * x, 1)
+    kernels = [sim_module.SimPlan.of(g).nodes[i].__code__.co_filename
+               for i in (2, 3, 4, 5, 6, 7)]
+    pipelined = "Operator" if latency == 0 else "Pipeline"
+    assert kernels == [
+        "<sim rule Fork 1x4>", "<sim rule Fork 1x3>",
+        f"<sim rule {pipelined} 3x1>", "<sim rule Branch 2x2>",
+        "<sim rule Pipeline 1x1>", "<sim rule Merge 3x1>"]
+
+
+def fanned_merge(label, n, early=False):
+    """Entry x copied by a Fork into the inputs of one n-input Merge, whose
+    copies all arrive in cycle 2.  With `early` input 0 is fed by Entry 4
+    instead, whose token the Merge passes on in cycle 1."""
+    g = CDFG("fanned")
+    x = g.add_component(C.ENTRY, (), (64,), label="x")
+    fork = g.add_component(C.FORK, (64,), (64,) * (n - early))
+    m = g.add_component(C.MERGE, (64,) * n, (64,), label=label)
+    exit_ = g.add_component(C.EXIT, (64,), ())
+    g.add_channel(Port(x.id, 0), Port(fork.id, 0), 64)
+    for k in range(early, n):
+        g.add_channel(Port(fork.id, k - early), Port(m.id, k), 64)
+    g.add_channel(Port(m.id, 0), Port(exit_.id, 0), 64)
+    if early:
+        y = g.add_component(C.ENTRY, (), (64,), label="y")
+        g.add_channel(Port(y.id, 0), Port(m.id, 0), 64)
+    return g
+
+
+@pytest.mark.parametrize("n, early", [(2, False), (3, False), (4, False),
+                                      (3, True), (4, True)])
+def test_merge_conflict_quotes_its_label_verbatim(n, early, monkeypatch):
+    """A rule's text holds only fixed names and counts: the label reaches
+    the message as it is and no compiled text, whatever the label.  Any
+    two valid inputs conflict, also when input 0 is empty."""
+    label = 'q"uo\'te {x} {{y}} %s back\\slash\nnewline'
+    texts = []
+    monkeypatch.setattr(sim_module, "compile", lambda text, *a: texts.append(
+        text) or compile(text, *a), raising=False)
+    sim_module._factory.cache_clear()
+    g = fanned_merge(label, n, early)
+    with pytest.raises(MergeConflictError) as info:
+        simulate(g, (1, 2) if early else (1,))
+    assert info.value.message == (
+        f"merge 2 ({label}) has {n - early} valid inputs in cycle 2")
+    assert_reference_agrees(g, [(1, 2) if early else (1,)])
+    assert texts and not any(part in text for text in texts
+                             for part in ("uo", "slash", "newline", "x}"))
+    sim_module._factory.cache_clear()
+
+
+@pytest.mark.parametrize("payload", [-0.0, float("nan"), True,
+                                     9_223_372_036_854_775_807,
+                                     -9_223_372_036_854_775_808])
+def test_const_payloads_pass_unchanged(payload):
+    """A Const's payload is bound to its rule, never written into its
+    text: -0.0, nan, True and the Int64 extremes come out as they went in,
+    as in the closure engine."""
+    g = CDFG("const")
+    trigger = g.add_component(C.ENTRY, (), (0,))
+    const = g.add_component(C.CONST, (0,), (64,), value=payload)
+    buf = g.add_component(C.BUFFER, (64,), (64,))
+    exit_ = g.add_component(C.EXIT, (64,), ())
+    for a, b, width in ((trigger, const, 0), (const, buf, 64), (buf, exit_, 64)):
+        g.add_channel(Port(a.id, 0), Port(b.id, 0), width)
+    report = simulate(g, (), trace=True)
+    want = ReferenceSimulator(g, (), trace=True).run()
+    assert repr(report.output) == repr(want.output) == repr(payload)
+    assert type(report.output) is type(payload)
+    assert dataclasses.replace(report, output=None) == dataclasses.replace(
+        want, output=None)
 
 
 # -- equivalence with the scan-every-component simulator --------------------
