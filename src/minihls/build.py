@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cdfg import (BRANCH, CDFG, CONST, ENTRY, EXIT, FORK, MERGE, OPERATOR,
-                   SINK, Component, Port)
+                   SINK, Component)
 from .errors import BuildError
 from .ir import (Block, CondGoto, ConstOp, Goto, Ret, SelectOp, SSAFunction,
                  postorder, predecessor_edges, successor_edges, terminator_uses,
@@ -32,11 +32,11 @@ CONTROL = "ctrl"  # input-map key for the control token; value keys are ints
 
 @dataclass
 class _Net:
-    """One token source and the input ports demanding it."""
+    """One token source and the (component id, index) inputs demanding it."""
 
     width: int
-    src: Port | None = None
-    dsts: list[Port] = field(default_factory=list)
+    src: tuple[int, int] | None = None
+    dsts: list[tuple[int, int]] = field(default_factory=list)
     alias: "_Net | None" = None
 
     def resolve(self) -> "_Net":
@@ -91,13 +91,13 @@ class _Builder:
 
     # -- plumbing -----------------------------------------------------------
 
-    def new_net(self, width: int, src: Port | None = None) -> _Net:
+    def new_net(self, width: int, src: tuple[int, int] | None = None) -> _Net:
         n = _Net(width, src)
         self.nets.append(n)
         return n
 
     @staticmethod
-    def demand(net: _Net, port: Port) -> None:
+    def demand(net: _Net, port: tuple[int, int]) -> None:
         net.resolve().dsts.append(port)
 
     @staticmethod
@@ -158,9 +158,9 @@ class _Builder:
         param_nets: dict[int, _Net] = {}
         for vid, ty in func.params:
             c = g.add_component(ENTRY, (), (ty.width,), label=f"v{vid}")
-            param_nets[vid] = self.new_net(ty.width, Port(c.id, 0))
+            param_nets[vid] = self.new_net(ty.width, (c.id, 0))
         ctrl_entry = g.add_component(ENTRY, (), (0,), label="ctrl")
-        ctrl_net = self.new_net(0, Port(ctrl_entry.id, 0))
+        ctrl_net = self.new_net(0, (ctrl_entry.id, 0))
 
         rw = func.return_type.width
         exit_c = g.add_component(EXIT, (rw,), (), label="ret")
@@ -181,7 +181,7 @@ class _Builder:
                         mc = g.add_component(MERGE, (w,) * k, (w,),
                                              label=f"b{b.id}.{name}")
                         self.merge_of[(b.id, key)] = mc
-                        srcs[key] = self.new_net(w, Port(mc.id, 0))
+                        srcs[key] = self.new_net(w, (mc.id, 0))
                     else:
                         srcs[key] = self.new_net(w)
             self.local[b.id] = srcs
@@ -193,11 +193,11 @@ class _Builder:
         if len(ret_blocks) >= 2:
             ret_merge = g.add_component(
                 MERGE, (rw,) * len(ret_blocks), (rw,), label="ret")
-            g.add_channel(Port(ret_merge.id, 0), Port(exit_c.id, 0), rw)
-            self.return_slot = {bid: Port(ret_merge.id, i)
+            g.add_channel((ret_merge.id, 0), (exit_c.id, 0), rw)
+            self.return_slot = {bid: (ret_merge.id, i)
                                 for i, bid in enumerate(ret_blocks)}
         else:
-            self.return_slot = {bid: Port(exit_c.id, 0) for bid in ret_blocks}
+            self.return_slot = {bid: (exit_c.id, 0) for bid in ret_blocks}
 
         for b in func.blocks:
             self._build_block(b)
@@ -213,7 +213,7 @@ class _Builder:
             if isinstance(ins.op, ConstOp):
                 c = g.add_component(CONST, (0,), (w,), label=f"v{ins.result}",
                                     value=ins.op.value, pos=ins.pos)
-                self.demand(srcs[CONTROL], Port(c.id, 0))
+                self.demand(srcs[CONTROL], (c.id, 0))
             else:
                 if isinstance(ins.op, SelectOp):
                     opcode = SELECT_OPCODES[ins.ty]
@@ -225,8 +225,8 @@ class _Builder:
                                     label=f"v{ins.result}", opcode=opcode,
                                     latency=self.lat[opcode], pos=ins.pos)
                 for i, arg in enumerate(ins.args):
-                    self.demand(srcs[arg], Port(c.id, i))
-            srcs[ins.result] = self.new_net(w, Port(c.id, 0))
+                    self.demand(srcs[arg], (c.id, i))
+            srcs[ins.result] = self.new_net(w, (c.id, 0))
 
         t = b.terminator
         if isinstance(t, Ret):
@@ -245,10 +245,10 @@ class _Builder:
                 name = "ctrl" if key == CONTROL else f"v{key}"
                 br = g.add_component(BRANCH, (w, 1), (w, w),
                                      label=f"b{b.id}.{name}")
-                self.demand(srcs[key], Port(br.id, 0))
-                self.demand(srcs[t.cond], Port(br.id, 1))
-                true_nets[key] = self.new_net(w, Port(br.id, 0))
-                false_nets[key] = self.new_net(w, Port(br.id, 1))
+                self.demand(srcs[key], (br.id, 0))
+                self.demand(srcs[t.cond], (br.id, 1))
+                true_nets[key] = self.new_net(w, (br.id, 0))
+                false_nets[key] = self.new_net(w, (br.id, 1))
             self._wire_edge(b, 0, t.then_target, t.then_args, true_nets)
             self._wire_edge(b, 1, t.else_target, t.else_args, false_nets)
 
@@ -265,7 +265,7 @@ class _Builder:
                                          self._edge_keys(target, args)):
             net = supply[supply_key]
             if many:
-                self.demand(net, Port(self.merge_of[(target, input_key)].id, slot))
+                self.demand(net, (self.merge_of[(target, input_key)].id, slot))
             else:
                 self.fuse(self.local[target][input_key], net)
 
@@ -278,13 +278,13 @@ class _Builder:
                 raise BuildError("internal: token source never supplied")
             if not net.dsts:
                 sink = g.add_component(SINK, (net.width,), (), label="sink")
-                g.add_channel(net.src, Port(sink.id, 0), net.width)
+                g.add_channel(net.src, (sink.id, 0), net.width)
             elif len(net.dsts) == 1:
                 g.add_channel(net.src, net.dsts[0], net.width)
             else:
                 fork = g.add_component(FORK, (net.width,),
                                        (net.width,) * len(net.dsts),
                                        label="fork")
-                g.add_channel(net.src, Port(fork.id, 0), net.width)
+                g.add_channel(net.src, (fork.id, 0), net.width)
                 for i, dst in enumerate(net.dsts):
-                    g.add_channel(Port(fork.id, i), dst, net.width)
+                    g.add_channel((fork.id, i), dst, net.width)

@@ -10,13 +10,13 @@ be acyclic.  `insert_buffers` breaks each cycle where it enters a loop
 header: one Buffer per loop-carried value, on the header Merge's latch
 input.
 
-Components, channels and ports are immutable records, so a circuit
-changes only when an element of `components` or `channels` is appended,
-removed or replaced; `insert_buffers` replaces each channel it cuts in
-its list slot.  A Const payload compares by its type and repr, so -0.0
-and 0.0 differ, and a source position compares too, as traps report it.
-Comparing the two lists with the copies that `require_valid` recorded
-when it last accepted the circuit tells whether the circuit changed
+Components and channels, whose ends are component ids and port indices, are
+immutable records, so a circuit changes only when an element of `components`
+or `channels` is appended, removed or replaced; `insert_buffers` replaces
+each channel it cuts in its list slot.  A Const payload compares by its type
+and repr, so -0.0 and 0.0 differ, and a source position compares too, as
+traps report it.  Comparing the two lists with the copies that `require_valid`
+recorded when it last accepted the circuit tells whether the circuit changed
 since; `sim.SimPlan` is reused while it was built from the record held now.
 
 Kinds (`KIND_ORDER`): Entry and Exit cross the circuit boundary, Const
@@ -35,11 +35,12 @@ template of its firing rule and `vhdl._ARCH` its VHDL architecture;
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import repeat, starmap
+from itertools import count, repeat, starmap
 from operator import attrgetter, getitem, is_not
 
 from .errors import BuildError, Pos
@@ -56,12 +57,6 @@ BUFFER = "Buffer"
 SINK = "Sink"
 
 KIND_ORDER = (ENTRY, EXIT, CONST, OPERATOR, FORK, BRANCH, MERGE, BUFFER, SINK)
-
-
-@dataclass(frozen=True, slots=True)
-class Port:
-    comp: int
-    index: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,8 +87,10 @@ class Component:
 @dataclass(frozen=True, slots=True)
 class Channel:
     id: int
-    src: Port
-    dst: Port
+    src: int  # producing component id
+    src_port: int  # its output index
+    dst: int  # consuming component id
+    dst_port: int  # its input index
     width: int
 
 
@@ -110,13 +107,13 @@ class CDFG:
     sim_plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def add_component(self, kind: str, in_widths, out_widths, **kw) -> Component:
-        c = Component(len(self.components), kind,
-                      tuple(in_widths), tuple(out_widths), **kw)
+        c = Component(len(self.components), kind, in_widths, out_widths, **kw)
         self.components.append(c)
         return c
 
-    def add_channel(self, src: Port, dst: Port, width: int) -> Channel:
-        ch = Channel(len(self.channels), src, dst, width)
+    def add_channel(self, src: tuple, dst: tuple, width: int) -> Channel:
+        """Wire output `src` to input `dst`, each a (component id, index) pair."""
+        ch = Channel(len(self.channels), *src, *dst, width)
         self.channels.append(ch)
         return ch
 
@@ -189,7 +186,7 @@ def _kind_violations(shape: tuple, has_value: bool) -> tuple[str, ...]:
 def _ends(comps: list[Component], chans: list[Channel], end: str, ports: str):
     """The component ids and port indices at each channel's `end`, and the
     widths of those ports if they are each of the `ports` once, else None."""
-    ids, indices = (list(map(attrgetter(f"{end}.{f}"), chans)) for f in ("comp", "index"))
+    ids, indices = (list(map(attrgetter(f), chans)) for f in (end, end + "_port"))
     lists = list(map(attrgetter(ports), comps))
     if (len(indices) == sum(map(len, lists)) == len(set(zip(ids, indices)))
             and min(indices, default=0) >= 0):
@@ -207,7 +204,8 @@ def check(g: CDFG) -> list[str]:
     comps, chans = g.components, g.channels
     if len(set(map(attrgetter("id"), comps))) != len(comps):
         return ["duplicate component ids"]
-    bad: list[str] = []
+    bad = ([] if len(set(map(attrgetter("id"), chans))) == len(chans)
+           else ["duplicate channel ids"])
     present = map(is_not, map(attrgetter("value"), comps), repeat(None))
     shapes = list(zip(map(_SHAPE, comps), present))
     if any(starmap(_kind_violations, set(shapes))):
@@ -219,19 +217,19 @@ def check(g: CDFG) -> list[str]:
     if not out_at == list(map(attrgetter("width"), chans)) == in_at:
         by_id = {c.id: c for c in comps}
         for ch in chans:
-            src, dst = ch.src, ch.dst
-            for port, side, c in ((src, "source", by_id.get(src.comp)),
-                                  (dst, "dest", by_id.get(dst.comp))):
+            for (cid, index), side in (((ch.src, ch.src_port), "source"),
+                                       ((ch.dst, ch.dst_port), "dest")):
+                c = by_id.get(cid)
                 if c is None:
-                    bad.append(f"channel {ch.id}: {side} component {port.comp} missing")
+                    bad.append(f"channel {ch.id}: {side} component {cid} missing")
                     continue
-                plist = c.out_widths if port is src else c.in_widths
-                if not 0 <= port.index < len(plist):
-                    bad.append(f"channel {ch.id}: {side} port {port.index} out of "
+                plist = c.out_widths if side == "source" else c.in_widths
+                if not 0 <= index < len(plist):
+                    bad.append(f"channel {ch.id}: {side} port {index} out of "
                                f"range for component {c.id} ({c.kind})")
-                elif plist[port.index] != ch.width:
+                elif plist[index] != ch.width:
                     bad.append(f"channel {ch.id}: width {ch.width} does not match "
-                               f"{side} port width {plist[port.index]} "
+                               f"{side} port width {plist[index]} "
                                f"on component {c.id} ({c.kind})")
     if out_at is None or in_at is None:
         out_seen, in_seen = Counter(zip(src_ids, src_idx)), Counter(zip(dst_ids, dst_idx))
@@ -292,12 +290,14 @@ def insert_buffers(g: CDFG) -> int:
     every Merge before the components of block bodies, so the cuts fall
     on Merge inputs: in a loop, on its header Merges' latch inputs, one
     Buffer per loop-carried value.  A circuit whose cycles all hold a
-    Buffer gets none."""
+    Buffer gets none.  New Buffers and channels take ids above all in use."""
     consumers: dict[int, list[int]] = {c.id: [] for c in g.components}
     into: dict[int, list[int]] = {c.id: [] for c in g.components}
     for k, ch in enumerate(g.channels):  # list positions, not channel ids
-        consumers[ch.src.comp].append(ch.dst.comp)
-        into[ch.dst.comp].append(k)
+        consumers[ch.src].append(ch.dst)
+        into[ch.dst].append(k)
+    comp_ids, chan_ids = (count(max(map(attrgetter("id"), xs), default=-1) + 1)
+                          for xs in (g.components, g.channels))
     waiting = {cid: len(ks) for cid, ks in into.items()}
     ready = [c.id for c in g.components if c.kind == BUFFER or not into[c.id]]
     placed: set[int] = set()
@@ -308,12 +308,13 @@ def insert_buffers(g: CDFG) -> int:
             cut = min(fed or into.keys() - placed)
             for k in into[cut]:
                 ch = g.channels[k]
-                if ch.src.comp not in placed:
-                    buf = g.add_component(BUFFER, (ch.width,), (ch.width,),
-                                          label="buf")
-                    g.channels[k] = Channel(ch.id, ch.src, Port(buf.id, 0),
-                                            ch.width)
-                    g.add_channel(Port(buf.id, 0), ch.dst, ch.width)
+                if ch.src not in placed:
+                    buf = Component(next(comp_ids), BUFFER, (ch.width,), (ch.width,),
+                                    label="buf")
+                    g.components.append(buf)
+                    g.channels[k] = replace(ch, dst=buf.id, dst_port=0)
+                    g.channels.append(Channel(next(chan_ids), buf.id, 0, ch.dst,
+                                              ch.dst_port, ch.width))
                     n_buffers += 1
             ready.append(cut)
         cid = ready.pop()
@@ -336,20 +337,23 @@ def insert_buffers(g: CDFG) -> int:
 
 
 def to_json(g: CDFG) -> str:
+    """Strict JSON: a non-finite Const payload is written as its repr."""
     doc = {
         "name": g.name,
         "return_width": g.return_width,
         "components": [
             {"id": c.id, "kind": c.kind, "in_widths": list(c.in_widths),
              "out_widths": list(c.out_widths), "label": c.label,
-             "opcode": c.opcode, "latency": c.latency, "value": c.value}
+             "opcode": c.opcode, "latency": c.latency,
+             "value": repr(c.value) if isinstance(c.value, float)
+             and not math.isfinite(c.value) else c.value}
             for c in g.components],
         "channels": [
-            {"id": ch.id, "src": [ch.src.comp, ch.src.index],
-             "dst": [ch.dst.comp, ch.dst.index], "width": ch.width}
+            {"id": ch.id, "src": [ch.src, ch.src_port],
+             "dst": [ch.dst, ch.dst_port], "width": ch.width}
             for ch in g.channels],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def from_json(text: str) -> CDFG:
@@ -357,11 +361,10 @@ def from_json(text: str) -> CDFG:
     g = CDFG(doc["name"], return_width=doc["return_width"])
     for c in doc["components"]:
         g.components.append(Component(
-            c["id"], c["kind"], tuple(c["in_widths"]), tuple(c["out_widths"]),
-            c["label"], c["opcode"], c["latency"], c["value"]))
+            c["id"], c["kind"], c["in_widths"], c["out_widths"], c["label"], c["opcode"],
+            c["latency"], float(c["value"]) if isinstance(c["value"], str) else c["value"]))
     for ch in doc["channels"]:
-        g.channels.append(Channel(ch["id"], Port(*ch["src"]), Port(*ch["dst"]),
-                                  ch["width"]))
+        g.channels.append(Channel(ch["id"], *ch["src"], *ch["dst"], ch["width"]))
     return g
 
 
@@ -371,8 +374,7 @@ def export_dot(g: CDFG) -> str:
         detail = c.opcode or c.label or c.kind.lower()
         lines.append(f'  c{c.id} [label="{c.id}:{c.kind}\\n{detail}"];')
     for ch in g.channels:
-        lines.append(f"  c{ch.src.comp} -> c{ch.dst.comp} "
-                     f'[label="{ch.width}"];')
+        lines.append(f'  c{ch.src} -> c{ch.dst} [label="{ch.width}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

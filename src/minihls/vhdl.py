@@ -313,8 +313,8 @@ def emit_vhdl(g: CDFG) -> dict[str, str]:
     for ch in g.channels:
         k = str(ch.id)
         body.append(k.join(_signals(ch.width)))
-        fields[ch.src.comp][~ch.src.index] = k
-        fields[ch.dst.comp][ch.dst.index + 1] = k
+        fields[ch.src][~ch.src_port] = k
+        fields[ch.dst][ch.dst_port + 1] = k
     body.append("begin")
     entities: dict[str, str] = {}
     pins = []  # the boundary end of each Entry and Exit

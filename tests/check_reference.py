@@ -1,9 +1,10 @@
 """An element-by-element structural check, the reference `cdfg.check` is
 tested against.
 
-It applies each kind rule to each component, walks the channels one by
-one checking both ends, counts each port's use in a dict and walks every
-declared port, with the same messages in the same order as `cdfg.check`.
+It collects the channel ids in a set, applies each kind rule to each
+component, walks the channels one by one checking both ends, counts each
+port's use in a dict and walks every declared port, with the same
+messages in the same order as `cdfg.check`.
 It shares the rule tables and the cycle search with `cdfg`.
 """
 
@@ -37,6 +38,8 @@ def reference_check(g: CDFG) -> list[str]:
     by_id = {c.id: c for c in g.components}
     if len(by_id) != len(g.components):
         return ["duplicate component ids"]
+    if len({ch.id for ch in g.channels}) != len(g.channels):
+        bad.append("duplicate channel ids")
 
     for c in g.components:
         bad.extend(reference_kind_violations(c))
@@ -46,24 +49,24 @@ def reference_check(g: CDFG) -> list[str]:
     adj: dict[int, list[int]] = {c.id: [] for c in g.components
                                  if c.kind != BUFFER}
     for ch in g.channels:
-        src, dst = ch.src, ch.dst
-        for port, side, c in ((src, "source", by_id.get(src.comp)),
-                              (dst, "dest", by_id.get(dst.comp))):
+        src, dst = (ch.src, ch.src_port), (ch.dst, ch.dst_port)
+        for (cid, index), side in ((src, "source"), (dst, "dest")):
+            c = by_id.get(cid)
             if c is None:
-                bad.append(f"channel {ch.id}: {side} component {port.comp} missing")
+                bad.append(f"channel {ch.id}: {side} component {cid} missing")
                 continue
-            plist = c.out_widths if port is src else c.in_widths
-            if not 0 <= port.index < len(plist):
-                bad.append(f"channel {ch.id}: {side} port {port.index} out of "
+            plist = c.out_widths if side == "source" else c.in_widths
+            if not 0 <= index < len(plist):
+                bad.append(f"channel {ch.id}: {side} port {index} out of "
                            f"range for component {c.id} ({c.kind})")
-            elif plist[port.index] != ch.width:
+            elif plist[index] != ch.width:
                 bad.append(f"channel {ch.id}: width {ch.width} does not match "
-                           f"{side} port width {plist[port.index]} "
+                           f"{side} port width {plist[index]} "
                            f"on component {c.id} ({c.kind})")
-        out_seen[src.comp, src.index] = out_seen.get((src.comp, src.index), 0) + 1
-        in_seen[dst.comp, dst.index] = in_seen.get((dst.comp, dst.index), 0) + 1
-        if src.comp in adj and dst.comp in adj:
-            adj[src.comp].append(dst.comp)
+        out_seen[src] = out_seen.get(src, 0) + 1
+        in_seen[dst] = in_seen.get(dst, 0) + 1
+        if ch.src in adj and ch.dst in adj:
+            adj[ch.src].append(ch.dst)
 
     for c in g.components:
         for i in range(len(c.out_widths)):

@@ -175,13 +175,13 @@ class ReferencePlan:
         require_valid(g)
         self.components, self.channels = comps, chans = g.checked
         index = {c.id: i for i, c in enumerate(comps)}
-        self.producer = [index[ch.src.comp] for ch in chans]
-        self.consumer = [index[ch.dst.comp] for ch in chans]
+        self.producer = [index[ch.src] for ch in chans]
+        self.consumer = [index[ch.dst] for ch in chans]
         ins = [[0] * len(c.in_widths) for c in comps]
         outs = [[0] * len(c.out_widths) for c in comps]
         for k, ch in enumerate(chans):
-            outs[self.producer[k]][ch.src.index] = k
-            ins[self.consumer[k]][ch.dst.index] = k
+            outs[self.producer[k]][ch.src_port] = k
+            ins[self.consumer[k]][ch.dst_port] = k
         self.sibling = list(range(len(chans)))
         for i, c in enumerate(comps):
             if len(ins[i]) == 2 and c.kind != MERGE:

@@ -151,14 +151,14 @@ def test_criterion_4_structural_invariants():
             problems += [f"{name} (opt={opt}): {b}" for b in bad]
     # violations must also be *detectable*: break each invariant on a copy
     from minihls import cdfg as C
-    from minihls.cdfg import CDFG, Port
+    from minihls.cdfg import CDFG
 
     g = CDFG("neg")
     e = g.add_component(C.ENTRY, (), (64,), label="x")
     b = g.add_component(C.BUFFER, (64,), (64,))
     x = g.add_component(C.EXIT, (64,), ())
-    g.add_channel(Port(e.id, 0), Port(b.id, 0), 64)
-    g.add_channel(Port(b.id, 0), Port(x.id, 0), 64)
+    g.add_channel((e.id, 0), (b.id, 0), 64)
+    g.add_channel((b.id, 0), (x.id, 0), 64)
     if check(g):
         problems.append("negative baseline graph should be clean")
 
@@ -170,7 +170,7 @@ def test_criterion_4_structural_invariants():
     wide = CDFG("d2")
     e = wide.add_component(C.ENTRY, (), (64,), label="x")
     x = wide.add_component(C.EXIT, (1,), ())
-    wide.add_channel(Port(e.id, 0), Port(x.id, 0), 64)
+    wide.add_channel((e.id, 0), (x.id, 0), 64)
     if not any("width" in p for p in check(wide)):
         problems.append("width mismatch not caught")
 
@@ -178,16 +178,16 @@ def test_criterion_4_structural_invariants():
     e = forky.add_component(C.ENTRY, (), (64,), label="x")
     f = forky.add_component(C.FORK, (64,), (64,))  # one output is illegal
     x = forky.add_component(C.EXIT, (64,), ())
-    forky.add_channel(Port(e.id, 0), Port(f.id, 0), 64)
-    forky.add_channel(Port(f.id, 0), Port(x.id, 0), 64)
+    forky.add_channel((e.id, 0), (f.id, 0), 64)
+    forky.add_channel((f.id, 0), (x.id, 0), 64)
     if not any("Fork" in p for p in check(forky)):
         problems.append("fork discipline violation not caught")
 
     loopy = CDFG("d4")
     a = loopy.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")
     bb = loopy.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")
-    loopy.add_channel(Port(a.id, 0), Port(bb.id, 0), 64)
-    loopy.add_channel(Port(bb.id, 0), Port(a.id, 0), 64)
+    loopy.add_channel((a.id, 0), (bb.id, 0), 64)
+    loopy.add_channel((bb.id, 0), (a.id, 0), 64)
     if not any("cycle" in p.lower() for p in check(loopy)):
         problems.append("buffer-free cycle not caught")
     finish(4, "structural invariants", problems)

@@ -1,8 +1,11 @@
 """Circuit graph invariants, buffer insertion, serialization."""
 
 import dataclasses
+import json
+import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +17,10 @@ from minihls import cdfg as C
 from minihls import corpus
 from minihls.build import build_cdfg
 from minihls.cdfg import (
-    CDFG, Port, check, component_stats, export_dot,
+    CDFG, check, component_stats, export_dot,
     from_json, insert_buffers, require_valid, to_json,
 )
-from minihls.errors import BuildError
+from minihls.errors import BuildError, MaxCyclesError
 from minihls.interp import run_source
 from minihls.ir import successor_edges
 from minihls.lattice import IMPL_BY_OPCODE, LatticeType
@@ -26,6 +29,7 @@ from minihls.pipeline import compile_source
 from minihls.sim import simulate
 from minihls.source import parse_source
 from minihls import typecheck
+from minihls.vhdl import emit_vhdl
 
 I = LatticeType.INT64
 
@@ -43,8 +47,8 @@ def tiny_passthrough():
     e = g.add_component(C.ENTRY, (), (64,), label="x")
     b = g.add_component(C.BUFFER, (64,), (64,))
     x = g.add_component(C.EXIT, (64,), ())
-    g.add_channel(Port(e.id, 0), Port(b.id, 0), 64)
-    g.add_channel(Port(b.id, 0), Port(x.id, 0), 64)
+    g.add_channel((e.id, 0), (b.id, 0), 64)
+    g.add_channel((b.id, 0), (x.id, 0), 64)
     return g
 
 
@@ -110,8 +114,7 @@ def test_insert_buffers_on_its_own_output_adds_nothing(name, opt):
 def test_every_buffer_feeds_a_merge(name, opt):
     g = placement_circuit(name, opt)
     kind = {c.id: c.kind for c in g.components}
-    fed = [kind[ch.dst.comp] for ch in g.channels
-           if kind[ch.src.comp] == C.BUFFER]
+    fed = [kind[ch.dst] for ch in g.channels if kind[ch.src] == C.BUFFER]
     assert fed == [C.MERGE] * component_stats(g)["Buffer"]
 
 
@@ -152,8 +155,8 @@ def test_early_return_gets_one_buffer_per_loop_carried_value():
     g = res.cdfg
     assert res.n_buffers == 4
     by_id = {c.id: c for c in g.components}
-    fed = [by_id[ch.dst.comp] for ch in g.channels
-           if by_id[ch.src.comp].kind == C.BUFFER]
+    fed = [by_id[ch.dst] for ch in g.channels
+           if by_id[ch.src].kind == C.BUFFER]
     assert len(fed) == 4 and all(c.kind == C.MERGE for c in fed)
     headers = {int(c.label[1:].split(".")[0]) for c in fed}  # "b<id>.<value>"
     assert len(headers) == 1 and headers <= blocks_on_a_cycle(res.ssa)
@@ -173,10 +176,27 @@ def test_check_catches_dangling_port():
 
 def test_check_catches_double_driven_port():
     g = tiny_passthrough()
-    g.add_channel(Port(0, 0), Port(2, 0), 64)
+    g.add_channel((0, 0), (2, 0), 64)
     problems = check(g)
     assert any("drives 2 channels" in p for p in problems)
     assert any("fed by 2 channels" in p for p in problems)
+
+
+def test_check_rejects_duplicate_channel_ids():
+    """Two channels with one id name one net in the VHDL, which then has
+    two drivers, though every port is used exactly once."""
+    g = CDFG("dup")
+    e = g.add_component(C.ENTRY, (), (64,), label="x")
+    f = g.add_component(C.FORK, (64,), (64, 64))
+    x = g.add_component(C.EXIT, (64,), ())
+    sink = g.add_component(C.SINK, (64,), ())
+    g.add_channel((e.id, 0), (f.id, 0), 64)
+    g.add_channel((f.id, 0), (x.id, 0), 64)
+    g.channels.append(C.Channel(1, f.id, 1, sink.id, 0, 64))
+    assert check(g) == reference_check(g) == ["duplicate channel ids"]
+    for run in (lambda: simulate(g, (5,)), lambda: emit_vhdl(g)):
+        with pytest.raises(BuildError, match="duplicate channel ids"):
+            run()
 
 
 def test_check_catches_width_mismatch():
@@ -273,8 +293,8 @@ def test_check_catches_bufferless_cycle():
     # close a combinational loop around two operators
     a = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")
     b = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")
-    g.add_channel(Port(a.id, 0), Port(b.id, 0), 64)
-    g.add_channel(Port(b.id, 0), Port(a.id, 0), 64)
+    g.add_channel((a.id, 0), (b.id, 0), 64)
+    g.add_channel((b.id, 0), (a.id, 0), 64)
     assert check(g) == ["cycle without a Buffer through components 3 -> 4 -> 3"]
 
 
@@ -287,7 +307,7 @@ def fork_into_add(*wiring):
     g.add_component(C.FORK, (64,), (64, 64))
     g.add_component(C.EXIT, (64,), ())
     for src, dst, width in wiring:
-        g.add_channel(Port(*src), Port(*dst), width)
+        g.add_channel(src, dst, width)
     return g
 
 
@@ -299,7 +319,7 @@ def test_operator_with_an_extra_input_is_rejected_before_it_runs():
     g.add_component(C.EXIT, (64,), ())
     for src, dst in (((0, 0), (1, 0)), ((1, 0), (2, 0)), ((1, 1), (2, 1)),
                      ((1, 2), (2, 2)), ((2, 0), (3, 0))):
-        g.add_channel(Port(*src), Port(*dst), 64)
+        g.add_channel(src, dst, 64)
     assert check(g) == [
         "component 2 (Operator): port widths must match the opcode's signature"]
     with pytest.raises(BuildError, match="component 2 .Operator.: port widths"):
@@ -314,13 +334,13 @@ def test_check_messages_are_pinned():
     loop.add_component(C.EXIT, (64,), ())
     for src, dst in (((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (1, 1)),
                      ((2, 1), (3, 0))):
-        loop.add_channel(Port(*src), Port(*dst), 64)
+        loop.add_channel(src, dst, 64)
     odd = CDFG("odd")
     odd.add_component(C.ENTRY, (), (64,), label="x")
     odd.add_component(C.EXIT, (64,), ())
-    odd.add_channel(Port(0, 0), Port(1, 0), 64)
-    odd.add_channel(Port(0, 1), Port(9, 0), 64)
-    odd.add_channel(Port(1, 0), Port(1, 3), 1)
+    odd.add_channel((0, 0), (1, 0), 64)
+    odd.add_channel((0, 1), (9, 0), 64)
+    odd.add_channel((1, 0), (1, 3), 1)
     cases = {
         "width mismatch": (fork_into_add(
             ((0, 0), (2, 0), 64), ((2, 0), (1, 0), 1), ((2, 1), (1, 1), 64),
@@ -360,8 +380,8 @@ def test_insert_buffers_breaks_cycles():
     g = tiny_passthrough()
     a = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")
     b = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")
-    g.add_channel(Port(a.id, 0), Port(b.id, 0), 64)
-    g.add_channel(Port(b.id, 0), Port(a.id, 0), 64)
+    g.add_channel((a.id, 0), (b.id, 0), 64)
+    g.add_channel((b.id, 0), (a.id, 0), 64)
     n = insert_buffers(g)
     assert n == 1
     assert check(g) == []
@@ -371,18 +391,39 @@ def test_insert_buffers_replaces_the_back_edge_in_its_slot():
     g = tiny_passthrough()
     a = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")
     b = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")
-    g.add_channel(Port(a.id, 0), Port(b.id, 0), 64)
-    g.add_channel(Port(b.id, 0), Port(a.id, 0), 64)
+    g.add_channel((a.id, 0), (b.id, 0), 64)
+    g.add_channel((b.id, 0), (a.id, 0), 64)
     g.channels.reverse()  # channel ids no longer equal list positions
     assert insert_buffers(g) == 1
-    assert [(ch.id, ch.src.comp, ch.dst.comp) for ch in g.channels] == [
+    assert [(ch.id, ch.src, ch.dst) for ch in g.channels] == [
         (3, 4, 5), (2, 3, 4), (1, 1, 2), (0, 0, 1), (4, 5, 3)]
     assert check(g) == []
 
 
+def test_insert_buffers_takes_ids_above_those_in_use():
+    """Component and channel ids need not be list positions: the new
+    Buffer and channel must not reuse the length of either list."""
+    g = CDFG("gaps")
+    g.components += [C.Component(0, C.ENTRY, (), (64,), label="x"),
+                     C.Component(2, C.MERGE, (64, 64), (64,)),
+                     C.Component(3, C.FORK, (64,), (64, 64)),
+                     C.Component(4, C.EXIT, (64,), ())]
+    g.channels += [C.Channel(0, 0, 0, 2, 0, 64), C.Channel(1, 2, 0, 3, 0, 64),
+                   C.Channel(2, 3, 0, 2, 1, 64), C.Channel(4, 3, 1, 4, 0, 64)]
+    assert insert_buffers(g) == 1
+    assert [c.id for c in g.components] == [0, 2, 3, 4, 5]
+    assert [(ch.id, ch.src, ch.dst) for ch in g.channels] == [
+        (0, 0, 2), (1, 2, 3), (2, 3, 5), (4, 3, 4), (5, 5, 2)]
+    assert check(g) == []
+    # The token laps the loop for ever; its first lap reaches the exit.
+    with pytest.raises(MaxCyclesError) as err:
+        simulate(g, (5,), max_cycles=20)
+    assert err.value.report.output == 5 and err.value.report.exit_cycle == 3
+
+
 def test_records_are_immutable():
     g = tiny_passthrough()
-    for record in (g.components[1], g.channels[0], g.channels[0].src):
+    for record in (g.components[1], g.channels[0]):
         for f in dataclasses.fields(record):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, f.name, getattr(record, f.name))
@@ -402,7 +443,7 @@ def test_components_built_with_list_widths_hold_tuples():
     g = CDFG("lists")
     g.components += [C.Component(0, C.ENTRY, [], [64], label="x"),
                      C.Component(1, C.EXIT, [64], [])]
-    g.add_channel(Port(0, 0), Port(1, 0), 64)
+    g.add_channel((0, 0), (1, 0), 64)
     assert [c.in_widths for c in g.components] == [(), (64,)]
     assert [c.out_widths for c in g.components] == [(64,), ()]
     assert check(g) == []
@@ -414,8 +455,8 @@ def test_buffered_cycle_is_accepted():
     g = tiny_passthrough()
     a = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64")
     buf = g.add_component(C.BUFFER, (64,), (64,))
-    g.add_channel(Port(a.id, 0), Port(buf.id, 0), 64)
-    g.add_channel(Port(buf.id, 0), Port(a.id, 0), 64)
+    g.add_channel((a.id, 0), (buf.id, 0), 64)
+    g.add_channel((buf.id, 0), (a.id, 0), 64)
     assert check(g) == []
 
 
@@ -435,12 +476,42 @@ def test_json_roundtrip_is_exact(program, compiled):
     assert check(again) == []
 
 
+def test_json_matches_goldens(program, compiled):
+    golden = Path(__file__).parent / "golden" / f"{program}.cdfg.json"
+    assert to_json(compiled(program).cdfg) == golden.read_text()
+
+
+def _refuse(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_json_is_strict_and_keeps_a_non_finite_payload():
+    res = compile_source("function f(x::Float64)\n    return x * 1e309\nend\n")
+    text = to_json(res.cdfg)
+    json.loads(text, parse_constant=_refuse)
+    again = from_json(text)
+    assert to_json(again) == text
+    assert simulate(again, (2.0,)).output == math.inf
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_payloads_round_trip(value):
+    g = CDFG("k")
+    g.add_component(C.CONST, (0,), (64,), value=value)
+    text = to_json(g)
+    json.loads(text, parse_constant=_refuse)
+    # a Const compares by its payload's type and repr, so nan equals nan
+    assert from_json(text).components == g.components
+
+
 def test_dot_export_mentions_every_component(program, compiled):
     g = compiled(program).cdfg
     dot = export_dot(g)
     assert dot.startswith("digraph")
     for c in g.components:
         assert f"c{c.id} " in dot
+    for ch in g.channels:
+        assert f'  c{ch.src} -> c{ch.dst} [label="{ch.width}"];' in dot
 
 
 def test_power_graph_strictly_larger_than_addpair(compiled):
@@ -451,6 +522,7 @@ def test_power_graph_strictly_larger_than_addpair(compiled):
 # Every message `check` words, each of which the mutants must bring about.
 CHECK_FAMILIES = [re.compile(p) for p in (
     r"^duplicate component ids$",
+    r"^duplicate channel ids$",
     r"^component \d+: unknown kind ",
     r"^component \d+ \(\w+\): must have ",
     *(rf"^component \d+ \(\w+\): {re.escape(msg)}$"
@@ -513,11 +585,11 @@ def _mutate(g, rng):
     elif op == 9:
         side = rng.choice(("src", "dst"))
         comp = rng.choice((rng.choice(comps).id, len(comps) + 3))
-        chans[i] = dataclasses.replace(ch, **{side: Port(comp, getattr(ch, side).index)})
+        chans[i] = dataclasses.replace(ch, **{side: comp})
     elif op == 10:
         side = rng.choice(("src", "dst"))
         index = rng.choice((-1, 0, 1, 2, 3))
-        chans[i] = dataclasses.replace(ch, **{side: Port(getattr(ch, side).comp, index)})
+        chans[i] = dataclasses.replace(ch, **{side + "_port": index})
     elif op == 11:
         del chans[i]
     elif op == 12:
@@ -525,8 +597,9 @@ def _mutate(g, rng):
     elif op == 13:
         chans[i], chans[j] = chans[j], chans[i]
     else:
-        chans[i] = dataclasses.replace(ch, dst=chans[j].dst)
-        chans[j] = dataclasses.replace(chans[j], dst=ch.dst)
+        other = chans[j]
+        chans[i] = dataclasses.replace(ch, dst=other.dst, dst_port=other.dst_port)
+        chans[j] = dataclasses.replace(other, dst=ch.dst, dst_port=ch.dst_port)
 
 
 def check_mutants(circuits, n, seed):

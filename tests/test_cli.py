@@ -157,8 +157,7 @@ def add_a_stray_token(g):
                             ((fork, 0), (buf, 0), 64),
                             ((fork, 1), (add, 1), 64),
                             ((add, 0), (sink, 0), 64)):
-        g.add_channel(cdfg.Port(src[0].id, src[1]),
-                      cdfg.Port(dst[0].id, dst[1]), width)
+        g.add_channel((src[0].id, src[1]), (dst[0].id, dst[1]), width)
 
 
 def test_diff_counts_leftover_tokens_as_a_mismatch(capsys, monkeypatch):

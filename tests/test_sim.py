@@ -10,7 +10,7 @@ import pytest
 
 from minihls import cdfg as C
 from minihls import sim as sim_module
-from minihls.cdfg import CDFG, Port, component_stats
+from minihls.cdfg import CDFG, component_stats
 from minihls.errors import (BuildError, DeadlockError, DivByZeroError,
                             MaxCyclesError, MergeConflictError, MiniHlsError,
                             Pos)
@@ -122,10 +122,10 @@ def test_deadlock_detected():
     br = g.add_component(C.BRANCH, (64, 1), (64, 64))
     sink = g.add_component(C.SINK, (64,), ())
     exit_ = g.add_component(C.EXIT, (64,), ())
-    g.add_channel(Port(data.id, 0), Port(br.id, 0), 64)
-    g.add_channel(Port(cond.id, 0), Port(br.id, 1), 1)
-    g.add_channel(Port(br.id, 0), Port(sink.id, 0), 64)
-    g.add_channel(Port(br.id, 1), Port(exit_.id, 0), 64)
+    g.add_channel((data.id, 0), (br.id, 0), 64)
+    g.add_channel((cond.id, 0), (br.id, 1), 1)
+    g.add_channel((br.id, 0), (sink.id, 0), 64)
+    g.add_channel((br.id, 1), (exit_.id, 0), 64)
     assert simulate(g, (7, False)).output == 7
     with pytest.raises(DeadlockError, match=re.escape(
             "deadlock in cycle 4: no component can fire and the exit never "
@@ -141,9 +141,9 @@ def test_merge_conflict_detected():
     b = g.add_component(C.ENTRY, (), (64,), label="b")
     m = g.add_component(C.MERGE, (64, 64), (64,))
     exit_ = g.add_component(C.EXIT, (64,), ())
-    g.add_channel(Port(a.id, 0), Port(m.id, 0), 64)
-    g.add_channel(Port(b.id, 0), Port(m.id, 1), 64)
-    g.add_channel(Port(m.id, 0), Port(exit_.id, 0), 64)
+    g.add_channel((a.id, 0), (m.id, 0), 64)
+    g.add_channel((b.id, 0), (m.id, 1), 64)
+    g.add_channel((m.id, 0), (exit_.id, 0), 64)
     with pytest.raises(MergeConflictError, match=re.escape(
             "merge 2 () has 2 valid inputs in cycle 1")):
         simulate(g, (1, 2))
@@ -161,9 +161,9 @@ def test_merge_conflict_after_idle_cycles():
     m = g.add_component(C.MERGE, (64, 64), (64,), label="join")
     exit_ = g.add_component(C.EXIT, (64,), ())
     for i in range(2):
-        g.add_channel(Port(i, 0), Port(2 + i, 0), 64)
-        g.add_channel(Port(2 + i, 0), Port(m.id, i), 64)
-    g.add_channel(Port(m.id, 0), Port(exit_.id, 0), 64)
+        g.add_channel((i, 0), (2 + i, 0), 64)
+        g.add_channel((2 + i, 0), (m.id, i), 64)
+    g.add_channel((m.id, 0), (exit_.id, 0), 64)
     with pytest.raises(MergeConflictError, match=re.escape(
             "merge 4 (join) has 2 valid inputs in cycle 8")):
         simulate(g, (1, 2))
@@ -176,8 +176,8 @@ def slow_negate():
     op = g.add_component(C.OPERATOR, (64,), (64,), opcode="neg_i64",
                          latency=10)
     exit_ = g.add_component(C.EXIT, (64,), ())
-    g.add_channel(Port(x.id, 0), Port(op.id, 0), 64)
-    g.add_channel(Port(op.id, 0), Port(exit_.id, 0), 64)
+    g.add_channel((x.id, 0), (op.id, 0), 64)
+    g.add_channel((op.id, 0), (exit_.id, 0), 64)
     return g
 
 
@@ -286,7 +286,7 @@ def test_full_buffer_takes_waiting_token_after_emitting():
                             ((6, 0), (7, 1), 64), ((7, 0), (8, 0), 64),
                             ((8, 0), (9, 0), 64), ((8, 1), (10, 0), 64),
                             ((10, 0), (6, 1), 64)):
-        g.add_channel(Port(*src), Port(*dst), width)
+        g.add_channel(src, dst, width)
     with pytest.raises(MaxCyclesError) as info:
         simulate(g, (0,), max_cycles=40, trace=True)
     report = info.value.report
@@ -337,10 +337,11 @@ def replace_record(records, record, **changes):
 def splice_buffer(g):
     """Splice a Buffer onto the multiplier's first input, as
     `insert_buffers` does; the result must not change."""
-    ch = next(ch for ch in g.channels if ch.dst == Port(multiplier(g).id, 0))
+    ch = next(ch for ch in g.channels
+              if (ch.dst, ch.dst_port) == (multiplier(g).id, 0))
     buf = g.add_component(C.BUFFER, (ch.width,), (ch.width,), label="buf")
-    replace_record(g.channels, ch, dst=Port(buf.id, 0))
-    g.add_channel(Port(buf.id, 0), ch.dst, ch.width)
+    replace_record(g.channels, ch, dst=buf.id, dst_port=0)
+    g.add_channel((buf.id, 0), (ch.dst, ch.dst_port), ch.width)
     want = run_source(source_fn("power"), POINT)
     return lambda report: report.output == want and report.leftover == 0
 
@@ -496,8 +497,8 @@ def test_exhaustive_evaluation_agrees_with_buffers_spliced_at_random():
     rng = random.Random(7)
     for ch in rng.sample(g.channels, 10):
         buf = g.add_component(C.BUFFER, (ch.width,), (ch.width,), label="buf")
-        replace_record(g.channels, ch, dst=Port(buf.id, 0))
-        g.add_channel(Port(buf.id, 0), ch.dst, ch.width)
+        replace_record(g.channels, ch, dst=buf.id, dst_port=0)
+        g.add_channel((buf.id, 0), (ch.dst, ch.dst_port), ch.width)
     assert_exhaustive_evaluation_agrees(g, [(2, 0), (-3, 4), (2, 10)])
 
 
@@ -542,7 +543,7 @@ def flood():
                             ((14, 0), (15, 0), 64), ((15, 0), (16, 0), 64),
                             ((16, 0), (17, 1), 64), ((16, 1), (12, 1), 64),
                             ((17, 0), (18, 0), 64)):
-        g.add_channel(Port(*src), Port(*dst), width)
+        g.add_channel(src, dst, width)
     return g
 
 
@@ -625,8 +626,8 @@ def test_reference_agrees_with_buffers_spliced_at_random(seed):
     rng = random.Random(seed)
     for ch in rng.sample(g.channels, 10):
         buf = g.add_component(C.BUFFER, (ch.width,), (ch.width,), label="buf")
-        replace_record(g.channels, ch, dst=Port(buf.id, 0))
-        g.add_channel(Port(buf.id, 0), ch.dst, ch.width)
+        replace_record(g.channels, ch, dst=buf.id, dst_port=0)
+        g.add_channel((buf.id, 0), (ch.dst, ch.dst_port), ch.width)
     assert_reference_agrees(g, [(2, 0), (-3, 4), (2, 10)])
 
 
@@ -659,7 +660,7 @@ def backlog(latency):
         return g.add_component(kind, ins, outs, **kw)
 
     def link(src, dst, k=0):
-        g.add_channel(Port(src.id, 0), Port(dst.id, k), 64)
+        g.add_channel((src.id, 0), (dst.id, k), 64)
     merge = add(C.MERGE, (64,) * 4)
     for k in range(4):
         prev = add(C.ENTRY, ())
@@ -710,7 +711,7 @@ def wide_shapes(latency):
                             ((8, 0), (9, 0), 64), ((8, 1), (10, 0), 64),
                             ((4, 0), (11, 0), 64), ((8, 2), (11, 1), 64),
                             ((11, 0), (12, 0), 64), ((3, 2), (13, 0), 1)):
-        g.add_channel(Port(*src), Port(*dst), width)
+        g.add_channel(src, dst, width)
     return g
 
 
@@ -741,13 +742,13 @@ def fanned_merge(label, n, early=False):
     fork = g.add_component(C.FORK, (64,), (64,) * (n - early))
     m = g.add_component(C.MERGE, (64,) * n, (64,), label=label)
     exit_ = g.add_component(C.EXIT, (64,), ())
-    g.add_channel(Port(x.id, 0), Port(fork.id, 0), 64)
+    g.add_channel((x.id, 0), (fork.id, 0), 64)
     for k in range(early, n):
-        g.add_channel(Port(fork.id, k - early), Port(m.id, k), 64)
-    g.add_channel(Port(m.id, 0), Port(exit_.id, 0), 64)
+        g.add_channel((fork.id, k - early), (m.id, k), 64)
+    g.add_channel((m.id, 0), (exit_.id, 0), 64)
     if early:
         y = g.add_component(C.ENTRY, (), (64,), label="y")
-        g.add_channel(Port(y.id, 0), Port(m.id, 0), 64)
+        g.add_channel((y.id, 0), (m.id, 0), 64)
     return g
 
 
@@ -786,7 +787,7 @@ def test_const_payloads_pass_unchanged(payload):
     buf = g.add_component(C.BUFFER, (64,), (64,))
     exit_ = g.add_component(C.EXIT, (64,), ())
     for a, b, width in ((trigger, const, 0), (const, buf, 64), (buf, exit_, 64)):
-        g.add_channel(Port(a.id, 0), Port(b.id, 0), width)
+        g.add_channel((a.id, 0), (b.id, 0), width)
     report = simulate(g, (), trace=True)
     want = ReferenceSimulator(g, (), trace=True).run()
     assert repr(report.output) == repr(want.output) == repr(payload)

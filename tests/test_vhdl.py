@@ -99,13 +99,13 @@ def test_bool_consts_are_one_bit_literals():
 def test_negative_int_const_is_twos_complement():
     # source-level -1 lowers as const 1 + neg, so build the graph by hand
     from minihls import cdfg as C
-    from minihls.cdfg import CDFG, Port
+    from minihls.cdfg import CDFG
     g = CDFG("negc")
     ctrl = g.add_component(C.ENTRY, (), (0,), label="ctrl")
     konst = g.add_component(C.CONST, (0,), (64,), value=-1)
     exit_ = g.add_component(C.EXIT, (64,), ())
-    g.add_channel(Port(ctrl.id, 0), Port(konst.id, 0), 0)
-    g.add_channel(Port(konst.id, 0), Port(exit_.id, 0), 64)
+    g.add_channel((ctrl.id, 0), (konst.id, 0), 0)
+    g.add_channel((konst.id, 0), (exit_.id, 0), 64)
     files = emit_vhdl(g)
     assert 'x"ffffffffffffffff"' in files["negc_top.vhd"]
     assert lint_netlist(files) == []
@@ -127,8 +127,8 @@ def test_emit_rejects_a_const_without_data():
     g.add_component(C.ENTRY, (), (0,))
     g.add_component(C.CONST, (0,), (0,), value=5)
     g.add_component(C.EXIT, (0,), ())
-    g.add_channel(C.Port(0, 0), C.Port(1, 0), 0)
-    g.add_channel(C.Port(1, 0), C.Port(2, 0), 0)
+    g.add_channel((0, 0), (1, 0), 0)
+    g.add_channel((1, 0), (2, 0), 0)
     problem = "component 1 (Const): output must not have width 0"
     assert C.check(g) == [problem]
     with pytest.raises(BuildError, match=re.escape(problem)):
