@@ -7,17 +7,19 @@ every outgoing value through a Branch driven by the condition.  Constants
 are triggered by their block's control token, so they fire once per
 activation rather than flooding the circuit.
 
-The builder is demand driven: while walking the function it only records,
-for every token source, which input ports consume it.  Materialization
-happens at the end: zero consumers get a Sink, one gets a plain channel,
-more get a Fork.  The walk order is fixed (blocks, then instructions,
-then terminator payloads), so identical IR always yields an identical
-circuit, component ids included.
+The builder is demand driven.  A token source is a (component id, output
+index) pair, and while walking the function the builder only records, in
+one insertion-ordered map keyed by source, its width and the input ports
+that demand it.  A block with one predecessor edge has no components at
+its inputs: the edge hands it the sources it supplies.  So blocks are
+built in block order, except that such a block waits until its
+predecessor is built.  At the end a source with no demand gets a Sink,
+one demand a plain channel and more a Fork.  The walk order is fixed
+(blocks, then instructions, then terminator payloads), so identical IR
+always yields an identical circuit, component ids included.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .cdfg import (BRANCH, CDFG, CONST, ENTRY, EXIT, FORK, MERGE, OPERATOR,
                    SINK, Component)
@@ -28,22 +30,11 @@ from .ir import (Block, CondGoto, ConstOp, Goto, Ret, SelectOp, SSAFunction,
 from .lattice import DEFAULT_LATENCIES, SELECT_OPCODES
 
 CONTROL = "ctrl"  # input-map key for the control token; value keys are ints
+Source = tuple[int, int]  # (component id, output index)
 
 
-@dataclass
-class _Net:
-    """One token source and the (component id, index) inputs demanding it."""
-
-    width: int
-    src: tuple[int, int] | None = None
-    dsts: list[tuple[int, int]] = field(default_factory=list)
-    alias: "_Net | None" = None
-
-    def resolve(self) -> "_Net":
-        n = self
-        while n.alias is not None:
-            n = n.alias
-        return n
+def _name(key) -> str:
+    return "ctrl" if key == CONTROL else f"v{key}"
 
 
 def resolve_latencies(overrides: dict[str, int] | None) -> dict[str, int]:
@@ -77,39 +68,25 @@ class _Builder:
         self.lat = latencies
         self.g = CDFG(func.name, return_width=func.return_type.width)
         self.types = func.value_types()
-        self.nets: list[_Net] = []
         self.preds = predecessor_edges(func)
         self.by_id = {b.id: b for b in func.blocks}
-        # (pred id, edge index, target id) -> merge slot position at target
-        self.edge_slot: dict[tuple[int, int, int], int] = {}
-        for b in func.blocks:
-            for j, (pid, ei) in enumerate(self.preds[b.id]):
-                self.edge_slot[(pid, ei, b.id)] = j
         self.live_in = self._liveness()
+        # block id -> input key -> its source; a Merge's where several
+        # edges arrive, set by the one edge's wiring where one does
         self.local: dict[int, dict] = {}
-        self.merge_of: dict[tuple[int, object], Component] = {}
+        # every source, in creation order -> (width, ports demanding it)
+        self.demands: dict[Source, tuple[int, list[tuple[int, int]]]] = {}
 
     # -- plumbing -----------------------------------------------------------
 
-    def new_net(self, width: int, src: tuple[int, int] | None = None) -> _Net:
-        n = _Net(width, src)
-        self.nets.append(n)
-        return n
+    def source(self, c: Component, i: int = 0) -> Source:
+        """Output i of c, recorded as a token source with no demand yet."""
+        src = (c.id, i)
+        self.demands[src] = (c.out_widths[i], [])
+        return src
 
-    @staticmethod
-    def demand(net: _Net, port: tuple[int, int]) -> None:
-        net.resolve().dsts.append(port)
-
-    @staticmethod
-    def fuse(import_net: _Net, supply: _Net) -> None:
-        i, s = import_net.resolve(), supply.resolve()
-        if i is s:
-            return
-        if i.src is not None:
-            raise BuildError("internal: input supplied twice")
-        i.alias = s
-        s.dsts.extend(i.dsts)
-        i.dsts = []
+    def demand(self, src: Source, port: tuple[int, int]) -> None:
+        self.demands[src][1].append(port)
 
     def width_of(self, key) -> int:
         return 0 if key == CONTROL else self.types[key].width
@@ -155,36 +132,24 @@ class _Builder:
     def run(self) -> CDFG:
         g, func = self.g, self.func
 
-        param_nets: dict[int, _Net] = {}
+        entry = self.local[func.entry.id] = {}
         for vid, ty in func.params:
-            c = g.add_component(ENTRY, (), (ty.width,), label=f"v{vid}")
-            param_nets[vid] = self.new_net(ty.width, (c.id, 0))
-        ctrl_entry = g.add_component(ENTRY, (), (0,), label="ctrl")
-        ctrl_net = self.new_net(0, (ctrl_entry.id, 0))
+            entry[vid] = self.source(
+                g.add_component(ENTRY, (), (ty.width,), label=f"v{vid}"))
+        entry[CONTROL] = self.source(
+            g.add_component(ENTRY, (), (0,), label="ctrl"))
 
         rw = func.return_type.width
         exit_c = g.add_component(EXIT, (rw,), (), label="ret")
 
-        # Per-block input nets: merges where several edges arrive, an
-        # unsourced net (fused later) where only one does.
         for b in func.blocks:
             k = len(self.preds[b.id])
-            srcs: dict = {}
-            if b is func.entry:
-                for key in self.layout(b):
-                    srcs[key] = ctrl_net if key == CONTROL else param_nets[key]
-            else:
+            if k >= 2:
+                merges = self.local[b.id] = {}
                 for key in self.layout(b):
                     w = self.width_of(key)
-                    if k >= 2:
-                        name = "ctrl" if key == CONTROL else f"v{key}"
-                        mc = g.add_component(MERGE, (w,) * k, (w,),
-                                             label=f"b{b.id}.{name}")
-                        self.merge_of[(b.id, key)] = mc
-                        srcs[key] = self.new_net(w, (mc.id, 0))
-                    else:
-                        srcs[key] = self.new_net(w)
-            self.local[b.id] = srcs
+                    merges[key] = self.source(g.add_component(
+                        MERGE, (w,) * k, (w,), label=f"b{b.id}.{_name(key)}"))
 
         # After the block Merges: the buffer sweep cuts the lowest-id
         # stalled component, so it cuts loop headers, not the return Merge.
@@ -199,10 +164,31 @@ class _Builder:
         else:
             self.return_slot = {bid: (exit_c.id, 0) for bid in ret_blocks}
 
+        # A block fed by one edge waits until its predecessor has wired it.
+        ready: list[Block] = []
+        waiting: dict[int, list[Block]] = {}
         for b in func.blocks:
-            self._build_block(b)
+            if b.id in self.local:
+                ready.append(b)
+            else:
+                waiting.setdefault(self.preds[b.id][0][0], []).append(b)
+            while ready:
+                built = ready.pop()
+                self._build_block(built)
+                ready += waiting.pop(built.id, ())
 
-        self._materialize()
+        for src, (w, ports) in self.demands.items():
+            if not ports:
+                sink = g.add_component(SINK, (w,), (), label="sink")
+                g.add_channel(src, (sink.id, 0), w)
+            elif len(ports) == 1:
+                g.add_channel(src, ports[0], w)
+            else:
+                fork = g.add_component(FORK, (w,), (w,) * len(ports),
+                                       label="fork")
+                g.add_channel(src, (fork.id, 0), w)
+                for i, port in enumerate(ports):
+                    g.add_channel((fork.id, i), port, w)
         return g
 
     def _build_block(self, b: Block) -> None:
@@ -226,7 +212,7 @@ class _Builder:
                                     latency=self.lat[opcode], pos=ins.pos)
                 for i, arg in enumerate(ins.args):
                     self.demand(srcs[arg], (c.id, i))
-            srcs[ins.result] = self.new_net(w, (c.id, 0))
+            srcs[ins.result] = self.source(c)
 
         t = b.terminator
         if isinstance(t, Ret):
@@ -235,22 +221,18 @@ class _Builder:
         elif isinstance(t, Goto):
             self._wire_edge(b, 0, t.target, t.args, srcs)
         elif isinstance(t, CondGoto):
-            then_keys = self._edge_keys(t.then_target, t.then_args)
-            else_keys = self._edge_keys(t.else_target, t.else_args)
-            steered = list(dict.fromkeys(then_keys + else_keys))
-            true_nets: dict = {}
-            false_nets: dict = {}
+            steered = dict.fromkeys(self._edge_keys(t.then_target, t.then_args)
+                                    + self._edge_keys(t.else_target, t.else_args))
+            true_srcs, false_srcs = {}, {}
             for key in steered:
                 w = self.width_of(key)
-                name = "ctrl" if key == CONTROL else f"v{key}"
                 br = g.add_component(BRANCH, (w, 1), (w, w),
-                                     label=f"b{b.id}.{name}")
+                                     label=f"b{b.id}.{_name(key)}")
                 self.demand(srcs[key], (br.id, 0))
                 self.demand(srcs[t.cond], (br.id, 1))
-                true_nets[key] = self.new_net(w, (br.id, 0))
-                false_nets[key] = self.new_net(w, (br.id, 1))
-            self._wire_edge(b, 0, t.then_target, t.then_args, true_nets)
-            self._wire_edge(b, 1, t.else_target, t.else_args, false_nets)
+                true_srcs[key], false_srcs[key] = self.source(br, 0), self.source(br, 1)
+            self._wire_edge(b, 0, t.then_target, t.then_args, true_srcs)
+            self._wire_edge(b, 1, t.else_target, t.else_args, false_srcs)
 
     def _edge_keys(self, target: int, args: tuple) -> list:
         """Values a CFG edge carries, in the target's input order."""
@@ -258,33 +240,11 @@ class _Builder:
 
     def _wire_edge(self, b: Block, edge_idx: int, target: int, args: tuple,
                    supply: dict) -> None:
-        tblock = self.by_id[target]
-        slot = self.edge_slot[(b.id, edge_idx, target)]
-        many = len(self.preds[target]) >= 2
-        for input_key, supply_key in zip(self.layout(tblock),
-                                         self._edge_keys(target, args)):
-            net = supply[supply_key]
-            if many:
-                self.demand(net, (self.merge_of[(target, input_key)].id, slot))
-            else:
-                self.fuse(self.local[target][input_key], net)
-
-    def _materialize(self) -> None:
-        g = self.g
-        for net in self.nets:
-            if net.alias is not None:
-                continue
-            if net.src is None:
-                raise BuildError("internal: token source never supplied")
-            if not net.dsts:
-                sink = g.add_component(SINK, (net.width,), (), label="sink")
-                g.add_channel(net.src, (sink.id, 0), net.width)
-            elif len(net.dsts) == 1:
-                g.add_channel(net.src, net.dsts[0], net.width)
-            else:
-                fork = g.add_component(FORK, (net.width,),
-                                       (net.width,) * len(net.dsts),
-                                       label="fork")
-                g.add_channel(net.src, (fork.id, 0), net.width)
-                for i, dst in enumerate(net.dsts):
-                    g.add_channel((fork.id, i), dst, net.width)
+        keys = zip(self.layout(self.by_id[target]),
+                   self._edge_keys(target, args))
+        if len(self.preds[target]) == 1:
+            self.local[target] = {key: supply[sk] for key, sk in keys}
+            return
+        slot = self.preds[target].index((b.id, edge_idx))
+        for key, sk in keys:
+            self.demand(supply[sk], (self.local[target][key][0], slot))

@@ -293,9 +293,12 @@ def insert_buffers(g: CDFG) -> int:
     Buffer gets none.  New Buffers and channels take ids above all in use."""
     consumers: dict[int, list[int]] = {c.id: [] for c in g.components}
     into: dict[int, list[int]] = {c.id: [] for c in g.components}
-    for k, ch in enumerate(g.channels):  # list positions, not channel ids
-        consumers[ch.src].append(ch.dst)
-        into[ch.dst].append(k)
+    try:
+        for k, ch in enumerate(g.channels):  # list positions, not channel ids
+            consumers[ch.src].append(ch.dst)
+            into[ch.dst].append(k)
+    except KeyError:  # an end names a missing component
+        raise BuildError("invalid circuit: " + "; ".join(check(g))) from None
     comp_ids, chan_ids = (count(max(map(attrgetter("id"), xs), default=-1) + 1)
                           for xs in (g.components, g.channels))
     waiting = {cid: len(ks) for cid, ks in into.items()}

@@ -97,17 +97,17 @@ class BuildError(MiniHlsError):
 class SimError(MiniHlsError):
     stage = "sim"
 
-
-class DeadlockError(SimError):
     def __init__(self, message: str, report=None):
         self.report = report
         super().__init__(message)
+
+
+class DeadlockError(SimError):
+    pass
 
 
 class MaxCyclesError(SimError):
-    def __init__(self, message: str, report=None):
-        self.report = report
-        super().__init__(message)
+    pass
 
 
 class MergeConflictError(SimError):

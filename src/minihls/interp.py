@@ -24,8 +24,8 @@ from operator import itemgetter
 from . import source as src
 from .errors import DivByZeroError, EvalError, FuelExhaustedError, Pos
 from .ir import ConstOp, Instr, SelectOp, SSAFunction, successor_edges, verify
-from .lattice import (IMPL_BY_OPCODE, LatticeType, dispatch, dispatch_table,
-                      wrap64)
+from .lattice import (IMPL_BY_OPCODE, PY_TYPES, LatticeType, dispatch,
+                      dispatch_table, wrap64)
 
 DEFAULT_FUEL = 1_000_000
 
@@ -89,10 +89,8 @@ def run_source(func: src.FunctionDef, args: tuple,
     return result
 
 
-_PY_TYPES = {LatticeType.BOOL: bool, LatticeType.INT64: int,
-             LatticeType.FLOAT64: float}
 # (symbol, Python type of each operand) -> Dispatch, for every dispatch
-_DISPATCH = {(symbol, *map(_PY_TYPES.get, types)): d
+_DISPATCH = {(symbol, *map(PY_TYPES.get, types)): d
              for symbol, types, d in dispatch_table()}
 
 

@@ -20,7 +20,8 @@ from operator import is_
 from typing import Union
 
 from .errors import Pos
-from .lattice import IMPL_BY_OPCODE, LatticeType, OperatorImpl, format_value
+from .lattice import (IMPL_BY_OPCODE, PY_TYPES, LatticeType, OperatorImpl,
+                      format_value)
 
 ValueId = int
 BlockId = int
@@ -222,10 +223,6 @@ def dominators(func: SSAFunction) -> dict[BlockId, set[BlockId]]:
 # ---------------------------------------------------------------------------
 
 
-_CONST_KIND = {LatticeType.BOOL: bool, LatticeType.INT64: int,
-               LatticeType.FLOAT64: float}
-
-
 def verify(func: SSAFunction) -> list[str]:
     """Check every structural invariant; returns violations, never raises.
 
@@ -347,7 +344,7 @@ def verify(func: SSAFunction) -> list[str]:
                                 f"v{ins.result}: select arm v{arg}: {aty} does not "
                                 f"match result type {ins.ty}")
             elif isinstance(ins.op, ConstOp):
-                want = _CONST_KIND.get(ins.ty)
+                want = PY_TYPES.get(ins.ty)
                 if want is None or type(ins.op.value) is not want:
                     violations.append(
                         f"v{ins.result}: const {ins.op.value!r} does not match {ins.ty}")

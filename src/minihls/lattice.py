@@ -63,6 +63,9 @@ LatticeType.BOOL.width, LatticeType.INT64.width, LatticeType.FLOAT64.width = 1, 
 
 ANNOTATION_TO_TYPE = {"Bool": LatticeType.BOOL, "Int64": LatticeType.INT64,
                       "Float64": LatticeType.FLOAT64}
+# the Python type of a concrete type's values
+PY_TYPES = {LatticeType.BOOL: bool, LatticeType.INT64: int,
+            LatticeType.FLOAT64: float}
 
 
 def format_value(v: object) -> str:

@@ -421,6 +421,26 @@ def test_insert_buffers_takes_ids_above_those_in_use():
     assert err.value.report.output == 5 and err.value.report.exit_cycle == 3
 
 
+@pytest.mark.parametrize("src, dst, missing", [
+    ((0, 0), (9, 0), "channel 0: dest component 9 missing"),
+    ((7, 0), (1, 0), "channel 0: source component 7 missing")],
+    ids=["dest", "source"])
+def test_insert_buffers_rejects_a_channel_to_a_missing_component(src, dst, missing):
+    """Entry 0 and Exit 1 with one channel whose end names no component:
+    the error is the one `require_valid` gives, not a `KeyError`."""
+    g = CDFG("dangling")
+    g.add_component(C.ENTRY, (), (64,), label="x")
+    g.add_component(C.EXIT, (64,), ())
+    g.add_channel(src, dst, 64)
+    with pytest.raises(BuildError) as err:
+        insert_buffers(g)
+    assert missing in check(g)
+    assert str(err.value) == "invalid circuit: " + "; ".join(check(g))
+    with pytest.raises(BuildError) as valid_err:
+        require_valid(g)
+    assert str(err.value) == str(valid_err.value)
+
+
 def test_records_are_immutable():
     g = tiny_passthrough()
     for record in (g.components[1], g.channels[0]):
