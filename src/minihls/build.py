@@ -24,10 +24,9 @@ from __future__ import annotations
 from .cdfg import (BRANCH, CDFG, CONST, ENTRY, EXIT, FORK, MERGE, OPERATOR,
                    SINK, Component)
 from .errors import BuildError
-from .ir import (Block, CondGoto, ConstOp, Goto, Ret, SelectOp, SSAFunction,
-                 postorder, predecessor_edges, successor_edges, terminator_uses,
-                 verify)
-from .lattice import DEFAULT_LATENCIES, SELECT_OPCODES
+from .ir import (Block, CondGoto, ConstOp, Goto, Ret, SSAFunction, postorder,
+                 predecessor_edges, successor_edges, terminator_uses, verify)
+from .lattice import DEFAULT_LATENCIES
 
 CONTROL = "ctrl"  # input-map key for the control token; value keys are ints
 Source = tuple[int, int]  # (component id, output index)
@@ -201,14 +200,9 @@ class _Builder:
                                     value=ins.op.value, pos=ins.pos)
                 self.demand(srcs[CONTROL], (c.id, 0))
             else:
-                if isinstance(ins.op, SelectOp):
-                    opcode = SELECT_OPCODES[ins.ty]
-                    widths = (1, w, w)
-                else:
-                    opcode = ins.op.opcode
-                    widths = tuple(t.width for t in ins.op.operand_types)
-                c = g.add_component(OPERATOR, widths, (w,),
-                                    label=f"v{ins.result}", opcode=opcode,
+                opcode = ins.op.opcode
+                c = g.add_component(OPERATOR, tuple(t.width for t in ins.op.operand_types),
+                                    (w,), label=f"v{ins.result}", opcode=opcode,
                                     latency=self.lat[opcode], pos=ins.pos)
                 for i, arg in enumerate(ins.args):
                     self.demand(srcs[arg], (c.id, i))

@@ -50,9 +50,8 @@ STATS_COLUMNS = ("program", "bb_unopt", "bb_opt", "components_total",
 
 
 # The keys `_Options.get` reads; a config file may hold no other.
-CONFIG_KEYS = frozenset({"function", "sig", "lenient", "no_opt", "latency",
-                         "out", "fuel", "max_cycles", "trace", "format",
-                         "timing"})
+CONFIG_KEYS = frozenset({"function", "sig", "no_opt", "latency", "out", "fuel",
+                         "max_cycles", "trace", "format", "timing"})
 DUMP_FORMATS = ("json", "dot")
 
 
@@ -157,7 +156,6 @@ def _compile(opts: _Options):
     return compile_source(
         text, sig,
         function=opts.get("function", bundled),
-        strict=not opts.get("lenient", False, _truthy),
         opt=not opts.get("no_opt", False, _truthy),
         latencies=parse_latency_spec(latency) if latency else None)
 
@@ -327,8 +325,6 @@ def _add_common(p: argparse.ArgumentParser, program_arg: bool = True) -> None:
                        help="source file path or bundled program name")
     p.add_argument("--function", help="function to compile (default: first)")
     p.add_argument("--sig", help="entry signature, e.g. i64,i64 or f64")
-    p.add_argument("--lenient", action="store_const", const=True,
-                   help="record type instability instead of rejecting it")
     p.add_argument("--no-opt", dest="no_opt", action="store_const", const=True,
                    help="skip the optimization passes")
     p.add_argument("--latency",

@@ -41,10 +41,6 @@ class LexError(MiniHlsError):
 class ParseError(MiniHlsError):
     stage = "parse"
 
-    def __init__(self, message: str, pos: Pos | None = None, expected: tuple[str, ...] = ()):
-        self.expected = expected
-        super().__init__(message, pos)
-
 
 class MissingReturnError(MiniHlsError):
     stage = "parse"

@@ -23,7 +23,7 @@ from operator import itemgetter
 
 from . import source as src
 from .errors import DivByZeroError, EvalError, FuelExhaustedError, Pos
-from .ir import ConstOp, Instr, SelectOp, SSAFunction, successor_edges, verify
+from .ir import ConstOp, Instr, SSAFunction, successor_edges, verify
 from .lattice import (IMPL_BY_OPCODE, PY_TYPES, LatticeType, dispatch,
                       dispatch_table, wrap64)
 
@@ -222,9 +222,7 @@ def _step(ins: Instr) -> tuple:
     with None); a constant has no function and its value as first id."""
     if isinstance(ins.op, ConstOp):
         return ins.result, None, 0, ins.op.value, None, None
-    # every select row has the function of select_i1
-    row = IMPL_BY_OPCODE["select_i1" if isinstance(ins.op, SelectOp)
-                         else ins.op.opcode]
+    row = IMPL_BY_OPCODE[ins.op.opcode]
     fn = row.fn if not row.traps else (  # eval_op raises at ins
         lambda *args: eval_op(row.opcode, args, ins.pos))
     return (ins.result, fn, len(ins.args), *ins.args, None, None, None)[:6]

@@ -7,6 +7,10 @@ onto the merge components of the elastic circuit.  Every value id is
 defined exactly once (function param, block param, or instruction result)
 and every use must be dominated by its definition.
 
+An instruction's `Op` is a `ConstOp` literal or the `lattice` opcode row
+that dispatch or if-conversion chose; a select's row is a `SelectOp`, so
+the verifier, builder and interpreter read every operation off its row.
+
 Instructions and terminators are immutable records: a rewrite builds a
 new one and assigns it to the block's list or `terminator` field.  So
 `SSAFunction.clone` copies only the blocks and their instruction lists
@@ -21,7 +25,7 @@ from typing import Union
 
 from .errors import Pos
 from .lattice import (IMPL_BY_OPCODE, PY_TYPES, LatticeType, OperatorImpl,
-                      format_value)
+                      SelectOp, format_value)
 
 ValueId = int
 BlockId = int
@@ -34,12 +38,7 @@ class ConstOp:
     value: object  # bool, int, or float matching ty
 
 
-@dataclass(frozen=True)
-class SelectOp:
-    """Strict select: consume cond and both arms, yield one of them."""
-
-
-Op = Union[OperatorImpl, ConstOp, SelectOp]
+Op = Union[OperatorImpl, ConstOp]
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,21 +327,6 @@ def verify(func: SSAFunction) -> list[str]:
                     violations.append(
                         f"v{ins.result} typed {ins.ty} but {ins.op.opcode} "
                         f"yields {ins.op.result_type}")
-            elif isinstance(ins.op, SelectOp):
-                if len(ins.args) != 3:
-                    violations.append(f"v{ins.result}: select takes 3 operands")
-                else:
-                    cty = types.get(ins.args[0])
-                    if cty is not None and cty != LatticeType.BOOL:
-                        violations.append(
-                            f"v{ins.result}: select condition v{ins.args[0]} is "
-                            f"{cty} (must be Bool)")
-                    for arg in ins.args[1:]:
-                        aty = types.get(arg)
-                        if aty is not None and aty != ins.ty:
-                            violations.append(
-                                f"v{ins.result}: select arm v{arg}: {aty} does not "
-                                f"match result type {ins.ty}")
             elif isinstance(ins.op, ConstOp):
                 want = PY_TYPES.get(ins.ty)
                 if want is None or type(ins.op.value) is not want:

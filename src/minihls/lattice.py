@@ -14,7 +14,9 @@ operator symbol, signature, default latency, function on Python values
 (the arithmetic kernel every interpreter and the simulator call) and the
 VHDL statement that drives its result.  Dispatch, `DEFAULT_LATENCIES`,
 `SELECT_OPCODES` and `SITOFP` are derived from it, so adding an opcode
-means adding one row.
+means adding one row.  After dispatch an operation is its row at every
+layer: a typed call and an SSA instruction hold the row itself, and a
+select instruction's op is its `SelectOp` row.
 """
 
 from __future__ import annotations
@@ -139,9 +141,11 @@ class OperatorImpl:
     vhdl: str = field(compare=False, repr=False)
     traps: bool = field(default=False, compare=False, repr=False)
 
-    def __str__(self) -> str:
-        args = ", ".join(t.short for t in self.operand_types)
-        return f"{self.opcode}({args}) -> {self.result_type.short}"
+
+@dataclass(frozen=True)
+class SelectOp(OperatorImpl):
+    """A strict select row, (Bool, t, t) -> t: consumes its condition and
+    both arms and yields one arm.  If-conversion, not dispatch, makes it."""
 
 
 B, I, F = LatticeType.BOOL, LatticeType.INT64, LatticeType.FLOAT64
@@ -193,9 +197,8 @@ for _sym, _name, _vop in (("<", "lt", "<"), ("<=", "le", "<="), (">", "gt", ">")
                      _FLAG.format(f"signed(in0_data) {_vop} signed(in1_data)")),
         OperatorImpl(_sym, f"fcmp_{_name}_f64", (F, F), B, 1, _fn,
                      _FLAG.format(f"to_float64(in0_data) {_vop} to_float64(in1_data)"))]
-# Strict (non-short-circuit) select over already computed values; created
-# by if-conversion rather than by dispatch.
-_SELECTS = [OperatorImpl(None, f"select_{t.short}", (B, t, t), t, 0,
+# Strict (non-short-circuit) select over already computed values
+_SELECTS = [SelectOp(None, f"select_{t.short}", (B, t, t), t, 0,
                          lambda c, a, b: a if c else b,
                          "result <= in1_data when in0_data(0) = '1' else in2_data;")
             for t in (B, I, F)]

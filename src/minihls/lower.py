@@ -84,20 +84,15 @@ class _Lowerer:
     # -- expressions (never split blocks: && and || are strict) -------------
 
     def lower_expr(self, block: Block, env: Env, e: tc.TExpr) -> ValueId:
-        if isinstance(e, (tc.TIntLit, tc.TFloatLit, tc.TBoolLit)):
+        if isinstance(e, tc.TConst):
             return self.emit(block, e.ty, ConstOp(e.value), (), e.pos)
         if isinstance(e, tc.TVar):
             return env[e.name]
-        if isinstance(e, tc.TConvert):
-            operand = self.lower_expr(block, env, e.operand)
-            return self.emit(block, e.ty, e.impl, (operand,), e.pos)
-        if isinstance(e, tc.TUnary):
-            operand = self.lower_expr(block, env, e.operand)
-            return self.emit(block, e.ty, e.impl, (operand,), e.pos)
-        if isinstance(e, tc.TBinary):
-            left = self.lower_expr(block, env, e.left)
-            right = self.lower_expr(block, env, e.right)
-            return self.emit(block, e.ty, e.impl, (left, right), e.pos)
+        if isinstance(e, tc.TCall):
+            args = []
+            for arg in e.args:  # a plain loop: one frame per expression level
+                args.append(self.lower_expr(block, env, arg))
+            return self.emit(block, e.ty, e.impl, args, e.pos)
         raise TypeError(f"unknown typed expression {e!r}")
 
     # -- statements ---------------------------------------------------------

@@ -19,10 +19,10 @@ application that changed it and refuses to hand over a broken function.
 from __future__ import annotations
 
 from .errors import PassError
-from .ir import (Block, CondGoto, Goto, Instr, Ret, SelectOp, SSAFunction, ValueId,
+from .ir import (Block, CondGoto, Goto, Instr, Ret, SSAFunction, ValueId,
                  predecessor_edges, reachable_blocks, successor_edges,
                  terminator_uses, verify)
-from .lattice import OperatorImpl
+from .lattice import IMPL_BY_OPCODE, SELECT_OPCODES, OperatorImpl
 
 # Max instructions hoisted per arm.  Keeps if-conversion from swallowing
 # whole functions and bounds the speculative work per branch.
@@ -303,5 +303,6 @@ def _steer(func: SSAFunction, p: Block, cond: ValueId,
     if then_val == else_val:
         return then_val
     vid = func.fresh_value()
-    p.instrs.append(Instr(vid, ty, SelectOp(), (cond, then_val, else_val)))
+    row = IMPL_BY_OPCODE[SELECT_OPCODES[ty]]
+    p.instrs.append(Instr(vid, ty, row, (cond, then_val, else_val)))
     return vid

@@ -81,8 +81,7 @@ def timed(stage_s: dict[str, float], stage: str, fn, *args):
 
 
 def compile_source(text: str, sig: tuple[LatticeType, ...] | None = None,
-                   function: str | None = None, strict: bool = True,
-                   opt: bool = True,
+                   function: str | None = None, opt: bool = True,
                    latencies: dict[str, int] | None = None) -> CompileResult:
     stage_s = dict.fromkeys(STAGES, 0.0)
     program = timed(stage_s, "parse", src.parse_source, text)
@@ -90,7 +89,7 @@ def compile_source(text: str, sig: tuple[LatticeType, ...] | None = None,
             else program.functions[0])
     if sig is None:
         sig = infer_sig(func)
-    typed = timed(stage_s, "infer", infer, func, sig, strict)
+    typed = timed(stage_s, "infer", infer, func, sig)
     ssa_unopt = timed(stage_s, "lower", lower, typed)
     violations = timed(stage_s, "verify", verify, ssa_unopt)
     if violations:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
 
 from .errors import LexError, MissingReturnError, ParseError, Pos
-from .lattice import format_value
+from .lattice import ANNOTATION_TO_TYPE, format_value
 
 KEYWORDS = {
     "function", "if", "elseif", "else", "while", "end", "return", "true", "false",
@@ -246,8 +246,6 @@ class SourceProgram:
 # Parser
 # ---------------------------------------------------------------------------
 
-TYPE_ANNOTATIONS = ("Int64", "Float64", "Bool")
-
 # Precedence-climbing table; higher binds tighter.  Comparisons do not chain.
 _PRECEDENCE = {
     "||": 1,
@@ -283,7 +281,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind not in kinds:
             want = " or ".join(repr(k) for k in kinds)
-            raise ParseError(f"expected {want}, found {tok.kind!r}", tok.pos, expected=kinds)
+            raise ParseError(f"expected {want}, found {tok.kind!r}", tok.pos)
         return self.advance()
 
     def skip_separators(self) -> None:
@@ -295,8 +293,7 @@ class _Parser:
         if tok.kind in ("newline", ";"):
             self.skip_separators()
         elif tok.kind not in ("end", "elseif", "else", "eof"):
-            raise ParseError(f"expected end of statement, found {tok.kind!r}", tok.pos,
-                             expected=("newline", ";"))
+            raise ParseError(f"expected end of statement, found {tok.kind!r}", tok.pos)
 
     # -- program structure --------------------------------------------------
 
@@ -327,10 +324,9 @@ class _Parser:
                 if self.peek().kind == "::":
                     self.advance()
                     ann = self.expect("ident")
-                    if ann.value not in TYPE_ANNOTATIONS:
+                    if ann.value not in ANNOTATION_TO_TYPE:
                         raise ParseError(
-                            f"unknown type annotation {ann.value!r}", ann.pos,
-                            expected=TYPE_ANNOTATIONS)
+                            f"unknown type annotation {ann.value!r}", ann.pos)
                     annotation = ann.value
                 params.append(Param(str(pname.value), annotation, pname.pos))
                 if self.peek().kind != ",":
@@ -377,8 +373,7 @@ class _Parser:
             name = self.advance()
             self.expect("=")
             return Assign(str(name.value), self.parse_expr(), name.pos)
-        raise ParseError(f"expected a statement, found {tok.kind!r}", tok.pos,
-                         expected=("ident", "if", "while", "return"))
+        raise ParseError(f"expected a statement, found {tok.kind!r}", tok.pos)
 
     def parse_if(self) -> If:
         tok = self.expect("if")
@@ -449,8 +444,7 @@ class _Parser:
             inner = self.parse_expr(1, depth + 1)
             self.expect(")")
             return inner
-        raise ParseError(f"expected an expression, found {tok.kind!r}", tok.pos,
-                         expected=("int", "float", "ident", "(", "true", "false"))
+        raise ParseError(f"expected an expression, found {tok.kind!r}", tok.pos)
 
 
 def _always_returns(stmts: tuple[Stmt, ...]) -> bool:

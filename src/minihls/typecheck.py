@@ -7,8 +7,9 @@ condition and body are re-annotated until the header environment stops
 changing (monotone in the lattice, so at most height * variable-count
 walks), and the nodes of the last walk, made against the stable header,
 are kept.  The result is a typed mirror of the AST in which every
-expression carries its lattice type, every operator its resolved
-implementation, and every promotion an explicit conversion node.
+expression carries its lattice type and, as in Julia's typed IR, every
+operator is a `TCall` of the `lattice.IMPL_BY_OPCODE` row dispatch chose;
+a promotion is a `TCall` of its conversion row around the argument.
 
 Strict mode (the default) rejects any Top-typed expression; lenient mode
 records the instability and leaves the offending implementations
@@ -21,10 +22,11 @@ from dataclasses import dataclass, field
 
 from . import source as src
 from .errors import Pos, TypeCheckError, UndefinedVarError, UnstableTypeError
-from .lattice import (ANNOTATION_TO_TYPE, LatticeType, OperatorImpl, dispatch, join,
-                      join_all)
+from .lattice import (ANNOTATION_TO_TYPE, PY_TYPES, LatticeType, OperatorImpl,
+                      dispatch, join, join_all)
 
 Env = dict[str, LatticeType]
+_LITERAL_TYPES = {py: ty for ty, py in PY_TYPES.items()}  # by a value's Python type
 
 
 # ---------------------------------------------------------------------------
@@ -39,44 +41,19 @@ class TExpr:
 
 
 @dataclass(frozen=True)
-class TIntLit(TExpr):
-    value: int = 0
-
-
-@dataclass(frozen=True)
-class TFloatLit(TExpr):
-    value: float = 0.0
-
-
-@dataclass(frozen=True)
-class TBoolLit(TExpr):
-    value: bool = False
+class TConst(TExpr):
+    value: bool | int | float
 
 
 @dataclass(frozen=True)
 class TVar(TExpr):
-    name: str = ""
+    name: str
 
 
 @dataclass(frozen=True)
-class TConvert(TExpr):
-    impl: OperatorImpl = None
-    operand: TExpr = None
-
-
-@dataclass(frozen=True)
-class TUnary(TExpr):
-    op: str = ""
-    impl: OperatorImpl | None = None  # None only for Top-typed nodes in lenient mode
-    operand: TExpr = None
-
-
-@dataclass(frozen=True)
-class TBinary(TExpr):
-    op: str = ""
-    impl: OperatorImpl | None = None
-    left: TExpr = None
-    right: TExpr = None
+class TCall(TExpr):
+    impl: OperatorImpl | None  # None only for Top-typed nodes in lenient mode
+    args: tuple[TExpr, ...]
 
 
 @dataclass(frozen=True)
@@ -146,41 +123,32 @@ class _Inferencer:
         return ty
 
     def annotate_expr(self, env: Env, e: src.Expr) -> TExpr:
-        if isinstance(e, src.IntLit):
-            return TIntLit(LatticeType.INT64, e.pos, e.value)
-        if isinstance(e, src.FloatLit):
-            return TFloatLit(LatticeType.FLOAT64, e.pos, e.value)
-        if isinstance(e, src.BoolLit):
-            return TBoolLit(LatticeType.BOOL, e.pos, e.value)
+        # no generator or comprehension: one frame per expression level
+        if isinstance(e, (src.IntLit, src.FloatLit, src.BoolLit)):
+            return TConst(_LITERAL_TYPES[type(e.value)], e.pos, e.value)
         if isinstance(e, src.Var):
             if e.name not in env:
                 raise UndefinedVarError(f"undefined variable {e.name!r}", e.pos)
             return TVar(self._observe(env[e.name], e.pos), e.pos, e.name)
-        if isinstance(e, src.Unary):
-            operand = self.annotate_expr(env, e.operand)
-            if operand.ty == LatticeType.TOP:
-                self._observe(LatticeType.TOP, e.pos)
-                return TUnary(LatticeType.TOP, e.pos, e.op, None, operand)
-            d = dispatch(e.op, (operand.ty,), e.pos)
-            operand = self._convert(operand, d.conversions[0])
-            return TUnary(d.impl.result_type, e.pos, e.op, d.impl, operand)
         if isinstance(e, src.Binary):
-            left = self.annotate_expr(env, e.left)
-            right = self.annotate_expr(env, e.right)
-            if LatticeType.TOP in (left.ty, right.ty):
-                self._observe(LatticeType.TOP, e.pos)
-                return TBinary(LatticeType.TOP, e.pos, e.op, None, left, right)
-            d = dispatch(e.op, (left.ty, right.ty), e.pos)
-            left = self._convert(left, d.conversions[0])
-            right = self._convert(right, d.conversions[1])
-            return TBinary(d.impl.result_type, e.pos, e.op, d.impl, left, right)
-        raise TypeError(f"unknown expression node {e!r}")
-
-    @staticmethod
-    def _convert(node: TExpr, conv: OperatorImpl | None) -> TExpr:
-        if conv is None:
-            return node
-        return TConvert(conv.result_type, node.pos, conv, node)
+            args = (self.annotate_expr(env, e.left), self.annotate_expr(env, e.right))
+            types = (args[0].ty, args[1].ty)
+        elif isinstance(e, src.Unary):
+            args = (self.annotate_expr(env, e.operand),)
+            types = (args[0].ty,)
+        else:
+            raise TypeError(f"unknown expression node {e!r}")
+        if LatticeType.TOP in types:
+            self._observe(LatticeType.TOP, e.pos)
+            return TCall(LatticeType.TOP, e.pos, None, args)
+        d = dispatch(e.op, types, e.pos)
+        if any(d.conversions):  # promote: call each conversion row
+            promoted = list(args)
+            for i, conv in enumerate(d.conversions):
+                if conv is not None:
+                    promoted[i] = TCall(conv.result_type, args[i].pos, conv, (args[i],))
+            args = tuple(promoted)
+        return TCall(d.impl.result_type, e.pos, d.impl, args)
 
     def _annotate_cond(self, env: Env, e: src.Expr) -> TExpr:
         cond = self.annotate_expr(env, e)

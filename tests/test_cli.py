@@ -1,6 +1,10 @@
 """End-to-end command line tests driven through entry_point()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -279,7 +283,7 @@ def test_config_rejects_an_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize("cmd, line, message", [
     ("sim", "max_cycles=abc", "invalid value for max_cycles: 'abc'"),
     ("run", "fuel=1e3", "invalid value for fuel: '1e3'"),
-    ("run", "lenient=maybe", "invalid value for lenient: 'maybe'")])
+    ("run", "no_opt=maybe", "invalid value for no_opt: 'maybe'")])
 def test_config_value_of_the_wrong_type_is_a_cli_diagnostic(
         tmp_path, capsys, cmd, line, message):
     cfg = tmp_path / "m.cfg"
@@ -474,3 +478,66 @@ def test_a_file_with_crlf_line_ends_runs(tmp_path, capsys):
     f.write_bytes(text.encode())
     assert source.parse_source(text).functions[0].name == "f"
     assert run_cli(capsys, "run", str(f), "3") == (0, "4\n", "")
+
+
+ERROR_FILES = {
+    "g.mjl": "function g(a)\n  return a\nend\n",
+    "dup.mjl": "function h(a)\n  return a\nend\nfunction h(b)\n  return b\nend\n",
+    "int32.mjl": "function f(a::Int32)\n  return a\nend\n",
+    "empty.mjl": "# no code here\n",
+    "flag.mjl": "function id(b::Bool)\n  return b\nend\n",
+    "bad.cfg": "sig\n",
+}
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("run", "power", "2", "3", "--sig", "i32"),
+     "error[cli] unknown signature type 'i32' (use i64, f64, or bool)"),
+    (("run", "g.mjl", "1"),
+     "error[cli] parameter 'a' of 'g' has no type annotation; pass --sig to "
+     "supply the entry signature"),
+    (("sim", "power", "2", "3", "--latency", "foo"),
+     "error[cli] latency entries look like opcode=N, got 'foo'"),
+    (("sim", "power", "2", "3", "--latency", "mul_i64=x"),
+     "error[cli] latency for 'mul_i64' must be an integer, got 'x'"),
+    (("sim", "power", "2", "3", "--latency", "bogus=1"),
+     "error[cdfg] unknown opcode 'bogus' in latency map"),
+    (("sim", "power", "2", "3", "--latency=mul_i64=-1"),
+     "error[cdfg] negative latency for mul_i64"),
+    (("run", "power", "2", "3", "--config", "bad.cfg"),
+     "error[cli] bad.cfg:1: expected key=value, got 'sig'"),
+    (("compile", "power"), "error[cli] compile needs --out DIR"),
+    (("run", "dup.mjl", "1", "--sig", "i64"),
+     "error[parse] 4:1: duplicate function name 'h'"),
+    (("run", "int32.mjl", "1", "--sig", "i64"),
+     "error[parse] 1:15: unknown type annotation 'Int32'"),
+    (("run", "empty.mjl"), "error[parse] 2:1: program contains no functions"),
+    (("run", "flag.mjl", "yes"), "error[cli] cannot parse 'yes' as Bool")],
+    ids=["sig", "no_annotation", "latency_form", "latency_int",
+         "latency_opcode", "latency_negative", "config_line", "compile_out",
+         "duplicate_function", "unknown_annotation", "no_functions", "bool_arg"])
+def test_cli_error_paths_print_one_diagnostic(tmp_path, monkeypatch, capsys, argv, err):
+    monkeypatch.chdir(tmp_path)
+    for name, text in ERROR_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(capsys, *argv) == (1, "", err + "\n")
+
+
+def test_a_bool_argument_reads_true(tmp_path, capsys):
+    f = tmp_path / "flag.mjl"
+    f.write_text(ERROR_FILES["flag.mjl"])
+    assert run_cli(capsys, "run", str(f), "true") == (0, "true\n", "")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (("run", "power", "2", "10"), 0, "1024\n", ""),
+    (("run", "power", "2"), 1, "",
+     "error[cli] power expects 2 argument(s), got 1\n")])
+def test_python_dash_m_minihls_runs_the_cli(argv, code, out, err):
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(src_dir), env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "minihls", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)

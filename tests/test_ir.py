@@ -77,7 +77,7 @@ def test_print_literals():
         Instr(0, F, ConstOp(2.5)),
         Instr(1, B, ConstOp(True)),
         Instr(2, B, ConstOp(False)),
-        Instr(3, F, SelectOp(), (1, 0, 0)),
+        Instr(3, F, IMPL_BY_OPCODE["select_f64"], (1, 0, 0)),
     ], Ret(3))
     f = SSAFunction("h", (), F, [b0], next_value=4, next_block=1)
     text = print_function(f)
@@ -183,10 +183,24 @@ def test_verify_catches_select_arm_mismatch():
     b0 = Block(0, (), [
         Instr(1, B, ConstOp(True)),
         Instr(2, F, ConstOp(1.0)),
-        Instr(3, I, SelectOp(), (1, 0, 2)),  # f64 arm feeding i64 select
+        Instr(3, I, IMPL_BY_OPCODE["select_i64"], (1, 0, 2)),  # f64 arm feeding i64 select
     ], Ret(3))
     f = SSAFunction("s", ((0, I),), I, [b0], next_value=4, next_block=1)
     assert_caught(f, "select")
+
+
+def test_verify_checks_a_select_against_its_row_signature():
+    select = IMPL_BY_OPCODE["select_i64"]
+    assert isinstance(select, SelectOp)
+    b0 = Block(0, (), [
+        Instr(1, I, ConstOp(1)),
+        Instr(2, I, select, (1, 0, 0)),  # Int64 condition
+        Instr(3, I, select, (1, 0)),  # two operands
+    ], Ret(2))
+    f = SSAFunction("s", ((0, I),), I, [b0], next_value=4, next_block=1)
+    assert verify(f) == [
+        "v2: operand v1: Int64 does not match select_i64 signature Bool",
+        "v3: select_i64 expects 3 operand(s), got 2"]
 
 
 def test_dominators_of_diamond():

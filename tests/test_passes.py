@@ -206,6 +206,52 @@ def test_values_passing_through_folded_joins(name):
         assert (report.output, report.leftover) == (want, 0)
 
 
+# Paths no other program takes: a loop carrying a variable that only an
+# elseif arm assigns (`lower._assigned` walks the elseif bodies), and an
+# empty then-arm whose forwarding block `merge_blocks` deletes by
+# rewiring the CondGoto's then-edge (the `%` keeps if_convert off it).
+UNCOMMON = {
+    "elseif_carried": """
+function f(a, b)
+    x = 0
+    i = 0
+    while i < 3
+        if a > i
+            i = i + 1
+        elseif b > i
+            x = x + b
+            i = i + 1
+        else
+            i = i + 2
+        end
+    end
+    return x + i
+end
+""",
+    "empty_then_arm": """
+function f(a, b)
+    x = a
+    if a > b
+    else
+        x = b % 3 + a
+    end
+    return x - a
+end
+"""}
+
+
+@pytest.mark.parametrize("name", sorted(UNCOMMON))
+def test_uncommon_shapes_agree_at_every_stage(name):
+    res = compile_source(UNCOMMON[name], (I, I))
+    for a in range(-2, 5):
+        for b in range(-2, 6):
+            want = run_source(res.func, (a, b))
+            assert run_ssa(res.ssa_unopt, (a, b)) == want
+            assert run_ssa(res.ssa, (a, b)) == want
+            report = simulate(res.cdfg, (a, b))
+            assert (report.output, report.leftover) == (want, 0)
+
+
 def narrow_ladder(n):
     """One loop over n if/else diamonds whose arms if-convert."""
     lines = ["function ladder(a::Int64, b::Int64)",

@@ -13,7 +13,7 @@ from minihls import sim as sim_module
 from minihls.cdfg import CDFG, component_stats
 from minihls.errors import (BuildError, DeadlockError, DivByZeroError,
                             MaxCyclesError, MergeConflictError, MiniHlsError,
-                            Pos)
+                            Pos, SimError)
 from minihls.interp import run_source
 from minihls.lattice import DEFAULT_LATENCIES, LatticeType
 from minihls.pipeline import compile_source
@@ -299,6 +299,12 @@ def fresh_power():
     """A power circuit of its own, never simulated: tests that edit a
     circuit or count its checks must not share the cached compile."""
     return compile_source(corpus.load("power"), corpus.SIGNATURES["power"]).cdfg
+
+
+def test_simulate_rejects_a_short_argument_tuple():
+    with pytest.raises(SimError) as err:
+        simulate(fresh_power(), (2,))
+    assert str(err.value) == "circuit has 2 data entries, got 1 argument(s)"
 
 
 def count_checks(monkeypatch):

@@ -35,9 +35,10 @@ def test_promotion_inserts_convert_node_on_int_side():
     tf = infer_text("function f(a, b)\n  return a + b\nend\n", (I, F))
     ret = tf.body[0]
     add = ret.value
-    assert isinstance(add.left, typecheck.TConvert)
-    assert add.left.impl.opcode == "sitofp"
-    assert isinstance(add.right, typecheck.TVar)
+    left, right = add.args
+    assert isinstance(left, typecheck.TCall)
+    assert left.impl.opcode == "sitofp"
+    assert isinstance(right, typecheck.TVar)
     assert add.ty == F
 
 
@@ -46,8 +47,7 @@ def test_division_of_ints_is_float():
     assert tf.return_type == F
     div = tf.body[0].value
     assert div.impl.opcode == "fdiv_f64"
-    assert isinstance(div.left, typecheck.TConvert)
-    assert isinstance(div.right, typecheck.TConvert)
+    assert [a.impl.opcode for a in div.args] == ["sitofp", "sitofp"]
 
 
 def test_modulo_requires_ints():
@@ -184,13 +184,13 @@ def _var(ty, name):
     return _node(typecheck.TVar, ty, name)
 
 
-def _binary(ty, op, opcode, left, right):
+def _binary(ty, opcode, left, right):
     impl = None if opcode is None else IMPL_BY_OPCODE[opcode]
-    return _node(typecheck.TBinary, ty, op, impl, left, right)
+    return _node(typecheck.TCall, ty, impl, (left, right))
 
 
 def _float(node):
-    return _node(typecheck.TConvert, F, IMPL_BY_OPCODE["sitofp"], node)
+    return _node(typecheck.TCall, F, IMPL_BY_OPCODE["sitofp"], (node,))
 
 
 def _assign(target, value):
@@ -198,8 +198,8 @@ def _assign(target, value):
 
 
 def _count(name):
-    return _assign(name, _binary(I, "+", "add_i64", _var(I, name),
-                                 _node(typecheck.TIntLit, I, 1)))
+    return _assign(name, _binary(I, "add_i64", _var(I, name),
+                                 _node(typecheck.TConst, I, 1)))
 
 
 def _loop(cond, *body):
@@ -222,18 +222,18 @@ def test_nested_loops_carrying_one_variable_build_final_nodes():
     tf = infer_text(NESTED, (I,))
     assert tf.type_stable and tf.return_type == F
     inner = _loop(
-        _binary(B, "<", "cmp_lt_i64", _var(I, "j"), _var(I, "i")),
+        _binary(B, "cmp_lt_i64", _var(I, "j"), _var(I, "i")),
         _assign("x", _binary(
-            F, "+", "fadd_f64",
-            _binary(F, "*", "fmul_f64", _var(F, "x"),
-                    _float(_node(typecheck.TIntLit, I, 2))),
+            F, "fadd_f64",
+            _binary(F, "fmul_f64", _var(F, "x"),
+                    _float(_node(typecheck.TConst, I, 2))),
             _float(_var(I, "j")))),
         _count("j"))
     outer = _loop(
-        _binary(B, "<", "cmp_lt_i64", _var(I, "i"), _var(I, "n")),
-        _assign("j", _node(typecheck.TIntLit, I, 0)),
+        _binary(B, "cmp_lt_i64", _var(I, "i"), _var(I, "n")),
+        _assign("j", _node(typecheck.TConst, I, 0)),
         inner,
-        _assign("x", _binary(F, "-", "fsub_f64", _var(F, "x"),
+        _assign("x", _binary(F, "fsub_f64", _var(F, "x"),
                              _float(_var(I, "i")))),
         _count("i"))
     assert tf.body[2] == outer
@@ -257,14 +257,14 @@ def test_nested_loop_widening_reaches_the_outer_header():
     tf = infer_text(text, (I,), strict=False)
     assert not tf.type_stable and tf.return_type == I
     inner = _loop(
-        _binary(B, "<", "cmp_lt_i64", _var(I, "j"), _var(I, "n")),
-        _assign("x", _binary(LatticeType.TOP, "+", None, _var(LatticeType.TOP, "x"),
-                             _node(typecheck.TFloatLit, F, 0.5))),
+        _binary(B, "cmp_lt_i64", _var(I, "j"), _var(I, "n")),
+        _assign("x", _binary(LatticeType.TOP, None, _var(LatticeType.TOP, "x"),
+                             _node(typecheck.TConst, F, 0.5))),
         _count("j"))
     outer = _loop(
-        _binary(B, "<", "cmp_lt_i64", _var(I, "i"), _var(I, "n")),
+        _binary(B, "cmp_lt_i64", _var(I, "i"), _var(I, "n")),
         _assign("y", _var(LatticeType.TOP, "x")),
-        _assign("j", _node(typecheck.TIntLit, I, 0)),
+        _assign("j", _node(typecheck.TConst, I, 0)),
         inner,
         _count("i"))
     assert tf.body[2] == outer
