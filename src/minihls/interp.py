@@ -94,7 +94,7 @@ _DISPATCH = {(symbol, *map(PY_TYPES.get, types)): d
              for symbol, types, d in dispatch_table()}
 
 
-def _apply(e: src.Unary | src.Binary, args: tuple, cache: list):
+def _apply(e: src.Call, args: tuple, cache: list):
     """Operator `e` applied to `args` by dispatch, which may raise
     NoMethodError.  `cache` gets the types of `args` and the row function
     if that needs no conversion and cannot trap."""
@@ -115,20 +115,20 @@ def _expr(e: src.Expr, nodes: list):
     nodes.append(None)
     if isinstance(e, src.Var):
         run = itemgetter(e.name)  # `_replay` reports a missing name
-    elif isinstance(e, src.Binary):
-        def run(env, x=_expr(e.left, nodes), y=_expr(e.right, nodes), e=e,
+    elif isinstance(e, src.Call) and len(e.args) == 2:
+        def run(env, x=_expr(e.args[0], nodes), y=_expr(e.args[1], nodes), e=e,
                 cache=[None, None, None]):  # operand types last seen, row fn
             a, b = x(env), y(env)  # && and || are strict
             ta, tb, fn = cache
             if type(a) is ta and type(b) is tb:
                 return fn(a, b)
             return _apply(e, (a, b), cache)
-    elif isinstance(e, src.Unary):
-        def run(env, x=_expr(e.operand, nodes), e=e, cache=[None, None]):
+    elif isinstance(e, src.Call):
+        def run(env, x=_expr(e.args[0], nodes), e=e, cache=[None, None]):
             a = x(env)
             ta, fn = cache
             return fn(a) if type(a) is ta else _apply(e, (a,), cache)
-    elif isinstance(e, (src.IntLit, src.FloatLit, src.BoolLit)):
+    elif isinstance(e, src.Lit):
         run = lambda env, v=e.value: v
     else:
         raise EvalError(f"unknown expression node {e!r}", e.pos)

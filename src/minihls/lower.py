@@ -1,4 +1,5 @@
-"""Typed AST to SSA lowering.
+"""Lowering of typed code, the `source` statements around `typecheck`'s
+typed expressions, to SSA.
 
 Structured control flow maps onto blocks directly: each `elseif` test gets
 a block of its own, a loop becomes header/body/exit with the loop-carried
@@ -10,6 +11,7 @@ cleanup happens here, that is what the optimization passes are for.
 
 from __future__ import annotations
 
+from . import source as src
 from . import typecheck as tc
 from .errors import LowerError
 from .ir import Block, CondGoto, ConstOp, Goto, Instr, Ret, SSAFunction, ValueId
@@ -25,18 +27,18 @@ def lower(tf: tc.TypedFunction) -> SSAFunction:
     return _Lowerer(tf).run()
 
 
-def _assigned(stmts: tuple[tc.TStmt, ...]) -> set[str]:
+def _assigned(stmts: tuple[src.Stmt, ...]) -> set[str]:
     names: set[str] = set()
     for s in stmts:
-        if isinstance(s, tc.TAssign):
+        if isinstance(s, src.Assign):
             names.add(s.target)
-        elif isinstance(s, tc.TIf):
+        elif isinstance(s, src.If):
             names |= _assigned(s.then)
             for _, body in s.elifs:
                 names |= _assigned(body)
             if s.orelse is not None:
                 names |= _assigned(s.orelse)
-        elif isinstance(s, tc.TWhile):
+        elif isinstance(s, src.While):
             names |= _assigned(s.body)
     return names
 
@@ -98,21 +100,21 @@ class _Lowerer:
     # -- statements ---------------------------------------------------------
 
     def lower_stmts(self, block: Block, env: Env,
-                    stmts: tuple[tc.TStmt, ...]) -> tuple[Block, Env] | None:
+                    stmts: tuple[src.Stmt, ...]) -> tuple[Block, Env] | None:
         """Lower a statement list into `block`, possibly growing the CFG.
         Returns the block/environment control falls out of, or None when
         every path returned."""
         cur = block
         for s in stmts:
-            if isinstance(s, tc.TAssign):
+            if isinstance(s, src.Assign):
                 env[s.target] = self.lower_expr(cur, env, s.value)
-            elif isinstance(s, tc.TReturn):
+            elif isinstance(s, src.Return):
                 value = self.lower_expr(cur, env, s.value)
                 cur.terminator = Ret(value)
                 return None
-            elif isinstance(s, tc.TWhile):
+            elif isinstance(s, src.While):
                 cur, env = self.lower_while(cur, env, s)
-            elif isinstance(s, tc.TIf):
+            elif isinstance(s, src.If):
                 res = self.lower_if(cur, env, s)
                 if res is None:
                     return None
@@ -122,7 +124,7 @@ class _Lowerer:
         return cur, env
 
     def lower_if(self, block: Block, env: Env,
-                 s: tc.TIf) -> tuple[Block, Env] | None:
+                 s: src.If) -> tuple[Block, Env] | None:
         tests = [(s.cond, s.then), *s.elifs]
         fallthroughs: list[tuple[Block, Env]] = []
         # Set when there is no else: the last test's false edge jumps
@@ -186,7 +188,7 @@ class _Lowerer:
         return join, join_env
 
     def lower_while(self, block: Block, env: Env,
-                    s: tc.TWhile) -> tuple[Block, Env]:
+                    s: src.While) -> tuple[Block, Env]:
         carried = sorted(_assigned(s.body) & set(env))
         params = []
         header_env = dict(env)

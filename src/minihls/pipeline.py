@@ -17,7 +17,7 @@ from .cdfg import CDFG, insert_buffers, require_valid
 from .errors import CliError
 from .interp import coerce_args
 from .ir import SSAFunction, verify
-from .lattice import ANNOTATION_TO_TYPE, LatticeType
+from .lattice import ANNOTATION_TO_TYPE, PY_TYPES, LatticeType
 from .lower import lower
 from .passes import PassError, optimize
 from .typecheck import TypedFunction, infer
@@ -40,9 +40,9 @@ STAGES = ("parse", "infer", "lower", "verify", "optimize", "build",
           "insert_buffers", "check")
 
 
-SIG_NAMES = {"i64": LatticeType.INT64, "f64": LatticeType.FLOAT64,
-             "i1": LatticeType.BOOL, "bool": LatticeType.BOOL,
-             "int64": LatticeType.INT64, "float64": LatticeType.FLOAT64}
+# each concrete type's short name and its annotation in lower case
+SIG_NAMES = ({t.short: t for t in PY_TYPES}
+             | {name.lower(): t for name, t in ANNOTATION_TO_TYPE.items()})
 
 
 def parse_sig(text: str) -> tuple[LatticeType, ...]:
@@ -85,8 +85,11 @@ def compile_source(text: str, sig: tuple[LatticeType, ...] | None = None,
                    latencies: dict[str, int] | None = None) -> CompileResult:
     stage_s = dict.fromkeys(STAGES, 0.0)
     program = timed(stage_s, "parse", src.parse_source, text)
-    func = (program.function(function) if function is not None
-            else program.functions[0])
+    names = [f.name for f in program.functions]
+    if function is not None and function not in names:
+        raise CliError(f"no function {function!r} in the program; "
+                       f"it defines {', '.join(names)}")
+    func = program.functions[0 if function is None else names.index(function)]
     if sig is None:
         sig = infer_sig(func)
     typed = timed(stage_s, "infer", infer, func, sig)

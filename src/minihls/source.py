@@ -28,6 +28,11 @@ tab and ``\\r`` separate tokens, one column each; a comment runs from
 ``#`` to the end of the line.  A run of newlines, blank lines and
 comment-only lines is one ``newline`` token, and there is none before
 the first token.  Any other character is an error.
+
+`parse` builds the AST.  As in Julia's surface AST, a literal is its
+value in a `Lit` and an operator application is a `Call` of the
+operator's symbol on one argument (unary) or two (binary).  `typecheck`
+reuses the statement classes around its typed expressions.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ OPERATORS = [
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "(", ")", ",", ";",
 ]
 
-BINARY_OPS = {"+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=", "&&", "||"}
 UNARY_OPS = {"-", "!"}
 
 INT64_MIN = -(2**63)
@@ -133,7 +137,9 @@ def _lex_error(text: str, i: int, pos: Pos) -> NoReturn:
 # AST
 # ---------------------------------------------------------------------------
 # Positions are excluded from equality so reparsed pretty-printer output
-# compares structurally equal to the original tree.
+# compares structurally equal to the original tree.  Values compare as in
+# Python, so `Lit(1) == Lit(1.0) == Lit(True)`: a literal's type is
+# `type(value)`.
 
 
 @dataclass(frozen=True)
@@ -142,20 +148,8 @@ class Expr:
 
 
 @dataclass(frozen=True)
-class IntLit(Expr):
-    value: int
-    pos: Pos = field(compare=False, default=Pos(0, 0))
-
-
-@dataclass(frozen=True)
-class FloatLit(Expr):
-    value: float
-    pos: Pos = field(compare=False, default=Pos(0, 0))
-
-
-@dataclass(frozen=True)
-class BoolLit(Expr):
-    value: bool
+class Lit(Expr):
+    value: bool | int | float
     pos: Pos = field(compare=False, default=Pos(0, 0))
 
 
@@ -166,17 +160,9 @@ class Var(Expr):
 
 
 @dataclass(frozen=True)
-class Unary(Expr):
+class Call(Expr):
     op: str
-    operand: Expr
-    pos: Pos = field(compare=False, default=Pos(0, 0))
-
-
-@dataclass(frozen=True)
-class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    args: tuple[Expr, ...]
     pos: Pos = field(compare=False, default=Pos(0, 0))
 
 
@@ -255,6 +241,7 @@ _PRECEDENCE = {
     "*": 5, "/": 5, "%": 5,
 }
 _UNARY_PRECEDENCE = 6
+BINARY_OPS = frozenset(_PRECEDENCE)
 _NONASSOC = {"<", "<=", ">", ">=", "==", "!="}
 
 # Most operators and parentheses around any operand of one expression.
@@ -416,7 +403,7 @@ class _Parser:
             if (tok.kind in _NONASSOC and self.peek().kind in _NONASSOC
                     and _PRECEDENCE[self.peek().kind] == prec):
                 raise ParseError("comparison operators do not chain", self.peek().pos)
-            left = Binary(tok.kind, left, right, tok.pos)
+            left = Call(tok.kind, (left, right), tok.pos)
 
     def parse_unary(self, depth: int) -> Expr:
         tok = self.peek()
@@ -425,19 +412,15 @@ class _Parser:
         self.deepest = depth
         if tok.kind in UNARY_OPS:
             self.advance()
-            return Unary(tok.kind, self.parse_unary(depth + 1), tok.pos)
+            return Call(tok.kind, (self.parse_unary(depth + 1),), tok.pos)
         return self.parse_primary(depth)
 
     def parse_primary(self, depth: int) -> Expr:
         tok = self.advance()
-        if tok.kind == "int":
-            return IntLit(int(tok.value), tok.pos)
-        if tok.kind == "float":
-            return FloatLit(float(tok.value), tok.pos)
-        if tok.kind == "true":
-            return BoolLit(True, tok.pos)
-        if tok.kind == "false":
-            return BoolLit(False, tok.pos)
+        if tok.kind == "int" or tok.kind == "float":
+            return Lit(tok.value, tok.pos)
+        if tok.kind == "true" or tok.kind == "false":
+            return Lit(tok.kind == "true", tok.pos)
         if tok.kind == "ident":
             return Var(str(tok.value), tok.pos)
         if tok.kind == "(":
@@ -477,18 +460,16 @@ def parse_source(text: str) -> SourceProgram:
 
 
 def print_expr(e: Expr, parent_prec: int = 0, rhs: bool = False) -> str:
-    if isinstance(e, (IntLit, FloatLit, BoolLit)):
+    if isinstance(e, Lit):
         return format_value(e.value)
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Unary):
-        inner = print_expr(e.operand, _UNARY_PRECEDENCE)
-        text = f"{e.op}{inner}"
-        return f"({text})" if parent_prec > _UNARY_PRECEDENCE else text
-    if isinstance(e, Binary):
+    if isinstance(e, Call) and len(e.args) == 1:  # binds tightest: no parentheses
+        return f"{e.op}{print_expr(e.args[0], _UNARY_PRECEDENCE)}"
+    if isinstance(e, Call):
         prec = _PRECEDENCE[e.op]
-        left = print_expr(e.left, prec)
-        right = print_expr(e.right, prec + 1, rhs=True)
+        left = print_expr(e.args[0], prec)
+        right = print_expr(e.args[1], prec + 1, rhs=True)
         text = f"{left} {e.op} {right}"
         # Parenthesize when the parent binds tighter, or when we sit on the
         # right of an equally binding operator (left associativity).

@@ -6,10 +6,12 @@ variable's type is the lattice join of the incoming types.  A loop's
 condition and body are re-annotated until the header environment stops
 changing (monotone in the lattice, so at most height * variable-count
 walks), and the nodes of the last walk, made against the stable header,
-are kept.  The result is a typed mirror of the AST in which every
-expression carries its lattice type and, as in Julia's typed IR, every
-operator is a `TCall` of the `lattice.IMPL_BY_OPCODE` row dispatch chose;
-a promotion is a `TCall` of its conversion row around the argument.
+are kept.  As Julia's `code_typed` returns lowering's statement forms
+with types added, the result is the source's `Assign`, `If`, `While` and
+`Return` statements holding typed expressions: each carries its lattice
+type and every operator is a `TCall` of the `lattice.IMPL_BY_OPCODE` row
+dispatch chose; a promotion is a `TCall` of its conversion row around
+the argument.  Statements after a `return` are dropped.
 
 Strict mode (the default) rejects any Top-typed expression; lenient mode
 records the instability and leaves the offending implementations
@@ -30,12 +32,12 @@ _LITERAL_TYPES = {py: ty for ty, py in PY_TYPES.items()}  # by a value's Python 
 
 
 # ---------------------------------------------------------------------------
-# Typed AST
+# Typed expressions
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TExpr:
+class TExpr(src.Expr):
     ty: LatticeType
     pos: Pos = field(compare=False)
 
@@ -57,40 +59,10 @@ class TCall(TExpr):
 
 
 @dataclass(frozen=True)
-class TStmt:
-    pos: Pos = field(compare=False)
-
-
-@dataclass(frozen=True)
-class TAssign(TStmt):
-    target: str = ""
-    value: TExpr = None
-
-
-@dataclass(frozen=True)
-class TIf(TStmt):
-    cond: TExpr = None
-    then: tuple[TStmt, ...] = ()
-    elifs: tuple[tuple[TExpr, tuple[TStmt, ...]], ...] = ()
-    orelse: tuple[TStmt, ...] | None = None
-
-
-@dataclass(frozen=True)
-class TWhile(TStmt):
-    cond: TExpr = None
-    body: tuple[TStmt, ...] = ()
-
-
-@dataclass(frozen=True)
-class TReturn(TStmt):
-    value: TExpr = None
-
-
-@dataclass(frozen=True)
 class TypedFunction:
     name: str
     params: tuple[tuple[str, LatticeType], ...]
-    body: tuple[TStmt, ...]
+    body: tuple[src.Stmt, ...]  # whose expressions are all TExpr
     return_type: LatticeType
     type_stable: bool
     pos: Pos = field(compare=False)
@@ -123,32 +95,27 @@ class _Inferencer:
         return ty
 
     def annotate_expr(self, env: Env, e: src.Expr) -> TExpr:
-        # no generator or comprehension: one frame per expression level
-        if isinstance(e, (src.IntLit, src.FloatLit, src.BoolLit)):
+        if isinstance(e, src.Lit):
             return TConst(_LITERAL_TYPES[type(e.value)], e.pos, e.value)
         if isinstance(e, src.Var):
             if e.name not in env:
                 raise UndefinedVarError(f"undefined variable {e.name!r}", e.pos)
             return TVar(self._observe(env[e.name], e.pos), e.pos, e.name)
-        if isinstance(e, src.Binary):
-            args = (self.annotate_expr(env, e.left), self.annotate_expr(env, e.right))
-            types = (args[0].ty, args[1].ty)
-        elif isinstance(e, src.Unary):
-            args = (self.annotate_expr(env, e.operand),)
-            types = (args[0].ty,)
-        else:
+        if not isinstance(e, src.Call):
             raise TypeError(f"unknown expression node {e!r}")
+        args, types = [], []
+        for arg in e.args:  # a plain loop: one frame per expression level
+            targ = self.annotate_expr(env, arg)
+            args.append(targ)
+            types.append(targ.ty)
         if LatticeType.TOP in types:
             self._observe(LatticeType.TOP, e.pos)
-            return TCall(LatticeType.TOP, e.pos, None, args)
-        d = dispatch(e.op, types, e.pos)
-        if any(d.conversions):  # promote: call each conversion row
-            promoted = list(args)
-            for i, conv in enumerate(d.conversions):
-                if conv is not None:
-                    promoted[i] = TCall(conv.result_type, args[i].pos, conv, (args[i],))
-            args = tuple(promoted)
-        return TCall(d.impl.result_type, e.pos, d.impl, args)
+            return TCall(LatticeType.TOP, e.pos, None, tuple(args))
+        d = dispatch(e.op, tuple(types), e.pos)
+        for i, conv in enumerate(d.conversions):  # promote: call each conversion row
+            if conv is not None:
+                args[i] = TCall(conv.result_type, args[i].pos, conv, (args[i],))
+        return TCall(d.impl.result_type, e.pos, d.impl, tuple(args))
 
     def _annotate_cond(self, env: Env, e: src.Expr) -> TExpr:
         cond = self.annotate_expr(env, e)
@@ -159,19 +126,19 @@ class _Inferencer:
         return cond
 
     def annotate_stmts(self, stmts: tuple[src.Stmt, ...],
-                       env: Env) -> tuple[tuple[TStmt, ...], Env | None]:
-        out: list[TStmt] = []
+                       env: Env) -> tuple[tuple[src.Stmt, ...], Env | None]:
+        out: list[src.Stmt] = []
         for stmt in stmts:
             if env is None:
                 break  # statically unreachable; dropped from the typed tree
             if isinstance(stmt, src.Assign):
                 value = self.annotate_expr(env, stmt.value)
                 env[stmt.target] = value.ty
-                out.append(TAssign(stmt.pos, stmt.target, value))
+                out.append(src.Assign(stmt.target, value, stmt.pos))
             elif isinstance(stmt, src.Return):
                 value = self.annotate_expr(env, stmt.value)
                 self.return_types.append(value.ty)
-                out.append(TReturn(stmt.pos, value))
+                out.append(src.Return(value, stmt.pos))
                 env = None
             elif isinstance(stmt, src.If):
                 cond = self._annotate_cond(env, stmt.cond)
@@ -189,7 +156,7 @@ class _Inferencer:
                     arm_envs.append(else_env)
                 else:
                     arm_envs.append(dict(env))
-                out.append(TIf(stmt.pos, cond, then, tuple(telifs), orelse))
+                out.append(src.If(cond, then, tuple(telifs), orelse, stmt.pos))
                 live = [e2 for e2 in arm_envs if e2 is not None]
                 if not live:
                     env = None
@@ -210,7 +177,7 @@ class _Inferencer:
                     if joined == header:
                         break
                     header = joined
-                out.append(TWhile(stmt.pos, cond, body))
+                out.append(src.While(cond, body, stmt.pos))
                 env = header
             else:
                 raise TypeError(f"unknown statement node {stmt!r}")

@@ -523,6 +523,20 @@ def test_cli_error_paths_print_one_diagnostic(tmp_path, monkeypatch, capsys, arg
     assert run_cli(capsys, *argv) == (1, "", err + "\n")
 
 
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+def test_a_missing_function_is_a_cli_diagnostic(tmp_path, capsys, from_config):
+    prog = tmp_path / "two.mjl"
+    prog.write_text("function g(a::Int64)\n  return a\nend\n"
+                    "function f(a::Int64)\n  return a\nend\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("function = nope\n")
+    extra = ("--config", str(cfg)) if from_config else ("--function", "nope")
+    assert run_cli(capsys, "run", "power", "2", "3", *extra) == (
+        1, "", "error[cli] no function 'nope' in the program; it defines power\n")
+    assert run_cli(capsys, "run", str(prog), "1", *extra) == (
+        1, "", "error[cli] no function 'nope' in the program; it defines g, f\n")
+
+
 def test_a_bool_argument_reads_true(tmp_path, capsys):
     f = tmp_path / "flag.mjl"
     f.write_text(ERROR_FILES["flag.mjl"])

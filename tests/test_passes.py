@@ -252,6 +252,31 @@ def test_uncommon_shapes_agree_at_every_stage(name):
             assert (report.output, report.leftover) == (want, 0)
 
 
+LOOP_RETURN = """
+function f(a, b)
+    i = 0
+    while i < 10
+        if i * a > b
+            return i
+        end
+        i = i + 1
+    end
+    return -1
+end
+"""
+
+
+def test_a_return_inside_a_loop_agrees_at_every_stage():
+    res = compile_source(LOOP_RETURN, (I, I))
+    for a in range(-3, 4):
+        for b in range(-5, 21):
+            want = run_source(res.func, (a, b))
+            assert run_ssa(res.ssa_unopt, (a, b)) == want
+            assert run_ssa(res.ssa, (a, b)) == want
+            report = simulate(res.cdfg, (a, b))
+            assert (report.output, report.leftover) == (want, 0)
+
+
 def narrow_ladder(n):
     """One loop over n if/else diamonds whose arms if-convert."""
     lines = ["function ladder(a::Int64, b::Int64)",

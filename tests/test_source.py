@@ -80,18 +80,18 @@ def test_parse_precedence():
         "function f(a, b, c)\n  return a + b * c < a && true\nend\n")
     ret = prog.function("f").body[0]
     # && binds loosest, then <, then +, then *
-    assert isinstance(ret.value, source.Binary) and ret.value.op == "&&"
-    cmp = ret.value.left
+    assert isinstance(ret.value, source.Call) and ret.value.op == "&&"
+    cmp = ret.value.args[0]
     assert cmp.op == "<"
-    assert cmp.left.op == "+"
-    assert cmp.left.right.op == "*"
+    assert cmp.args[0].op == "+"
+    assert cmp.args[0].args[1].op == "*"
 
 
 def test_parse_unary_binds_tighter_than_mul():
     prog = source.parse_source("function f(a)\n  return -a * a\nend\n")
     ret = prog.function("f").body[0]
     assert ret.value.op == "*"
-    assert isinstance(ret.value.left, source.Unary)
+    assert isinstance(ret.value.args[0], source.Call) and len(ret.value.args[0].args) == 1
 
 
 def test_parse_if_elseif_else_chain():
@@ -289,3 +289,35 @@ def test_token_counts_and_parse_match_the_tracer_contract(program):
     tokens = source.tokenize(text)
     assert len(tokens) == {"if_else": 44, "power": 37, "newton_raphson": 72}[program]
     assert source.parse(tokens) == source.parse_source(text)
+
+
+# The corpus has no unary operator: (expression, its printed text, the
+# same in Python), with a and b Int64 and c Bool.
+UNARY_ROUNDTRIPS = [
+    ("-a * a", "-a * a", lambda a, b, c: -a * a),
+    ("-(a * b)", "-(a * b)", lambda a, b, c: -(a * b)),
+    ("a - -b", "a - -b", lambda a, b, c: a - -b),
+    ("- -a", "--a", lambda a, b, c: - -a),
+    ("!(a < b) || !c", "!(a < b) || !c", lambda a, b, c: not a < b or not c)]
+
+
+@pytest.mark.parametrize("expr, printed, want", UNARY_ROUNDTRIPS,
+                         ids=[e for e, _, _ in UNARY_ROUNDTRIPS])
+def test_unary_operators_roundtrip_through_the_printer(expr, printed, want):
+    from minihls.interp import run_source
+    text = f"function f(a::Int64, b::Int64, c::Bool)\n  return {expr}\nend\n"
+    prog = source.parse_source(text)
+    out = source.print_program(prog)
+    assert out.splitlines()[1] == f"    return {printed}"
+    reparsed = source.parse_source(out)
+    assert reparsed == prog
+    for point in ((2, 3, True), (-4, 1, False), (0, 0, True), (5, -5, False)):
+        assert run_source(prog.functions[0], point) == want(*point)
+        assert run_source(reparsed.functions[0], point) == want(*point)
+
+
+def test_literals_keep_their_python_type():
+    # Lit(1) == Lit(1.0) == Lit(True) in Python, so pin the value types.
+    for text, ty in (("1", int), ("1.0", float), ("true", bool), ("false", bool)):
+        lit = source.parse_source(returning(text)).functions[0].body[0].value
+        assert isinstance(lit, source.Lit) and type(lit.value) is ty

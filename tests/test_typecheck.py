@@ -7,7 +7,7 @@ from minihls.errors import (
     NoMethodError, Pos, TypeCheckError, UndefinedVarError, UnstableTypeError,
 )
 from minihls.lattice import IMPL_BY_OPCODE, LatticeType
-from minihls.source import parse_source
+from minihls.source import Assign, If, Return, While, parse_source
 
 B, I, F = LatticeType.BOOL, LatticeType.INT64, LatticeType.FLOAT64
 
@@ -194,7 +194,7 @@ def _float(node):
 
 
 def _assign(target, value):
-    return typecheck.TAssign(Pos(0, 0), target, value)
+    return Assign(target, value)
 
 
 def _count(name):
@@ -203,7 +203,7 @@ def _count(name):
 
 
 def _loop(cond, *body):
-    return typecheck.TWhile(Pos(0, 0), cond, body)
+    return While(cond, body)
 
 
 NESTED = ("function f(n::Int64)\n"
@@ -268,3 +268,23 @@ def test_nested_loop_widening_reaches_the_outer_header():
         inner,
         _count("i"))
     assert tf.body[2] == outer
+
+
+def test_statements_after_a_return_are_dropped_before_typing():
+    from minihls.interp import run_source, run_ssa
+    from minihls.pipeline import compile_source
+    from minihls.sim import simulate
+    text = ("function f(a::Int64)\n"
+            "  if a > 0\n    return 1\n    a = a + 1\n  end\n"
+            "  return a\n  a = 3\nend\n")
+    res = compile_source(text)
+    assert res.typed.body == (
+        If(_binary(B, "cmp_gt_i64", _var(I, "a"), _node(typecheck.TConst, I, 0)),
+           (Return(_node(typecheck.TConst, I, 1)),), (), None),
+        Return(_var(I, "a")))
+    for a in range(-3, 4):
+        want = 1 if a > 0 else a
+        assert run_source(res.func, (a,)) == want
+        assert run_ssa(res.ssa_unopt, (a,)) == want
+        assert run_ssa(res.ssa, (a,)) == want
+        assert simulate(res.cdfg, (a,)).output == want
