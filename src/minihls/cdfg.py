@@ -40,11 +40,11 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import count, repeat, starmap
-from operator import attrgetter, getitem, is_not
+from itertools import count, starmap
+from operator import attrgetter, getitem
 
 from .errors import BuildError, Pos
-from .lattice import IMPL_BY_OPCODE
+from .lattice import IMPL_BY_OPCODE, PY_TYPES
 
 ENTRY = "Entry"
 EXIT = "Exit"
@@ -144,11 +144,18 @@ _ONE_WIDTH = ((lambda c: len(set(c.in_widths + c.out_widths)) == 1,
 _WIDTHS = {op: (tuple(t.width for t in imp.operand_types), (imp.result_type.width,))
            for op, imp in IMPL_BY_OPCODE.items()}
 
+# the (Python type, width) pairs of a Const payload: Bool on 1 bit, Int64
+# and Float64 on 64
+_PAYLOADS = {(py, ty.width) for ty, py in PY_TYPES.items()}
+
 # kind -> (holds, message) width and field rules, run once the counts hold.
 _RULES = {
     CONST: ((lambda c: c.in_widths[0] == 0, "trigger input must have width 0"),
             (lambda c: c.out_widths[0] != 0, "output must not have width 0"),
-            (lambda c: c.value is not None, "missing payload value")),
+            (lambda c: c.value is not None, "missing payload value"),
+            (lambda c: c.value is None or c.out_widths[0] == 0
+             or (type(c.value), c.out_widths[0]) in _PAYLOADS,
+             "payload must be a Bool on 1 bit or an Int64 or Float64 on 64 bits")),
     OPERATOR: ((lambda c: c.opcode is not None, "missing opcode"),
                (lambda c: c.opcode in IMPL_BY_OPCODE or c.opcode is None,
                 "unknown opcode"),
@@ -164,19 +171,22 @@ _RULES = {
 
 
 _SHAPE = attrgetter("kind", "in_widths", "out_widths", "opcode", "latency")
+# a payload of each Python type the kind rules tell apart; a payload of any
+# other type stands in as its type, which is neither None nor a hardware type
+_SAMPLES = {py: py() for py in (*PY_TYPES.values(), type(None))}
 
 
 @lru_cache(maxsize=1024)
-def _kind_violations(shape: tuple, has_value: bool) -> tuple[str, ...]:
+def _kind_violations(shape: tuple, payload: type) -> tuple[str, ...]:
     """The messages, each to follow `component <id>`, of the kind rules,
-    which read a component's `_SHAPE` and whether it holds a payload."""
+    which read a component's `_SHAPE` and the Python type of its payload."""
     kind, in_widths, out_widths, opcode, latency = shape
     if kind not in _PORTS:
         return (f": unknown kind {kind!r}",)
     counts = tuple(zip((len(in_widths), len(out_widths)), _PORTS[kind], ("input", "output")))
     if all(have == n if n >= 0 else have >= -n for have, n, _ in counts):
         c = Component(0, kind, in_widths, out_widths, opcode=opcode,
-                      latency=latency, value=has_value or None)
+                      latency=latency, value=_SAMPLES.get(payload, payload))
         return tuple(f" ({kind}): {msg}" for holds, msg in _RULES.get(kind, ()) if not holds(c))
     return (f" ({kind}): must have " + " and ".join(
         f">={-n} {noun}s" if n < 0 else f"{n} {noun}{'' if n == 1 else 's'}"
@@ -206,8 +216,7 @@ def check(g: CDFG) -> list[str]:
         return ["duplicate component ids"]
     bad = ([] if len(set(map(attrgetter("id"), chans))) == len(chans)
            else ["duplicate channel ids"])
-    present = map(is_not, map(attrgetter("value"), comps), repeat(None))
-    shapes = list(zip(map(_SHAPE, comps), present))
+    shapes = list(zip(map(_SHAPE, comps), map(type, map(attrgetter("value"), comps))))
     if any(starmap(_kind_violations, set(shapes))):
         for c, shape in zip(comps, shapes):
             bad += [f"component {c.id}{tail}" for tail in _kind_violations(*shape)]

@@ -8,12 +8,12 @@ differential runs compare scheduling, not arithmetic.
 Each interpreter resolves a program once into a plan kept on it; plan
 closures take what they use as default arguments, as a cell per name
 would double a plan's objects.  `run_source` compiles each AST node into
-a closure that dispatches on runtime values, independent of static
-inference, so it is an oracle for the type checker as well; an operator's
-closure caches the row for the operand types it last saw.  `run_ssa`
-runs IR that `ir.verify` accepts, as steps per block kept with verify's
-record.  Both charge a statement's or a block's fuel at once, and with
-too little left stop where counting node by node would.
+a closure that dispatches on runtime values through `lattice.METHODS`,
+independent of static inference, so it is an oracle for the type checker
+as well; an operator's closure caches the row for the types it last saw.
+`run_ssa` runs IR that `ir.verify` accepts, as steps per block kept with
+verify's record.  Both charge a statement's or a block's fuel at once,
+and with too little left stop where counting node by node would.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from operator import itemgetter
 from . import source as src
 from .errors import DivByZeroError, EvalError, FuelExhaustedError, Pos
 from .ir import ConstOp, Instr, SSAFunction, successor_edges, verify
-from .lattice import (IMPL_BY_OPCODE, PY_TYPES, LatticeType, dispatch,
-                      dispatch_table, wrap64)
+from .lattice import IMPL_BY_OPCODE, METHODS, TYPE_OF, LatticeType, dispatch
 
 DEFAULT_FUEL = 1_000_000
 
@@ -44,30 +43,9 @@ def eval_op(opcode: str, args: tuple, pos: Pos = _NO_POS) -> Value:
 
 
 def type_of_value(v: Value) -> LatticeType:
-    if isinstance(v, bool):  # before int: bool is an int subclass
-        return LatticeType.BOOL
-    if isinstance(v, int):
-        return LatticeType.INT64
-    if isinstance(v, float):
-        return LatticeType.FLOAT64
-    raise EvalError(f"value {v!r} has no hardware type")
-
-
-def coerce_args(sig: tuple[LatticeType, ...], raw: tuple) -> tuple:
-    """Check and normalize entry arguments against a signature."""
-    if len(sig) != len(raw):
-        raise EvalError(f"expected {len(sig)} argument(s), got {len(raw)}")
-    out = []
-    for i, (ty, v) in enumerate(zip(sig, raw)):
-        if ty == LatticeType.FLOAT64 and isinstance(v, int) and not isinstance(v, bool):
-            v = float(v)
-        if type_of_value(v) != ty:
-            raise EvalError(
-                f"argument {i} must be {ty}, got {type_of_value(v)} {v!r}")
-        if ty == LatticeType.INT64:
-            v = wrap64(v)
-        out.append(v)
-    return tuple(out)
+    if (ty := TYPE_OF.get(type(v))) is None:
+        raise EvalError(f"value {v!r} has no hardware type")
+    return ty
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +67,11 @@ def run_source(func: src.FunctionDef, args: tuple,
     return result
 
 
-# (symbol, Python type of each operand) -> Dispatch, for every dispatch
-_DISPATCH = {(symbol, *map(PY_TYPES.get, types)): d
-             for symbol, types, d in dispatch_table()}
-
-
 def _apply(e: src.Call, args: tuple, cache: list):
     """Operator `e` applied to `args` by dispatch, which may raise
     NoMethodError.  `cache` gets the types of `args` and the row function
     if that needs no conversion and cannot trap."""
-    d = (_DISPATCH.get((e.op, *map(type, args)))
+    d = (METHODS.get((e.op, *map(TYPE_OF.get, map(type, args))))
          or dispatch(e.op, tuple(map(type_of_value, args)), e.pos))
     if any(d.conversions):
         args = tuple(v if conv is None else conv.fn(v)

@@ -12,11 +12,12 @@ is the unit the circuit generator and VHDL library work with.
 `IMPL_BY_OPCODE` is the one opcode table: each row holds an opcode's
 operator symbol, signature, default latency, function on Python values
 (the arithmetic kernel every interpreter and the simulator call) and the
-VHDL statement that drives its result.  Dispatch, `DEFAULT_LATENCIES`,
-`SELECT_OPCODES` and `SITOFP` are derived from it, so adding an opcode
-means adding one row.  After dispatch an operation is its row at every
-layer: a typed call and an SSA instruction hold the row itself, and a
-select instruction's op is its `SelectOp` row.
+VHDL statement that drives its result.  `METHODS`, the one method table
+that inference, the source interpreter and `--dump-dispatch` read,
+`DEFAULT_LATENCIES`, `SELECT_OPCODES` and `SITOFP` are derived from it,
+so adding an opcode means adding one row.  After dispatch an operation is
+its row at every layer: a typed call and an SSA instruction hold the row
+itself, and a select instruction's op is its `SelectOp` row.
 """
 
 from __future__ import annotations
@@ -209,9 +210,6 @@ DEFAULT_LATENCIES: dict[str, int] = {op: imp.latency
                                      for op, imp in IMPL_BY_OPCODE.items()}
 SITOFP = IMPL_BY_OPCODE["sitofp"]
 SELECT_OPCODES = {imp.result_type: imp.opcode for imp in _SELECTS}
-# (symbol, operand types) -> the row dispatch picks
-_TABLE = {(imp.symbol, imp.operand_types): imp
-          for imp in _ROWS if imp.symbol is not None}
 
 # Symbols whose mixed Int64/Float64 operands promote to Float64. `/` also
 # promotes an all-Int64 pair so that division always runs in Float64;
@@ -227,49 +225,44 @@ class Dispatch:
     conversions: tuple[OperatorImpl | None, ...]
 
 
+# The method table, (symbol, *operand types) -> Dispatch: each row under its
+# own types, then, where no row is exact, a promoting symbol's Float64 row
+# with `sitofp` on each Int64 operand.
+METHODS: dict[tuple, Dispatch] = {
+    (imp.symbol, *imp.operand_types): Dispatch(imp, (None,) * len(imp.operand_types))
+    for imp in _ROWS if imp.symbol is not None}
+for _imp in _ROWS:
+    if _imp.symbol in _PROMOTING and set(_imp.operand_types) == {F}:
+        for _types in itertools.product((I, F), repeat=len(_imp.operand_types)):
+            METHODS.setdefault((_imp.symbol, *_types), Dispatch(
+                _imp, tuple(SITOFP if t == I else None for t in _types)))
+# the type of a value by its Python type
+TYPE_OF = {py: ty for ty, py in PY_TYPES.items()}
+
+
 def dispatch(symbol: str, operand_types: tuple[LatticeType, ...],
              pos: Pos | None = None) -> Dispatch:
-    """Select the implementation of `symbol` for concrete operand types.
-
-    Deterministic and total over the documented promotion table; raises
-    NoMethodError for combinations the lattice forbids (e.g. Bool + Int64).
-    """
-    for t in operand_types:
-        if not t.is_concrete:
-            raise NoMethodError(
-                f"operator {symbol!r} applied to non-concrete type "
-                f"({', '.join(map(str, operand_types))})", pos)
-    exact = _TABLE.get((symbol, operand_types))
-    if exact is not None:
-        return Dispatch(exact, tuple(None for _ in operand_types))
-    if symbol in _PROMOTING and all(t in (I, F) for t in operand_types):
-        promoted = tuple(F for _ in operand_types)
-        impl = _TABLE.get((symbol, promoted))
-        if impl is not None:
-            conversions = tuple(SITOFP if t == I else None for t in operand_types)
-            return Dispatch(impl, conversions)
+    """The method of `symbol` for concrete operand types; raises
+    NoMethodError for combinations the lattice forbids (e.g. Bool + Int64)."""
+    d = METHODS.get((symbol, *operand_types))
+    if d is not None:
+        return d
+    if not all(t.is_concrete for t in operand_types):
+        raise NoMethodError(
+            f"operator {symbol!r} applied to non-concrete type "
+            f"({', '.join(map(str, operand_types))})", pos)
     raise NoMethodError(
         f"no implementation of operator {symbol!r} for operand types "
         f"({', '.join(map(str, operand_types))})", pos)
 
 
 def dispatch_table() -> list[tuple[str, tuple[LatticeType, ...], Dispatch]]:
-    """Enumerate dispatch over every operator and concrete type tuple.
-
-    Used by `--dump-dispatch` and the exhaustive promotion-table tests;
-    combinations without an implementation are omitted.
-    """
-    from .source import BINARY_OPS, UNARY_OPS
-
-    rows = []
-    for symbols, arity in ((BINARY_OPS, 2), (UNARY_OPS, 1)):
-        for symbol in sorted(symbols):
-            for types in itertools.product((B, I, F), repeat=arity):
-                try:
-                    rows.append((symbol, types, dispatch(symbol, types)))
-                except NoMethodError:
-                    continue
-    return rows
+    """Every method: binary symbols sorted, then unary ones, each by operand
+    types in (Bool, Int64, Float64) product order.  Used by
+    `--dump-dispatch` and the exhaustive promotion-table tests."""
+    order = (B, I, F).index
+    return [(key[0], key[1:], d) for key, d in sorted(
+        METHODS.items(), key=lambda kv: (-len(kv[0]), kv[0][0], *map(order, kv[0][1:])))]
 
 
 def format_dispatch_table() -> str:

@@ -2,9 +2,8 @@
 
 Two structural passes run to a joint fixpoint:
 
-* merge_blocks: folds a block into its unique Goto predecessor, deletes
-  empty forwarding blocks by rewiring their predecessors, and drops
-  unreachable blocks.
+* merge_blocks: folds a block into its unique Goto predecessor and
+  deletes empty forwarding blocks by rewiring their predecessors.
 * if_convert: turns small branch diamonds and triangles into straight-line
   code with select instructions.  Arms are hoisted, so only arms whose
   instructions are safe to execute speculatively qualify, and an arm
@@ -12,16 +11,16 @@ Two structural passes run to a joint fixpoint:
   stay as real control flow so the circuit keeps its branch steering).
 
 Public entry points are pure: they clone the function and return the
-transformed copy.  `optimize` re-verifies the IR after every pass
-application that changed it and refuses to hand over a broken function.
+transformed copy.  `optimize` verifies its input, so no block is
+unreachable, and re-verifies the IR after every pass application that
+changed it, refusing to hand over a broken function.
 """
 
 from __future__ import annotations
 
 from .errors import PassError
 from .ir import (Block, CondGoto, Goto, Instr, Ret, SSAFunction, ValueId,
-                 predecessor_edges, reachable_blocks, successor_edges,
-                 terminator_uses, verify)
+                 predecessor_edges, successor_edges, terminator_uses, verify)
 from .lattice import IMPL_BY_OPCODE, SELECT_OPCODES, OperatorImpl
 
 # Max instructions hoisted per arm.  Keeps if-conversion from swallowing
@@ -35,20 +34,20 @@ def merge_blocks(func: SSAFunction) -> SSAFunction:
     return out
 
 
-def if_convert(func: SSAFunction, limit: int = SPECULATION_LIMIT) -> SSAFunction:
+def if_convert(func: SSAFunction) -> SSAFunction:
     out = func.clone()
-    _if_convert_inplace(out, limit)
+    _if_convert_inplace(out)
     return out
 
 
-def optimize(func: SSAFunction, limit: int = SPECULATION_LIMIT) -> SSAFunction:
+def optimize(func: SSAFunction) -> SSAFunction:
     """Run all passes to a fixpoint, verifying the input and every change."""
     out = func.clone()
     _check(out, "clone")
     while True:
         if merged := _merge_blocks_inplace(out):
             _check(out, "merge_blocks")
-        if converted := _if_convert_inplace(out, limit):
+        if converted := _if_convert_inplace(out):
             _check(out, "if_convert")
         if not (merged or converted):
             return out
@@ -67,9 +66,6 @@ def _check(func: SSAFunction, stage: str) -> None:
 
 
 def _substitute(block: Block, mapping: dict[ValueId, ValueId]) -> None:
-    if not mapping:
-        return
-
     def sub(v: ValueId) -> ValueId:
         return mapping.get(v, v)
 
@@ -119,8 +115,7 @@ def _merge_blocks_inplace(func: SSAFunction) -> bool:
     """Fold and forward, each time at the first block in block order that
     allows it.  Only a block that a rewrite touched can newly allow one,
     so each scan resumes there instead of restarting."""
-    changed = _remove_unreachable_inplace(func)
-    g = _Graph(func)
+    g, changed = _Graph(func), False
     todo, start = func.blocks, 0  # fold candidates; where forwarding resumes
     while True:
         # A folded block's parameters may be used in any block it
@@ -206,14 +201,6 @@ def _used_outside(g: _Graph, b: Block, values: set[ValueId]) -> bool:
     return False
 
 
-def _remove_unreachable_inplace(func: SSAFunction) -> bool:
-    live = reachable_blocks(func)
-    if all(b.id in live for b in func.blocks):
-        return False
-    func.blocks = [b for b in func.blocks if b.id in live]
-    return True
-
-
 # ---------------------------------------------------------------------------
 # if_convert
 # ---------------------------------------------------------------------------
@@ -226,19 +213,19 @@ def _speculation_safe(ins: Instr) -> bool:
     return not (isinstance(ins.op, OperatorImpl) and ins.op.traps)
 
 
-def _classify_side(g: _Graph, origin: Block, target: int, args, limit: int):
+def _classify_side(g: _Graph, origin: Block, target: int, args):
     """A side of a CondGoto is either a hoistable arm block or a plain edge."""
     blk = g.by_id[target]
     if (target != origin.id and not args and not blk.params
             and len(g.preds[target]) == 1
             and isinstance(blk.terminator, (Goto, Ret))
-            and len(blk.instrs) <= limit
+            and len(blk.instrs) <= SPECULATION_LIMIT
             and all(_speculation_safe(i) for i in blk.instrs)):
         return ("arm", blk)
     return ("edge", target, args)
 
 
-def _if_convert_inplace(func: SSAFunction, limit: int) -> bool:
+def _if_convert_inplace(func: SSAFunction) -> bool:
     """Convert every convertible branch, visiting the branches in block
     order.  A conversion at p changes only p, its arms and its join, so
     of the earlier blocks only those branching to p can become
@@ -251,8 +238,8 @@ def _if_convert_inplace(func: SSAFunction, limit: int) -> bool:
         t = p.terminator
         if p.id in g.by_id and isinstance(t, CondGoto) and _try_convert(
                 g, p, t.cond,
-                _classify_side(g, p, t.then_target, t.then_args, limit),
-                _classify_side(g, p, t.else_target, t.else_args, limit)):
+                _classify_side(g, p, t.then_target, t.then_args),
+                _classify_side(g, p, t.else_target, t.else_args)):
             changed = True
             i = min([i + 1] + [g.pos[q] for q, _ in g.preds[p.id]])
         else:

@@ -15,7 +15,6 @@ from . import source as src
 from .build import build_cdfg, resolve_latencies
 from .cdfg import CDFG, insert_buffers, require_valid
 from .errors import CliError
-from .interp import coerce_args
 from .ir import SSAFunction, verify
 from .lattice import ANNOTATION_TO_TYPE, PY_TYPES, LatticeType
 from .lower import lower
@@ -126,4 +125,4 @@ def parse_args_for(result: CompileResult, raw: list[str]) -> tuple:
     if len(raw) != len(result.sig):
         raise CliError(f"{result.func.name} expects {len(result.sig)} "
                        f"argument(s), got {len(raw)}")
-    return coerce_args(result.sig, tuple(map(parse_value, raw, result.sig)))
+    return tuple(map(parse_value, raw, result.sig))

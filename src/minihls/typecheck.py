@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 
 from . import source as src
 from .errors import Pos, TypeCheckError, UndefinedVarError, UnstableTypeError
-from .lattice import (ANNOTATION_TO_TYPE, PY_TYPES, LatticeType, OperatorImpl,
+from .lattice import (ANNOTATION_TO_TYPE, TYPE_OF, LatticeType, OperatorImpl,
                       dispatch, join, join_all)
 
 Env = dict[str, LatticeType]
-_LITERAL_TYPES = {py: ty for ty, py in PY_TYPES.items()}  # by a value's Python type
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,7 @@ class _Inferencer:
 
     def annotate_expr(self, env: Env, e: src.Expr) -> TExpr:
         if isinstance(e, src.Lit):
-            return TConst(_LITERAL_TYPES[type(e.value)], e.pos, e.value)
+            return TConst(TYPE_OF[type(e.value)], e.pos, e.value)
         if isinstance(e, src.Var):
             if e.name not in env:
                 raise UndefinedVarError(f"undefined variable {e.name!r}", e.pos)

@@ -247,8 +247,6 @@ def _const_bits(c: Component) -> str:
     v = c.value
     if w == 1:
         return '"1"' if v else '"0"'
-    if isinstance(v, bool):
-        raise EmitError("bool constant with width > 1")
     if isinstance(v, int):
         return f'x"{v & ((1 << 64) - 1):016x}"'
     if isinstance(v, float):

@@ -650,3 +650,20 @@ def test_check_matches_the_reference_on_mutants(compiled):
     assert clean >= 100
     for g in circuits:
         assert check(g) == reference_check(g) == []
+
+
+@pytest.mark.parametrize("payload, width", [(5, 1), (2.5, 1), (7, 32), (True, 64)])
+def test_a_const_payload_must_fit_its_width(payload, width):
+    g = CDFG("const", return_width=width)
+    trigger = g.add_component(C.ENTRY, (), (0,))
+    const = g.add_component(C.CONST, (0,), (width,), value=payload)
+    exit_ = g.add_component(C.EXIT, (width,), ())
+    g.add_channel((trigger.id, 0), (const.id, 0), 0)
+    g.add_channel((const.id, 0), (exit_.id, 0), width)
+    want = ["component 1 (Const): payload must be a Bool on 1 bit "
+            "or an Int64 or Float64 on 64 bits"]
+    assert check(g) == want == reference_check(g)
+    assert check(from_json(to_json(g))) == want
+    for stage in (emit_vhdl, lambda g: simulate(g, ())):
+        with pytest.raises(BuildError, match="payload must be"):
+            stage(g)

@@ -555,3 +555,12 @@ def test_python_dash_m_minihls_runs_the_cli(argv, code, out, err):
     done = subprocess.run([sys.executable, "-m", "minihls", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+def test_diff_counts_nan_on_both_sides_as_agreement(tmp_path, capsys):
+    f = tmp_path / "ratio.mjl"
+    f.write_text("function ratio(x)\n  return x / x\nend\n")
+    code, out, _ = run_cli(capsys, "diff", str(f), "--sig", "f64",
+                           "--sweep=0.0,1.0,-2.5")
+    assert code == 0
+    assert out.strip() == "ratio: 3 point(s), 0 mismatch(es)"

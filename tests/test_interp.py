@@ -8,11 +8,9 @@ import pytest
 from minihls import corpus, typecheck
 from minihls.errors import (DivByZeroError, EvalError, FuelExhaustedError,
                             NoMethodError, Pos)
-from minihls.interp import (
-    coerce_args, eval_op, run_source, run_ssa, type_of_value, wrap64,
-)
+from minihls.interp import eval_op, run_source, run_ssa, type_of_value
 from minihls.ir import Ret
-from minihls.lattice import IMPL_BY_OPCODE, LatticeType
+from minihls.lattice import IMPL_BY_OPCODE, LatticeType, wrap64
 from minihls.lower import lower
 from minihls.pipeline import compile_source
 from minihls.source import parse_source
@@ -113,19 +111,6 @@ def test_type_of_value_distinguishes_bool_from_int():
     assert type_of_value(True) == B
     assert type_of_value(1) == I
     assert type_of_value(1.0) == F
-
-
-def test_coerce_args_promotes_ints_for_float_params():
-    assert coerce_args((F,), (2,)) == (2.0,)
-    assert coerce_args((I,), (2**64 + 3,)) == (3,)
-    assert coerce_args((B, I), (True, 5)) == (True, 5)
-
-
-def test_coerce_args_names_the_type_it_got():
-    with pytest.raises(EvalError, match=r"argument 0 must be Int64, got Float64 1\.5$"):
-        coerce_args((I,), (1.5,))
-    with pytest.raises(EvalError, match="argument 1 must be Bool, got Int64 1$"):
-        coerce_args((I, B), (1, 1))
 
 
 # -- whole-program evaluation ------------------------------------------------
@@ -329,3 +314,9 @@ def test_equal_programs_report_their_own_positions():
                 with pytest.raises(DivByZeroError) as info:
                     run(program, (6, 0))
                 assert info.value.pos == Pos(line, 12)
+
+
+def test_run_ssa_checks_the_argument_count():
+    with pytest.raises(EvalError) as info:
+        run_ssa(lowered("power"), (2,))
+    assert info.value.message == "power takes 2 argument(s), got 1"

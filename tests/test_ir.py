@@ -382,3 +382,21 @@ def test_an_unknown_opcode_is_rejected():
     for stage in (build_cdfg, lambda f: run_ssa(f, (1,))):
         with pytest.raises(MiniHlsError, match="unknown opcode 'bogus_i64'"):
             stage(f)
+
+
+def test_verify_names_each_malformed_function():
+    f = straightline()
+    f.blocks = []
+    assert verify(f) == ["function has no blocks"]
+    f = straightline()
+    f.blocks.append(Block(0, (), [], Ret(2)))
+    assert verify(f) == ["duplicate block ids"]
+    f = straightline()
+    f.entry.terminator = Goto(7, ())
+    assert verify(f) == ["b0 targets unknown block b7"]
+    f = straightline()
+    f.entry.instrs[1] = Instr(2, F, ADD, (0, 1))  # add_i64 yields Int64
+    assert "v2 typed Float64 but add_i64 yields Int64" in verify(f)
+    f = straightline()
+    f.entry.instrs[0] = Instr(1, I, "add_i64")  # an opcode name, not its row
+    assert verify(f) == ["v1: unknown op 'add_i64'"]

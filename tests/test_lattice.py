@@ -12,8 +12,8 @@ import pytest
 
 from minihls.errors import NoMethodError
 from minihls.lattice import (
-    DEFAULT_LATENCIES, IMPL_BY_OPCODE, LatticeType, dispatch, dispatch_table,
-    format_dispatch_table, join, join_all,
+    DEFAULT_LATENCIES, IMPL_BY_OPCODE, METHODS, LatticeType, dispatch,
+    dispatch_table, format_dispatch_table, join, join_all,
 )
 
 B, I, F = LatticeType.BOOL, LatticeType.INT64, LatticeType.FLOAT64
@@ -162,3 +162,10 @@ def test_types_hash_by_identity():
     for ty in LatticeType:
         assert hash(ty) == object.__hash__(ty)
     assert len({B, I, F, BOT, TOP, LatticeType("Int64")}) == 5
+
+
+def test_dispatch_reads_the_one_method_table():
+    table = dispatch_table()
+    assert len(table) == len(METHODS) == 46
+    for sym, operands, d in table:
+        assert dispatch(sym, operands) is d is METHODS[(sym, *operands)]

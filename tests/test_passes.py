@@ -83,19 +83,21 @@ def test_loops_are_never_if_converted():
 
 
 def test_speculation_limit_blocks_large_arms():
-    # Arms of 5 instructions exceed the default budget of 4.
-    text = ("function f(a, b)\n"
-            "  if a > b\n    r = ((((a + b) + a) + b) + a) + b\n"
-            "  else\n    r = ((((a - b) - a) - b) - a) - b\n  end\n"
-            "  return r\nend\n")
-    prog = parse_source(text)
-    func = lower(typecheck.infer(prog.functions[0], (I, I)))
-    small_budget = optimize(func)
-    assert any(isinstance(b.terminator, CondGoto) for b in small_budget.blocks)
-    raised = optimize(func, limit=8)
-    assert not any(isinstance(b.terminator, CondGoto) for b in raised.blocks)
-    for point in ((3, 1), (1, 3), (0, 0)):
-        assert run_ssa(raised, point) == run_ssa(func, point)
+    # SPECULATION_LIMIT is 4: arms of 4 instructions are hoisted, arms of 5
+    # stay real control flow.
+    for n, converts in ((4, True), (5, False)):
+        operands = ["a", "b", "a", "b", "a", "b"][:n + 1]
+        text = ("function f(a, b)\n"
+                f"  if a > b\n    r = {' + '.join(operands)}\n"
+                f"  else\n    r = {' - '.join(operands)}\n  end\n"
+                "  return r\nend\n")
+        fn = parse_source(text).functions[0]
+        func = lower(typecheck.infer(fn, (I, I)))
+        assert [len(b.instrs) for b in func.blocks].count(n) == 2  # the arms
+        out = optimize(func)
+        assert any(isinstance(b.terminator, CondGoto) for b in out.blocks) != converts
+        for point in ((3, 1), (1, 3), (0, 0)):
+            assert run_ssa(out, point) == run_ssa(func, point) == run_source(fn, point)
 
 
 def test_trapping_ops_are_never_speculated():
@@ -359,3 +361,18 @@ def test_optimize_rejects_a_pass_that_breaks_the_ir(monkeypatch, stage):
     monkeypatch.setattr(passes, f"_{stage}_inplace", corrupting)
     with pytest.raises(PassError, match=f"after {stage}"):
         optimize(lowered("power"))
+
+
+def test_merge_resolves_a_chain_of_renames():
+    # b1 folds into b0 renaming v1 to v0, then b2 renaming v2 to v1, which
+    # is itself renamed: the return must reach v0.
+    b0 = Block(0, (), [], Goto(1, (0,)))
+    b1 = Block(1, ((1, I),), [], Goto(2, (1,)))
+    b2 = Block(2, ((2, I),), [], Ret(2))
+    func = SSAFunction("renames", ((0, I),), I, [b0, b1, b2],
+                       next_value=3, next_block=3)
+    assert verify(func) == []
+    out = merge_blocks(func)
+    assert verify(out) == []
+    assert [b.terminator for b in out.blocks] == [Ret(0)]
+    assert run_ssa(out, (7,)) == run_ssa(func, (7,)) == 7

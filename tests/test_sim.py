@@ -787,12 +787,13 @@ def test_const_payloads_pass_unchanged(payload):
     """A Const's payload is bound to its rule, never written into its
     text: -0.0, nan, True and the Int64 extremes come out as they went in,
     as in the closure engine."""
-    g = CDFG("const")
+    w = 1 if payload is True else 64
+    g = CDFG("const", return_width=w)
     trigger = g.add_component(C.ENTRY, (), (0,))
-    const = g.add_component(C.CONST, (0,), (64,), value=payload)
-    buf = g.add_component(C.BUFFER, (64,), (64,))
-    exit_ = g.add_component(C.EXIT, (64,), ())
-    for a, b, width in ((trigger, const, 0), (const, buf, 64), (buf, exit_, 64)):
+    const = g.add_component(C.CONST, (0,), (w,), value=payload)
+    buf = g.add_component(C.BUFFER, (w,), (w,))
+    exit_ = g.add_component(C.EXIT, (w,), ())
+    for a, b, width in ((trigger, const, 0), (const, buf, w), (buf, exit_, w)):
         g.add_channel((a.id, 0), (b.id, 0), width)
     report = simulate(g, (), trace=True)
     want = ReferenceSimulator(g, (), trace=True).run()

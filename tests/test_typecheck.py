@@ -288,3 +288,10 @@ def test_statements_after_a_return_are_dropped_before_typing():
         assert run_ssa(res.ssa_unopt, (a,)) == want
         assert run_ssa(res.ssa, (a,)) == want
         assert simulate(res.cdfg, (a,)).output == want
+
+
+def test_entry_signature_must_be_concrete():
+    fn = parse_source("function f(x)\n  return x\nend\n").functions[0]
+    with pytest.raises(TypeCheckError) as info:
+        typecheck.infer(fn, (LatticeType.TOP,))
+    assert info.value.message == "entry signature type for 'x' must be concrete, got Top"
