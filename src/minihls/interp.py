@@ -7,13 +7,15 @@ differential runs compare scheduling, not arithmetic.
 
 Each interpreter resolves a program once into a plan kept on it; plan
 closures take what they use as default arguments, as a cell per name
-would double a plan's objects.  `run_source` compiles each AST node into
-a closure that dispatches on runtime values through `lattice.METHODS`,
-independent of static inference, so it is an oracle for the type checker
-as well; an operator's closure caches the row for the types it last saw.
-`run_ssa` runs IR that `ir.verify` accepts, as steps per block kept with
-verify's record.  Both charge a statement's or a block's fuel at once,
-and with too little left stop where counting node by node would.
+would double a plan's objects.  Every operation runs as `lattice.bind`
+makes it.  `run_source` compiles each AST node into a closure that
+dispatches on runtime values through `lattice.METHODS`, independent of
+static inference, so it is an oracle for the type checker as well; an
+operator's closure caches the bound method, conversions included, for the
+operand types it last saw.  `run_ssa` runs IR that `ir.verify` accepts,
+as steps per block kept with verify's record.  Both charge a statement's
+or a block's fuel at once, and with too little left stop where counting
+node by node would.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from math import inf
 from operator import itemgetter
 
 from . import source as src
-from .errors import DivByZeroError, EvalError, FuelExhaustedError, Pos
+from .errors import EvalError, FuelExhaustedError, Pos
 from .ir import ConstOp, Instr, SSAFunction, successor_edges, verify
-from .lattice import IMPL_BY_OPCODE, METHODS, TYPE_OF, LatticeType, dispatch
+from .lattice import IMPL_BY_OPCODE, METHODS, TYPE_OF, LatticeType, bind, dispatch
 
 DEFAULT_FUEL = 1_000_000
 
@@ -36,10 +38,7 @@ Value = object  # bool, int in [-2^63, 2^63), or float
 def eval_op(opcode: str, args: tuple, pos: Pos = _NO_POS) -> Value:
     if opcode not in IMPL_BY_OPCODE:
         raise EvalError(f"unknown opcode {opcode!r}", pos)
-    try:
-        return IMPL_BY_OPCODE[opcode].fn(*args)
-    except DivByZeroError as e:  # the trap is the caller's, at pos
-        raise DivByZeroError(e.message, pos) from None
+    return bind(IMPL_BY_OPCODE[opcode], pos)(*args)
 
 
 def type_of_value(v: Value) -> LatticeType:
@@ -67,18 +66,12 @@ def run_source(func: src.FunctionDef, args: tuple,
     return result
 
 
-def _apply(e: src.Call, args: tuple, cache: list):
-    """Operator `e` applied to `args` by dispatch, which may raise
-    NoMethodError.  `cache` gets the types of `args` and the row function
-    if that needs no conversion and cannot trap."""
+def _method(e: src.Call, args: tuple):
+    """The method of operator `e` for the types of `args`, bound to `e`'s
+    position; dispatch may raise NoMethodError."""
     d = (METHODS.get((e.op, *map(TYPE_OF.get, map(type, args))))
          or dispatch(e.op, tuple(map(type_of_value, args)), e.pos))
-    if any(d.conversions):
-        args = tuple(v if conv is None else conv.fn(v)
-                     for v, conv in zip(args, d.conversions))
-    elif not d.impl.traps:
-        cache[:] = (*map(type, args), d.impl.fn)
-    return eval_op(d.impl.opcode, args, e.pos)
+    return bind(d.impl, e.pos, d.conversions)
 
 
 def _expr(e: src.Expr, nodes: list):
@@ -90,17 +83,19 @@ def _expr(e: src.Expr, nodes: list):
         run = itemgetter(e.name)  # `_replay` reports a missing name
     elif isinstance(e, src.Call) and len(e.args) == 2:
         def run(env, x=_expr(e.args[0], nodes), y=_expr(e.args[1], nodes), e=e,
-                cache=[None, None, None]):  # operand types last seen, row fn
+                cache=[None, None, None]):  # operand types last seen, method
             a, b = x(env), y(env)  # && and || are strict
             ta, tb, fn = cache
-            if type(a) is ta and type(b) is tb:
-                return fn(a, b)
-            return _apply(e, (a, b), cache)
+            if type(a) is not ta or type(b) is not tb:
+                fn = _method(e, (a, b))
+                cache[:] = type(a), type(b), fn
+            return fn(a, b)
     elif isinstance(e, src.Call):
         def run(env, x=_expr(e.args[0], nodes), e=e, cache=[None, None]):
             a = x(env)
-            ta, fn = cache
-            return fn(a) if type(a) is ta else _apply(e, (a,), cache)
+            if type(a) is not cache[0]:
+                cache[:] = type(a), _method(e, (a,))
+            return cache[1](a)
     elif isinstance(e, src.Lit):
         run = lambda env, v=e.value: v
     else:
@@ -195,10 +190,8 @@ def _step(ins: Instr) -> tuple:
     with None); a constant has no function and its value as first id."""
     if isinstance(ins.op, ConstOp):
         return ins.result, None, 0, ins.op.value, None, None
-    row = IMPL_BY_OPCODE[ins.op.opcode]
-    fn = row.fn if not row.traps else (  # eval_op raises at ins
-        lambda *args: eval_op(row.opcode, args, ins.pos))
-    return (ins.result, fn, len(ins.args), *ins.args, None, None, None)[:6]
+    return (ins.result, bind(IMPL_BY_OPCODE[ins.op.opcode], ins.pos),
+            len(ins.args), *ins.args, None, None, None)[:6]
 
 
 def run_ssa(func: SSAFunction, args: tuple, fuel: int = DEFAULT_FUEL) -> Value:

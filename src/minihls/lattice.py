@@ -17,7 +17,8 @@ that inference, the source interpreter and `--dump-dispatch` read,
 `DEFAULT_LATENCIES`, `SELECT_OPCODES` and `SITOFP` are derived from it,
 so adding an opcode means adding one row.  After dispatch an operation is
 its row at every layer: a typed call and an SSA instruction hold the row
-itself, and a select instruction's op is its `SelectOp` row.
+itself, and a select instruction's op is its `SelectOp` row.  `bind`
+makes the one callable that every evaluator runs for an operation.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _fdiv(a: float, b: float) -> float:
 
 
 def _mod(a: int, b: int) -> int:
-    if b == 0:  # the caller re-raises at the operator's position
+    if b == 0:  # `bind` re-raises it at the operation's position
         raise DivByZeroError("integer mod by zero", Pos(0, 0))
     return wrap64(a - b * _trunc_div(a, b))
 
@@ -254,6 +255,25 @@ def dispatch(symbol: str, operand_types: tuple[LatticeType, ...],
     raise NoMethodError(
         f"no implementation of operator {symbol!r} for operand types "
         f"({', '.join(map(str, operand_types))})", pos)
+
+
+def bind(impl: OperatorImpl, pos: Pos | None, conversions: tuple = ()) -> Callable:
+    """The one callable every evaluator runs for an operation: row `impl`'s
+    function, after `conversions` (a method's, binary only) on its
+    arguments, raising a trap at `pos`."""
+    fn = impl.fn
+    if any(conversions):
+        cx, cy = (conv.fn if conv else (lambda v: v) for conv in conversions)
+        fn = lambda a, b, f=fn: f(cx(a), cy(b))
+    if not impl.traps:
+        return fn
+
+    def trapping(*args, fn=fn):
+        try:
+            return fn(*args)
+        except DivByZeroError as e:
+            raise DivByZeroError(e.message, pos) from None
+    return trapping
 
 
 def dispatch_table() -> list[tuple[str, tuple[LatticeType, ...], Dispatch]]:

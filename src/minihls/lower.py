@@ -21,9 +21,6 @@ Env = dict[str, ValueId]
 
 
 def lower(tf: tc.TypedFunction) -> SSAFunction:
-    if not tf.type_stable:
-        raise LowerError(
-            f"refusing to lower type-unstable function {tf.name!r}", tf.pos)
     return _Lowerer(tf).run()
 
 

@@ -37,9 +37,8 @@ from heapq import heappop, heappush
 
 from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE,
                    OPERATOR, SINK, require_valid)
-from .errors import (DeadlockError, DivByZeroError, MaxCyclesError,
-                     MergeConflictError, SimError)
-from .lattice import IMPL_BY_OPCODE
+from .errors import DeadlockError, MaxCyclesError, MergeConflictError, SimError
+from .lattice import IMPL_BY_OPCODE, bind
 
 DEFAULT_MAX_CYCLES = 100_000
 
@@ -60,12 +59,13 @@ class SimReport:
 # channels and queues its consumptions, productions and events on the
 # simulator s, which holds the run's state.  `_FIRE` holds per kind, and
 # for a pipelined Operator, the body of `make(i, c, ins, outs, fn, depth)`,
-# which binds component i's record, channels (ik, ok), opcode function and
-# depth.  `_factory` fills it in per shape with fixed names and counts:
-# `{read}` reads input k into xk, `{valid}` and `{free}` test that every
-# input holds a token and every output is free, `{xs}` lists the inputs,
-# `{fan}` pairs each output with x0, `{clash}` tests that two inputs hold
-# a token and `{pick}` takes the one that does, or returns.
+# which binds component i's record, channels (ik, ok), operation (bound by
+# `lattice.bind` to its position) and depth.  `_factory` fills it in per
+# shape with fixed names and counts: `{read}` reads input k into xk,
+# `{valid}` and `{free}` test that every input holds a token and every
+# output is free, `{xs}` lists the inputs, `{fan}` pairs each output with
+# x0, `{clash}` tests that two inputs hold a token and `{pick}` takes the
+# one that does, or returns.
 
 _PIPELINE = "Pipeline"
 
@@ -234,7 +234,7 @@ class SimPlan:
         self.nodes = [_factory(_PIPELINE if i in self.depth else c.kind,
                                len(ins[i]), len(outs[i]))(
             i, c, tuple(ins[i]), tuple(outs[i]), c.kind == OPERATOR
-            and IMPL_BY_OPCODE[c.opcode].fn, self.depth.get(i))
+            and bind(IMPL_BY_OPCODE[c.opcode], c.pos), self.depth.get(i))
             for i, c in enumerate(comps)]
         self.entries = [i for i, c in enumerate(comps) if c.kind == ENTRY]
         self.data_entries = [i for i in self.entries
@@ -288,12 +288,8 @@ class Simulator:
                 worklist.add(heappop(releases)[1])
             work = sorted(worklist) if len(worklist) > 1 else [*worklist]
             worklist.clear()
-            try:
-                for i in work:
-                    nodes[i](self, chan)
-            except DivByZeroError as e:  # the trap is at component i's source
-                raise DivByZeroError(e.message,
-                                     self.plan.components[i].pos) from None
+            for i in work:
+                nodes[i](self, chan)
 
             if fired:
                 # Commit.  Consumptions before productions: a channel is

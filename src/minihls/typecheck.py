@@ -13,9 +13,8 @@ type and every operator is a `TCall` of the `lattice.IMPL_BY_OPCODE` row
 dispatch chose; a promotion is a `TCall` of its conversion row around
 the argument.  Statements after a `return` are dropped.
 
-Strict mode (the default) rejects any Top-typed expression; lenient mode
-records the instability and leaves the offending implementations
-unresolved, which downstream hardware generation refuses.
+A type-unstable function has no hardware: a Top-typed value or return is
+an `UnstableTypeError`, so every `TCall` holds its row.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ class TVar(TExpr):
 
 @dataclass(frozen=True)
 class TCall(TExpr):
-    impl: OperatorImpl | None  # None only for Top-typed nodes in lenient mode
+    impl: OperatorImpl
     args: tuple[TExpr, ...]
 
 
@@ -63,7 +62,6 @@ class TypedFunction:
     params: tuple[tuple[str, LatticeType], ...]
     body: tuple[src.Stmt, ...]  # whose expressions are all TExpr
     return_type: LatticeType
-    type_stable: bool
     pos: Pos = field(compare=False)
 
 
@@ -79,19 +77,8 @@ def _join_envs(a: Env, b: Env) -> Env:
 
 
 class _Inferencer:
-    def __init__(self, strict: bool):
-        self.strict = strict
-        self.stable = True
+    def __init__(self):
         self.return_types: list[LatticeType] = []
-
-    def _observe(self, ty: LatticeType, pos: Pos) -> LatticeType:
-        if ty == LatticeType.TOP:
-            if self.strict:
-                raise UnstableTypeError(
-                    "type-unstable value: incoming control paths carry "
-                    "conflicting types", pos)
-            self.stable = False
-        return ty
 
     def annotate_expr(self, env: Env, e: src.Expr) -> TExpr:
         if isinstance(e, src.Lit):
@@ -99,7 +86,11 @@ class _Inferencer:
         if isinstance(e, src.Var):
             if e.name not in env:
                 raise UndefinedVarError(f"undefined variable {e.name!r}", e.pos)
-            return TVar(self._observe(env[e.name], e.pos), e.pos, e.name)
+            if env[e.name] == LatticeType.TOP:
+                raise UnstableTypeError(
+                    "type-unstable value: incoming control paths carry "
+                    "conflicting types", e.pos)
+            return TVar(env[e.name], e.pos, e.name)
         if not isinstance(e, src.Call):
             raise TypeError(f"unknown expression node {e!r}")
         args, types = [], []
@@ -107,9 +98,6 @@ class _Inferencer:
             targ = self.annotate_expr(env, arg)
             args.append(targ)
             types.append(targ.ty)
-        if LatticeType.TOP in types:
-            self._observe(LatticeType.TOP, e.pos)
-            return TCall(LatticeType.TOP, e.pos, None, tuple(args))
         d = dispatch(e.op, tuple(types), e.pos)
         for i, conv in enumerate(d.conversions):  # promote: call each conversion row
             if conv is not None:
@@ -118,9 +106,7 @@ class _Inferencer:
 
     def _annotate_cond(self, env: Env, e: src.Expr) -> TExpr:
         cond = self.annotate_expr(env, e)
-        # Top only survives to here in lenient mode, where it has already
-        # been recorded; a concrete non-Bool condition is wrong in any mode.
-        if cond.ty != LatticeType.BOOL and cond.ty != LatticeType.TOP:
+        if cond.ty != LatticeType.BOOL:
             raise TypeCheckError(f"condition must be Bool, found {cond.ty}", cond.pos)
         return cond
 
@@ -185,7 +171,7 @@ class _Inferencer:
 
 def infer(func: src.FunctionDef, entry_sig: tuple[LatticeType, ...],
           strict: bool = True) -> TypedFunction:
-    """Type a function against a concrete entry signature."""
+    """Type a function against a concrete entry signature; `strict` has no effect."""
     if len(entry_sig) != len(func.params):
         raise TypeCheckError(
             f"function {func.name!r} takes {len(func.params)} parameter(s) "
@@ -203,14 +189,12 @@ def infer(func: src.FunctionDef, entry_sig: tuple[LatticeType, ...],
                 f"signature supplies {ty}", param.pos)
         env[param.name] = ty
         params.append((param.name, ty))
-    inf = _Inferencer(strict)
+    inf = _Inferencer()
     body, _ = inf.annotate_stmts(func.body, env)
     ret = join_all(inf.return_types)
     if ret == LatticeType.TOP:
-        if strict:
-            raise UnstableTypeError(
-                f"function {func.name!r} returns conflicting types "
-                f"({', '.join(str(t) for t in dict.fromkeys(inf.return_types))})",
-                func.pos)
-        inf.stable = False
-    return TypedFunction(func.name, tuple(params), body, ret, inf.stable, func.pos)
+        raise UnstableTypeError(
+            f"function {func.name!r} returns conflicting types "
+            f"({', '.join(str(t) for t in dict.fromkeys(inf.return_types))})",
+            func.pos)
+    return TypedFunction(func.name, tuple(params), body, ret, func.pos)

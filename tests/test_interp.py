@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import sys
+from collections import Counter
 
 import pytest
 
-from minihls import corpus, typecheck
+from minihls import corpus, lattice, typecheck
 from minihls.errors import (DivByZeroError, EvalError, FuelExhaustedError,
                             NoMethodError, Pos)
 from minihls.interp import eval_op, run_source, run_ssa, type_of_value
@@ -221,6 +223,30 @@ def test_dispatch_follows_the_operands_of_each_visit():
     with pytest.raises(NoMethodError) as info:
         run_source(retyped_loop("true"), (2,))
     assert info.value.pos == Pos(6, 11)
+
+
+def test_a_node_looks_its_method_up_once_while_its_operand_types_repeat(
+        monkeypatch):
+    # `x * (i % 7)` promotes Float64 x Int64 and `%` can trap
+    fn = source_fn("function f(n::Int64, x::Float64)\n  i = 0\n  s = 0.0\n"
+                   "  while i < n\n    s = s + x * (i % 7)\n    i = i + 1\n"
+                   "  end\n  return s\nend\n")
+    lookups = Counter()
+
+    class CountingTable(dict):
+        def get(self, key, default=None):
+            lookups[key] += 1
+            return super().get(key, default)
+
+    methods = lattice.METHODS
+    table = CountingTable(methods)
+    for name, module in list(sys.modules.items()):  # every holder of the table
+        if name.split(".")[0] == "minihls" and getattr(module, "METHODS", None) is methods:
+            monkeypatch.setattr(module, "METHODS", table)
+    assert run_source(fn, (1000, 0.5)) == sum(0.5 * (i % 7) for i in range(1000))
+    # the loop test has two nodes: one for its first trip, one for the rest
+    assert lookups == {("<", I, I): 2, ("+", F, F): 1, ("*", F, I): 1,
+                       ("%", I, I): 1, ("+", I, I): 1}
 
 
 def trapping_ssa(text="function f(a, b)\n  c = a + 1\n  return c % b\nend\n"):

@@ -14,7 +14,7 @@ from minihls.cdfg import CDFG, component_stats
 from minihls.errors import (BuildError, DeadlockError, DivByZeroError,
                             MaxCyclesError, MergeConflictError, MiniHlsError,
                             Pos, SimError)
-from minihls.interp import run_source
+from minihls.interp import run_source, run_ssa
 from minihls.lattice import DEFAULT_LATENCIES, LatticeType
 from minihls.pipeline import compile_source
 from minihls.sim import DEFAULT_MAX_CYCLES, SimReport, Simulator, simulate
@@ -106,6 +106,50 @@ def test_nested_loop_result_is_latency_insensitive():
     for lat in (0, 1, 2, 6):
         res = compile_source(NESTED_LOOPS, latencies={"mul_i64": lat})
         assert simulate(res.cdfg, (3, -2)).output == 44, f"mul_i64 latency {lat}"
+
+
+LOOPS_IN_AN_IF = """
+function g(a::Int64, b::Int64)
+  x = a
+  y = b
+  z = 1
+  if z >= (b - 2)
+    i = 0
+    while i < 1
+      if (2 * x) >= (3 * y)
+        y = a
+        x = y
+      end
+      z = ((y * x) * (b - y))
+      j = 0
+      while j < 2
+        y = 1
+        j = j + 1
+      end
+      i = i + 1
+    end
+  end
+  return z * 1
+end
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=MergeConflictError,
+                   reason="two tokens reach one per-value Merge in the same cycle")
+def test_loops_in_an_if_give_one_token_per_merge():
+    assert run_source(parse_source(LOOPS_IN_AN_IF).functions[0], (3, -2)) == -45
+    assert run_ssa(compile_source(LOOPS_IN_AN_IF).ssa, (3, -2)) == -45
+    for res in (compile_source(LOOPS_IN_AN_IF, latencies={"mul_i64": 0}),
+                compile_source(LOOPS_IN_AN_IF, opt=False)):
+        assert simulate(res.cdfg, (3, -2)).output == -45
+    for latencies in ({"add_i64": 2}, None):  # the last one raises out
+        g = compile_source(LOOPS_IN_AN_IF, latencies=latencies).cdfg
+        try:
+            assert simulate(g, (3, -2)).output == -45
+        except MergeConflictError as e:
+            assert str(e) == "merge 13 (b7.v25) has 2 valid inputs in cycle 23"
+            if latencies is None:
+                raise
 
 
 def test_max_cycles_budget(compiled):

@@ -12,15 +12,14 @@ from minihls.source import Assign, If, Return, While, parse_source
 B, I, F = LatticeType.BOOL, LatticeType.INT64, LatticeType.FLOAT64
 
 
-def infer_text(text, sig, strict=True, name=None):
+def infer_text(text, sig, name=None):
     prog = parse_source(text)
     fn = prog.functions[0] if name is None else prog.function(name)
-    return typecheck.infer(fn, sig, strict=strict)
+    return typecheck.infer(fn, sig)
 
 
 def test_corpus_programs_are_type_stable(program):
     tf = infer_text(corpus.load(program), corpus.SIGNATURES[program])
-    assert tf.type_stable
     assert tf.return_type.is_concrete
 
 
@@ -82,20 +81,12 @@ def test_mixed_join_rejected_in_strict_mode():
         infer_text(MIXED_JOIN, (I,))
 
 
-def test_mixed_join_recorded_in_lenient_mode():
-    tf = infer_text(MIXED_JOIN, (I,), strict=False)
-    assert not tf.type_stable
-    assert tf.return_type == LatticeType.TOP
-
-
 def test_conflicting_return_types_rejected():
     text = ("function f(c)\n"
             "  if c > 0\n    return 1\n  end\n"
             "  return 2.0\nend\n")
     with pytest.raises(UnstableTypeError):
         infer_text(text, (I,))
-    tf = infer_text(text, (I,), strict=False)
-    assert not tf.type_stable
 
 
 def test_loop_carried_type_change_is_unstable():
@@ -107,7 +98,6 @@ def test_loop_carried_type_change_is_unstable():
             "  return x\nend\n")
     with pytest.raises(UnstableTypeError):
         infer_text(text, (I,))
-    assert not infer_text(text, (I,), strict=False).type_stable
 
 
 def test_loop_fixpoint_stable_float_carries():
@@ -115,8 +105,7 @@ def test_loop_fixpoint_stable_float_carries():
             "  acc = 0.0\n"
             "  while acc < x\n    acc = acc + 1.5\n  end\n"
             "  return acc\nend\n")
-    tf = infer_text(text, (F,))
-    assert tf.type_stable and tf.return_type == F
+    assert infer_text(text, (F,)).return_type == F
 
 
 def test_variable_defined_on_one_arm_goes_out_of_scope():
@@ -146,25 +135,23 @@ def test_logical_ops_evaluate_both_sides_strictly():
     assert top.ty == B
 
 
-def _exact_error(text, sig, strict):
+def _exact_error(text, sig):
     with pytest.raises(TypeCheckError) as info:
-        infer_text(text, sig, strict=strict)
+        infer_text(text, sig)
     return info.type, str(info.value)
 
 
-@pytest.mark.parametrize("strict", [True, False])
-def test_loop_condition_checked_before_its_body(strict):
+def test_loop_condition_checked_before_its_body():
     text = ("function f(a::Int64)\n"
             "  while a\n    a = a + true\n  end\n"
             "  return a\nend\n")
-    assert _exact_error(text, (I,), strict) == (
+    assert _exact_error(text, (I,)) == (
         TypeCheckError, "2:9: condition must be Bool, found Int64")
 
 
-@pytest.mark.parametrize("strict", [True, False])
-def test_condition_non_bool_on_first_trip_rejected(strict):
+def test_condition_non_bool_on_first_trip_rejected():
     # On the first trip x is Int64; only later trips see the Top join with
-    # Bool.  The first trip's condition is already wrong in either mode.
+    # Bool.  The first trip's condition is already wrong.
     text = ("function f(n::Int64)\n"
             "  x = 1\n  i = 0\n"
             "  while i < n\n"
@@ -172,7 +159,7 @@ def test_condition_non_bool_on_first_trip_rejected(strict):
             "    i = i + 1\n    x = true\n"
             "  end\n"
             "  return i\nend\n")
-    assert _exact_error(text, (I,), strict) == (
+    assert _exact_error(text, (I,)) == (
         TypeCheckError, "5:8: condition must be Bool, found Int64")
 
 
@@ -185,8 +172,7 @@ def _var(ty, name):
 
 
 def _binary(ty, opcode, left, right):
-    impl = None if opcode is None else IMPL_BY_OPCODE[opcode]
-    return _node(typecheck.TCall, ty, impl, (left, right))
+    return _node(typecheck.TCall, ty, IMPL_BY_OPCODE[opcode], (left, right))
 
 
 def _float(node):
@@ -220,7 +206,7 @@ def test_nested_loops_carrying_one_variable_build_final_nodes():
     # Both loops carry x (Float64); the inner loop's bound is the outer
     # counter, so each header holds {n, x, i} or {n, x, i, j}, all concrete.
     tf = infer_text(NESTED, (I,))
-    assert tf.type_stable and tf.return_type == F
+    assert tf.return_type == F
     inner = _loop(
         _binary(B, "cmp_lt_i64", _var(I, "j"), _var(I, "i")),
         _assign("x", _binary(
@@ -240,34 +226,21 @@ def test_nested_loops_carrying_one_variable_build_final_nodes():
 
 
 def test_nested_loop_widening_reaches_the_outer_header():
-    # The inner loop turns x from Int64 into Float64, so its header joins x
-    # to Top; the outer header then carries Top too, and the kept nodes are
-    # those of the walk against the widened headers.
+    # The inner loop turns x from Int64 into Float64 without reading it, so
+    # its header joins x to Top unobserved; the outer header then carries
+    # Top too, and the outer body's read of x is the one rejected.
     text = ("function f(n::Int64)\n"
             "  x = 1\n  i = 0\n"
             "  while i < n\n"
             "    y = x\n"
             "    j = 0\n"
-            "    while j < n\n      x = x + 0.5\n      j = j + 1\n    end\n"
+            "    while j < n\n      x = 0.5\n      j = j + 1\n    end\n"
             "    i = i + 1\n"
             "  end\n"
             "  return i\nend\n")
-    with pytest.raises(UnstableTypeError):
+    with pytest.raises(UnstableTypeError) as info:
         infer_text(text, (I,))
-    tf = infer_text(text, (I,), strict=False)
-    assert not tf.type_stable and tf.return_type == I
-    inner = _loop(
-        _binary(B, "cmp_lt_i64", _var(I, "j"), _var(I, "n")),
-        _assign("x", _binary(LatticeType.TOP, None, _var(LatticeType.TOP, "x"),
-                             _node(typecheck.TConst, F, 0.5))),
-        _count("j"))
-    outer = _loop(
-        _binary(B, "cmp_lt_i64", _var(I, "i"), _var(I, "n")),
-        _assign("y", _var(LatticeType.TOP, "x")),
-        _assign("j", _node(typecheck.TConst, I, 0)),
-        inner,
-        _count("i"))
-    assert tf.body[2] == outer
+    assert info.value.pos == Pos(5, 9)
 
 
 def test_statements_after_a_return_are_dropped_before_typing():
