@@ -160,13 +160,14 @@ def _stmt(s: src.Stmt):
                     return body(env, gas)
             return orelse(env, gas)
     elif isinstance(s, src.While):
-        def run(env, gas, first=_unit(s.cond, s, True),
-                again=_unit(s.cond, None, True), body=_body(s.body)):
-            test = first  # also charges the statement
+        def run(env, gas, test=_unit(s.cond, None, True), body=_body(s.body),
+                pos=s.pos):
+            if not gas[0]:  # the statement is charged before its first test
+                raise FuelExhaustedError("evaluation fuel exhausted", pos)
+            gas[0] -= 1
             while test(env, gas):
                 if (result := body(env, gas)) is not None:
                     return result
-                test = again
     else:
         raise EvalError(f"unknown statement node {s!r}", s.pos)
     return run

@@ -502,10 +502,10 @@ class EveryComponent(set):
         self.update(range(self.n))
 
 
-def outcome(g, args, max_cycles, exhaustive=False):
+def outcome(g, args, max_cycles, exhaustive=False, trace=True):
     """A run's report, or the type, message, position and report of the
     error it raised."""
-    sim = Simulator(g, args, trace=True)
+    sim = Simulator(g, args, trace=trace)
     if exhaustive:
         sim.worklist = EveryComponent(len(sim.plan.nodes))
     try:
@@ -542,14 +542,19 @@ def test_exhaustive_evaluation_agrees_on_ladders(ladder, n):
     assert_exhaustive_evaluation_agrees(g, [(3, 5), (-4, 2), (0, 0)])
 
 
-def test_exhaustive_evaluation_agrees_with_buffers_spliced_at_random():
+def spliced_power(seed):
+    """power with a Buffer spliced into each of 10 channels drawn by `seed`."""
     g = fresh_power()
-    rng = random.Random(7)
-    for ch in rng.sample(g.channels, 10):
+    for ch in random.Random(seed).sample(g.channels, 10):
         buf = g.add_component(C.BUFFER, (ch.width,), (ch.width,), label="buf")
         replace_record(g.channels, ch, dst=buf.id, dst_port=0)
         g.add_channel((buf.id, 0), (ch.dst, ch.dst_port), ch.width)
-    assert_exhaustive_evaluation_agrees(g, [(2, 0), (-3, 4), (2, 10)])
+    return g
+
+
+def test_exhaustive_evaluation_agrees_with_buffers_spliced_at_random():
+    assert_exhaustive_evaluation_agrees(spliced_power(7),
+                                        [(2, 0), (-3, 4), (2, 10)])
 
 
 @pytest.mark.parametrize("latency", [0, 3])
@@ -603,16 +608,17 @@ def test_exhaustive_evaluation_agrees_under_backpressure_and_idle_cycles():
 
 
 def rule_calls(g, args):
-    """(rule calls, calls that fired) in one run of g."""
+    """(rule calls, calls that fired) in one untraced run of g, whose rules
+    log no events: a call fired if it queued a consumption or production."""
     sim = Simulator(g, args)
     counts = [0, 0]
 
     def counted(rule):
         def call(s, chan):
-            before = len(s.fired)
+            before = len(s.consume) + len(s.produce)
             rule(s, chan)
             counts[0] += 1
-            counts[1] += len(s.fired) > before
+            counts[1] += len(s.consume) + len(s.produce) > before
         return call
     sim.plan = copy.copy(sim.plan)  # the circuit's own plan stays as it is
     sim.plan.nodes = [counted(rule) for rule in sim.plan.nodes]
@@ -639,9 +645,9 @@ def test_worklist_wakes_only_components_that_can_fire(compiled, source, args):
 # wait on the release heap like pipelines.  Both must give equal traced
 # reports, or raise equal errors, on every circuit and budget.
 
-def reference_outcome(g, args, max_cycles):
+def reference_outcome(g, args, max_cycles, trace=True):
     try:
-        return ReferenceSimulator(g, args, trace=True).run(max_cycles)
+        return ReferenceSimulator(g, args, trace=trace).run(max_cycles)
     except MiniHlsError as e:
         return type(e), e.message, e.pos, getattr(e, "report", None)
 
@@ -672,13 +678,7 @@ def test_reference_agrees_on_ladders(ladder):
 
 @pytest.mark.parametrize("seed", [7, 11, 23])
 def test_reference_agrees_with_buffers_spliced_at_random(seed):
-    g = fresh_power()
-    rng = random.Random(seed)
-    for ch in rng.sample(g.channels, 10):
-        buf = g.add_component(C.BUFFER, (ch.width,), (ch.width,), label="buf")
-        replace_record(g.channels, ch, dst=buf.id, dst_port=0)
-        g.add_channel((buf.id, 0), (ch.dst, ch.dst_port), ch.width)
-    assert_reference_agrees(g, [(2, 0), (-3, 4), (2, 10)])
+    assert_reference_agrees(spliced_power(seed), [(2, 0), (-3, 4), (2, 10)])
 
 
 def test_reference_agrees_under_backpressure_and_idle_cycles():
@@ -845,6 +845,131 @@ def test_const_payloads_pass_unchanged(payload):
     assert type(report.output) is type(payload)
     assert dataclasses.replace(report, output=None) == dataclasses.replace(
         want, output=None)
+
+
+# -- the schedule within a cycle --------------------------------------------
+#
+# A cycle runs its worklist in the order the set yields it: a rule reads
+# only the start-of-cycle channels and its own state, so only the event
+# log, which a traced commit orders by component, the first Exits' output
+# and the error raised can tell the order, and each is defined by ascending
+# component order.  A set of small ints yields them by slot, so {1, 8}
+# yields 8 first.
+
+def without_events(result):
+    """`outcome` with the event log of its report dropped."""
+    if isinstance(result, SimReport):
+        return dataclasses.replace(result, events=None)
+    *error, report = result
+    return (*error, report and without_events(report))
+
+
+def assert_same_outcome_traced_or_not(g, points, exhaustive=True,
+                                      budgets=(DEFAULT_MAX_CYCLES, 37)):
+    """The engine, untraced and traced, the exhaustive oracle if
+    `exhaustive` and the reference all give one outcome."""
+    for args in points:
+        for max_cycles in budgets:
+            want = reference_outcome(g, args, max_cycles)
+            assert outcome(g, args, max_cycles) == want, (args, max_cycles)
+            assert outcome(g, args, max_cycles, trace=False) == without_events(
+                want) == reference_outcome(g, args, max_cycles, trace=False)
+            if exhaustive:
+                for trace in (True, False):
+                    assert outcome(g, args, max_cycles, exhaustive=True,
+                                   trace=trace) == (
+                        want if trace else without_events(want))
+
+
+def twin_faults(first, latency):
+    """Entries a (0) and b (2) fork (3, 4) into component 1, a Merge or
+    `a % b`, and component 8, `a % b`, which take their inputs in the same
+    cycle; an adder (5) sums their results through a Buffer (7) into the
+    Exit (6).  With b = 0 both fault in cycle 2."""
+    g = CDFG("twin_faults")
+    for kind, ins, outs, kw in (
+            (C.ENTRY, (), (64,), {}),
+            (first, (64, 64), (64,), {"label": "m"} if first == C.MERGE else
+             {"opcode": "mod_i64", "latency": latency, "pos": Pos(2, 5)}),
+            (C.ENTRY, (), (64,), {}), (C.FORK, (64,), (64, 64), {}),
+            (C.FORK, (64,), (64, 64), {}),
+            (C.OPERATOR, (64, 64), (64,), {"opcode": "add_i64"}),
+            (C.EXIT, (64,), (), {}), (C.BUFFER, (64,), (64,), {}),
+            (C.OPERATOR, (64, 64), (64,),
+             {"opcode": "mod_i64", "latency": latency, "pos": Pos(3, 5)})):
+        g.add_component(kind, ins, outs, **kw)
+    for src, dst in (((0, 0), (3, 0)), ((2, 0), (4, 0)), ((3, 0), (1, 0)),
+                     ((4, 0), (1, 1)), ((3, 1), (8, 0)), ((4, 1), (8, 1)),
+                     ((1, 0), (5, 0)), ((8, 0), (5, 1)), ((5, 0), (7, 0)),
+                     ((7, 0), (6, 0))):
+        g.add_channel(src, dst, 64)
+    return g
+
+
+@pytest.mark.parametrize("latency", [0, 3])
+@pytest.mark.parametrize("first", [C.OPERATOR, C.MERGE])
+def test_the_lowest_component_that_faults_gives_the_error(first, latency):
+    assert [*{1, 8}] == [8, 1]  # component 8 runs first
+    g = twin_faults(first, latency)
+    for trace in (True, False):
+        error = outcome(g, (7, 0), DEFAULT_MAX_CYCLES, trace=trace)
+        assert error[:3] == ((DivByZeroError, "integer mod by zero",
+                              Pos(2, 5)) if first == C.OPERATOR else
+                             (MergeConflictError, "merge 1 (m) has 2 valid "
+                              "inputs in cycle 2", None))
+    assert_same_outcome_traced_or_not(g, [(7, 0), (7, 4)])
+
+
+def twin_exits(delayed):
+    """Entry 0 forks (2) into Exit 8 through a negate (3) and a Buffer (5)
+    and into Exit 1 through `sitofp` (4) and a Buffer (6); the third copy
+    sinks (7).  Buffer 9 lengthens the path to the Exit numbered `delayed`,
+    or if that is None, the path to the Sink."""
+    g = CDFG("twin_exits")
+    for kind, ins, outs, kw in (
+            (C.ENTRY, (), (64,), {}), (C.EXIT, (64,), (), {}),
+            (C.FORK, (64,), (64,) * 3, {}),
+            (C.OPERATOR, (64,), (64,), {"opcode": "neg_i64"}),
+            (C.OPERATOR, (64,), (64,), {"opcode": "sitofp"}),
+            (C.BUFFER, (64,), (64,), {}), (C.BUFFER, (64,), (64,), {}),
+            (C.SINK, (64,), (), {}), (C.EXIT, (64,), (), {}),
+            (C.BUFFER, (64,), (64,), {})):
+        g.add_component(kind, ins, outs, **kw)
+    last = {1: 6, 8: 5}
+    if delayed:
+        g.add_channel((last[delayed], 0), (9, 0), 64)
+        last[delayed] = 9
+    else:
+        g.add_channel((2, 2), (9, 0), 64)  # the Buffer feeds the Sink
+    for src, dst in (((0, 0), (2, 0)), ((2, 0), (3, 0)), ((3, 0), (5, 0)),
+                     ((2, 1), (4, 0)), ((4, 0), (6, 0)), ((last[1], 0), (1, 0)),
+                     ((last[8], 0), (8, 0)),
+                     ((2, 2) if delayed else (9, 0), (7, 0))):
+        g.add_channel(src, dst, 64)
+    return g
+
+
+@pytest.mark.parametrize("delayed, want", [(None, 7.0), (1, -7), (8, 7.0)])
+def test_the_first_exits_to_fire_give_the_output(delayed, want):
+    """Of the Exits that fire first, the lowest-numbered gives the output."""
+    g = twin_exits(delayed)
+    assert simulate(g, (7,)).output == want
+    assert_same_outcome_traced_or_not(g, [(7,)])
+
+
+def test_untraced_reports_are_traced_ones_without_events(compiled, sweeps):
+    for program in corpus.PROGRAMS:
+        assert_same_outcome_traced_or_not(
+            compiled(program).cdfg, sweeps[program], exhaustive=False)
+    for ladder in (narrow_ladder, wide_ladder):
+        for n in range(1, 9):
+            assert_same_outcome_traced_or_not(
+                compile_source(ladder(n)).cdfg, [(3, 5), (-4, 2), (0, 0)],
+                exhaustive=False)
+    assert_same_outcome_traced_or_not(flood(), [(5, 7)], budgets=(37, 200))
+    for seed in (7, 11, 23):
+        assert_same_outcome_traced_or_not(spliced_power(seed),
+                                          [(2, 0), (-3, 4), (2, 10)])
 
 
 # -- equivalence with the scan-every-component simulator --------------------
