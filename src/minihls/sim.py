@@ -17,22 +17,25 @@ template that reads each channel by name, and serves every run until a
 component or channel is added, removed or replaced by an unequal one;
 traced runs use the same template's kernels that also log events, built on
 the first.  Each cycle a `Simulator` evaluates only its worklist: each
-component whose blocking event the last commit brought.  A filled channel
-wakes its consumer, but a two-input join other than a Merge only once its
-other input holds a token too.  An emptied channel wakes its producer only
-if that is `stalled`: holding a token that an occupied output kept back.  A
-Buffer is a one-slot register that wakes itself in the cycle after it takes
-a token.  A pipeline holds the absolute cycle each token becomes ready and
-wakes when one comes due; a full one that freed a slot while a token waits
-at its input wakes itself.  No other component can fire.  When nothing
-fires but a pipeline holds tokens, the cycle counter jumps to the next
-release, never past `max_cycles`: the cycles skipped would fire nothing.  A
-rule reads only the start-of-cycle channels and its own state, so the
-worklist runs in the order its set yields.  Where order shows, component
-order rules: a traced commit sorts its events stably by component, the
-lowest of the first Exits to fire gives the output, and if a rule raises,
-the cycle's lower components still to run are run in ascending order and
-the lowest that raises gives the error.
+component whose blocking event the last cycle brought.  Only a channel's
+two ends read it, so a firing empties its inputs and fills its outputs at
+once, and queues a move for the commit only if the channel's other end runs
+in the same cycle.  A filled channel wakes its consumer, but a two-input
+join other than a Merge only once its other input holds a token too.  An
+emptied channel wakes its producer only if that is `stalled`: holding a
+token that an occupied output kept back.  A Buffer is a one-slot register
+that wakes itself in the cycle after it takes a token.  A pipeline holds
+the absolute cycle each token becomes ready and wakes when one comes due; a
+full one that freed a slot while a token waits at its input wakes itself.
+No other component can fire.  When nothing fires but a pipeline holds
+tokens, the cycle counter jumps to the next release, never past
+`max_cycles`: the cycles skipped would fire nothing.  A rule reads only the
+start-of-cycle channels and its own state, so the worklist runs in the
+order its set yields.  Where order shows, component order rules: a traced
+commit sorts its events stably by component, the lowest of the first Exits
+to fire gives the output, and if a rule raises, the cycle's lower
+components still to run are run in ascending order and the lowest that
+raises gives the error.
 """
 
 from __future__ import annotations
@@ -64,145 +67,182 @@ class SimReport:
     events: list[tuple[int, int, str]] | None = None
 
 
-# Firing rules.  A rule `fire(s, chan)` decides on the start-of-cycle
-# channels and queues its consumptions, productions and traced events on the
-# simulator s, which holds the run's state.  `_FIRE` holds per kind, and
-# for a pipelined Operator, the body of `make(i, c, ins, outs, fn, depth)`,
-# which binds component i's record, channels (ik, ok), operation (bound by
-# `lattice.bind` to its position) and depth.  `_factory` fills it in per
-# shape with fixed names and counts: `{read}` reads input k into xk,
-# `{valid}` and `{free}` test that every input holds a token and every
-# output is free, `{xs}` lists the inputs, `{fan}` pairs each output with
-# x0, `{clash}` tests that two inputs hold a token and `{pick}` takes the
-# one that does, or returns.
+# Firing rules.  A rule `fire(s, chan, work)` decides on the start-of-cycle
+# channels, moves its tokens and returns True if it fires; s holds the run's
+# state and `work` is the set of components this cycle runs.  `_FIRE` holds
+# per kind, and for a pipelined Operator, the body of `make(i, c, fn, depth,
+# ports)`, which binds component i's record, operation (bound by
+# `lattice.bind` to its position), depth and ports: channels ik and ok, the
+# producer pk of ik, and the consumer ck of ok and its other input jk (ok if
+# none).  `_factory` fills it in per shape with fixed names and counts:
+# `{read}` reads input k into xk, `{valid}` and `{free}` test that every
+# input holds a token and every output is free, `{xs}` lists the inputs,
+# `{clash}` tests that two inputs hold a token and `{pick}` takes the one
+# that does, or returns.  `{take}` empties each input (a Merge's picked one)
+# and `{put}` fills each output, `{putk}` output k, with v, as the Engine
+# paragraph says.  A rule computes what can raise before it moves a token
+# and adds its kind's net token change to `s.tokens`.
 
 _PIPELINE = "Pipeline"
 
 _FIRE = {ENTRY: """
     event = i, c.id, "emit"
-    def fire(s, chan):
+    def fire(s, chan, work):
         if i in s.entry_tokens and chan[o0] is _ABSENT:
-            s.produce.append((o0, s.entry_tokens.pop(i)))
-            s.fired.append(event)""", EXIT: """
-    event = i, c.id, "exit"
-    def fire(s, chan):
-        if chan[i0] is not _ABSENT:
-            s.consume.append(i0)
-            s.outputs[i] = s.outputs.get(i, (s.cycle,))[0], i, chan[i0]
-            s.fired.append(event)""", SINK: """
-    event = i, c.id, "sink"
-    def fire(s, chan):
-        if chan[i0] is not _ABSENT:
-            s.consume.append(i0)
-            s.fired.append(event)""", CONST: """
-    event, value = (i, c.id, "fire"), c.value
-    def fire(s, chan):
-        if chan[i0] is not _ABSENT and chan[o0] is _ABSENT:
-            s.consume.append(i0)
-            s.produce.append((o0, value))
+            v = s.entry_tokens.pop(i)
+            {put}
+            s.tokens += 1
             s.fired.append(event)
-        elif chan[i0] is not _ABSENT:
-            s.stalled.add(i)""", OPERATOR: """
+            return True""", EXIT: """
+    event = i, c.id, "exit"
+    def fire(s, chan, work):
+        x0 = chan[i0]
+        if x0 is not _ABSENT:
+            s.outputs[i] = s.outputs.get(i, (s.cycle,))[0], i, x0
+            {take}
+            s.tokens -= 1
+            s.fired.append(event)
+            return True""", SINK: """
+    event = i, c.id, "sink"
+    def fire(s, chan, work):
+        if chan[i0] is not _ABSENT:
+            {take}
+            s.tokens -= 1
+            s.fired.append(event)
+            return True""", OPERATOR: """
     event = i, c.id, "fire"
-    def fire(s, chan):
+    def fire(s, chan, work):
         {read}
         if {valid} and chan[o0] is _ABSENT:
-            s.consume.extend(ins)
-            s.produce.append((o0, fn({xs})))
+            v = fn({xs})
+            {take}
+            {put}
+            s.tokens += 1 - {n_in}
             s.fired.append(event)
+            return True
         elif {valid}:
             s.stalled.add(i)""", FORK: """
     event = i, c.id, "fire"
-    def fire(s, chan):
-        x0 = chan[i0]
-        if x0 is not _ABSENT and {free}:
-            s.consume.append(i0)
-            s.produce.extend(({fan}))
+    def fire(s, chan, work):
+        v = chan[i0]
+        if v is not _ABSENT and {free}:
+            {take}
+            {put}
+            s.tokens += {n_out} - 1
             s.fired.append(event)
-        elif x0 is not _ABSENT:
+            return True
+        elif v is not _ABSENT:
             s.stalled.add(i)""", BRANCH: """
     event = i, c.id, "fire"
-    def fire(s, chan):
+    def fire(s, chan, work):
         {read}
-        out = o0 if x1 else o1  # o0 while the condition is absent
-        if {valid} and chan[out] is _ABSENT:
-            s.consume.extend(ins)
-            s.produce.append((out, x0))
+        if {valid} and chan[o0 if x1 else o1] is _ABSENT:
+            v = x0
+            {take}
+            if x1:
+                {put0}
+            else:
+                {put1}
+            s.tokens -= 1
             s.fired.append(event)
+            return True
         elif {valid}:
             s.stalled.add(i)""", MERGE: """
     event, conflict = (i, c.id, "fire"), "merge %s (%s) has " % (c.id, c.label)
-    def fire(s, chan):
+    def fire(s, chan, work):
         {read}
         if {clash}:
             raise MergeConflictError(conflict + "%s valid inputs in cycle %s" % (
-                sum(chan[k] is not _ABSENT for k in ins), s.cycle))
+                sum(x is not _ABSENT for x in ({xs},)), s.cycle))
         {pick}
         if chan[o0] is _ABSENT:
-            s.consume.append(ch)
-            s.produce.append((o0, v))
+            {take}
+            {put}
             s.fired.append(event)
-        else:
-            s.stalled.add(i)""", BUFFER: """
+            return True
+        s.stalled.add(i)""", BUFFER: """
     emitted, accepted = (i, c.id, "emit"), (i, c.id, "accept")
-    def fire(s, chan):
+    def fire(s, chan, work):
         regs, x0 = s.regs, chan[i0]
         if regs[i] is _ABSENT and x0 is not _ABSENT:
-            s.consume.append(i0)
+            {take}
             regs[i] = x0
             s.worklist.add(i)  # it emits from the next cycle on
-            s.tokens += 1
             s.fired.append(accepted)
+            return True
         elif regs[i] is not _ABSENT and chan[o0] is _ABSENT:
-            s.produce.append((o0, regs[i]))
-            regs[i] = _ABSENT
-            s.tokens -= 1
+            v, regs[i] = regs[i], _ABSENT
+            {put}
             s.fired.append(emitted)
             if x0 is not _ABSENT:
                 s.worklist.add(i)  # the freed slot takes it next cycle
+            return True
         elif regs[i] is not _ABSENT:
             s.stalled.add(i)""", _PIPELINE: """
     emitted, accepted = (i, c.id, "emit"), (i, c.id, "accept")
-    def fire(s, chan):
+    def fire(s, chan, work):
         slots, cycle = s.pipes[i], s.cycle
         n = len(slots)
         {read}
-        waiting = {valid}
-        if n and slots[0][0] <= cycle and chan[o0] is _ABSENT:
-            s.produce.append((o0, slots.pop(0)[1]))
-            s.tokens -= 1
+        if accept := n < depth and {valid}:
+            y = fn({xs})  # it may raise, so before any token moves
+        if emit := n and slots[0][0] <= cycle and chan[o0] is _ABSENT:
+            v = slots.pop(0)[1]
+            {put}
             s.fired.append(emitted)
-            if n == depth and waiting:
+            if n == depth and {valid}:
                 s.worklist.add(i)  # the freed slot takes it next cycle
         if slots and slots[0][0] <= cycle:
             s.stalled.add(i)  # a due slot waits for the output to empty
-        if n < depth and waiting:
-            s.consume.extend(ins)
-            slots.append((cycle + depth, fn({xs})))
+        if accept:
+            {take}
+            slots.append((cycle + depth, y))
             heappush(s.releases, (cycle + depth, i))
-            s.tokens += 1
-            s.fired.append(accepted)"""}
+            s.tokens += 1 - {n_in}
+            s.fired.append(accepted)
+        return emit or accept"""}
+
+
+_FIRE[CONST] = _FIRE[OPERATOR]  # its operation yields its payload
 
 
 @lru_cache(maxsize=256)
-def _factory(template: str, n_in: int, n_out: int, traced: bool):
-    """`make` for one shape from `_FIRE[template]`, logging events if `traced`."""
+def _factory(template: str, n_in: int, n_out: int, joins: tuple, traced: bool):
+    """`make` for one shape from `_FIRE[template]`, logging events if
+    `traced`; output k feeds a two-input join if `joins[k]`."""
     ins, outs = [f"i{k}" for k in range(n_in)], [f"o{k}" for k in range(n_out)]
-    xs = [f"x{k}" for k in range(n_in)]
-    body = "\n".join(line for line in _FIRE[template].split("\n")
-                     if traced or "s.fired" not in line).format(
+    xs, ps = [f"x{k}" for k in range(n_in)], [f"p{k}" for k in range(n_in)]
+
+    def take(ch, p):  # empty input ch, whose producer is p
+        return [f"if {p} in work: s.consume.append({ch})", "else:",
+                f"    chan[{ch}] = _ABSENT", f"    if {p} in s.stalled: "
+                f"s.stalled.remove({p}); s.worklist.add({p})"]
+
+    def put(k):  # fill output k with v
+        join = f"if chan[j{k}] is not _ABSENT: " if joins[k] else ""
+        return [f"if c{k} in work: s.produce.append((o{k}, v))", "else:",
+                f"    chan[o{k}] = v", f"    {join}s.worklist.add(c{k})"]
+    takes = [("ch", "p")] if template == MERGE else zip(ins, ps)
+    blocks = {"{take}": sum((take(*t) for t in takes), []),
+              "{put}": sum(map(put, range(n_out)), []),
+              **{f"{{put{k}}}": put(k) for k in range(n_out)}}
+    lines = [line[:len(line) - len(line.lstrip())] + block  # at its indent
+             for line in _FIRE[template].split("\n")
+             if traced or "s.fired" not in line
+             for block in blocks.get(line.strip(), [line.strip()])]
+    body = "\n".join(lines).format(
         read="; ".join(f"{x} = chan[{i}]" for x, i in zip(xs, ins)),
         valid=" and ".join(f"{x} is not _ABSENT" for x in xs), xs=", ".join(xs),
         free=" and ".join(f"chan[{o}] is _ABSENT" for o in outs),
-        fan="".join(f"({o}, x0), " for o in outs),
         clash=" or ".join(f"{x} is not _ABSENT is not {y}"
                           for k, x in enumerate(xs) for y in xs[k + 1:]),
         pick="\n        ".join([*(f"{'elif' if k else 'if'} {x} is not _ABSENT:"
-                                  f" ch, v = i{k}, {x}" for k, x in enumerate(xs)),
-                                "else: return"]))
-    head = "".join(f"    {', '.join(ends)}, = {name}\n"
-                   for ends, name in ((ins, "ins"), (outs, "outs")) if ends)
-    text = f"def make(i, c, ins, outs, fn, depth):\n{head}{body}\n    return fire\n"
+                                  f" ch, v, p = i{k}, {x}, p{k}"
+                                  for k, x in enumerate(xs)), "else: return"]),
+        n_in=n_in, n_out=n_out)
+    names = [*ins, *outs, *ps, *(f"{c}{k}" for c in "cj" for k in range(n_out))]
+    text = (f"def make(i, c, fn, depth, ports):\n"
+            f"    {', '.join(names)}, = ports\n{body}\n    return fire\n")
     scope = {"_ABSENT": _ABSENT, "MergeConflictError": MergeConflictError,
              "heappush": heappush}
     exec(compile(text, f"<sim rule {template} {n_in}x{n_out}>", "exec"), scope)
@@ -238,7 +278,7 @@ class SimPlan:
             if len(ins[i]) == 2 and c.kind != MERGE:
                 a, b = ins[i]
                 self.sibling[a], self.sibling[b] = b, a
-        self.ports = [*zip(map(tuple, ins), map(tuple, outs))]
+        self.ports = [*zip(ins, outs)]
         self.depth = {i: c.latency for i, c in enumerate(comps)
                       if c.kind == OPERATOR and c.latency > 0}
         self.buffers = [i for i, c in enumerate(comps) if c.kind == BUFFER]
@@ -248,10 +288,13 @@ class SimPlan:
                              if comps[i].out_widths[0]]
 
     def _rules(self, traced: bool) -> list:
-        return [_factory(_PIPELINE if i in self.depth else c.kind, len(ins),
-                         len(outs), traced)(i, c, ins, outs, c.kind == OPERATOR
-            and bind(IMPL_BY_OPCODE[c.opcode], c.pos), self.depth.get(i))
-            for i, (c, (ins, outs)) in enumerate(zip(self.components, self.ports))]
+        p, q, sib = self.producer, self.consumer, self.sibling
+        return [_factory(_PIPELINE if i in self.depth else c.kind, len(a), len(b),
+                         tuple(sib[k] != k for k in b), traced)(
+            i, c, bind(IMPL_BY_OPCODE[c.opcode], c.pos) if c.kind == OPERATOR
+            else lambda _, v=c.value: v, self.depth.get(i),
+            (*a, *b, *(p[k] for k in a), *(q[k] for k in b), *(sib[k] for k in b)))
+            for i, (c, (a, b)) in enumerate(zip(self.components, self.ports))]
 
     @cached_property
     def traced_nodes(self) -> list:
@@ -283,8 +326,7 @@ class Simulator:
         self.outputs: dict[int, tuple] = {}  # per Exit: (first cycle, i, value)
         self.events: list[tuple[int, int, str]] | None = [] if trace else None
         self.cycle = self.max_occupancy = 0
-        self.consume: list[int] = []
-        self.produce: list[tuple[int, object]] = []
+        self.consume, self.produce = [], []  # moves queued for the commit
         self.fired: list[tuple[int, int, str]] = []  # (i, id, event), traced
         self.worklist = set(plan.entries)  # on empty channels only Entry fires
         self.stalled: set[int] = set()  # holding a token an output blocks
@@ -302,41 +344,44 @@ class Simulator:
                     report=self._report())
             while releases and releases[0][0] <= cycle:
                 worklist.add(heappop(releases)[1])
-            work = [*worklist]
+            work = set(worklist)  # a copy: rules test it as the worklist fills
             worklist.clear()
+            moved = False
             try:
                 for i in work:
-                    nodes[i](self, chan)
+                    if nodes[i](self, chan, work):
+                        moved = True
             except MiniHlsError:  # the lowest component that raises gives it
-                for j in sorted(j for j in work[work.index(i) + 1:] if j < i):
-                    nodes[j](self, chan)
+                order = [*work]
+                for j in sorted(j for j in order[order.index(i) + 1:] if j < i):
+                    nodes[j](self, chan, work)
                 raise
 
-            if consume or produce:  # every firing consumes or produces
-                # Commit.  Consumptions before productions: a channel is
+            if moved:
+                # Commit the queued moves, consumptions first: a channel is
                 # never consumed and refilled in the same cycle because the
                 # producer saw it occupied in the snapshot.
-                for ch in consume:
-                    chan[ch] = _ABSENT
-                    if producer[ch] in stalled:  # it holds a token for ch
-                        stalled.remove(producer[ch])
-                        worklist.add(producer[ch])
-                for ch, value in produce:
-                    if chan[ch] is not _ABSENT:
-                        raise SimError(f"channel {plan.channels[ch].id} "
-                                       f"driven while occupied")
-                    chan[ch] = value
-                    if chan[sibling[ch]] is not _ABSENT:  # a join's last input
-                        worklist.add(consumer[ch])
-                self.tokens = tokens = self.tokens + len(produce) - len(consume)
-                if tokens > self.max_occupancy:  # Entries hold none after cycle 0
-                    self.max_occupancy = tokens
+                if consume or produce:
+                    for ch in consume:
+                        chan[ch] = _ABSENT
+                        if producer[ch] in stalled:  # it holds a token for ch
+                            stalled.remove(producer[ch])
+                            worklist.add(producer[ch])
+                    for ch, value in produce:
+                        if chan[ch] is not _ABSENT:
+                            raise SimError(f"channel {plan.channels[ch].id} "
+                                           f"driven while occupied")
+                        chan[ch] = value
+                        if chan[sibling[ch]] is not _ABSENT:  # a join's last input
+                            worklist.add(consumer[ch])
+                    consume.clear()
+                    produce.clear()
+                if self.tokens > self.max_occupancy:  # no Entry holds one now
+                    self.max_occupancy = self.tokens
                 if fired:
                     fired.sort(key=_position)  # stable
                     events += [(cycle, c, e) for _, c, e in fired]
                     fired.clear()
-                consume.clear()
-                produce.clear()
                 cycle += 1
             elif releases:
                 cycle = min(releases[0][0], max_cycles)

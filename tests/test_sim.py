@@ -1,5 +1,6 @@
 """Token-flow simulator: differential checks, stalls, conflicts, latency."""
 
+import collections
 import copy
 import dataclasses
 import hashlib
@@ -502,16 +503,40 @@ class EveryComponent(set):
         self.update(range(self.n))
 
 
+def wrap_rules(sim, wrap):
+    """Make sim call wrap(i, rule) in place of each rule i it would run,
+    on a copy of its plan: the circuit's own plan stays as it is."""
+    name = "nodes" if sim.events is None else "traced_nodes"
+    rules = getattr(sim.plan, name)
+    sim.plan = copy.copy(sim.plan)
+    setattr(sim.plan, name, [wrap(i, rule) for i, rule in enumerate(rules)])
+
+
 def outcome(g, args, max_cycles, exhaustive=False, trace=True):
     """A run's report, or the type, message, position and report of the
-    error it raised."""
+    error it raised.  An `exhaustive` run must evaluate every component in
+    every cycle it reaches, which this asserts: each rule sees all of them
+    in `work`, and each cycle calls every rule unless a rule raised in it."""
     sim = Simulator(g, args, trace=trace)
     if exhaustive:
-        sim.worklist = EveryComponent(len(sim.plan.nodes))
+        n, calls = len(sim.plan.nodes), collections.Counter()
+        sim.worklist = EveryComponent(n)
+
+        def counted(i, rule):
+            def call(s, chan, work):
+                assert len(work) == n, (s.cycle, len(work), n)
+                calls[s.cycle] += 1
+                return rule(s, chan, work)
+            return call
+        wrap_rules(sim, counted)
     try:
-        return sim.run(max_cycles)
+        result = sim.run(max_cycles)
     except MiniHlsError as e:
-        return type(e), e.message, e.pos, getattr(e, "report", None)
+        result = type(e), e.message, e.pos, getattr(e, "report", None)
+    if exhaustive:
+        *whole, last = calls.values()
+        assert set(whole) <= {n} and (last == n or isinstance(result, tuple))
+    return result
 
 
 def assert_exhaustive_evaluation_agrees(g, points,
@@ -608,22 +633,10 @@ def test_exhaustive_evaluation_agrees_under_backpressure_and_idle_cycles():
 
 
 def rule_calls(g, args):
-    """(rule calls, calls that fired) in one untraced run of g, whose rules
-    log no events: a call fired if it queued a consumption or production."""
-    sim = Simulator(g, args)
-    counts = [0, 0]
-
-    def counted(rule):
-        def call(s, chan):
-            before = len(s.consume) + len(s.produce)
-            rule(s, chan)
-            counts[0] += 1
-            counts[1] += len(s.consume) + len(s.produce) > before
-        return call
-    sim.plan = copy.copy(sim.plan)  # the circuit's own plan stays as it is
-    sim.plan.nodes = [counted(rule) for rule in sim.plan.nodes]
-    sim.run()
-    return counts
+    """(rule calls, calls that fired) in one untraced run of g: a call
+    fired if the rule returned a true value."""
+    _, _, calls = watch(g, args, trace=False)
+    return len(calls), sum(fired for *_, fired in calls)
 
 
 @pytest.mark.parametrize("source, args", [
@@ -631,10 +644,13 @@ def rule_calls(g, args):
     ids=["power", "newton_raphson", "wide_ladder"])
 def test_worklist_wakes_only_components_that_can_fire(compiled, source, args):
     """A rule runs only once the event that blocked it has happened, so
-    nearly every call fires."""
+    nearly every call fires.  The calls that fire are the traced run's
+    firings: one per component and cycle with events."""
     g = (compiled(source) if source in corpus.PROGRAMS
          else compile_source(source)).cdfg
     calls, firing = rule_calls(g, args)
+    events = simulate(g, args, trace=True).events
+    assert firing == len({(cycle, c) for cycle, c, _ in events})
     assert calls <= 1.05 * firing, (calls, firing)
 
 
@@ -970,6 +986,117 @@ def test_untraced_reports_are_traced_ones_without_events(compiled, sweeps):
     for seed in (7, 11, 23):
         assert_same_outcome_traced_or_not(spliced_power(seed),
                                           [(2, 0), (-3, 4), (2, 10)])
+
+
+# -- moves done at once and moves queued ------------------------------------
+#
+# Only a channel's two ends read it, so a firing moves a token at once
+# unless the channel's other end runs in the same cycle, and then queues
+# it for the commit.  Normal runs rarely queue; the circuits below do, and
+# each run must equal the reference's event for event.
+
+def circuit(name, components, channels):
+    """A circuit of 64-bit channels from (kind, ins, outs, fields) rows and
+    (src, dst) port pairs, numbered in the order given."""
+    g = CDFG(name)
+    for kind, ins, outs, kw in components:
+        g.add_component(kind, ins, outs, **kw)
+    for src, dst in channels:
+        g.add_channel(src, dst, 64)
+    return g
+
+
+def watch(g, args, trace=True):
+    """One run's report, the moves it queued as (cycle, "take" or "put",
+    channel) and its rule calls as (cycle, component, fired)."""
+    sim = Simulator(g, args, trace=trace)
+    moves, calls = [], []
+
+    def watched(i, rule):
+        def call(s, chan, work):
+            took, put = len(s.consume), len(s.produce)
+            fired = rule(s, chan, work)
+            calls.append((s.cycle, i, bool(fired)))
+            moves.extend([(s.cycle, "take", k) for k in s.consume[took:]]
+                         + [(s.cycle, "put", k) for k, _ in s.produce[put:]])
+            return fired
+        return call
+    wrap_rules(sim, watched)
+    return sim.run(), moves, calls
+
+
+I64 = (64,)
+
+
+def test_a_move_whose_other_end_runs_too_is_queued():
+    """Entry 0 reaches Merge 2 at once and Entry 1 two cycles later
+    through Buffer 3; the Merge passes both to Buffer 4, then the Exit.  In
+    cycle 3 the Merge fills channel 3 while Buffer 4 emits the first
+    token, and in cycle 4 the Exit empties channel 4 while Buffer 4 takes
+    the second: both ends of each channel run, so both moves are queued."""
+    g = circuit("relay", [
+        (C.ENTRY, (), I64, {}), (C.ENTRY, (), I64, {}),
+        (C.MERGE, I64 * 2, I64, {}), (C.BUFFER, I64, I64, {}),
+        (C.BUFFER, I64, I64, {}), (C.EXIT, I64, (), {})],
+        [((0, 0), (2, 0)), ((1, 0), (3, 0)), ((3, 0), (2, 1)),
+         ((2, 0), (4, 0)), ((4, 0), (5, 0))])
+    report, moves, _ = watch(g, (1, 2))
+    assert moves == [(3, "put", 3), (4, "take", 4)]
+    assert (report.exit_cycle, report.total_cycles,
+            report.leftover) == (4, 8, 0)
+    assert_same_outcome_traced_or_not(g, [(1, 2)])
+
+
+def test_a_join_whose_inputs_arrive_while_it_runs_queues_both():
+    """Forks 2 and 3 copy Entries a and b into Merges 4 and 5, which feed
+    the adder 6 (latency 1) twice: the first copies directly, b's later
+    through Buffer 12, the second copies through two Buffers each.
+    The first pair arrives at once in cycles 2 and 4, and only the second
+    arrival wakes the adder.  The second pair arrives together in cycle 6,
+    when the adder releases its first sum, so both are queued and the
+    commit wakes it once.  The adder runs only in the cycles it fires."""
+    g = circuit("join", [
+        (C.ENTRY, (), I64, {}), (C.ENTRY, (), I64, {}),
+        (C.FORK, I64, I64 * 2, {}), (C.FORK, I64, I64 * 2, {}),
+        (C.MERGE, I64 * 2, I64, {}), (C.MERGE, I64 * 2, I64, {}),
+        (C.OPERATOR, I64 * 2, I64, {"opcode": "add_i64", "latency": 1}),
+        (C.EXIT, I64, (), {}), *[(C.BUFFER, I64, I64, {})] * 5],
+        [((0, 0), (2, 0)), ((1, 0), (3, 0)), ((2, 0), (4, 0)),
+         ((3, 0), (12, 0)), ((12, 0), (5, 0)), ((2, 1), (8, 0)),
+         ((8, 0), (9, 0)), ((9, 0), (4, 1)), ((3, 1), (10, 0)),
+         ((10, 0), (11, 0)), ((11, 0), (5, 1)), ((4, 0), (6, 0)),
+         ((5, 0), (6, 1)), ((6, 0), (7, 0))])
+    report, moves, calls = watch(g, (3, 4))
+    assert moves == [(6, "put", 11), (6, "put", 12), (7, "take", 13)]
+    assert [call for call in calls if call[1] == 6] == [
+        (5, 6, True), (6, 6, True), (7, 6, True), (8, 6, True)]
+    assert (report.output, report.leftover) == (7, 0)
+    assert_same_outcome_traced_or_not(g, [(3, 4), (-5, 0)])
+
+
+def test_a_consumption_done_at_once_frees_a_stalled_producer():
+    """Entry 0 reaches the negate 4 twice through Fork 1 and Merge 2, the
+    second time a Buffer (3) later.  Its first result waits at the adder 7
+    (latency 1) for the slow negate 6, so the negate stalls in cycle 5 on
+    its second token.  The adder takes both inputs in cycle 6, at once as
+    neither producer runs, which frees the negate; it fires in cycle 7,
+    when the adder releases its sum, so that move is queued."""
+    g = circuit("stall", [
+        (C.ENTRY, (), I64, {}), (C.FORK, I64, I64 * 2, {}),
+        (C.MERGE, I64 * 2, I64, {}), (C.BUFFER, I64, I64, {}),
+        (C.OPERATOR, I64, I64, {"opcode": "neg_i64"}), (C.ENTRY, (), I64, {}),
+        (C.OPERATOR, I64, I64, {"opcode": "neg_i64", "latency": 4}),
+        (C.OPERATOR, I64 * 2, I64, {"opcode": "add_i64", "latency": 1}),
+        (C.EXIT, I64, (), {})],
+        [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((1, 1), (3, 0)),
+         ((3, 0), (2, 1)), ((2, 0), (4, 0)), ((4, 0), (7, 0)),
+         ((5, 0), (6, 0)), ((6, 0), (7, 1)), ((7, 0), (8, 0))])
+    report, moves, calls = watch(g, (3, 4))
+    assert [call for call in calls if call[1] in (4, 7)] == [
+        (3, 4, True), (5, 4, False), (6, 7, True), (7, 4, True), (7, 7, True)]
+    assert moves == [(7, "put", 5)]
+    assert (report.output, report.leftover) == (-7, 1)
+    assert_same_outcome_traced_or_not(g, [(3, 4)])
 
 
 # -- equivalence with the scan-every-component simulator --------------------
