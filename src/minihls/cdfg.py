@@ -11,13 +11,13 @@ header: one Buffer per loop-carried value, on the header Merge's latch
 input.
 
 Components and channels, whose ends are component ids and port indices, are
-immutable records, so a circuit changes only when an element of `components`
-or `channels` is appended, removed or replaced; `insert_buffers` replaces
-each channel it cuts in its list slot.  A Const payload compares by its type
-and repr, so -0.0 and 0.0 differ, and a source position compares too, as
-traps report it.  Comparing the two lists with the copies that `require_valid`
-recorded when it last accepted the circuit tells whether the circuit changed
-since; `sim.SimPlan` is reused while it was built from the record held now.
+immutable `errors.record`s, so a circuit changes only when an element of
+`components` or `channels` is appended, removed or replaced; `insert_buffers`
+replaces each channel it cuts in its slot.  A Const payload compares by its
+type and repr, so -0.0 and 0.0 differ, and a source position compares too,
+as traps report it.  Comparing the lists with the copies `require_valid`
+recorded when it last accepted the circuit tells whether it changed since;
+`sim.SimPlan` is reused while it was built from the record held now.
 
 Kinds (`KIND_ORDER`): Entry and Exit cross the circuit boundary, Const
 turns a trigger token into its payload, an Operator computes its opcode
@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import count, starmap
 from operator import attrgetter, getitem
 
-from .errors import BuildError, Pos
+from .errors import BuildError, Pos, record
 from .lattice import IMPL_BY_OPCODE, PY_TYPES
 
 ENTRY = "Entry"
@@ -59,7 +59,7 @@ SINK = "Sink"
 KIND_ORDER = (ENTRY, EXIT, CONST, OPERATOR, FORK, BRANCH, MERGE, BUFFER, SINK)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Component:
     id: int
     kind: str
@@ -84,7 +84,7 @@ class Component:
                                (type(self.value), repr(self.value)))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Channel:
     id: int
     src: int  # producing component id

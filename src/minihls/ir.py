@@ -11,10 +11,10 @@ An instruction's `Op` is a `ConstOp` literal or the `lattice` opcode row
 that dispatch or if-conversion chose; a select's row is a `SelectOp`, so
 the verifier, builder and interpreter read every operation off its row.
 
-Instructions and terminators are immutable records: a rewrite builds a
-new one and assigns it to the block's list or `terminator` field.  So
-`SSAFunction.clone` copies only the blocks and their instruction lists
-and shares everything below them, `verify`'s record included.
+Instructions and terminators are immutable `errors.record`s: a rewrite
+builds a new one only where an operand changes and assigns it to the
+block's list or `terminator`.  So `SSAFunction.clone` copies only the
+blocks and their instruction lists, sharing the rest and `verify`'s record.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from operator import is_
 from typing import Union
 
-from .errors import Pos
+from .errors import Pos, record
 from .lattice import (IMPL_BY_OPCODE, PY_TYPES, LatticeType, OperatorImpl,
                       SelectOp, format_value)
 
@@ -31,7 +31,7 @@ ValueId = int
 BlockId = int
 
 
-@dataclass(frozen=True)
+@record
 class ConstOp:
     """Materialize a literal."""
 
@@ -41,7 +41,7 @@ class ConstOp:
 Op = Union[OperatorImpl, ConstOp]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Instr:
     result: ValueId
     ty: LatticeType
@@ -50,13 +50,13 @@ class Instr:
     pos: Pos = field(default=Pos(0, 0), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Goto:
     target: BlockId
     args: tuple[ValueId, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CondGoto:
     cond: ValueId
     then_target: BlockId
@@ -65,7 +65,7 @@ class CondGoto:
     else_args: tuple[ValueId, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Ret:
     value: ValueId
 

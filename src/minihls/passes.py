@@ -66,22 +66,23 @@ def _check(func: SSAFunction, stage: str) -> None:
 
 
 def _substitute(block: Block, mapping: dict[ValueId, ValueId]) -> None:
-    def sub(v: ValueId) -> ValueId:
-        return mapping.get(v, v)
+    def sub(vs: tuple[ValueId, ...]) -> tuple[ValueId, ...]:
+        return tuple(mapping.get(v, v) for v in vs)
 
+    untouched = mapping.keys().isdisjoint
     block.instrs = [
-        Instr(i.result, i.ty, i.op, tuple(sub(a) for a in i.args), i.pos)
+        i if untouched(i.args) else Instr(i.result, i.ty, i.op, sub(i.args), i.pos)
         for i in block.instrs]
     t = block.terminator
+    if t is None or untouched(terminator_uses(t)):
+        return
     if isinstance(t, Goto):
-        block.terminator = Goto(t.target, tuple(sub(a) for a in t.args))
+        block.terminator = Goto(t.target, sub(t.args))
     elif isinstance(t, CondGoto):
-        block.terminator = CondGoto(
-            sub(t.cond),
-            t.then_target, tuple(sub(a) for a in t.then_args),
-            t.else_target, tuple(sub(a) for a in t.else_args))
-    elif isinstance(t, Ret):
-        block.terminator = Ret(sub(t.value))
+        block.terminator = CondGoto(mapping.get(t.cond, t.cond), t.then_target,
+                                    sub(t.then_args), t.else_target, sub(t.else_args))
+    else:
+        block.terminator = Ret(mapping[t.value])
 
 
 class _Graph:

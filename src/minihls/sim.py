@@ -32,10 +32,10 @@ tokens, the cycle counter jumps to the next release, never past
 `max_cycles`: the cycles skipped would fire nothing.  A rule reads only the
 start-of-cycle channels and its own state, so the worklist runs in the
 order its set yields.  Where order shows, component order rules: a traced
-commit sorts its events stably by component, the lowest of the first Exits
-to fire gives the output, and if a rule raises, the cycle's lower
-components still to run are run in ascending order and the lowest that
-raises gives the error.
+commit sorts its events stably by component, the first token of the lowest
+of the first Exits to fire gives the output, and if a rule raises, the
+cycle's lower components still to run are run in ascending order and the
+lowest that raises gives the error.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ _FIRE = {ENTRY: """
     def fire(s, chan, work):
         x0 = chan[i0]
         if x0 is not _ABSENT:
-            s.outputs[i] = s.outputs.get(i, (s.cycle,))[0], i, x0
+            s.outputs.setdefault(i, (s.cycle, i, x0))
             {take}
             s.tokens -= 1
             s.fired.append(event)
@@ -323,7 +323,7 @@ class Simulator:
         self.regs = dict.fromkeys(plan.buffers, _ABSENT)  # a Buffer's token
         self.releases: list[tuple[int, int]] = []  # (ready cycle, i) per slot
         self.tokens = 0  # in channels, Buffers and pipelines
-        self.outputs: dict[int, tuple] = {}  # per Exit: (first cycle, i, value)
+        self.outputs: dict[int, tuple] = {}  # per Exit: its first (cycle, i, value)
         self.events: list[tuple[int, int, str]] | None = [] if trace else None
         self.cycle = self.max_occupancy = 0
         self.consume, self.produce = [], []  # moves queued for the commit

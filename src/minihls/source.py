@@ -38,10 +38,10 @@ reuses the statement classes around its typed expressions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import NamedTuple, NoReturn
 
-from .errors import LexError, MissingReturnError, ParseError, Pos
+from .errors import LexError, MissingReturnError, ParseError, Pos, record
 from .lattice import ANNOTATION_TO_TYPE, format_value
 
 KEYWORDS = {
@@ -142,43 +142,43 @@ def _lex_error(text: str, i: int, pos: Pos) -> NoReturn:
 # `type(value)`.
 
 
-@dataclass(frozen=True)
+@record
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Lit(Expr):
     value: bool | int | float
     pos: Pos = field(compare=False, default=Pos(0, 0))
 
 
-@dataclass(frozen=True)
+@record
 class Var(Expr):
     name: str
     pos: Pos = field(compare=False, default=Pos(0, 0))
 
 
-@dataclass(frozen=True)
+@record
 class Call(Expr):
     op: str
     args: tuple[Expr, ...]
     pos: Pos = field(compare=False, default=Pos(0, 0))
 
 
-@dataclass(frozen=True)
+@record
 class Stmt:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Assign(Stmt):
     target: str
     value: Expr
     pos: Pos = field(compare=False, default=Pos(0, 0))
 
 
-@dataclass(frozen=True)
+@record
 class If(Stmt):
     cond: Expr
     then: tuple[Stmt, ...]
@@ -187,27 +187,27 @@ class If(Stmt):
     pos: Pos = field(compare=False, default=Pos(0, 0))
 
 
-@dataclass(frozen=True)
+@record
 class While(Stmt):
     cond: Expr
     body: tuple[Stmt, ...]
     pos: Pos = field(compare=False, default=Pos(0, 0))
 
 
-@dataclass(frozen=True)
+@record
 class Return(Stmt):
     value: Expr
     pos: Pos = field(compare=False, default=Pos(0, 0))
 
 
-@dataclass(frozen=True)
+@record
 class Param:
     name: str
     annotation: str | None  # "Int64" or "Float64"
     pos: Pos = field(compare=False, default=Pos(0, 0))
 
 
-@dataclass(frozen=True)
+@record
 class FunctionDef:
     name: str
     params: tuple[Param, ...]
@@ -217,7 +217,7 @@ class FunctionDef:
     plan: object = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class SourceProgram:
     functions: tuple[FunctionDef, ...]
 

@@ -19,10 +19,10 @@ an `UnstableTypeError`, so every `TCall` holds its row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from . import source as src
-from .errors import Pos, TypeCheckError, UndefinedVarError, UnstableTypeError
+from .errors import Pos, TypeCheckError, UndefinedVarError, UnstableTypeError, record
 from .lattice import (ANNOTATION_TO_TYPE, TYPE_OF, LatticeType, OperatorImpl,
                       dispatch, join, join_all)
 
@@ -34,29 +34,29 @@ Env = dict[str, LatticeType]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TExpr(src.Expr):
     ty: LatticeType
     pos: Pos = field(compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class TConst(TExpr):
     value: bool | int | float
 
 
-@dataclass(frozen=True)
+@record
 class TVar(TExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class TCall(TExpr):
     impl: OperatorImpl
     args: tuple[TExpr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class TypedFunction:
     name: str
     params: tuple[tuple[str, LatticeType], ...]

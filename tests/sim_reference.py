@@ -47,7 +47,7 @@ def _entry(i, c, ins, outs):
 
 
 def _drain(i, c, ins, outs):
-    """Exit and Sink take every token; an Exit's is the output."""
+    """Exit and Sink take every token; an Exit's first is the output."""
     inp, is_exit = ins[0], c.kind == EXIT
     event = (c.id, "exit" if is_exit else "sink")
 
@@ -56,7 +56,7 @@ def _drain(i, c, ins, outs):
         if value is not _ABSENT:
             s.consume.append(inp)
             if is_exit:
-                s.outputs[c.id] = value
+                s.outputs.setdefault(c.id, value)
             s.fired.append(event)
     return fire
 

@@ -1,0 +1,44 @@
+"""The summary arithmetic of `tools/bench_pairs.py`, on fixed numbers.
+
+No benchmark runs here: the figures are made up so that each median,
+quartile and win can be checked by hand.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_spread_gives_median_and_inclusive_quartiles():
+    s = bench_pairs.spread([5.0, 1.0, 3.0, 2.0, 4.0])
+    assert (s["q1"], s["median"], s["q3"]) == (2.0, 3.0, 4.0)
+    assert s["values"] == [5.0, 1.0, 3.0, 2.0, 4.0]  # run order kept
+    s = bench_pairs.spread([10.0, 20.0, 30.0, 40.0])
+    assert (s["q1"], s["median"], s["q3"]) == (17.5, 25.0, 32.5)
+    assert bench_pairs.spread([7.0])["q1"] == bench_pairs.spread([7.0])["q3"] == 7.0
+
+
+def test_summary_of_a_higher_is_better_metric():
+    parent = [38.0, 37.5, 38.5, 39.0, 38.0]
+    change = [40.0, 39.5, 38.0, 40.5, 41.0]
+    m = bench_pairs.summarize(parent, change, "higher")
+    assert m["parent"]["median"] == 38.0 and m["change"]["median"] == 40.0
+    assert (m["parent"]["q1"], m["parent"]["q3"]) == (38.0, 38.5)
+    assert m["change_pct"] == pytest.approx(100 * 2 / 38)
+    assert (m["wins"], m["pairs"]) == (4, 5)  # pair 2: 38.0 < 38.5
+    assert m["median_gap_exceeds_parent_iqr"]  # 2.0 > 0.5
+
+
+def test_summary_of_a_lower_is_better_metric_counts_ties_as_no_win():
+    m = bench_pairs.summarize([9.0, 8.0, 10.0, 7.0], [8.0, 8.0, 11.0, 6.0], "lower")
+    assert m["wins"] == 2  # pairs 0 and 3; a tie is no win
+    assert m["parent"]["median"] == 8.5 and m["change"]["median"] == 8.0
+    # parent IQR is 9.25 - 7.75 = 1.5, more than the 0.5 between medians
+    assert not m["median_gap_exceeds_parent_iqr"]
+    assert bench_pairs.summarize([0, 0], [0, 0], "lower")["change_pct"] is None

@@ -1,6 +1,7 @@
 """Circuit graph invariants, buffer insertion, serialization."""
 
 import dataclasses
+import inspect
 import json
 import math
 import random
@@ -20,7 +21,9 @@ from minihls.cdfg import (
     CDFG, check, component_stats, export_dot,
     from_json, insert_buffers, require_valid, to_json,
 )
-from minihls.errors import BuildError, MaxCyclesError
+from minihls import ir as ir_mod
+from minihls import source as src_mod
+from minihls.errors import BuildError, MaxCyclesError, Pos
 from minihls.interp import run_source
 from minihls.ir import successor_edges
 from minihls.lattice import IMPL_BY_OPCODE, LatticeType
@@ -441,12 +444,104 @@ def test_insert_buffers_rejects_a_channel_to_a_missing_component(src, dst, missi
     assert str(err.value) == str(valid_err.value)
 
 
+# Every class declared with `errors.record`, by module.
+RECORDS = {
+    src_mod: ("Expr", "Lit", "Var", "Call", "Stmt", "Assign", "If", "While",
+              "Return", "Param", "FunctionDef", "SourceProgram"),
+    typecheck: ("TExpr", "TConst", "TVar", "TCall", "TypedFunction"),
+    ir_mod: ("ConstOp", "Instr", "Goto", "CondGoto", "Ret"),
+    C: ("Component", "Channel"),
+}
+
+EVERY_FORM = """
+function f(a::Int64, b::Int64)
+    if a < b
+        a = -a
+    elseif a == b
+        a = 2
+    else
+        a = a % 3
+    end
+    while b > 0
+        b = b - 1
+    end
+    return a + b
+end
+"""
+
+
+def one_record_of_each_class():
+    """One instance per record class: the bases built directly, the others
+    found in the artifacts of a compile that uses every statement form."""
+    res = compile_source(EVERY_FORM, opt=False)
+    found = {src_mod.Expr: src_mod.Expr(), src_mod.Stmt: src_mod.Stmt(),
+             typecheck.TExpr: typecheck.TExpr(LatticeType.INT64, Pos(1, 2))}
+
+    def walk(x):
+        if isinstance(x, (list, tuple)):
+            for y in x:
+                walk(y)
+        elif dataclasses.is_dataclass(x):
+            found.setdefault(type(x), x)
+            for f in dataclasses.fields(x):
+                walk(getattr(x, f.name))
+    walk([res.program, res.typed, res.ssa_unopt.blocks, res.cdfg])
+    return found
+
+
 def test_records_are_immutable():
-    g = tiny_passthrough()
-    for record in (g.components[1], g.channels[0]):
-        for f in dataclasses.fields(record):
+    declared = {getattr(mod, name) for mod, names in RECORDS.items() for name in names}
+    frozen = {cls for mod in RECORDS for cls in vars(mod).values()
+              if isinstance(cls, type) and cls.__module__ == mod.__name__
+              and dataclasses.is_dataclass(cls)
+              and cls.__dataclass_params__.frozen}
+    assert frozen == declared
+    found = one_record_of_each_class()
+    assert declared <= found.keys()
+    for cls in declared:
+        record, fields = found[cls], dataclasses.fields(cls)
+        assert not hasattr(record, "__dict__"), cls
+        for f in fields:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, f.name, getattr(record, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, f.name)
+        copy = dataclasses.replace(record)
+        assert type(copy) is cls and copy is not record
+        assert (copy, hash(copy), repr(copy)) == (record, hash(record), repr(record))
+        if "pos" in cls.__match_args__:  # a component's compares: traps report it
+            moved = dataclasses.replace(record, pos=Pos(98, 99))
+            assert moved.pos == Pos(98, 99)
+            assert (moved == record) is (cls is not C.Component)
+            assert (hash(moved) == hash(record)) is (cls is not C.Component)
+        if cls.__doc__.startswith(cls.__name__ + "("):  # generated from the fields
+            assert all(f"{f.name}: " in cls.__doc__ for f in fields if f.init), cls
+        params = inspect.signature(cls).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING
+             else f.default) for f in fields if f.init], cls
+
+
+def test_record_defaults_init_false_fields_and_post_init():
+    assert src_mod.Var("x") == src_mod.Var("x", Pos(3, 4))
+    assert src_mod.Var("x").pos == Pos(0, 0)
+    fn = src_mod.FunctionDef("f", (), ())
+    assert fn.plan is None and fn.pos == Pos(0, 0)
+    with pytest.raises(TypeError):
+        src_mod.FunctionDef("f", (), (), Pos(1, 1), None)
+    with pytest.raises(ValueError):
+        dataclasses.replace(fn, plan=1)
+    assert ir_mod.Instr(1, LatticeType.INT64, ir_mod.ConstOp(2)).args == ()
+    with pytest.raises(TypeError):
+        typecheck.TVar(LatticeType.INT64, Pos(1, 1))
+    const = C.Component(0, C.CONST, [0], [64], value=-0.0)
+    assert (const.in_widths, const.out_widths) == ((0,), (64,))
+    assert const.value_key == (float, "-0.0")
+    assert C.Component(1, C.SINK, (64,), ()).value_key is None
+    assert dataclasses.replace(const, value=0.0) != const
+    assert dataclasses.replace(const, label="c") != const
+    with pytest.raises(ValueError):
+        dataclasses.replace(const, value_key=None)
 
 
 def test_payloads_that_compare_equal_make_unequal_records():

@@ -1,5 +1,7 @@
 """Optimization passes: block counts, idempotence, soundness."""
 
+import operator
+
 import pytest
 
 from minihls import corpus, typecheck
@@ -376,3 +378,30 @@ def test_merge_resolves_a_chain_of_renames():
     assert verify(out) == []
     assert [b.terminator for b in out.blocks] == [Ret(0)]
     assert run_ssa(out, (7,)) == run_ssa(func, (7,)) == 7
+
+
+def test_renaming_rebuilds_only_the_records_that_use_a_renamed_value():
+    # b1 folds into b0 renaming v1 to v0: only the add reading v1 is
+    # rebuilt; the other instructions and every terminator stay the same
+    # objects.
+    add, lt = IMPL_BY_OPCODE["add_i64"], IMPL_BY_OPCODE["cmp_lt_i64"]
+    b0 = Block(0, (), [], Goto(1, (0,)))
+    b1 = Block(1, ((1, I),), [Instr(2, I, add, (1, 0)), Instr(3, I, add, (0, 0)),
+                              Instr(4, LatticeType.BOOL, lt, (0, 3))],
+               CondGoto(4, 2, (3,), 3, (2,)))
+    b2 = Block(2, ((5, I),), [], Ret(5))
+    b3 = Block(3, ((6, I),), [], Ret(6))
+    func = SSAFunction("renames", ((0, I),), I, [b0, b1, b2, b3],
+                       next_value=7, next_block=4)
+    assert verify(func) == []
+    out = merge_blocks(func)
+    assert verify(out) == []
+    first = out.blocks[0]
+    assert first.instrs[0] == Instr(2, I, add, (0, 0))
+    assert first.instrs[1:] == b1.instrs[1:]
+    assert all(map(operator.is_, first.instrs[1:], b1.instrs[1:]))
+    assert first.terminator is b1.terminator
+    assert [b.terminator for b in out.blocks[1:]] == [b2.terminator, b3.terminator]
+    assert all(b.terminator is old.terminator
+               for b, old in zip(out.blocks[1:], (b2, b3)))
+    assert run_ssa(out, (7,)) == run_ssa(func, (7,))

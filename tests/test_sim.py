@@ -1042,8 +1042,8 @@ def test_a_move_whose_other_end_runs_too_is_queued():
          ((2, 0), (4, 0)), ((4, 0), (5, 0))])
     report, moves, _ = watch(g, (1, 2))
     assert moves == [(3, "put", 3), (4, "take", 4)]
-    assert (report.exit_cycle, report.total_cycles,
-            report.leftover) == (4, 8, 0)
+    assert (report.output, report.exit_cycle, report.total_cycles,
+            report.leftover) == (1, 4, 8, 0)
     assert_same_outcome_traced_or_not(g, [(1, 2)])
 
 
