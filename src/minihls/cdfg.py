@@ -27,8 +27,9 @@ An opcode is valid when `lattice.IMPL_BY_OPCODE` has a row for it, and
 an Operator's port widths must be those of the row's signature; the row
 gives the simulator its function and the emitter its VHDL.
 Each kind is one entry per table: `check` takes its port counts from
-`_PORTS` and its width and field rules from `_RULES`, `sim._FIRE` the
-template of its firing rule and `vhdl._ARCH` its VHDL architecture;
+`_PORTS` and its width and field rules from `_RULES`, `sim._STRICT` or
+`sim._FIRE` its firing rule (the strict rule's event and compute line, or
+a template of its own) and `vhdl._ARCH` its VHDL architecture;
 `vhdl.entity_name` gives its entity name.
 """
 

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import source as src
-from .build import build_cdfg, resolve_latencies
+from .build import build_cdfg
 from .cdfg import CDFG, insert_buffers, require_valid
 from .errors import CliError
 from .ir import SSAFunction, verify
@@ -97,7 +97,7 @@ def compile_source(text: str, sig: tuple[LatticeType, ...] | None = None,
     if violations:
         raise PassError("lowering produced invalid IR: " + "; ".join(violations))
     ssa = timed(stage_s, "optimize", optimize, ssa_unopt) if opt else ssa_unopt
-    cdfg = timed(stage_s, "build", build_cdfg, ssa, resolve_latencies(latencies))
+    cdfg = timed(stage_s, "build", build_cdfg, ssa, latencies)
     n_buffers = timed(stage_s, "insert_buffers", insert_buffers, cdfg)
     timed(stage_s, "check", require_valid, cdfg)
     return CompileResult(program, func, sig, typed, ssa_unopt, ssa,

@@ -12,30 +12,35 @@ more than one valid input is a hard error, not an arbitration: the
 builder only emits merges whose inputs are mutually exclusive.
 
 Engine.  A `SimPlan` binds each component of a circuit that `require_valid`
-accepted to a firing rule, a kernel compiled once per shape from its kind's
-template that reads each channel by name, and serves every run until a
-component or channel is added, removed or replaced by an unequal one;
-traced runs use the same template's kernels that also log events, built on
-the first.  Each cycle a `Simulator` evaluates only its worklist: each
+accepted to a firing rule, a kernel compiled once per shape from a template
+that reads each channel by name, and serves every run until a component or
+channel is added, removed or replaced by an unequal one; traced runs use
+the same template's kernels that also log events, built on the first.
+Entry, Exit, Const, Operator, Fork and Sink share the strict rule, a join
+of every input forked to every output: fire when every input holds a token
+and every output is free.  They differ only in the value a firing computes
+and the event it logs.  An Entry reads its argument (None for control) from
+a pin, as in the netlist: a slot after the channels that no component
+fills.  Each cycle a `Simulator` evaluates only its worklist: each
 component whose blocking event the last cycle brought.  Only a channel's
 two ends read it, so a firing empties its inputs and fills its outputs at
 once, and queues a move for the commit only if the channel's other end runs
-in the same cycle.  A filled channel wakes its consumer, but a two-input
-join other than a Merge only once its other input holds a token too.  An
-emptied channel wakes its producer only if that is `stalled`: holding a
-token that an occupied output kept back.  A Buffer is a one-slot register
-that wakes itself in the cycle after it takes a token.  A pipeline holds
-the absolute cycle each token becomes ready and wakes when one comes due; a
-full one that freed a slot while a token waits at its input wakes itself.
-No other component can fire.  When nothing fires but a pipeline holds
-tokens, the cycle counter jumps to the next release, never past
-`max_cycles`: the cycles skipped would fire nothing.  A rule reads only the
-start-of-cycle channels and its own state, so the worklist runs in the
-order its set yields.  Where order shows, component order rules: a traced
-commit sorts its events stably by component, the first token of the lowest
-of the first Exits to fire gives the output, and if a rule raises, the
-cycle's lower components still to run are run in ascending order and the
-lowest that raises gives the error.
+in the same cycle.  A filled channel wakes its consumer, but a join other
+than a Merge only once its other inputs all hold a token.  An emptied
+channel wakes its producer only if that is `stalled`: holding a token that
+an occupied output kept back.  A Buffer is a one-slot register that wakes
+itself in the cycle after it takes a token.  A pipeline holds the absolute
+cycle each token becomes ready and wakes when one comes due; a full one
+that freed a slot while a token waits at its input wakes itself.  No other
+component can fire.  When nothing fires but a pipeline holds tokens, the
+cycle counter jumps to the next release, never past `max_cycles`: the
+cycles skipped would fire nothing.  A rule reads only the start-of-cycle
+channels and its own state, so the worklist runs in the order its set
+yields.  Where order shows, component order rules: a traced commit sorts
+its events stably by component, the first token of the lowest of the first
+Exits to fire gives the output, and if a rule raises, the cycle's lower
+components still to run are run in ascending order and the lowest that
+raises gives the error.
 """
 
 from __future__ import annotations
@@ -70,68 +75,39 @@ class SimReport:
 # Firing rules.  A rule `fire(s, chan, work)` decides on the start-of-cycle
 # channels, moves its tokens and returns True if it fires; s holds the run's
 # state and `work` is the set of components this cycle runs.  `_FIRE` holds
-# per kind, and for a pipelined Operator, the body of `make(i, c, fn, depth,
-# ports)`, which binds component i's record, operation (bound by
-# `lattice.bind` to its position), depth and ports: channels ik and ok, the
-# producer pk of ik, and the consumer ck of ok and its other input jk (ok if
-# none).  `_factory` fills it in per shape with fixed names and counts:
-# `{read}` reads input k into xk, `{valid}` and `{free}` test that every
-# input holds a token and every output is free, `{xs}` lists the inputs,
-# `{clash}` tests that two inputs hold a token and `{pick}` takes the one
-# that does, or returns.  `{take}` empties each input (a Merge's picked one)
-# and `{put}` fills each output, `{putk}` output k, with v, as the Engine
-# paragraph says.  A rule computes what can raise before it moves a token
-# and adds its kind's net token change to `s.tokens`.
+# five templates, the strict rule (under OPERATOR), Branch, Merge, Buffer and
+# the pipelined Operator, each the body of `make(i, c, fn, depth, ports)`,
+# which binds component i's record, operation (bound by `lattice.bind` to its
+# position), depth and ports: channels ik and ok, the producer pk of ik, and
+# the consumer ck of ok and its other inputs jk_m.  `_factory` fills it in per
+# shape with fixed names and counts: `{read}` reads input k into xk, `{valid}`
+# tests that every input holds a token and `{ready}` also that every output is
+# free, `{xs}` lists the inputs, `{clash}` tests that two inputs hold a token
+# and `{pick}` takes the one that does, or returns.  `{take}` empties each
+# input (a Merge's picked one) and `{put}` fills each output, `{putk}` output
+# k, with v, as the Engine paragraph says.  The strict rule takes its `{event}`
+# name and `{compute}` line from `_STRICT` (a Const's operation yields its
+# payload), and `{count}` adds outputs less inputs to the token count.  A rule
+# computes what can raise before it moves a token.
 
 _PIPELINE = "Pipeline"
 
-_FIRE = {ENTRY: """
-    event = i, c.id, "emit"
-    def fire(s, chan, work):
-        if i in s.entry_tokens and chan[o0] is _ABSENT:
-            v = s.entry_tokens.pop(i)
-            {put}
-            s.tokens += 1
-            s.fired.append(event)
-            return True""", EXIT: """
-    event = i, c.id, "exit"
-    def fire(s, chan, work):
-        x0 = chan[i0]
-        if x0 is not _ABSENT:
-            s.outputs.setdefault(i, (s.cycle, i, x0))
-            {take}
-            s.tokens -= 1
-            s.fired.append(event)
-            return True""", SINK: """
-    event = i, c.id, "sink"
-    def fire(s, chan, work):
-        if chan[i0] is not _ABSENT:
-            {take}
-            s.tokens -= 1
-            s.fired.append(event)
-            return True""", OPERATOR: """
-    event = i, c.id, "fire"
+_STRICT = {ENTRY: ("emit", "v = x0"), FORK: ("fire", "v = x0"), SINK: ("sink", None),
+           OPERATOR: ("fire", "v = fn({xs})"), CONST: ("fire", "v = fn({xs})"),
+           EXIT: ("exit", "s.outputs.setdefault(i, (s.cycle, i, x0))")}
+
+_FIRE = {OPERATOR: """
+    event = i, c.id, "{event}"
     def fire(s, chan, work):
         {read}
-        if {valid} and chan[o0] is _ABSENT:
-            v = fn({xs})
+        if {ready}:
+            {compute}
             {take}
             {put}
-            s.tokens += 1 - {n_in}
+            {count}
             s.fired.append(event)
             return True
         elif {valid}:
-            s.stalled.add(i)""", FORK: """
-    event = i, c.id, "fire"
-    def fire(s, chan, work):
-        v = chan[i0]
-        if v is not _ABSENT and {free}:
-            {take}
-            {put}
-            s.tokens += {n_out} - 1
-            s.fired.append(event)
-            return True
-        elif v is not _ABSENT:
             s.stalled.add(i)""", BRANCH: """
     event = i, c.id, "fire"
     def fire(s, chan, work):
@@ -198,20 +174,19 @@ _FIRE = {ENTRY: """
             {take}
             slots.append((cycle + depth, y))
             heappush(s.releases, (cycle + depth, i))
-            s.tokens += 1 - {n_in}
+            {count}
             s.fired.append(accepted)
         return emit or accept"""}
 
 
-_FIRE[CONST] = _FIRE[OPERATOR]  # its operation yields its payload
-
-
 @lru_cache(maxsize=256)
-def _factory(template: str, n_in: int, n_out: int, joins: tuple, traced: bool):
-    """`make` for one shape from `_FIRE[template]`, logging events if
-    `traced`; output k feeds a two-input join if `joins[k]`."""
+def _factory(kind: str, n_in: int, n_out: int, joins: tuple, traced: bool):
+    """`make` for one shape of `kind` (or `_PIPELINE`), logging events if
+    `traced`; output k feeds a join with `joins[k]` other inputs."""
     ins, outs = [f"i{k}" for k in range(n_in)], [f"o{k}" for k in range(n_out)]
     xs, ps = [f"x{k}" for k in range(n_in)], [f"p{k}" for k in range(n_in)]
+    js = [[f"j{k}_{m}" for m in range(n)] for k, n in enumerate(joins)]
+    event, compute = _STRICT.get(kind, (None, None))
 
     def take(ch, p):  # empty input ch, whose producer is p
         return [f"if {p} in work: s.consume.append({ch})", "else:",
@@ -219,33 +194,36 @@ def _factory(template: str, n_in: int, n_out: int, joins: tuple, traced: bool):
                 f"s.stalled.remove({p}); s.worklist.add({p})"]
 
     def put(k):  # fill output k with v
-        join = f"if chan[j{k}] is not _ABSENT: " if joins[k] else ""
+        full = " and ".join(f"chan[{j}] is not _ABSENT" for j in js[k])
+        join = f"if {full}: " if full else ""
         return [f"if c{k} in work: s.produce.append((o{k}, v))", "else:",
                 f"    chan[o{k}] = v", f"    {join}s.worklist.add(c{k})"]
-    takes = [("ch", "p")] if template == MERGE else zip(ins, ps)
+    takes = [("ch", "p")] if kind == MERGE else zip(ins, ps)
     blocks = {"{take}": sum((take(*t) for t in takes), []),
               "{put}": sum(map(put, range(n_out)), []),
-              **{f"{{put{k}}}": put(k) for k in range(n_out)}}
+              **{f"{{put{k}}}": put(k) for k in range(n_out)},
+              "{compute}": [compute] if compute else [],
+              "{count}": [f"s.tokens += {n_out - n_in}"] if n_out != n_in else []}
     lines = [line[:len(line) - len(line.lstrip())] + block  # at its indent
-             for line in _FIRE[template].split("\n")
+             for line in _FIRE[OPERATOR if event else kind].split("\n")
              if traced or "s.fired" not in line
              for block in blocks.get(line.strip(), [line.strip()])]
+    valid = [f"{x} is not _ABSENT" for x in xs]
     body = "\n".join(lines).format(
         read="; ".join(f"{x} = chan[{i}]" for x, i in zip(xs, ins)),
-        valid=" and ".join(f"{x} is not _ABSENT" for x in xs), xs=", ".join(xs),
-        free=" and ".join(f"chan[{o}] is _ABSENT" for o in outs),
+        valid=" and ".join(valid), xs=", ".join(xs), event=event,
+        ready=" and ".join(valid + [f"chan[{o}] is _ABSENT" for o in outs]),
         clash=" or ".join(f"{x} is not _ABSENT is not {y}"
                           for k, x in enumerate(xs) for y in xs[k + 1:]),
         pick="\n        ".join([*(f"{'elif' if k else 'if'} {x} is not _ABSENT:"
                                   f" ch, v, p = i{k}, {x}, p{k}"
-                                  for k, x in enumerate(xs)), "else: return"]),
-        n_in=n_in, n_out=n_out)
-    names = [*ins, *outs, *ps, *(f"{c}{k}" for c in "cj" for k in range(n_out))]
+                                  for k, x in enumerate(xs)), "else: return"]))
+    names = [*ins, *outs, *ps, *(f"c{k}" for k in range(n_out)), *sum(js, [])]
     text = (f"def make(i, c, fn, depth, ports):\n"
             f"    {', '.join(names)}, = ports\n{body}\n    return fire\n")
     scope = {"_ABSENT": _ABSENT, "MergeConflictError": MergeConflictError,
              "heappush": heappush}
-    exec(compile(text, f"<sim rule {template} {n_in}x{n_out}>", "exec"), scope)
+    exec(compile(text, f"<sim rule {kind} {n_in}x{n_out}>", "exec"), scope)
     return scope["make"]
 
 
@@ -254,46 +232,49 @@ class SimPlan:
     made by `SimPlan.of(g)`, which reuses it while `require_valid(g)`
     leaves the record `g.checked` it was built from in place.
 
-    Components and channels are numbered by position.  `producer[k]` and
-    `consumer[k]` are the components at either end of channel k,
-    `sibling[k]` is the other input of channel k's consumer if that is a
-    two-input join (any kind but Merge), else k itself, `depth[i]` is the
-    depth of a pipelined Operator, `buffers` lists the Buffers and
-    `nodes[i]` is component i's firing rule (`traced_nodes[i]` logs events).
+    Components and channels are numbered by position; the pin of the k-th
+    Entry is slot `len(channels) + k`.  `producer[k]` and `consumer[k]` are
+    the components at either end of channel k (None produces a pin),
+    `sibling[k]` lists the other inputs of channel k's consumer if that is
+    a join (any kind but Merge), `depth[i]` is the depth of a pipelined
+    Operator, `buffers` lists the Buffers and `nodes[i]` is component i's
+    firing rule (`traced_nodes[i]` logs events).
     """
 
     def __init__(self, g: CDFG):
         self.checked = g.checked
         self.components, self.channels = comps, chans = g.checked
         index = {c.id: i for i, c in enumerate(comps)}
-        self.producer = [index[ch.src] for ch in chans]
+        self.entries = [i for i, c in enumerate(comps) if c.kind == ENTRY]
+        self.data_entries = [i for i in self.entries if comps[i].out_widths[0]]
+        self.producer = [index[ch.src] for ch in chans] + [None] * len(self.entries)
         self.consumer = [index[ch.dst] for ch in chans]
         ins = [[0] * len(c.in_widths) for c in comps]
         outs = [[0] * len(c.out_widths) for c in comps]
         for k, ch in enumerate(chans):
             outs[self.producer[k]][ch.src_port] = k
             ins[self.consumer[k]][ch.dst_port] = k
-        self.sibling = list(range(len(chans)))
+        self.sibling = [()] * len(chans)
         for i, c in enumerate(comps):
-            if len(ins[i]) == 2 and c.kind != MERGE:
-                a, b = ins[i]
-                self.sibling[a], self.sibling[b] = b, a
+            if len(ins[i]) > 1 and c.kind != MERGE:
+                for k in ins[i]:
+                    self.sibling[k] = tuple(j for j in ins[i] if j != k)
+        for k, i in enumerate(self.entries, len(chans)):
+            ins[i].append(k)
         self.ports = [*zip(ins, outs)]
         self.depth = {i: c.latency for i, c in enumerate(comps)
                       if c.kind == OPERATOR and c.latency > 0}
         self.buffers = [i for i, c in enumerate(comps) if c.kind == BUFFER]
         self.nodes = self._rules(traced=False)
-        self.entries = [i for i, c in enumerate(comps) if c.kind == ENTRY]
-        self.data_entries = [i for i in self.entries
-                             if comps[i].out_widths[0]]
 
     def _rules(self, traced: bool) -> list:
         p, q, sib = self.producer, self.consumer, self.sibling
         return [_factory(_PIPELINE if i in self.depth else c.kind, len(a), len(b),
-                         tuple(sib[k] != k for k in b), traced)(
+                         tuple(len(sib[k]) for k in b), traced)(
             i, c, bind(IMPL_BY_OPCODE[c.opcode], c.pos) if c.kind == OPERATOR
             else lambda _, v=c.value: v, self.depth.get(i),
-            (*a, *b, *(p[k] for k in a), *(q[k] for k in b), *(sib[k] for k in b)))
+            (*a, *b, *(p[k] for k in a), *(q[k] for k in b),
+             *(j for k in b for j in sib[k])))
             for i, (c, (a, b)) in enumerate(zip(self.components, self.ports))]
 
     @cached_property
@@ -316,13 +297,13 @@ class Simulator:
             raise SimError(f"circuit has {len(plan.data_entries)} data "
                            f"entries, got {len(args)} argument(s)")
         self.plan = plan
-        self.chan: list = [_ABSENT] * len(plan.producer)
-        self.entry_tokens = dict.fromkeys(plan.entries)  # control: None
-        self.entry_tokens.update(zip(plan.data_entries, args))
+        pins = dict(zip(plan.data_entries, args))  # a control Entry's holds None
+        self.chan: list = [_ABSENT] * len(plan.producer)  # channels, then pins
+        self.chan[len(plan.channels):] = map(pins.get, plan.entries)
         self.pipes: dict[int, list] = {i: [] for i in plan.depth}
         self.regs = dict.fromkeys(plan.buffers, _ABSENT)  # a Buffer's token
         self.releases: list[tuple[int, int]] = []  # (ready cycle, i) per slot
-        self.tokens = 0  # in channels, Buffers and pipelines
+        self.tokens = len(plan.entries)  # in pins, channels, Buffers, pipelines
         self.outputs: dict[int, tuple] = {}  # per Exit: its first (cycle, i, value)
         self.events: list[tuple[int, int, str]] | None = [] if trace else None
         self.cycle = self.max_occupancy = 0
@@ -372,11 +353,14 @@ class Simulator:
                             raise SimError(f"channel {plan.channels[ch].id} "
                                            f"driven while occupied")
                         chan[ch] = value
-                        if chan[sibling[ch]] is not _ABSENT:  # a join's last input
+                        for j in sibling[ch]:  # a join wakes at its last input
+                            if chan[j] is _ABSENT:
+                                break
+                        else:
                             worklist.add(consumer[ch])
                     consume.clear()
                     produce.clear()
-                if self.tokens > self.max_occupancy:  # no Entry holds one now
+                if self.tokens > self.max_occupancy:  # every pin emptied in cycle 0
                     self.max_occupancy = self.tokens
                 if fired:
                     fired.sort(key=_position)  # stable
@@ -401,8 +385,7 @@ class Simulator:
         return SimReport(output=out, exit_cycle=exit_cycle,
                          total_cycles=self.cycle,
                          max_occupancy=self.max_occupancy,
-                         leftover=self.tokens + len(self.entry_tokens),
-                         events=self.events)
+                         leftover=self.tokens, events=self.events)
 
 
 def simulate(g: CDFG, args: tuple, max_cycles: int = DEFAULT_MAX_CYCLES,

@@ -9,7 +9,7 @@ from test_mutants import MUTANTS
 from test_source import load_ladder_generator
 
 from minihls import corpus
-from minihls.build import build_cdfg
+from minihls.build import build_cdfg, resolve_latencies
 from minihls.cdfg import check, insert_buffers, to_json
 from minihls.errors import MiniHlsError
 from minihls.interp import run_ssa
@@ -100,3 +100,16 @@ def test_a_block_listed_before_its_one_predecessor_waits_for_it(make):
         report = simulate(g, args)
         assert report.output == run_ssa(func, args)
         assert report.leftover == 0
+
+
+def test_a_compile_resolves_its_latency_map_once(monkeypatch):
+    """`compile_source` hands the map as given to `build_cdfg`, which
+    resolves it: one resolution per compile, with the same result."""
+    calls = []
+    monkeypatch.setattr("minihls.build.resolve_latencies", lambda overrides:
+                        calls.append(overrides) or resolve_latencies(overrides))
+    res = compile_source(corpus.load("power"), corpus.SIGNATURES["power"],
+                         latencies={"mul_i64": 6})
+    assert calls == [{"mul_i64": 6}]
+    assert {c.latency for c in res.cdfg.components
+            if c.opcode == "mul_i64"} == {6}

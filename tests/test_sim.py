@@ -654,6 +654,57 @@ def test_worklist_wakes_only_components_that_can_fire(compiled, source, args):
     assert calls <= 1.05 * firing, (calls, firing)
 
 
+@pytest.mark.parametrize("source, args", [
+    ("power", (2, 10)), ("newton_raphson", (1.0,)), (wide_ladder(10), (3, 5))],
+    ids=["power", "newton_raphson", "wide_ladder"])
+def test_every_rule_call_fires(compiled, source, args):
+    """A filled channel wakes a join other than a Merge only once all its
+    other inputs hold a token, so no call declines: newton_raphson's
+    three-input select runs once per iteration, when its last input
+    arrives."""
+    g = (compiled(source) if source in corpus.PROGRAMS
+         else compile_source(source)).cdfg
+    calls, firing = rule_calls(g, args)
+    assert calls == firing
+
+
+def triggered_const():
+    """A control-only Entry triggers Const 1, whose 7 goes to the Exit."""
+    g = circuit("trigger", [(C.ENTRY, (), (0,), {}),
+                            (C.CONST, (0,), I64, {"value": 7}),
+                            (C.EXIT, I64, (), {})], [])
+    g.add_channel((0, 0), (1, 0), 0)
+    g.add_channel((1, 0), (2, 0), 64)
+    return g
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_a_run_stopped_before_its_first_cycle_leaves_every_pin_full(compiled,
+                                                                    trace):
+    """Each Entry's token waits on its pin until cycle 0: a run with no
+    cycles leaves one token per Entry, data or control, and has held none
+    in a channel."""
+    for g, args, entries in ((compiled("power").cdfg, (2, 10), 3),
+                             (triggered_const(), (), 1)):
+        assert sum(c.kind == C.ENTRY for c in g.components) == entries
+        with pytest.raises(MaxCyclesError) as info:
+            simulate(g, args, max_cycles=0, trace=trace)
+        report = info.value.report
+        assert (report.leftover, report.max_occupancy) == (entries, 0)
+        assert simulate(g, args, trace=trace).leftover == 0
+
+
+def test_six_kinds_share_the_strict_rule():
+    """Five templates: the strict rule, which Entry, Exit, Const, Operator,
+    Fork and Sink fill in with their compute line and event name, Branch,
+    Merge, Buffer and the pipelined Operator."""
+    assert len(sim_module._FIRE) == 5
+    assert set(sim_module._STRICT) == {C.ENTRY, C.EXIT, C.CONST, C.OPERATOR,
+                                       C.FORK, C.SINK}
+    assert simulate(triggered_const(), (), trace=True).events == [
+        (0, 0, "emit"), (1, 1, "fire"), (2, 2, "exit")]
+
+
 # -- the closure engine as reference -----------------------------------------
 #
 # `sim_reference` is the engine the per-shape kernels replaced: a closure
