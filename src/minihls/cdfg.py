@@ -107,8 +107,10 @@ class CDFG:
     # the last `sim.SimPlan` built, reused while the circuit is unchanged
     sim_plan: object = field(default=None, init=False, repr=False, compare=False)
 
-    def add_component(self, kind: str, in_widths, out_widths, **kw) -> Component:
-        c = Component(len(self.components), kind, in_widths, out_widths, **kw)
+    def add_component(self, kind: str, in_widths, out_widths, label="", opcode=None,
+                      latency=0, value=None, pos=Pos(0, 0)) -> Component:
+        c = Component(len(self.components), kind, in_widths, out_widths, label,
+                      opcode, latency, value, pos)  # positional: keywords cost more
         self.components.append(c)
         return c
 

@@ -91,7 +91,7 @@ class SSAFunction:
     next_block: BlockId = 0
     # the entries `verify` last found valid
     checked: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # the `interp.run_ssa` plan, reused while it was built from `checked`
+    # the `interp.run_ssa` plan, compiled once hot, kept while built from `checked`
     plan: object = field(default=None, init=False, repr=False, compare=False)
 
     @property

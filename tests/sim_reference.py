@@ -5,9 +5,12 @@ Each component is bound to a closure made by its kind's factory, which
 reads its channels through `itemgetter` picks; a Buffer is a depth-1
 pipeline whose tokens come due through the release heap, like a
 latency > 0 Operator.  The run loop commits the same two phases and keeps
-the same worklist rules as `sim.Simulator`.  It shares `SimReport` and the
-errors with `sim`, builds a plan of its own for each run and gives the
-same reports, events and errors.
+the same worklist rules as `sim.Simulator` but one: its `sibling` table
+pairs only two-input joins, so it wakes a join of three or more inputs at
+every input that arrives, where `sim` wakes it once, by its last.  Only the
+count of rule calls differs.  It shares `SimReport` and the errors with
+`sim`, builds a plan of its own for each run and gives the same reports,
+events and errors.
 """
 
 from heapq import heappop, heappush

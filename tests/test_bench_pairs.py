@@ -1,4 +1,5 @@
-"""The summary arithmetic of `tools/bench_pairs.py`, on fixed numbers.
+"""The summary arithmetic and the history merge of `tools/bench_pairs.py`,
+on fixed numbers.
 
 No benchmark runs here: the figures are made up so that each median,
 quartile and win can be checked by hand.
@@ -42,3 +43,29 @@ def test_summary_of_a_lower_is_better_metric_counts_ties_as_no_win():
     # parent IQR is 9.25 - 7.75 = 1.5, more than the 0.5 between medians
     assert not m["median_gap_exceeds_parent_iqr"]
     assert bench_pairs.summarize([0, 0], [0, 0], "lower")["change_pct"] is None
+
+
+def comparison(parent, change, ops_per_s):
+    """A made-up comparison of one workload, with one pair's run."""
+    return {"seed": 7, "parent": {"commit": parent},
+            "change": {"commit": change, "source_sha256": change * 2},
+            "metrics": {"ops_per_s": {"change_pct": ops_per_s}},
+            "runs": [{"pair": 0, "first": "parent"}]}
+
+
+def test_merge_keeps_the_latest_on_top_and_every_comparison_in_history():
+    legacy = comparison("a", "a", 1.0)  # written before histories were kept
+    doc = {"corpus_sweep": dict(legacy), "wide_sim": comparison("a", "a", 5.0)}
+    bench_pairs.merge(doc, "corpus_sweep", comparison("a", "b", 2.0))
+    bench_pairs.merge(doc, "corpus_sweep", comparison("b", "c", 3.0))
+    bench_pairs.merge(doc, "compile_ladder", comparison("b", "c", 4.0))
+    latest = doc["corpus_sweep"]
+    assert {k: v for k, v in latest.items() if k != "history"} == comparison("b", "c", 3.0)
+    history = latest["history"]
+    assert [(h["parent"]["commit"], h["change"]["commit"]) for h in history] == [
+        ("a", "a"), ("a", "b"), ("b", "c")]
+    assert [h["metrics"]["ops_per_s"]["change_pct"] for h in history] == [1.0, 2.0, 3.0]
+    assert all("runs" not in h for h in history)  # the latest keeps its runs on top
+    assert [h["seed"] for h in history] == [7, 7, 7]
+    assert [h["change"]["commit"] for h in doc["compile_ladder"]["history"]] == ["c"]
+    assert doc["wide_sim"] == comparison("a", "a", 5.0)  # other workloads untouched

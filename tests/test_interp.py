@@ -7,11 +7,13 @@ from collections import Counter
 
 import pytest
 
-from minihls import corpus, lattice, typecheck
+from test_source import load_ladder_generator
+
+from minihls import corpus, interp, lattice, typecheck
 from minihls.errors import (DivByZeroError, EvalError, FuelExhaustedError,
                             NoMethodError, Pos)
 from minihls.interp import eval_op, run_source, run_ssa, type_of_value
-from minihls.ir import Ret
+from minihls.ir import Ret, verify
 from minihls.lattice import IMPL_BY_OPCODE, LatticeType, wrap64
 from minihls.lower import lower
 from minihls.pipeline import compile_source
@@ -203,10 +205,13 @@ def test_fuel_thresholds_are_exact():
         run_source(res.func, (2, 3), fuel=40)
     assert info.value.pos == Pos(8, 12)  # the `acc` of `return acc`
     for func in (res.ssa_unopt, res.ssa):
-        assert run_ssa(func, (2, 3), fuel=27) == 8
-        with pytest.raises(FuelExhaustedError) as info:
-            run_ssa(func, (2, 3), fuel=26)
-        assert info.value.pos == Pos(0, 0)  # the return terminator
+        for hot in (False, True):
+            assert (func.plan is not None and func.plan.compiled is not None) == hot
+            assert run_ssa(func, (2, 3), fuel=27) == 8
+            with pytest.raises(FuelExhaustedError) as info:
+                run_ssa(func, (2, 3), fuel=26)
+            assert info.value.pos == Pos(0, 0)  # the return terminator
+            run_hot(func, (2, 3))
 
 
 def retyped_loop(second):
@@ -311,19 +316,30 @@ def test_unchanged_programs_are_planned_once():
 
 def test_replaced_instruction_or_terminator_is_replanned():
     ssa = trapping_ssa()
-    assert run_ssa(ssa, (6, 4)) == 3
     block = ssa.blocks[0]
     k, ins = 2, block.instrs[2]  # the `%`
+
+    def replanned(want):
+        """A fresh, uncompiled plan gives `want`; the old one had compiled."""
+        hot = ssa.plan
+        assert hot.compiled is not None
+        assert run_ssa(ssa, (6, 4)) == want
+        assert ssa.plan is not hot and ssa.plan.compiled is None
+        assert ssa.plan.spent == sum(b[1] for b in ssa.plan.blocks)  # one run
+        run_hot(ssa, (6, 4))
+
+    run_hot(ssa, (6, 4))
     block.instrs[k] = dataclasses.replace(ins, op=IMPL_BY_OPCODE["sub_i64"])
-    assert run_ssa(ssa, (6, 4)) == 3  # (6 + 1) - 4
+    replanned(3)  # (6 + 1) - 4
     block.instrs[k] = ins
     block.terminator = Ret(ssa.params[0][0])
-    assert run_ssa(ssa, (6, 4)) == 6
+    replanned(6)
     block.terminator = Ret(ins.result)
-    assert run_ssa(ssa, (6, 4)) == 3
+    replanned(3)
     # an equal instruction at another position is a new one too
     block.instrs[k] = dataclasses.replace(ins, pos=Pos(9, 9))
     assert block.instrs[k] == ins
+    replanned(3)
     with pytest.raises(DivByZeroError) as info:
         run_ssa(ssa, (6, 0))
     assert info.value.pos == Pos(9, 9)
@@ -346,3 +362,105 @@ def test_run_ssa_checks_the_argument_count():
     with pytest.raises(EvalError) as info:
         run_ssa(lowered("power"), (2,))
     assert info.value.message == "power takes 2 argument(s), got 1"
+
+
+# -- the compiled tier: a plan compiles once it has paid for its compile ----
+
+
+def run_hot(func, args):
+    """Run `func` on `args` until its plan is compiled; returns the runs."""
+    for runs in range(1, 1000):
+        run_ssa(func, args)
+        if func.plan.compiled is not None:
+            return runs
+    raise AssertionError(f"{func.name} never compiled")
+
+
+# (text, signature, points): the corpus, the trapping programs above, a loop
+# that never ends, one that swaps two values each trip, and one over Bool
+# and Float64 parameters that traps in its third trip when n is 3
+TIER_PROGRAMS = [(corpus.load(name), corpus.SIGNATURES[name], points)
+                 for name, points in (("if_else", [(3, 4), (20, -3), (-1, 0)]),
+                                      ("power", [(2, 5), (-3, 9), (7, 0)]),
+                                      ("newton_raphson", [(2.0,), (0.5,)]))]
+TIER_PROGRAMS += [
+    ("function f(a, b)\n  c = a + 1\n  return c % b\nend\n", (I, I), [(6, 4), (6, 0)]),
+    ("function f(a, b)\n  c = a + b\n  return b % c\nend\n", (I, I), [(2, 5), (-5, 5)]),
+    ("function f(a, b)\n  return a != 0 && b % a == 0\nend\n", (I, I), [(2, 4), (0, 4)]),
+    ("function f(a)\n  while a > 0\n    a = a + 0\n  end\n  return a\nend\n", (I,),
+     [(1,), (0,)]),
+    ("function f(a, b, n)\n  i = 0\n  while i < n\n    t = a\n    a = b\n    b = t\n"
+     "    i = i + 1\n  end\n  return a - 2 * b\nend\n", (I, I, I), [(1, 5, 3), (4, 2, 2)]),
+    ("function f(p, x, n)\n  s = 0.0\n  i = 0\n  while i < n\n    if p\n"
+     "      s = s + x * (7 % (n - i - 1))\n    else\n      s = s - x\n    end\n"
+     "    i = i + 1\n  end\n  return s > 0.0 || p\nend\n", (B, F, I),
+     [(True, 0.5, 3), (True, -1.5, 0), (False, 2.0, 4), (False, float("nan"), 2)]),
+]
+
+
+def outcome(run, args, fuel):
+    """What a run gives: its value (told apart by type and repr, so -0.0,
+    1.0 and nan are exact) or its error and position."""
+    try:
+        value = run(args, fuel)
+        return type(value), repr(value)
+    except EvalError as err:
+        return type(err), err.pos
+
+
+@pytest.mark.parametrize("text, sig, points", TIER_PROGRAMS)
+def test_compiled_and_interpreted_runs_agree_at_every_fuel(text, sig, points):
+    res = compile_source(text, sig)
+    for func in (res.ssa_unopt, res.ssa):
+        assert verify(func) == []
+        plan = interp._Plan(func)
+        compiled = interp._compile(plan)
+        tiers = (lambda args, fuel: interp._interpret(
+                     plan, dict(zip(plan.params, args)), fuel, 0)[0],
+                 lambda args, fuel: compiled(fuel, *args))
+        for args in points:
+            for fuel in range(400):
+                got = [outcome(run, args, fuel) for run in tiers]
+                assert got[0] == got[1], (text, args, fuel)
+                if got[0][0] is not FuelExhaustedError:  # the exact threshold
+                    assert [outcome(run, args, fuel + 1) for run in tiers] == got
+                    break
+        assert plan.spent == 0 and plan.compiled is None  # as built
+
+
+def test_a_plan_run_hot_compiles_once(monkeypatch, sweeps):
+    compiles = Counter()
+
+    def counting(plan):
+        compiles[id(plan)] += 1
+        return compile_plan(plan)
+
+    compile_plan = interp._compile
+    monkeypatch.setattr(interp, "_compile", counting)
+    ssa = lowered("power")
+    run_ssa(ssa, (2, 3))
+    plan = ssa.plan
+    assert plan.compiled is None and plan.spent == 27
+    # a plan compiles once it has spent `_COMPILE_AFTER` times its cost
+    assert plan.limit == interp._COMPILE_AFTER * sum(b[1] for b in plan.blocks)
+    runs = run_hot(ssa, (2, 3))
+    assert runs == -(-plan.limit // 27) - 1 and compiles == {id(plan): 1}
+    compiled = plan.compiled
+    for x, n in sweeps["power"]:
+        assert run_ssa(ssa, (x, n)) == run_source(source_fn(corpus.load("power")), (x, n))
+    assert ssa.plan is plan and plan.compiled is compiled
+    assert compiles == {id(plan): 1} and plan.spent == 27 * (runs + 1)
+
+
+def test_ladders_run_as_the_benchmark_compiles_them_stay_interpreted():
+    # each ladder's SSA runs twice, on two points, before and after passes
+    ladder = load_ladder_generator()
+    for n in (1, 4, 16):
+        for wide in (False, True):
+            res = compile_source(ladder(n, wide, 5, trips=2))
+            for args in ((3, -4), (-7, 11)):
+                for func in (res.ssa_unopt, res.ssa):
+                    run_ssa(func, args)
+            for func in (res.ssa_unopt, res.ssa):
+                assert func.plan.compiled is None
+                assert 0 < func.plan.spent < func.plan.limit

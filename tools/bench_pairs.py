@@ -18,7 +18,11 @@ change of the median in percent and the pairs the change wins (is
 strictly better in, by the metric's direction).  It is merged by
 workload into `--out` (default `BENCH_toolchain.json` at the root of
 the checkout), next to both commits, the seed and the seconds; a run
-that fails an op is recorded with its count of failed ops.
+that fails an op is recorded with its count of failed ops.  The latest
+comparison stands at the top of its workload's entry, and every
+comparison, the latest included, is appended to the entry's `history`
+without its per-pair runs, so the file keeps the trajectory.  A change
+not yet committed is named by its parent commit and its `source_sha256`.
 """
 
 from __future__ import annotations
@@ -93,6 +97,17 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
                 abs(c["median"] - p["median"]) > p["q3"] - p["q1"]}
 
 
+def merge(doc: dict, workload: str, comparison: dict) -> None:
+    """Make `comparison` the latest of `workload` in `doc` and append it,
+    without its runs, to the workload's history.  An entry written before
+    histories were kept becomes the first point of its history."""
+    previous = doc.get(workload, {})
+    history = previous.pop("history", [previous] if previous else [])
+    history = [{k: v for k, v in c.items() if k != "runs"}
+               for c in (*history, comparison)]
+    doc[workload] = {**comparison, "history": history}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare")
@@ -120,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
                                     m["better"])
                for m in declared}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc[args.workload] = {
+    merge(doc, args.workload, {
         "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
         "parent": {"commit": git("rev-parse", args.parent)},
         "change": {"commit": git("rev-parse", "HEAD"),
@@ -128,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
                    "source_sha256": source_sha256(ROOT)},
         "failed_ops": {side: sum(r[side]["failed"] for r in runs)
                        for side in ("parent", "change")},
-        "metrics": metrics, "runs": runs}
+        "metrics": metrics, "runs": runs})
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for name, m in metrics.items():
         print(f"{name:14s} {m['parent']['median']:>12.6g} -> "
