@@ -12,6 +12,7 @@ slot descriptors, in half the time of `object.__setattr__` per field.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
+from inspect import formatannotation
 from typing import NamedTuple
 
 
@@ -26,20 +27,25 @@ class Pos(NamedTuple):
 
 
 def record(cls):
-    """`dataclass(frozen=True, slots=True)` with an `__init__` of the same arguments,
+    """`dataclass(frozen=True, slots=True)` with an `__init__` of the same signature,
     defaults (no `default_factory`) and `__post_init__` call that sets each field
-    by its slot's `__set__`."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    params, body, env = [], [], {}
+    by its slot's `__set__`, and the same docstring."""
+    doc, cls.__doc__ = cls.__doc__, "-"  # dataclass would word one from no __init__
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    params, shown, body, env = [], [], [], {}
+    annotations = {f.name: f.type for f in fields(cls) if f.init} | {"return": None}
     for f in fields(cls):
         env["set_" + f.name], env["d_" + f.name] = getattr(cls, f.name).__set__, f.default
         if f.init:
             params.append(f.name if f.default is MISSING else f"{f.name}=d_{f.name}")
+            shown.append(f"{f.name}: {formatannotation(f.type)}"
+                         + ("" if f.default is MISSING else f" = {f.default!r}"))
         body.append(f"set_{f.name}(self, {f.name if f.init else 'd_' + f.name})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     exec(f"def __init__(self, {', '.join(params)}):\n " + "\n ".join(body or ["pass"]), env)
-    cls.__init__ = env["__init__"]
+    cls.__init__, env["__init__"].__annotations__ = env["__init__"], annotations
+    cls.__doc__ = doc or f"{cls.__name__}({', '.join(shown)})"
     return cls
 
 

@@ -69,3 +69,34 @@ def test_merge_keeps_the_latest_on_top_and_every_comparison_in_history():
     assert [h["seed"] for h in history] == [7, 7, 7]
     assert [h["change"]["commit"] for h in doc["compile_ladder"]["history"]] == ["c"]
     assert doc["wide_sim"] == comparison("a", "a", 5.0)  # other workloads untouched
+
+
+def uncommitted(parent, parent_digest, change_digest):
+    """A made-up comparison of a change not yet committed, on `parent`."""
+    return {"seed": 7, "runs": [],
+            "parent": {"commit": parent, "source_sha256": parent_digest},
+            "change": {"commit": parent, "uncommitted_changes": True,
+                       "source_sha256": change_digest}}
+
+
+def test_merge_ties_each_earlier_point_to_the_commit_it_became():
+    doc = {}
+    bench_pairs.merge(doc, "corpus_sweep", uncommitted("p0", "d0", "d1"))
+    bench_pairs.merge(doc, "wide_sim", uncommitted("p0", "d0", "d1"))
+    bench_pairs.merge(doc, "wide_sim", uncommitted("p0", "d0", "d9"))  # abandoned
+    assert not any("became" in point for entry in doc.values()
+                   for point in (entry, *entry["history"]))
+    # the change of digest d1 was committed as p1, and p1 is the next parent
+    bench_pairs.merge(doc, "corpus_sweep", uncommitted("p1", "d1", "d2"))
+    assert [p.get("became") for p in doc["corpus_sweep"]["history"]] == ["p1", None]
+    assert [p.get("became") for p in doc["wide_sim"]["history"]] == ["p1", None]
+    assert "became" not in doc["corpus_sweep"] and "became" not in doc["wide_sim"]
+    # a later commit with the same sources, such as a docs-only one, is no
+    # earlier point's commit
+    bench_pairs.merge(doc, "compile_ladder", uncommitted("p1docs", "d1", "d2"))
+    assert [p.get("became") for p in doc["wide_sim"]["history"]] == ["p1", None]
+    bench_pairs.merge(doc, "compile_ladder", uncommitted("p2", "d2", "d3"))
+    assert doc["corpus_sweep"]["became"] == "p2"  # the latest, runs and all
+    assert doc["corpus_sweep"]["runs"] == []
+    assert [p.get("became") for p in doc["corpus_sweep"]["history"]] == ["p1", "p2"]
+    assert [p.get("became") for p in doc["compile_ladder"]["history"]] == ["p2", None]

@@ -522,6 +522,58 @@ def test_records_are_immutable():
              else f.default) for f in fields if f.init], cls
 
 
+# The signature of each record class: the parameters and defaults that
+# `dataclass` generated, annotated with the fields' types.  A class without
+# a docstring is documented as its name and this signature, as `dataclass`
+# documents it.
+RECORD_SIGNATURES = {
+    "Expr": "()",
+    "Lit": "(value: 'bool | int | float', pos: 'Pos' = Pos(line=0, col=0))",
+    "Var": "(name: 'str', pos: 'Pos' = Pos(line=0, col=0))",
+    "Call": "(op: 'str', args: 'tuple[Expr, ...]', pos: 'Pos' = Pos(line=0, col=0))",
+    "Stmt": "()",
+    "Assign": "(target: 'str', value: 'Expr', pos: 'Pos' = Pos(line=0, col=0))",
+    "If": "(cond: 'Expr', then: 'tuple[Stmt, ...]', "
+          "elifs: 'tuple[tuple[Expr, tuple[Stmt, ...]], ...]', "
+          "orelse: 'tuple[Stmt, ...] | None', pos: 'Pos' = Pos(line=0, col=0))",
+    "While": "(cond: 'Expr', body: 'tuple[Stmt, ...]', pos: 'Pos' = Pos(line=0, col=0))",
+    "Return": "(value: 'Expr', pos: 'Pos' = Pos(line=0, col=0))",
+    "Param": "(name: 'str', annotation: 'str | None', pos: 'Pos' = Pos(line=0, col=0))",
+    "FunctionDef": "(name: 'str', params: 'tuple[Param, ...]', body: 'tuple[Stmt, ...]', "
+                   "pos: 'Pos' = Pos(line=0, col=0))",
+    "SourceProgram": "(functions: 'tuple[FunctionDef, ...]')",
+    "TExpr": "(ty: 'LatticeType', pos: 'Pos')",
+    "TConst": "(ty: 'LatticeType', pos: 'Pos', value: 'bool | int | float')",
+    "TVar": "(ty: 'LatticeType', pos: 'Pos', name: 'str')",
+    "TCall": "(ty: 'LatticeType', pos: 'Pos', impl: 'OperatorImpl', args: 'tuple[TExpr, ...]')",
+    "TypedFunction": "(name: 'str', params: 'tuple[tuple[str, LatticeType], ...]', "
+                     "body: 'tuple[src.Stmt, ...]', return_type: 'LatticeType', pos: 'Pos')",
+    "ConstOp": "(value: 'object')",
+    "Instr": "(result: 'ValueId', ty: 'LatticeType', op: 'Op', "
+             "args: 'tuple[ValueId, ...]' = (), pos: 'Pos' = Pos(line=0, col=0))",
+    "Goto": "(target: 'BlockId', args: 'tuple[ValueId, ...]' = ())",
+    "CondGoto": "(cond: 'ValueId', then_target: 'BlockId', then_args: 'tuple[ValueId, ...]', "
+                "else_target: 'BlockId', else_args: 'tuple[ValueId, ...]')",
+    "Ret": "(value: 'ValueId')",
+    "Component": "(id: 'int', kind: 'str', in_widths: 'tuple[int, ...]', "
+                 "out_widths: 'tuple[int, ...]', label: 'str' = '', "
+                 "opcode: 'str | None' = None, latency: 'int' = 0, value: 'object' = None, "
+                 "pos: 'Pos' = Pos(line=0, col=0))",
+    "Channel": "(id: 'int', src: 'int', src_port: 'int', dst: 'int', dst_port: 'int', "
+               "width: 'int')",
+}
+
+
+def test_record_signatures_and_docstrings_are_the_dataclass_ones():
+    for mod, names in RECORDS.items():
+        for name in names:
+            cls, sig = getattr(mod, name), RECORD_SIGNATURES[name]
+            assert str(inspect.signature(cls)) == sig + " -> None", name
+            assert cls.__doc__ == ("Materialize a literal." if name == "ConstOp"
+                                   else name + sig), name
+    assert len(RECORD_SIGNATURES) == sum(map(len, RECORDS.values()))
+
+
 def test_record_defaults_init_false_fields_and_post_init():
     assert src_mod.Var("x") == src_mod.Var("x", Pos(3, 4))
     assert src_mod.Var("x").pos == Pos(0, 0)

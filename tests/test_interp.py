@@ -1,6 +1,7 @@
 """Reference semantics: wrapping, division, trapping, fuel, strictness."""
 
 import dataclasses
+import gc
 import math
 import sys
 from collections import Counter
@@ -17,7 +18,7 @@ from minihls.ir import Ret, verify
 from minihls.lattice import IMPL_BY_OPCODE, LatticeType, wrap64
 from minihls.lower import lower
 from minihls.pipeline import compile_source
-from minihls.source import parse_source
+from minihls.source import FunctionDef, parse_source
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -200,10 +201,13 @@ def test_run_source_validates_argument_count():
 
 def test_fuel_thresholds_are_exact():
     res = compile_source(corpus.load("power"), corpus.SIGNATURES["power"])
-    assert run_source(res.func, (2, 3), fuel=41) == 8
-    with pytest.raises(FuelExhaustedError) as info:
-        run_source(res.func, (2, 3), fuel=40)
-    assert info.value.pos == Pos(8, 12)  # the `acc` of `return acc`
+    for hot in (False, True):
+        assert (res.func.plan is not None and res.func.plan.compiled is not None) == hot
+        assert run_source(res.func, (2, 3), fuel=41) == 8
+        with pytest.raises(FuelExhaustedError) as info:
+            run_source(res.func, (2, 3), fuel=40)
+        assert info.value.pos == Pos(8, 12)  # the `acc` of `return acc`
+        run_hot(res.func, (2, 3))
     for func in (res.ssa_unopt, res.ssa):
         for hot in (False, True):
             assert (func.plan is not None and func.plan.compiled is not None) == hot
@@ -217,10 +221,14 @@ def test_fuel_thresholds_are_exact():
 def retyped_loop(second):
     """`y = x + 1` sees an Int64 `x` on its first visit and `second` on
     its next."""
-    return source_fn("function f(n)\n  x = 1\n  y = 0\n  i = 0\n"
-                     "  while i < n\n    y = x + 1\n"
-                     f"    x = {second}\n    i = i + 1\n  end\n"
-                     "  return y\nend\n")
+    return source_fn(retyped_text(second))
+
+
+def retyped_text(second):
+    return ("function f(n)\n  x = 1\n  y = 0\n  i = 0\n"
+            "  while i < n\n    y = x + 1\n"
+            f"    x = {second}\n    i = i + 1\n  end\n"
+            "  return y\nend\n")
 
 
 def test_dispatch_follows_the_operands_of_each_visit():
@@ -248,10 +256,13 @@ def test_a_node_looks_its_method_up_once_while_its_operand_types_repeat(
     for name, module in list(sys.modules.items()):  # every holder of the table
         if name.split(".")[0] == "minihls" and getattr(module, "METHODS", None) is methods:
             monkeypatch.setattr(module, "METHODS", table)
-    assert run_source(fn, (1000, 0.5)) == sum(0.5 * (i % 7) for i in range(1000))
-    # the loop test is one node for every trip
-    assert lookups == {("<", I, I): 1, ("+", F, F): 1, ("*", F, I): 1,
-                       ("%", I, I): 1, ("+", I, I): 1}
+    want = {("<", I, I): 1, ("+", F, F): 1, ("*", F, I): 1, ("%", I, I): 1,
+            ("+", I, I): 1}  # the loop test is one node for every trip
+    for compiled in (False, True):  # one run pays for the compile
+        assert (fn.plan is not None and fn.plan.compiled is not None) == compiled
+        lookups.clear()
+        assert run_source(fn, (1000, 0.5)) == sum(0.5 * (i % 7) for i in range(1000))
+        assert lookups == want
 
 
 def trapping_ssa(text="function f(a, b)\n  c = a + 1\n  return c % b\nend\n"):
@@ -368,9 +379,11 @@ def test_run_ssa_checks_the_argument_count():
 
 
 def run_hot(func, args):
-    """Run `func` on `args` until its plan is compiled; returns the runs."""
+    """Run `func`, a source or SSA function, on `args` until its plan is
+    compiled; returns the runs."""
+    run = run_source if isinstance(func, FunctionDef) else run_ssa
     for runs in range(1, 1000):
-        run_ssa(func, args)
+        run(func, args)
         if func.plan.compiled is not None:
             return runs
     raise AssertionError(f"{func.name} never compiled")
@@ -404,7 +417,7 @@ def outcome(run, args, fuel):
     try:
         value = run(args, fuel)
         return type(value), repr(value)
-    except EvalError as err:
+    except (EvalError, NoMethodError) as err:
         return type(err), err.pos
 
 
@@ -413,8 +426,8 @@ def test_compiled_and_interpreted_runs_agree_at_every_fuel(text, sig, points):
     res = compile_source(text, sig)
     for func in (res.ssa_unopt, res.ssa):
         assert verify(func) == []
-        plan = interp._Plan(func)
-        compiled = interp._compile(plan)
+        plan = interp._SSAPlan(func)
+        compiled = interp._compile_ssa(plan)
         tiers = (lambda args, fuel: interp._interpret(
                      plan, dict(zip(plan.params, args)), fuel, 0)[0],
                  lambda args, fuel: compiled(fuel, *args))
@@ -435,8 +448,8 @@ def test_a_plan_run_hot_compiles_once(monkeypatch, sweeps):
         compiles[id(plan)] += 1
         return compile_plan(plan)
 
-    compile_plan = interp._compile
-    monkeypatch.setattr(interp, "_compile", counting)
+    compile_plan = interp._compile_ssa
+    monkeypatch.setattr(interp, "_compile_ssa", counting)
     ssa = lowered("power")
     run_ssa(ssa, (2, 3))
     plan = ssa.plan
@@ -453,14 +466,142 @@ def test_a_plan_run_hot_compiles_once(monkeypatch, sweeps):
 
 
 def test_ladders_run_as_the_benchmark_compiles_them_stay_interpreted():
-    # each ladder's SSA runs twice, on two points, before and after passes
+    # each ladder runs once per point, on two points: its source, and its
+    # SSA before and after passes
     ladder = load_ladder_generator()
     for n in (1, 4, 16):
         for wide in (False, True):
             res = compile_source(ladder(n, wide, 5, trips=2))
             for args in ((3, -4), (-7, 11)):
+                run_source(res.func, args)
                 for func in (res.ssa_unopt, res.ssa):
                     run_ssa(func, args)
-            for func in (res.ssa_unopt, res.ssa):
+            for func in (res.func, res.ssa_unopt, res.ssa):
                 assert func.plan.compiled is None
                 assert 0 < func.plan.spent < func.plan.limit
+
+
+# -- the compiled source tier: the same rule for `run_source`'s closures ----
+
+# (text, points) of faults only the source interpreter meets: a variable
+# assigned on one path only (read before or after an operand that traps),
+# non-Bool conditions of each kind, an operand whose type changes in a loop,
+# and operators on literals only, one of which traps
+SOURCE_FAULTS = [
+    ("function f(a, b)\n  if a > 0\n    y = a\n  end\n  return y + b % a\nend\n",
+     [(1, 2), (0, 2), (-1, 3)]),
+    ("function f(a, b)\n  if a > 0\n    y = a\n  end\n  return b % a + y\nend\n",
+     [(1, 2), (0, 2), (-1, 3)]),
+    ("function f(a, n)\n  i = 0\n  while i < n\n    y = i * a\n    i = i + 1\n  end\n"
+     "  return y\nend\n", [(3, 2), (3, 0)]),
+    ("function f(a)\n  if a\n    a = 0\n  end\n  return a\nend\n", [(True,), (False,), (1,)]),
+    ("function f(a)\n  while a\n    a = false\n  end\n  return a\nend\n", [(True,), (1.0,)]),
+    ("function f(a)\n  if a < 0\n    a = 0\n  elseif a\n    a = 1\n  end\n  return a\nend\n",
+     [(-1,), (2,), (2.5,), (True,)]),
+    (retyped_text("true"), [(2,), (1,), (0,)]),
+    ("function f(a)\n  b = -(2 * 3)\n  if a < b\n    b = 1 % 0\n  end\n  return a + b\nend\n",
+     [(1,), (-9,)]),
+]
+
+
+def fell_off(text):
+    """The function of `text` without its last statement, a `return`."""
+    func = source_fn(text)
+    return dataclasses.replace(func, body=func.body[:-1])
+
+
+def source_tiers(func):
+    """`func`'s closures and its compiled function, each as a run of (args,
+    fuel) that gives what `run_source` gives."""
+    plan = interp._SourcePlan(func)
+    compiled = interp._compile_source(plan)
+
+    def checked(run):
+        def run_checked(args, fuel):
+            if (result := run(args, fuel)) is None:
+                raise EvalError(f"{func.name} fell off the end", func.pos)
+            return result
+        return run_checked
+    return (checked(lambda args, fuel: plan.interpret(fuel, args)[0]),
+            checked(lambda args, fuel: compiled(fuel, *args)))
+
+
+@pytest.mark.parametrize("func, points", [
+    *((source_fn(text), points) for text, _, points in TIER_PROGRAMS),
+    *((source_fn(text), points) for text, points in SOURCE_FAULTS),
+    (fell_off(TIER_PROGRAMS[-2][0]), [(1, 5, 3)])])
+def test_compiled_and_closure_source_runs_agree_at_every_fuel(func, points):
+    tiers = source_tiers(func)
+    for args in points:
+        for fuel in range(400):
+            got = [outcome(run, args, fuel) for run in tiers]
+            assert got[0] == got[1], (func, args, fuel)
+            if got[0][0] is not FuelExhaustedError:  # the exact threshold
+                assert [outcome(run, args, fuel + 1) for run in tiers] == got
+                break
+        ample = [outcome(run, args, 10_000) for run in tiers]
+        assert ample[0] == ample[1], (func, args)
+
+
+def test_a_source_plan_hot_on_int64_runs_other_types_as_its_closures_do():
+    for name, hot_args in (("power", (2, 3)), ("if_else", (3, 4))):
+        func = source_fn(corpus.load(name))
+        run_hot(func, hot_args)
+        for args in ((2.5, 3), (True, 2), (2, True), (1.5, -2.0), (False, False),
+                     (3, 4.0), hot_args, (-3, 7)):
+            cold = outcome(lambda a, fuel: run_source(source_fn(corpus.load(name)), a),
+                           args, None)
+            assert outcome(lambda a, fuel: run_source(func, a), args, None) == cold
+        assert func.plan.compiled is not None
+
+
+def test_a_hot_source_plan_compiles_once(monkeypatch, sweeps):
+    compiles = Counter()
+
+    def counting(plan):
+        compiles[id(plan)] += 1
+        return compile_plan(plan)
+
+    compile_plan = interp._compile_source
+    monkeypatch.setattr(interp, "_compile_source", counting)
+    func = source_fn(corpus.load("power"))
+    run_source(func, (2, 3))
+    plan = func.plan
+    assert plan.compiled is None and plan.spent == 41
+    # power's body has 16 statement and expression nodes
+    assert plan.limit == interp._COMPILE_AFTER * 16
+    runs = run_hot(func, (2, 3))
+    assert runs == -(-plan.limit // 41) - 1 and compiles == {id(plan): 1}
+    compiled = plan.compiled
+    for x, n in sweeps["power"]:
+        assert run_source(func, (x, n)) == run_ssa(lowered("power"), (x, n))
+    assert func.plan is plan and plan.compiled is compiled
+    assert compiles == {id(plan): 1} and plan.spent == 41 * (runs + 1)
+
+
+def test_a_source_function_and_its_plan_are_freed_without_the_cycle_collector():
+    # every program a compile_ladder op builds is dropped when the op ends
+    gc.collect()
+    gc.disable()
+    try:
+        for hot in (False, True):
+            func = source_fn(corpus.load("power"))
+            run_source(func, (2, 3))
+            if hot:  # the compiler's own recursive closures are garbage
+                run_hot(func, (2, 3))
+                gc.collect()
+            del func
+            assert gc.collect() == 0, hot
+    finally:
+        gc.enable()
+
+
+def test_a_function_nested_deeper_than_python_compiles_stays_interpreted():
+    # 24 nested loops: Python compiles at most 20 nested blocks
+    text = ("function f(n)\n  s = 0\n" + "  while s < 3\n" * 24
+            + "  s = s + n\n" + "  end\n" * 24 + "  return s\nend\n")
+    func = source_fn(text)
+    assert interp._compile_source(interp._SourcePlan(func)) is None
+    for _ in range(200):
+        assert run_source(func, (1,)) == 3
+    assert func.plan.compiled is None and func.plan.limit == math.inf

@@ -22,7 +22,9 @@ that fails an op is recorded with its count of failed ops.  The latest
 comparison stands at the top of its workload's entry, and every
 comparison, the latest included, is appended to the entry's `history`
 without its per-pair runs, so the file keeps the trajectory.  A change
-not yet committed is named by its parent commit and its `source_sha256`.
+not yet committed is named by its parent commit and its `source_sha256`;
+once a later run's parent has that digest, the point records the commit
+it `became`.  Both sides record their `source_sha256`.
 """
 
 from __future__ import annotations
@@ -100,7 +102,16 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
 def merge(doc: dict, workload: str, comparison: dict) -> None:
     """Make `comparison` the latest of `workload` in `doc` and append it,
     without its runs, to the workload's history.  An entry written before
-    histories were kept becomes the first point of its history."""
+    histories were kept becomes the first point of its history.  Every
+    earlier point of any workload whose change has the digest of this
+    comparison's parent `became` the parent commit, unless an earlier
+    parent of that digest was already recorded."""
+    parent = comparison["parent"]
+    if digest := parent.get("source_sha256"):
+        for entry in doc.values():
+            for point in (entry, *entry.get("history", ())):
+                if point["change"].get("source_sha256") == digest:
+                    point.setdefault("became", parent["commit"])
     previous = doc.get(workload, {})
     history = previous.pop("history", [previous] if previous else [])
     history = [{k: v for k, v in c.items() if k != "runs"}
@@ -121,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         extract(args.parent, Path(tmp))
+        parent_sha256 = source_sha256(Path(tmp))
         sides = {"parent": Path(tmp), "change": ROOT}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -137,7 +149,8 @@ def main(argv: list[str] | None = None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     merge(doc, args.workload, {
         "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
-        "parent": {"commit": git("rev-parse", args.parent)},
+        "parent": {"commit": git("rev-parse", args.parent),
+                   "source_sha256": parent_sha256},
         "change": {"commit": git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(git("status", "--porcelain")),
                    "source_sha256": source_sha256(ROOT)},
