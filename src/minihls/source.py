@@ -213,7 +213,7 @@ class FunctionDef:
     params: tuple[Param, ...]
     body: tuple[Stmt, ...]
     pos: Pos = field(compare=False, default=Pos(0, 0))
-    # the closures `interp.run_source` compiles on its first call
+    # the plan `interp.run_source` builds on its first call
     plan: object = field(default=None, init=False, repr=False, compare=False)
 
 

@@ -429,7 +429,7 @@ def test_compiled_and_interpreted_runs_agree_at_every_fuel(text, sig, points):
         plan = interp._SSAPlan(func)
         compiled = interp._compile_ssa(plan)
         tiers = (lambda args, fuel: interp._interpret(
-                     plan, dict(zip(plan.params, args)), fuel, 0)[0],
+                     plan.blocks, dict(zip(plan.params, args)), fuel, 0)[0],
                  lambda args, fuel: compiled(fuel, *args))
         for args in points:
             for fuel in range(400):
@@ -481,7 +481,7 @@ def test_ladders_run_as_the_benchmark_compiles_them_stay_interpreted():
                 assert 0 < func.plan.spent < func.plan.limit
 
 
-# -- the compiled source tier: the same rule for `run_source`'s closures ----
+# -- the compiled source tier: the same rule for `run_source`'s walker ------
 
 # (text, points) of faults only the source interpreter meets: a variable
 # assigned on one path only (read before or after an operand that traps),
@@ -511,8 +511,8 @@ def fell_off(text):
 
 
 def source_tiers(func):
-    """`func`'s closures and its compiled function, each as a run of (args,
-    fuel) that gives what `run_source` gives."""
+    """`func`'s tree walker and its compiled function, each as a run of
+    (args, fuel) that gives what `run_source` gives."""
     plan = interp._SourcePlan(func)
     compiled = interp._compile_source(plan)
 
@@ -531,6 +531,8 @@ def source_tiers(func):
     *((source_fn(text), points) for text, points in SOURCE_FAULTS),
     (fell_off(TIER_PROGRAMS[-2][0]), [(1, 5, 3)])])
 def test_compiled_and_closure_source_runs_agree_at_every_fuel(func, points):
+    # the walker, which visits node by node, against the compiled function,
+    # which charges each unit at once and hands the walker what it cannot pay
     tiers = source_tiers(func)
     for args in points:
         for fuel in range(400):
@@ -580,20 +582,48 @@ def test_a_hot_source_plan_compiles_once(monkeypatch, sweeps):
 
 
 def test_a_source_function_and_its_plan_are_freed_without_the_cycle_collector():
-    # every program a compile_ladder op builds is dropped when the op ends
+    # every program a compile_ladder op builds is dropped when the op ends,
+    # and compiling a plan leaves no garbage cycle either
     gc.collect()
     gc.disable()
     try:
-        for hot in (False, True):
-            func = source_fn(corpus.load("power"))
-            run_source(func, (2, 3))
-            if hot:  # the compiler's own recursive closures are garbage
-                run_hot(func, (2, 3))
-                gc.collect()
-            del func
-            assert gc.collect() == 0, hot
+        for build in (lambda: source_fn(corpus.load("power")), lambda: lowered("power")):
+            for hot in (False, True):
+                func = build()
+                (run_source if isinstance(func, FunctionDef) else run_ssa)(func, (2, 3))
+                if hot:
+                    run_hot(func, (2, 3))
+                del func
+                assert gc.collect() == 0, (build, hot)
     finally:
         gc.enable()
+
+
+def test_equal_operators_report_their_own_trap():
+    # `a % b` on lines 2 and 4 are equal nodes: each binds its own position
+    fn = source_fn("function f(a, b)\n  x = a % b\n  b = b - 1\n  y = a % b\n"
+                   "  return x + y\nend\n")
+    for hot in (False, True):
+        assert (fn.plan is not None and fn.plan.compiled is not None) == hot
+        with pytest.raises(DivByZeroError) as info:
+            run_source(fn, (5, 1))
+        assert info.value.pos == Pos(4, 9)
+        run_hot(fn, (5, 3))  # a run that traps spends nothing
+
+
+def test_an_undefined_variable_is_reported_at_its_first_read():
+    # y is assigned only when a > 0; the second program reads it twice
+    texts = ["function f(a, b)\n  if a > 0\n    y = a\n  end\n  return y + b % a\nend\n",
+             "function f(a, b)\n  if a > 0\n    y = a\n  end\n  return y * b + y\nend\n"]
+    want = {(0, 2): Pos(5, 10), (-1, 3): Pos(5, 10)}
+    for text in texts:
+        fn = source_fn(text)
+        for hot in (False, True):
+            for args, pos in want.items():
+                with pytest.raises(EvalError, match="undefined variable 'y'") as info:
+                    run_source(fn, args)
+                assert info.value.pos == pos, (text, args, hot)
+            run_hot(fn, (1, 2))
 
 
 def test_a_function_nested_deeper_than_python_compiles_stays_interpreted():
