@@ -29,6 +29,7 @@ from itertools import count
 from math import inf
 
 from . import source as src
+from .codegen import define, indent
 from .errors import EvalError, FuelExhaustedError, Pos
 from .ir import ConstOp, Instr, SSAFunction, successor_edges, verify
 from .lattice import IMPL_BY_OPCODE, METHODS, TYPE_OF, LatticeType, bind, dispatch
@@ -82,17 +83,6 @@ class _Plan:
             if self.compiled is None:  # Python refused the text: interpret on
                 self.limit = inf
         return result
-
-
-def _define(text: str, name: str, scope: dict):
-    """The function `run` that `text` defines in `scope`, taken out of the
-    scope it keeps as its globals, or None if Python refuses `text` for
-    nesting blocks or indentation deeper than it allows."""
-    try:
-        exec(compile(text, name, "exec"), scope)
-    except SyntaxError:
-        return None
-    return scope.pop("run")
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +230,8 @@ def _compile_source(plan: _SourcePlan):
     while their types are the globals `Ak` and `Bk` (a literal's cannot
     change), else what `_miss` gives."""
     text, params = _SourceText(plan.params), _names(range(len(plan.params)))
-    return _define("\n".join([f"def run(fuel, {params}):", *text.block(plan.stmts), ""]),
+    return define("\n".join([f"def run(fuel, {params}):", *text.block(plan.stmts), ""]),
                    "<run_source plan>", text.scope)
-
-
-def _indent(lines: list) -> list:
-    return ["    " + line for line in lines]
 
 
 class _SourceText:
@@ -285,7 +271,7 @@ class _SourceText:
         lines.append(sink.format(self.value(e, lines)))
         fault = f"_fault(*U{k}, {cost}, locals())"
         return fault, [f"if fuel < {cost}: _fault(*U{k}, fuel, locals())",
-                       f"fuel -= {cost}", "try:", *_indent(lines), "except NameError:",
+                       f"fuel -= {cost}", "try:", *indent(lines), "except NameError:",
                        "    " + fault]
 
     def test(self, arms: list, orelse) -> list:
@@ -294,7 +280,7 @@ class _SourceText:
         (cond, stmt, then), rest = arms[0], arms[1:]
         fault, lines = self.unit(cond, stmt, "t = {}")
         return [*lines, "if t is True:", *self.block(then), "elif t is False:",
-                *(_indent(self.test(rest, orelse)) if rest else self.block(orelse or ())),
+                *(indent(self.test(rest, orelse)) if rest else self.block(orelse or ())),
                 "else:", "    " + fault]
 
     def block(self, stmts) -> list:
@@ -312,10 +298,10 @@ class _SourceText:
                 self.scope[f"W{(k := next(self.ids))}"] = s.cond, s, {}
                 fault, loop = self.unit(s.cond, None, "t = {}")
                 lines += [f"if not fuel: _fault(*W{k}, 0, {{}})", "fuel -= 1",
-                          "while True:", *_indent(loop), "    if t is not True:",
+                          "while True:", *indent(loop), "    if t is not True:",
                           "        if t is False: break", "        " + fault,
                           *self.block(s.body)]
-        return _indent(lines or ["pass"])
+        return indent(lines or ["pass"])
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +380,7 @@ def _compile_ssa(plan: _SSAPlan):
     text = "\n".join([f"def run(fuel, {_names(plan.params)}):", "    b = 0",
                       "    while True:", *_ssa_tree(plan.blocks, scope, 0, len(plan.blocks),
                                                     " " * 8), ""])
-    return _define(text, "<run_ssa plan>", scope)
+    return define(text, "<run_ssa plan>", scope)
 
 
 def _names(ids) -> str:

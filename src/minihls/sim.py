@@ -16,9 +16,14 @@ accepted to a firing rule, a kernel compiled once per shape from a template
 that reads each channel by name, and serves every run until a component or
 channel is added, removed or replaced by an unequal one; traced runs use
 the same template's kernels that also log events, built on the first.
-Entry, Exit, Const, Operator, Fork and Sink share the strict rule, a join
-of every input forked to every output: fire when every input holds a token
-and every output is free.  They differ only in the value a firing computes
+Untraced runs have a second tier, as Julia compiles a method once it is
+called enough: a plan counts the worklist snapshot of each cycle, and once
+one has recurred `_HOT_AFTER` times its cycle runs as one function filled
+in from the same templates, the rules inlined in ascending order with their
+ports as numbers and each move's test of the other end decided.  Entry,
+Exit, Const, Operator, Fork and Sink share the strict rule, a join of every
+input forked to every output: fire when every input holds a token and every
+output is free.  They differ only in the value a firing computes
 and the event it logs.  An Entry reads its argument (None for control) from
 a pin, as in the netlist: a slot after the channels that no component
 fills.  Each cycle a `Simulator` evaluates only its worklist: each
@@ -39,27 +44,36 @@ channels and its own state, so the worklist runs in the order its set
 yields.  Where order shows, component order rules: a traced commit sorts
 its events stably by component, the first token of the lowest of the first
 Exits to fire gives the output, and if a rule raises, the cycle's lower
-components still to run are run in ascending order and the lowest that
-raises gives the error.
+components still to run are run in ascending order (a compiled cycle runs
+in that order) and the lowest that raises gives the error.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from operator import itemgetter
+from sys import maxsize
 
 from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE,
                    OPERATOR, SINK, require_valid)
+from .codegen import define, indent
 from .errors import (DeadlockError, MaxCyclesError, MergeConflictError,
                      MiniHlsError, SimError)
 from .lattice import IMPL_BY_OPCODE, bind
 
 DEFAULT_MAX_CYCLES = 100_000
 
+# Compiling a snapshot's cycle costs 260-450 µs (median per circuit, x86-64 Xeon),
+# what 600 to 1700 cycles save at 0.2-0.5 µs for a compiled cycle against a counted one.
+_HOT_AFTER = 1024  # sightings of a snapshot before its cycle is compiled
+_SNAPSHOTS = 1024  # snapshots a plan counts at most
+
 _ABSENT = object()
 _position = itemgetter(0)
+_OCCUPIED = "channel %s driven while occupied"
 
 
 @dataclass
@@ -79,22 +93,23 @@ class SimReport:
 # the pipelined Operator, each the body of `make(i, c, fn, depth, ports)`,
 # which binds component i's record, operation (bound by `lattice.bind` to its
 # position), depth and ports: channels ik and ok, the producer pk of ik, and
-# the consumer ck of ok and its other inputs jk_m.  `_factory` fills it in per
-# shape with fixed names and counts: `{read}` reads input k into xk, `{valid}`
-# tests that every input holds a token and `{ready}` also that every output is
-# free, `{xs}` lists the inputs, `{clash}` tests that two inputs hold a token
-# and `{pick}` takes the one that does, or returns.  `{take}` empties each
-# input (a Merge's picked one) and `{put}` fills each output, `{putk}` output
-# k, with v, as the Engine paragraph says.  The strict rule takes its `{event}`
-# name and `{compute}` line from `_STRICT` (a Const's operation yields its
-# payload), and `{count}` adds outputs less inputs to the token count.  A rule
-# computes what can raise before it moves a token.
+# the consumer ck of ok and its other inputs jk_m.  `_fill` fills one in with
+# those names, per shape, or with numbers for a compiled cycle: `{read}` reads
+# input k into xk, `{valid}` tests that every input holds a token and
+# `{ready}` also that every output is free, `{xs}` lists the inputs, `{clash}`
+# tests that two inputs hold a token and `{pick}` is the one that does, or
+# _ABSENT.  `{take}` empties each input (a Merge's picked one) and `{put}`
+# fills each output, `{putk}` output k, with v, as the Engine paragraph says,
+# and `{fired}` marks a firing.  The strict rule takes its `{event}` name and
+# `{compute}` line from `_STRICT` (a Const's operation yields its payload),
+# and `{count}` adds outputs less inputs to the token count.  A rule computes
+# what can raise before it moves a token.
 
 _PIPELINE = "Pipeline"
 
 _STRICT = {ENTRY: ("emit", "v = x0"), FORK: ("fire", "v = x0"), SINK: ("sink", None),
-           OPERATOR: ("fire", "v = fn({xs})"), CONST: ("fire", "v = fn({xs})"),
-           EXIT: ("exit", "s.outputs.setdefault(i, (s.cycle, i, x0))")}
+           OPERATOR: ("fire", "v = {fn}({xs})"), CONST: ("fire", "v = {fn}({xs})"),
+           EXIT: ("exit", "s.outputs.setdefault({i}, (s.cycle, {i}, x0))")}
 
 _FIRE = {OPERATOR: """
     event = i, c.id, "{event}"
@@ -106,13 +121,13 @@ _FIRE = {OPERATOR: """
             {put}
             {count}
             s.fired.append(event)
-            return True
+            {fired}
         elif {valid}:
-            s.stalled.add(i)""", BRANCH: """
+            s.stalled.add({i})""", BRANCH: """
     event = i, c.id, "fire"
     def fire(s, chan, work):
         {read}
-        if {valid} and chan[o0 if x1 else o1] is _ABSENT:
+        if {valid} and chan[{o0} if x1 else {o1}] is _ABSENT:
             v = x0
             {take}
             if x1:
@@ -121,62 +136,123 @@ _FIRE = {OPERATOR: """
                 {put1}
             s.tokens -= 1
             s.fired.append(event)
-            return True
+            {fired}
         elif {valid}:
-            s.stalled.add(i)""", MERGE: """
-    event, conflict = (i, c.id, "fire"), "merge %s (%s) has " % (c.id, c.label)
+            s.stalled.add({i})""", MERGE: """
+    event = i, c.id, "fire"
     def fire(s, chan, work):
         {read}
         if {clash}:
-            raise MergeConflictError(conflict + "%s valid inputs in cycle %s" % (
-                sum(x is not _ABSENT for x in ({xs},)), s.cycle))
-        {pick}
-        if chan[o0] is _ABSENT:
+            raise MergeConflictError("merge %s (%s) has %s valid inputs in cycle %s" % (
+                {c}.id, {c}.label, sum(x is not _ABSENT for x in ({xs},)), s.cycle))
+        v = {pick}
+        if v is not _ABSENT and chan[{o0}] is _ABSENT:
             {take}
             {put}
             s.fired.append(event)
-            return True
-        s.stalled.add(i)""", BUFFER: """
+            {fired}
+        elif v is not _ABSENT:
+            s.stalled.add({i})""", BUFFER: """
     emitted, accepted = (i, c.id, "emit"), (i, c.id, "accept")
     def fire(s, chan, work):
-        regs, x0 = s.regs, chan[i0]
-        if regs[i] is _ABSENT and x0 is not _ABSENT:
+        regs, x0 = s.regs, chan[{i0}]
+        if regs[{i}] is _ABSENT and x0 is not _ABSENT:
             {take}
-            regs[i] = x0
-            s.worklist.add(i)  # it emits from the next cycle on
+            regs[{i}] = x0
+            s.worklist.add({i})  # it emits from the next cycle on
             s.fired.append(accepted)
-            return True
-        elif regs[i] is not _ABSENT and chan[o0] is _ABSENT:
-            v, regs[i] = regs[i], _ABSENT
+            {fired}
+        elif regs[{i}] is not _ABSENT and chan[{o0}] is _ABSENT:
+            v, regs[{i}] = regs[{i}], _ABSENT
             {put}
             s.fired.append(emitted)
             if x0 is not _ABSENT:
-                s.worklist.add(i)  # the freed slot takes it next cycle
-            return True
-        elif regs[i] is not _ABSENT:
-            s.stalled.add(i)""", _PIPELINE: """
+                s.worklist.add({i})  # the freed slot takes it next cycle
+            {fired}
+        elif regs[{i}] is not _ABSENT:
+            s.stalled.add({i})""", _PIPELINE: """
     emitted, accepted = (i, c.id, "emit"), (i, c.id, "accept")
     def fire(s, chan, work):
-        slots, cycle = s.pipes[i], s.cycle
+        slots, cycle = s.pipes[{i}], s.cycle
         n = len(slots)
         {read}
-        if accept := n < depth and {valid}:
-            y = fn({xs})  # it may raise, so before any token moves
-        if emit := n and slots[0][0] <= cycle and chan[o0] is _ABSENT:
+        if accept := n < {depth} and {valid}:
+            y = {fn}({xs})  # it may raise, so before any token moves
+        if emit := n and slots[0][0] <= cycle and chan[{o0}] is _ABSENT:
             v = slots.pop(0)[1]
             {put}
             s.fired.append(emitted)
-            if n == depth and {valid}:
-                s.worklist.add(i)  # the freed slot takes it next cycle
+            if n == {depth} and {valid}:
+                s.worklist.add({i})  # the freed slot takes it next cycle
         if slots and slots[0][0] <= cycle:
-            s.stalled.add(i)  # a due slot waits for the output to empty
+            s.stalled.add({i})  # a due slot waits for the output to empty
         if accept:
             {take}
-            slots.append((cycle + depth, y))
-            heappush(s.releases, (cycle + depth, i))
+            slots.append((cycle + {depth}, y))
+            heappush(s.releases, (cycle + {depth}, {i}))
             {count}
             s.fired.append(accepted)
-        return emit or accept"""}
+        if emit or accept:
+            {fired}"""}
+
+_GLOBALS = {"_ABSENT": _ABSENT, "MergeConflictError": MergeConflictError,
+            "SimError": SimError, "heappush": heappush}  # of every rule's text
+# the run's state that a compiled cycle reads from locals of these names
+_STATE = re.compile(r"\bs\.(?=(worklist|stalled|regs|pipes|releases|tokens|cycle)\b)")
+
+
+def _emptied(ch, p) -> list:  # empty channel ch, whose producer is p
+    return [f"chan[{ch}] = _ABSENT",
+            f"if {p} in s.stalled: s.stalled.remove({p}); s.worklist.add({p})"]
+
+
+def _filled(ch, v, c, js) -> list:  # fill ch, whose consumer c joins js too, with v
+    full = " and ".join(f"chan[{j}] is not _ABSENT" for j in js)
+    return [f"chan[{ch}] = {v}", f"{f'if {full}: ' if full else ''}s.worklist.add({c})"]
+
+
+def _fill(kind: str, ins, outs, ps, cs, js, work, traced: bool, **names) -> str:
+    """`kind`'s template with the ports and `names` (i, c, fn and depth)
+    filled in, logging events if `traced`.  A kernel (`work` None) queues a
+    move whose other end is in the cycle's `work`; inlined into the cycle of
+    snapshot `work`, that test is decided here, and a queued move is left in
+    a local: `tk` for channel k's consumption, `vk` for its production."""
+    xs = [f"x{k}" for k in range(len(ins))]
+    event, compute = _STRICT.get(kind, (None, None))
+
+    def take(ch, p):  # empty input ch, whose producer is p
+        if work is None:
+            return [f"if {p} in work: s.consume.append({ch})", "else:",
+                    *indent(_emptied(ch, p))]
+        return [f"t{ch} = True"] if p in work else _emptied(ch, p)
+
+    def put(k):  # fill output k with v
+        if work is None:
+            return [f"if {cs[k]} in work: s.produce.append(({outs[k]}, v))", "else:",
+                    *indent(_filled(outs[k], "v", cs[k], js[k]))]
+        return [f"v{outs[k]} = v"] if cs[k] in work else _filled(outs[k], "v", cs[k], js[k])
+    takes = ([[f"{'elif' if k else 'if'} {x} is not _ABSENT:", *indent(take(ch, p))]
+              for k, (x, ch, p) in enumerate(zip(xs, ins, ps))] if kind == MERGE
+             else [take(ch, p) for ch, p in zip(ins, ps)])
+    blocks = {"{take}": sum(takes, []), "{put}": sum(map(put, range(len(outs))), []),
+              **{f"{{put{k}}}": put(k) for k in range(len(outs))},
+              "{compute}": [compute] if compute else [],
+              "{count}": [f"s.tokens += {len(outs) - len(ins)}"] if len(outs) != len(ins) else [],
+              "{fired}": ["return True" if work is None else "moved = True"]}
+    text = "\n".join(line[:len(line) - len(line.lstrip())] + block  # at its indent
+                     for line in _FIRE[OPERATOR if event else kind].split("\n")
+                     if traced or "s.fired" not in line
+                     for block in blocks.get(line.strip(), [line.strip()]))
+    valid = [f"{x} is not _ABSENT" for x in xs]
+    return text.format(
+        read="; ".join(f"{x} = chan[{i}]" for x, i in zip(xs, ins)),
+        valid=" and ".join(valid), xs=", ".join(xs), event=event,
+        ready=" and ".join(valid + [f"chan[{o}] is _ABSENT" for o in outs]),
+        clash=" or ".join(f"{x} is not _ABSENT is not {y}"
+                          for k, x in enumerate(xs) for y in xs[k + 1:]),
+        pick="".join(f"{x} if {x} is not _ABSENT else " for x in xs[1:]) + xs[0],
+        **{f"i{k}": i for k, i in enumerate(ins)}, **{f"o{k}": o for k, o in enumerate(outs)},
+        **names)
 
 
 @lru_cache(maxsize=256)
@@ -184,47 +260,47 @@ def _factory(kind: str, n_in: int, n_out: int, joins: tuple, traced: bool):
     """`make` for one shape of `kind` (or `_PIPELINE`), logging events if
     `traced`; output k feeds a join with `joins[k]` other inputs."""
     ins, outs = [f"i{k}" for k in range(n_in)], [f"o{k}" for k in range(n_out)]
-    xs, ps = [f"x{k}" for k in range(n_in)], [f"p{k}" for k in range(n_in)]
+    ps, cs = [f"p{k}" for k in range(n_in)], [f"c{k}" for k in range(n_out)]
     js = [[f"j{k}_{m}" for m in range(n)] for k, n in enumerate(joins)]
-    event, compute = _STRICT.get(kind, (None, None))
-
-    def take(ch, p):  # empty input ch, whose producer is p
-        return [f"if {p} in work: s.consume.append({ch})", "else:",
-                f"    chan[{ch}] = _ABSENT", f"    if {p} in s.stalled: "
-                f"s.stalled.remove({p}); s.worklist.add({p})"]
-
-    def put(k):  # fill output k with v
-        full = " and ".join(f"chan[{j}] is not _ABSENT" for j in js[k])
-        join = f"if {full}: " if full else ""
-        return [f"if c{k} in work: s.produce.append((o{k}, v))", "else:",
-                f"    chan[o{k}] = v", f"    {join}s.worklist.add(c{k})"]
-    takes = [("ch", "p")] if kind == MERGE else zip(ins, ps)
-    blocks = {"{take}": sum((take(*t) for t in takes), []),
-              "{put}": sum(map(put, range(n_out)), []),
-              **{f"{{put{k}}}": put(k) for k in range(n_out)},
-              "{compute}": [compute] if compute else [],
-              "{count}": [f"s.tokens += {n_out - n_in}"] if n_out != n_in else []}
-    lines = [line[:len(line) - len(line.lstrip())] + block  # at its indent
-             for line in _FIRE[OPERATOR if event else kind].split("\n")
-             if traced or "s.fired" not in line
-             for block in blocks.get(line.strip(), [line.strip()])]
-    valid = [f"{x} is not _ABSENT" for x in xs]
-    body = "\n".join(lines).format(
-        read="; ".join(f"{x} = chan[{i}]" for x, i in zip(xs, ins)),
-        valid=" and ".join(valid), xs=", ".join(xs), event=event,
-        ready=" and ".join(valid + [f"chan[{o}] is _ABSENT" for o in outs]),
-        clash=" or ".join(f"{x} is not _ABSENT is not {y}"
-                          for k, x in enumerate(xs) for y in xs[k + 1:]),
-        pick="\n        ".join([*(f"{'elif' if k else 'if'} {x} is not _ABSENT:"
-                                  f" ch, v, p = i{k}, {x}, p{k}"
-                                  for k, x in enumerate(xs)), "else: return"]))
-    names = [*ins, *outs, *ps, *(f"c{k}" for k in range(n_out)), *sum(js, [])]
+    body = _fill(kind, ins, outs, ps, cs, js, None, traced,
+                 i="i", c="c", fn="fn", depth="depth")
     text = (f"def make(i, c, fn, depth, ports):\n"
-            f"    {', '.join(names)}, = ports\n{body}\n    return fire\n")
-    scope = {"_ABSENT": _ABSENT, "MergeConflictError": MergeConflictError,
-             "heappush": heappush}
-    exec(compile(text, f"<sim rule {kind} {n_in}x{n_out}>", "exec"), scope)
-    return scope["make"]
+            f"    {', '.join([*ins, *outs, *ps, *cs, *sum(js, [])])}, = ports\n"
+            f"{body}\n    return fire\n")
+    return define(text, f"<sim rule {kind} {n_in}x{n_out}>", dict(_GLOBALS), "make")
+
+
+def _compile_cycle(plan: SimPlan, work: frozenset):
+    """One untraced cycle of snapshot `work` as a function of (s, chan,
+    cycle) that returns whether anything fired, or None if Python refuses
+    its text.  It runs the rules of `work` inlined in ascending order, so
+    the lowest that raises gives the error, with operation i and component
+    i as globals `fi` and `ci`; a move between two of them is committed at
+    its end, consumptions first, as `Simulator.run` commits."""
+    p, q, sib, scope = plan.producer, plan.consumer, plan.sibling, dict(_GLOBALS)
+    inner = [k for k, c in enumerate(q) if c in work and p[k] in work]
+    lines = [f"{' = '.join(f'{x}{k}' for k in inner)} = {v}"
+             for x, v in (("t", "False"), ("v", "_ABSENT")) if inner]
+    for i in sorted(work):
+        scope[f"f{i}"], scope[f"c{i}"], (a, b) = plan.ops[i], plan.components[i], plan.ports[i]
+        rule = _fill(plan.kinds[i], a, b, [p[k] for k in a], [q[k] for k in b],
+                     [sib[k] for k in b], work, False, i=i, c=f"c{i}", fn=f"f{i}",
+                     depth=plan.depth.get(i))
+        lines += [line[8:] for line in rule.split("def fire(s, chan, work):\n")[1].split("\n")]
+    for k in inner:
+        lines += [f"if t{k}:", *indent(_emptied(k, p[k]))]
+    for k in inner:
+        lines += [f"if v{k} is not _ABSENT:", f"    if chan[{k}] is not _ABSENT:",
+                  f"        raise SimError({_OCCUPIED % plan.channels[k].id!r})",
+                  *indent(_filled(k, f"v{k}", q[k], sib[k]))]
+    text = _STATE.sub("", "\n".join(lines))
+    state = [x for x in ("worklist", "stalled", "regs", "pipes", "releases") if x in text]
+    head = ["moved, tokens = False, 0"] + (
+        [f"{', '.join(state)} = s.{', s.'.join(state)}"] if state else [])
+    tail = (["s.tokens += tokens"] if "tokens " in text else []) + ["return moved"]
+    return define("\n".join(["def run(s, chan, cycle):",
+                             *indent([*head, *text.split("\n"), *tail]), ""]),
+                  f"<sim cycle of {len(work)}>", scope)
 
 
 class SimPlan:
@@ -238,7 +314,9 @@ class SimPlan:
     `sibling[k]` lists the other inputs of channel k's consumer if that is
     a join (any kind but Merge), `depth[i]` is the depth of a pipelined
     Operator, `buffers` lists the Buffers and `nodes[i]` is component i's
-    firing rule (`traced_nodes[i]` logs events).
+    firing rule (`traced_nodes[i]` logs events).  `cycles` maps each of at
+    most `_SNAPSHOTS` snapshots to the times untraced runs met it, or to its
+    compiled cycle; None pins untraced runs to the kernels, as traced runs.
     """
 
     def __init__(self, g: CDFG):
@@ -265,17 +343,19 @@ class SimPlan:
         self.depth = {i: c.latency for i, c in enumerate(comps)
                       if c.kind == OPERATOR and c.latency > 0}
         self.buffers = [i for i, c in enumerate(comps) if c.kind == BUFFER]
+        self.kinds = [_PIPELINE if i in self.depth else c.kind for i, c in enumerate(comps)]
+        self.ops = [bind(IMPL_BY_OPCODE[c.opcode], c.pos) if c.kind == OPERATOR
+                    else lambda _, v=c.value: v for c in comps]
         self.nodes = self._rules(traced=False)
+        self.cycles: dict | None = {}  # per snapshot, times seen or its compiled cycle
 
     def _rules(self, traced: bool) -> list:
         p, q, sib = self.producer, self.consumer, self.sibling
-        return [_factory(_PIPELINE if i in self.depth else c.kind, len(a), len(b),
-                         tuple(len(sib[k]) for k in b), traced)(
-            i, c, bind(IMPL_BY_OPCODE[c.opcode], c.pos) if c.kind == OPERATOR
-            else lambda _, v=c.value: v, self.depth.get(i),
-            (*a, *b, *(p[k] for k in a), *(q[k] for k in b),
-             *(j for k in b for j in sib[k])))
-            for i, (c, (a, b)) in enumerate(zip(self.components, self.ports))]
+        return [_factory(kind, len(a), len(b), tuple(len(sib[k]) for k in b), traced)(
+            i, c, op, self.depth.get(i), (*a, *b, *(p[k] for k in a), *(q[k] for k in b),
+                                          *(j for k in b for j in sib[k])))
+            for i, (c, kind, op, (a, b)) in enumerate(
+                zip(self.components, self.kinds, self.ops, self.ports))]
 
     @cached_property
     def traced_nodes(self) -> list:
@@ -315,6 +395,7 @@ class Simulator:
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> SimReport:
         plan, events, fired, cycle = self.plan, self.events, self.fired, self.cycle
         nodes = plan.nodes if events is None else plan.traced_nodes
+        cycles = plan.cycles if events is None else None
         producer, consumer, sibling = plan.producer, plan.consumer, plan.sibling
         chan, worklist, releases = self.chan, self.worklist, self.releases
         stalled, consume, produce = self.stalled, self.consume, self.produce
@@ -325,18 +406,27 @@ class Simulator:
                     report=self._report())
             while releases and releases[0][0] <= cycle:
                 worklist.add(heappop(releases)[1])
-            work = set(worklist)  # a copy: rules test it as the worklist fills
+            work = frozenset(worklist)  # a copy: rules test it as the worklist fills
             worklist.clear()
-            moved = False
-            try:
-                for i in work:
-                    if nodes[i](self, chan, work):
-                        moved = True
-            except MiniHlsError:  # the lowest component that raises gives it
-                order = [*work]
-                for j in sorted(j for j in order[order.index(i) + 1:] if j < i):
-                    nodes[j](self, chan, work)
-                raise
+            moved = None
+            if cycles is not None:  # count the snapshot, -maxsize if Python refused it
+                step = cycles.get(work, 0)
+                if step.__class__ is int and (step or len(cycles) < _SNAPSHOTS):
+                    step = cycles[work] = (step + 1 if step + 1 < _HOT_AFTER else
+                                           _compile_cycle(plan, work) or -maxsize)
+                if step.__class__ is not int:
+                    moved = step(self, chan, cycle)
+            if moved is None:
+                moved = False
+                try:
+                    for i in work:
+                        if nodes[i](self, chan, work):
+                            moved = True
+                except MiniHlsError:  # the lowest component that raises gives it
+                    order = [*work]
+                    for j in sorted(j for j in order[order.index(i) + 1:] if j < i):
+                        nodes[j](self, chan, work)
+                    raise
 
             if moved:
                 # Commit the queued moves, consumptions first: a channel is
@@ -350,8 +440,7 @@ class Simulator:
                             worklist.add(producer[ch])
                     for ch, value in produce:
                         if chan[ch] is not _ABSENT:
-                            raise SimError(f"channel {plan.channels[ch].id} "
-                                           f"driven while occupied")
+                            raise SimError(_OCCUPIED % plan.channels[ch].id)
                         chan[ch] = value
                         for j in sibling[ch]:  # a join wakes at its last input
                             if chan[j] is _ABSENT:

@@ -10,7 +10,9 @@ pairs only two-input joins, so it wakes a join of three or more inputs at
 every input that arrives, where `sim` wakes it once, by its last.  Only the
 count of rule calls differs.  It shares `SimReport` and the errors with
 `sim`, builds a plan of its own for each run and gives the same reports,
-events and errors.
+events and errors.  It is the reference for both of `sim`'s tiers: the
+per-shape kernels, and the compiled cycles that untraced runs switch to,
+whose reports it must equal without events.
 """
 
 from heapq import heappop, heappush

@@ -3,13 +3,16 @@
 import collections
 import copy
 import dataclasses
+import gc
 import hashlib
 import random
 import re
+import weakref
 
 import pytest
 
 from minihls import cdfg as C
+from minihls import codegen
 from minihls import sim as sim_module
 from minihls.cdfg import CDFG, component_stats
 from minihls.errors import (BuildError, DeadlockError, DivByZeroError,
@@ -177,6 +180,7 @@ def test_deadlock_detected():
             "received a token")) as info:
         simulate(g, (7, True))
     assert info.value.report.total_cycles == 4
+    assert_same_outcome_traced_or_not(g, [(7, False), (7, True)])
 
 
 def test_merge_conflict_detected():
@@ -192,6 +196,7 @@ def test_merge_conflict_detected():
     with pytest.raises(MergeConflictError, match=re.escape(
             "merge 2 () has 2 valid inputs in cycle 1")):
         simulate(g, (1, 2))
+    assert_same_outcome_traced_or_not(g, [(1, 2)])
 
 
 def test_merge_conflict_after_idle_cycles():
@@ -505,19 +510,34 @@ class EveryComponent(set):
 
 def wrap_rules(sim, wrap):
     """Make sim call wrap(i, rule) in place of each rule i it would run,
-    on a copy of its plan: the circuit's own plan stays as it is."""
+    on a copy of its plan: the circuit's own plan stays as it is.  The copy
+    has no table of compiled cycles, so every cycle runs its rules."""
     name = "nodes" if sim.events is None else "traced_nodes"
     rules = getattr(sim.plan, name)
     sim.plan = copy.copy(sim.plan)
+    sim.plan.cycles = None
     setattr(sim.plan, name, [wrap(i, rule) for i, rule in enumerate(rules)])
 
 
-def outcome(g, args, max_cycles, exhaustive=False, trace=True):
+def kernel_ran(s, chan, work):
+    raise AssertionError(f"cycle {s.cycle} ran its rules' kernels")
+
+
+def outcome(g, args, max_cycles, exhaustive=False, trace=True, hot=False):
     """A run's report, or the type, message, position and report of the
     error it raised.  An `exhaustive` run must evaluate every component in
     every cycle it reaches, which this asserts: each rule sees all of them
-    in `work`, and each cycle calls every rule unless a rule raised in it."""
-    sim = Simulator(g, args, trace=trace)
+    in `work`, and each cycle calls every rule unless a rule raised in it.
+    A `hot` run is untraced and runs every cycle compiled, which this
+    asserts: with `_HOT_AFTER` at 1 each snapshot compiles the first time
+    the circuit's plan sees it, and no kernel may run."""
+    sim = Simulator(g, args, trace=trace and not hot)
+    if hot:
+        sim.plan = copy.copy(sim.plan)  # sharing the circuit's compiled cycles
+        sim.plan.nodes = [kernel_ran] * len(sim.plan.nodes)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim_module, "_HOT_AFTER", 1)
+            return outcome_of(sim, max_cycles)
     if exhaustive:
         n, calls = len(sim.plan.nodes), collections.Counter()
         sim.worklist = EveryComponent(n)
@@ -529,24 +549,32 @@ def outcome(g, args, max_cycles, exhaustive=False, trace=True):
                 return rule(s, chan, work)
             return call
         wrap_rules(sim, counted)
-    try:
-        result = sim.run(max_cycles)
-    except MiniHlsError as e:
-        result = type(e), e.message, e.pos, getattr(e, "report", None)
+    result = outcome_of(sim, max_cycles)
     if exhaustive:
         *whole, last = calls.values()
         assert set(whole) <= {n} and (last == n or isinstance(result, tuple))
     return result
 
 
+def outcome_of(sim, max_cycles):
+    try:
+        return sim.run(max_cycles)
+    except MiniHlsError as e:
+        return type(e), e.message, e.pos, getattr(e, "report", None)
+
+
 def assert_exhaustive_evaluation_agrees(g, points,
                                         budgets=(DEFAULT_MAX_CYCLES, 37)):
     """Same output, cycles, occupancy, leftover and events, or the same
-    error, under the default budget and one that ends runs midway."""
+    error, under the default budget and one that ends runs midway; the
+    same without events on compiled cycles and in the reference."""
     for args in points:
         for max_cycles in budgets:
-            assert outcome(g, args, max_cycles) == outcome(
-                g, args, max_cycles, exhaustive=True), (args, max_cycles)
+            want = outcome(g, args, max_cycles)
+            assert want == outcome(g, args, max_cycles, exhaustive=True), (
+                args, max_cycles)
+            assert outcome(g, args, max_cycles, hot=True) == without_events(
+                want) == reference_outcome(g, args, max_cycles, trace=False)
 
 
 @pytest.mark.parametrize("latencies", [
@@ -872,22 +900,27 @@ def fanned_merge(label, n, early=False):
 @pytest.mark.parametrize("n, early", [(2, False), (3, False), (4, False),
                                       (3, True), (4, True)])
 def test_merge_conflict_quotes_its_label_verbatim(n, early, monkeypatch):
-    """A rule's text holds only fixed names and counts: the label reaches
-    the message as it is and no compiled text, whatever the label.  Any
-    two valid inputs conflict, also when input 0 is empty."""
+    """A rule's text and a compiled cycle's hold only fixed names and
+    numbers: the label reaches the message as it is and no compiled text,
+    whatever the label.  Any two valid inputs conflict, also when input 0
+    is empty."""
     label = 'q"uo\'te {x} {{y}} %s back\\slash\nnewline'
     texts = []
-    monkeypatch.setattr(sim_module, "compile", lambda text, *a: texts.append(
+    monkeypatch.setattr(codegen, "compile", lambda text, *a: texts.append(
         text) or compile(text, *a), raising=False)
     sim_module._factory.cache_clear()
     g = fanned_merge(label, n, early)
-    with pytest.raises(MergeConflictError) as info:
-        simulate(g, (1, 2) if early else (1,))
-    assert info.value.message == (
-        f"merge 2 ({label}) has {n - early} valid inputs in cycle 2")
+    for hot_after in (sim_module._HOT_AFTER, 1):  # the kernels, then the cycles
+        monkeypatch.setattr(sim_module, "_HOT_AFTER", hot_after)
+        with pytest.raises(MergeConflictError) as info:
+            simulate(g, (1, 2) if early else (1,))
+        assert info.value.message == (
+            f"merge 2 ({label}) has {n - early} valid inputs in cycle 2")
     assert_reference_agrees(g, [(1, 2) if early else (1,)])
-    assert texts and not any(part in text for text in texts
-                             for part in ("uo", "slash", "newline", "x}"))
+    assert any(text.startswith("def make(") for text in texts)
+    assert any(text.startswith("def run(s, chan, cycle)") for text in texts)
+    assert not any(part in text for text in texts
+                   for part in ("uo", "slash", "newline", "x}"))
     sim_module._factory.cache_clear()
 
 
@@ -933,14 +966,15 @@ def without_events(result):
 
 def assert_same_outcome_traced_or_not(g, points, exhaustive=True,
                                       budgets=(DEFAULT_MAX_CYCLES, 37)):
-    """The engine, untraced and traced, the exhaustive oracle if
-    `exhaustive` and the reference all give one outcome."""
+    """The engine, untraced, traced and on compiled cycles, the exhaustive
+    oracle if `exhaustive` and the reference all give one outcome."""
     for args in points:
         for max_cycles in budgets:
             want = reference_outcome(g, args, max_cycles)
             assert outcome(g, args, max_cycles) == want, (args, max_cycles)
             assert outcome(g, args, max_cycles, trace=False) == without_events(
                 want) == reference_outcome(g, args, max_cycles, trace=False)
+            assert outcome(g, args, max_cycles, hot=True) == without_events(want)
             if exhaustive:
                 for trace in (True, False):
                     assert outcome(g, args, max_cycles, exhaustive=True,
@@ -1148,6 +1182,106 @@ def test_a_consumption_done_at_once_frees_a_stalled_producer():
     assert moves == [(7, "put", 5)]
     assert (report.output, report.leftover) == (-7, 1)
     assert_same_outcome_traced_or_not(g, [(3, 4)])
+
+
+# -- compiled cycles ---------------------------------------------------------
+#
+# An untraced run compiles the cycle of each worklist snapshot a plan has
+# seen `_HOT_AFTER` times into one function.  The differential helpers above
+# run every circuit they check on compiled cycles alone as well.
+
+def chain(n):
+    """Entry 0 through n negates to the Exit: each cycle runs one
+    component, so no snapshot recurs within a run."""
+    return circuit("chain", [(C.ENTRY, (), I64, {}),
+                             *[(C.OPERATOR, I64, I64, {"opcode": "neg_i64"})] * n,
+                             (C.EXIT, I64, (), {})],
+                   [((k, 0), (k + 1, 0)) for k in range(n + 1)])
+
+
+def compiled_cycles(g):
+    """The compiled cycles of g's plan by snapshot."""
+    return {work: step for work, step in sim_module.SimPlan.of(g).cycles.items()
+            if not isinstance(step, int)}
+
+
+def test_a_snapshot_compiles_once_when_it_recurs(monkeypatch):
+    """One long run goes hot within itself, and later runs reuse its
+    cycles: each snapshot seen `_HOT_AFTER` times compiles once."""
+    compiles = collections.Counter()
+
+    def counting(plan, work):
+        compiles[work] += 1
+        return compile_cycle(plan, work)
+
+    compile_cycle = sim_module._compile_cycle
+    monkeypatch.setattr(sim_module, "_compile_cycle", counting)
+    monkeypatch.setattr(sim_module, "_HOT_AFTER", 8)
+    g = fresh_power()
+    args = [(1, 20), (-1, 10), (3, 7), (2, 0)]
+    want = [reference_outcome(g, a, DEFAULT_MAX_CYCLES, trace=False) for a in args]
+    assert outcome(g, args[0], DEFAULT_MAX_CYCLES, trace=False) == want[0]
+    assert compiles and set(compiles) == set(compiled_cycles(g))
+    for _ in range(8):
+        assert [outcome(g, a, DEFAULT_MAX_CYCLES, trace=False) for a in args] == want
+    hot = compiled_cycles(g)
+    assert set(compiles.values()) == {1} and set(compiles) == set(hot)
+    assert all(0 < n < 8 for n in sim_module.SimPlan.of(g).cycles.values()
+               if isinstance(n, int))
+    assert all(not isinstance(value, (sim_module.SimPlan, Simulator))
+               for step in hot.values() for value in step.__globals__.values())
+
+
+def test_a_hot_circuit_is_freed_by_reference_counting():
+    """A compiled cycle's globals hold operations and components, never
+    the plan or a Simulator, so no cycle of references keeps them."""
+    gc.collect()
+    gc.disable()
+    try:
+        for hot_after in (sim_module._HOT_AFTER, 1):
+            g = fresh_power()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sim_module, "_HOT_AFTER", hot_after)
+                simulate(g, (2, 10))
+            plan = weakref.ref(sim_module.SimPlan.of(g))
+            assert bool(compiled_cycles(g)) == (hot_after == 1)
+            del g
+            assert plan() is None and gc.collect() == 0, hot_after
+    finally:
+        gc.enable()
+
+
+def test_the_snapshot_table_is_bounded(monkeypatch):
+    """A full table counts only the snapshots it holds: snapshots that
+    never recur stop being counted instead of growing it."""
+    monkeypatch.setattr(sim_module, "_SNAPSHOTS", 8)
+    g = chain(20)
+    counted = []
+    for runs in range(1, 4):
+        assert simulate(g, (5,)).output == 5
+        counted.append(dict(sim_module.SimPlan.of(g).cycles))
+        assert list(counted[-1].values()) == [runs] * 8
+    assert counted[0].keys() == counted[-1].keys()
+
+
+def test_a_cycle_whose_text_python_refuses_stays_cold(monkeypatch):
+    define, refused = sim_module.define, collections.Counter()
+
+    def refusing(text, name, scope, fn="run"):
+        if name.startswith("<sim cycle"):
+            refused[name] += 1
+            return None
+        return define(text, name, scope, fn)
+
+    monkeypatch.setattr(sim_module, "define", refusing)
+    monkeypatch.setattr(sim_module, "_HOT_AFTER", 1)
+    g = fresh_power()
+    want = reference_outcome(g, (2, 10), DEFAULT_MAX_CYCLES, trace=False)
+    for _ in range(3):
+        assert outcome(g, (2, 10), DEFAULT_MAX_CYCLES, trace=False) == want
+    cycles = sim_module.SimPlan.of(g).cycles
+    assert all(isinstance(n, int) and n < 0 for n in cycles.values())
+    assert sum(refused.values()) == len(cycles)
 
 
 # -- equivalence with the scan-every-component simulator --------------------
