@@ -18,9 +18,10 @@ behind a type guard in compiled code.  Its static cost is its AST node
 count.  `run_ssa` runs IR that `ir.verify` accepts, as steps per block
 kept with verify's record; its static cost is its instructions and
 terminators.  Compiled code charges a statement's or a block's fuel at
-once, and hands what it cannot pay for to the interpreter, which raises;
-so does compiled source code with a read of a variable not yet assigned
-or a non-Bool condition.  Each fault has one code path.
+once and is right only when it returns: on a fault, `_Plan.run` interprets
+the run again from its start with the same fuel, and the interpreter, a
+deterministic function of (args, fuel), raises it at its node.  Each fault
+has one code path, the interpreter's.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import inf
 
 from . import source as src
 from .codegen import define, indent
-from .errors import EvalError, FuelExhaustedError, Pos
+from .errors import EvalError, FuelExhaustedError, MiniHlsError, Pos
 from .ir import ConstOp, Instr, SSAFunction, successor_edges, verify
 from .lattice import IMPL_BY_OPCODE, METHODS, TYPE_OF, LatticeType, bind, dispatch
 
@@ -57,25 +58,34 @@ def type_of_value(v: Value) -> LatticeType:
 # Two tiers: a plan is interpreted until it has paid for its compile
 # ---------------------------------------------------------------------------
 
-# Compiling costs as much as interpreting 42 to 72 SSA steps per unit of static
-# cost (10-22 µs against 0.20-0.34 µs a step on an x86-64 Xeon), or walking 67 to
-# 104 AST nodes per node (20-23 µs against 0.20-0.32 µs a node); a compiled step
-# costs 1/2 to 1/8 of an interpreted one, a compiled node 1/4 to 1/9 of a walked one.
+# Compiling costs as much as interpreting 34 to 64 SSA steps per unit of static
+# cost (7-13 µs against 0.16-0.30 µs a step on an x86-64 Xeon), or walking 43 to
+# 83 AST nodes per node (10-14 µs against 0.17-0.27 µs a node); a compiled step
+# costs 1/2 to 1/9 of an interpreted one, a compiled node 1/4 to 1/10 of a walked
+# one.  The SSA break-even and most source ones fall below 64.
 _COMPILE_AFTER = 64
+
+
+class _Fault(Exception):
+    """Compiled code is short of fuel or tests a non-Bool condition."""
 
 
 class _Plan:
     """A function's plan: run by `interpret(fuel, args)`, which returns the
     result and the fuel left, until the runs that returned have `spent`
     `_COMPILE_AFTER` times its static `cost` in fuel, then by the `compiled`
-    function of (fuel, *args) that `compile()` returns."""
+    function of (fuel, *args) that `compile()` returns.  A compiled run that
+    faults is interpreted again from its start, which raises the fault."""
 
     def __init__(self, cost: int):
         self.limit, self.spent, self.compiled = _COMPILE_AFTER * cost, 0, None
 
     def run(self, fuel: int, args: tuple) -> Value:
         if self.compiled:
-            return self.compiled(fuel, *args)
+            try:
+                return self.compiled(fuel, *args)
+            except (_Fault, NameError, MiniHlsError):
+                return self.interpret(fuel, args)[0]
         result, left = self.interpret(fuel, args)
         self.spent += fuel - left
         if self.spent >= self.limit:
@@ -202,14 +212,6 @@ class _Walk:
         return fn(a, b)
 
 
-def _fault(e: src.Expr, stmt: src.Stmt | None, local: dict, fuel: int, frame: dict):
-    """Raise what the walker raises on the unit of `e` after `stmt`, or of
-    condition `e`, with `fuel` left: a compiled unit's hand-off, whose
-    `frame` holds each variable's value as the local `local` names it."""
-    walk = _Walk({n: frame[v] for n, v in local.items() if v in frame}, fuel, {})
-    walk.test(e) if stmt is None else walk.run((stmt,))  # `e` is `stmt`'s first
-
-
 def _miss(scope: dict, k: int, *args):
     """Operator node `k` of a compiled `run_source` plan on `args` whose
     types its guard did not match: `_method` looks its method up, which
@@ -220,15 +222,14 @@ def _miss(scope: dict, k: int, *args):
 
 
 def _compile_source(plan: _SourcePlan):
-    """A function of (fuel, *args) that runs `plan` as the walker does.
-    Variables are locals `vk`, numbered from the parameters.  A statement's
-    unit (expression, statement or None, and the local names) is the global
-    `Uk` and its fuel is charged at once; short of fuel, reading a variable
-    not yet assigned or testing a non-Bool, it hands its locals to `_fault`,
-    which raises.  Operator node k is the global `Ek`: its value, held in a
-    local `tk` when it is an operand, is the global `Fk` of its operands
-    while their types are the globals `Ak` and `Bk` (a literal's cannot
-    change), else what `_miss` gives."""
+    """A function of (fuel, *args) that runs `plan` as the walker does when
+    the walker returns, and otherwise raises `_Fault`, NameError or the
+    walker's error.  Variables are locals `vk`, numbered from the parameters.
+    A statement's unit is charged at once: short of fuel, or testing a
+    non-Bool, it raises `_Fault`.  Operator node k is the global `Ek`: its
+    value, held in a local `tj_m` as operand m of node j, is the global `Fk`
+    of its operands while their types are the globals `Ak` and `Bk` (a
+    literal's cannot change), else what `_miss` gives."""
     text, params = _SourceText(plan.params), _names(range(len(plan.params)))
     return define("\n".join([f"def run(fuel, {params}):", *text.block(plan.stmts), ""]),
                    "<run_source plan>", text.scope)
@@ -239,7 +240,7 @@ class _SourceText:
 
     def __init__(self, params: tuple):
         self.local = {name: f"v{i}" for i, name in enumerate(params)}
-        self.scope, self.ids = {"_fault": _fault, "_miss": _miss}, count()
+        self.scope, self.ids = {"_Fault": _Fault, "_miss": _miss}, count()
 
     def value(self, e: src.Expr, lines: list) -> str:
         """Python for `e`'s value once `lines` have run."""
@@ -250,10 +251,9 @@ class _SourceText:
             self.scope[f"L{k}"] = e.value
             return f"L{k}"
         xs = []
-        for a in e.args:  # a variable is read before a later operand can raise
+        for a in e.args:  # an operator operand is held for the guard to read
             xs.append(self.value(a, lines))
-            if isinstance(a, src.Call) or (isinstance(a, src.Var)
-                                           and isinstance(e.args[-1], src.Call)):
+            if isinstance(a, src.Call):
                 lines.append(f"t{k}_{len(xs)} = {xs[-1]}")
                 xs[-1] = f"t{k}_{len(xs)}"
         guard = " and ".join(f"type({x}) is {c}{k}" for x, c, a in zip(xs, "AB", e.args)
@@ -262,45 +262,38 @@ class _SourceText:
         args = ", ".join(xs)
         return f"F{k}({args}) if {guard or f'F{k}'} else _miss(globals(), {k}, {args})"
 
-    def unit(self, e: src.Expr, stmt: src.Stmt | None, sink: str) -> tuple:
-        """(fault, lines): lines that charge the unit of `e` after `stmt`, if
-        given, and run `sink` formatted with `e`'s value, and the call that
-        hands the unit, paid for, to the walker."""
-        k, cost, lines = next(self.ids), _size(e) + (stmt is not None), []
-        self.scope[f"U{k}"] = e, stmt, self.local
+    def unit(self, e: src.Expr, stmt: bool, sink: str) -> list:
+        """Lines that charge the unit of `e`, after its statement's node if
+        `stmt`, and run `sink` formatted with `e`'s value."""
+        cost, lines = _size(e) + stmt, []
         lines.append(sink.format(self.value(e, lines)))
-        fault = f"_fault(*U{k}, {cost}, locals())"
-        return fault, [f"if fuel < {cost}: _fault(*U{k}, fuel, locals())",
-                       f"fuel -= {cost}", "try:", *indent(lines), "except NameError:",
-                       "    " + fault]
+        return [f"if fuel < {cost}: raise _Fault", f"fuel -= {cost}", *lines]
 
     def test(self, arms: list, orelse) -> list:
-        """An if/elseif chain: its arms (condition, statement or None,
-        body) and else body."""
+        """An if/elseif chain: its arms (condition, whether its statement's
+        node is charged, body) and else body."""
         (cond, stmt, then), rest = arms[0], arms[1:]
-        fault, lines = self.unit(cond, stmt, "t = {}")
-        return [*lines, "if t is True:", *self.block(then), "elif t is False:",
+        return [*self.unit(cond, stmt, "t = {}"), "if t is True:", *self.block(then),
+                "elif t is False:",
                 *(indent(self.test(rest, orelse)) if rest else self.block(orelse or ())),
-                "else:", "    " + fault]
+                "else:", "    raise _Fault"]
 
     def block(self, stmts) -> list:
         lines = []
         for s in stmts:
             if isinstance(s, src.Assign):
                 target = self.local.setdefault(s.target, f"v{len(self.local)}")
-                lines += self.unit(s.value, s, f"{target} = {{}}")[1]
+                lines += self.unit(s.value, True, f"{target} = {{}}")
             elif isinstance(s, src.Return):
-                lines += self.unit(s.value, s, "return {}")[1]
+                lines += self.unit(s.value, True, "return {}")
             elif isinstance(s, src.If):
-                lines += self.test([(s.cond, s, s.then),
-                                    *((c, None, b) for c, b in s.elifs)], s.orelse)
+                lines += self.test([(s.cond, True, s.then),
+                                    *((c, False, b) for c, b in s.elifs)], s.orelse)
             else:  # a While, charged before its first test
-                self.scope[f"W{(k := next(self.ids))}"] = s.cond, s, {}
-                fault, loop = self.unit(s.cond, None, "t = {}")
-                lines += [f"if not fuel: _fault(*W{k}, 0, {{}})", "fuel -= 1",
-                          "while True:", *indent(loop), "    if t is not True:",
-                          "        if t is False: break", "        " + fault,
-                          *self.block(s.body)]
+                lines += ["if not fuel: raise _Fault", "fuel -= 1", "while True:",
+                          *indent(self.unit(s.cond, False, "t = {}")),
+                          "    if t is not True:", "        if t is False: break",
+                          "        raise _Fault", *self.block(s.body)]
         return indent(lines or ["pass"])
 
 
@@ -339,7 +332,7 @@ class _SSAPlan(_Plan):
         super().__init__(sum(b[1] for b in self.blocks))
 
     def interpret(self, fuel: int, args: tuple) -> tuple:
-        return _interpret(self.blocks, dict(zip(self.params, args)), fuel, 0)
+        return _interpret(self.blocks, dict(zip(self.params, args)), fuel)
 
     def compile(self):
         return _compile_ssa(self)
@@ -356,8 +349,9 @@ def run_ssa(func: SSAFunction, args: tuple, fuel: int = DEFAULT_FUEL) -> Value:
     return func.plan.run(max(fuel, 0), args)
 
 
-def _interpret(blocks: list, env: dict, fuel: int, i: int) -> tuple:
-    """(result, fuel left) of running `blocks` from index `i` on `env`."""
+def _interpret(blocks: list, env: dict, fuel: int) -> tuple:
+    """(result, fuel left) of running `blocks` on `env` from the first."""
+    i = 0
     while True:
         steps, cost, where, ret, cond, edges = blocks[i]
         for result, fn, n, x, y, z in steps if fuel >= cost else steps[:fuel]:
@@ -373,10 +367,11 @@ def _interpret(blocks: list, env: dict, fuel: int, i: int) -> tuple:
 
 
 def _compile_ssa(plan: _SSAPlan):
-    """A function of (fuel, *args) that runs `plan` as `_interpret` does:
-    value k is the local `vk` (a global if constant), operation k the global
-    `fk`, and a loop finds block `b` by halving the block range."""
-    scope = {"_interpret": _interpret, "blocks": plan.blocks}
+    """A function of (fuel, *args) that runs `plan` as `_interpret` does when
+    it returns, and otherwise raises `_Fault` (short of a block's fuel) or
+    the trap: value k is the local `vk` (a global if constant), operation k
+    the global `fk`, and a loop finds block `b` by halving the block range."""
+    scope = {"_Fault": _Fault}
     text = "\n".join([f"def run(fuel, {_names(plan.params)}):", "    b = 0",
                       "    while True:", *_ssa_tree(plan.blocks, scope, 0, len(plan.blocks),
                                                     " " * 8), ""])
@@ -395,11 +390,9 @@ def _ssa_tree(blocks: list, scope: dict, lo: int, hi: int, pad: str) -> list:
                 f"{pad}else:", *_ssa_tree(blocks, scope, mid, hi, pad + "    ")]
     steps, cost, _, ret, cond, edges = blocks[lo]
     scope.update((f"f{r}", fn) if fn else (f"v{r}", x) for r, fn, _, x, *_ in steps)
-    reads = {x for _, _, n, *xs in steps for x in xs[:n]} - {s[0] for s in steps}
-    env = ", ".join(f"{x}: v{x}" for x in sorted(reads))
     jumps = [f"b, {_names(pids)}= {k}, {_names(argids)}" for k, pids, argids in edges]
-    return [pad + line for line in [  # short of fuel, `_interpret` raises in the block
-        f"if fuel < {cost}: _interpret(blocks, {{{env}}}, fuel, {lo})", f"fuel -= {cost}",
+    return [pad + line for line in [
+        f"if fuel < {cost}: raise _Fault", f"fuel -= {cost}",
         *(f"v{r} = f{r}({_names(xs[:n])})" for r, fn, n, *xs in steps if fn),
         *([f"return v{ret}"] if ret is not None else jumps if cond is None
           else [f"if v{cond}: {jumps[1]}", f"else: {jumps[0]}"])]]

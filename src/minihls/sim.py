@@ -239,9 +239,10 @@ def _fill(kind: str, ins, outs, ps, cs, js, work, traced: bool, **names) -> str:
               "{compute}": [compute] if compute else [],
               "{count}": [f"s.tokens += {len(outs) - len(ins)}"] if len(outs) != len(ins) else [],
               "{fired}": ["return True" if work is None else "moved = True"]}
+    skip = ([] if traced else ["s.fired"]) + ([] if outs else ["elif {valid}:", "s.stalled"])
     text = "\n".join(line[:len(line) - len(line.lstrip())] + block  # at its indent
                      for line in _FIRE[OPERATOR if event else kind].split("\n")
-                     if traced or "s.fired" not in line
+                     if not any(x in line for x in skip)  # an Exit or a Sink never stalls
                      for block in blocks.get(line.strip(), [line.strip()]))
     valid = [f"{x} is not _ABSENT" for x in xs]
     return text.format(

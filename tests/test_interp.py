@@ -12,7 +12,7 @@ from test_source import load_ladder_generator
 
 from minihls import corpus, interp, lattice, typecheck
 from minihls.errors import (DivByZeroError, EvalError, FuelExhaustedError,
-                            NoMethodError, Pos)
+                            MiniHlsError, NoMethodError, Pos)
 from minihls.interp import eval_op, run_source, run_ssa, type_of_value
 from minihls.ir import Ret, verify
 from minihls.lattice import IMPL_BY_OPCODE, LatticeType, wrap64
@@ -413,12 +413,50 @@ TIER_PROGRAMS += [
 
 def outcome(run, args, fuel):
     """What a run gives: its value (told apart by type and repr, so -0.0,
-    1.0 and nan are exact) or its error and position."""
+    1.0 and nan are exact) or its error, message and position."""
     try:
         value = run(args, fuel)
         return type(value), repr(value)
-    except (EvalError, NoMethodError) as err:
-        return type(err), err.pos
+    except MiniHlsError as err:
+        return type(err), err.message, err.pos
+
+
+def returned(run, args, fuel):
+    """The type and repr of what `run` returns, or None if it raises one of
+    the three faults `_Plan.run` catches from compiled code."""
+    try:
+        value = run(args, fuel)
+    except (interp._Fault, NameError, MiniHlsError):
+        return None
+    return type(value), repr(value)
+
+
+def assert_tiers_keep_the_contract(plan, points, finish=lambda result: result):
+    """`plan`, as built, against its compiled function on each of `points`
+    at every fuel up to one past the threshold, and at 10 000: where the
+    interpreter returns, the compiled function returns the same type and
+    repr; where it raises, the compiled function raises one of the three
+    faults; and `_Plan.run` of the hot plan gives exactly the cold outcome.
+    `finish` makes a run's result of a plan's result."""
+    assert plan.spent == 0 and plan.compiled is None  # as built
+    compiled = plan.compiled = plan.compile()
+    interpreted = lambda args, fuel: plan.interpret(fuel, args)[0]
+    cold = lambda args, fuel: finish(interpreted(args, fuel))
+    hot = lambda args, fuel: finish(plan.run(fuel, args))
+
+    def check(args, fuel):
+        assert (returned(lambda a, f: compiled(f, *a), args, fuel)
+                == returned(interpreted, args, fuel)), (args, fuel)
+        assert outcome(hot, args, fuel) == (want := outcome(cold, args, fuel)), (args, fuel)
+        return want
+
+    for args in points:
+        for fuel in range(400):
+            if (got := check(args, fuel))[0] is not FuelExhaustedError:  # the threshold
+                assert check(args, fuel + 1) == got
+                break
+        check(args, 10_000)
+    assert plan.spent == 0  # a hot run spends nothing
 
 
 @pytest.mark.parametrize("text, sig, points", TIER_PROGRAMS)
@@ -426,19 +464,7 @@ def test_compiled_and_interpreted_runs_agree_at_every_fuel(text, sig, points):
     res = compile_source(text, sig)
     for func in (res.ssa_unopt, res.ssa):
         assert verify(func) == []
-        plan = interp._SSAPlan(func)
-        compiled = interp._compile_ssa(plan)
-        tiers = (lambda args, fuel: interp._interpret(
-                     plan.blocks, dict(zip(plan.params, args)), fuel, 0)[0],
-                 lambda args, fuel: compiled(fuel, *args))
-        for args in points:
-            for fuel in range(400):
-                got = [outcome(run, args, fuel) for run in tiers]
-                assert got[0] == got[1], (text, args, fuel)
-                if got[0][0] is not FuelExhaustedError:  # the exact threshold
-                    assert [outcome(run, args, fuel + 1) for run in tiers] == got
-                    break
-        assert plan.spent == 0 and plan.compiled is None  # as built
+        assert_tiers_keep_the_contract(interp._SSAPlan(func), points)
 
 
 def test_a_plan_run_hot_compiles_once(monkeypatch, sweeps):
@@ -510,20 +536,13 @@ def fell_off(text):
     return dataclasses.replace(func, body=func.body[:-1])
 
 
-def source_tiers(func):
-    """`func`'s tree walker and its compiled function, each as a run of
-    (args, fuel) that gives what `run_source` gives."""
-    plan = interp._SourcePlan(func)
-    compiled = interp._compile_source(plan)
-
-    def checked(run):
-        def run_checked(args, fuel):
-            if (result := run(args, fuel)) is None:
-                raise EvalError(f"{func.name} fell off the end", func.pos)
-            return result
-        return run_checked
-    return (checked(lambda args, fuel: plan.interpret(fuel, args)[0]),
-            checked(lambda args, fuel: compiled(fuel, *args)))
+def source_result(func):
+    """What `run_source` makes of a result of `func`'s plan."""
+    def finish(result):
+        if result is None:
+            raise EvalError(f"{func.name} fell off the end", func.pos)
+        return result
+    return finish
 
 
 @pytest.mark.parametrize("func, points", [
@@ -532,17 +551,8 @@ def source_tiers(func):
     (fell_off(TIER_PROGRAMS[-2][0]), [(1, 5, 3)])])
 def test_compiled_and_closure_source_runs_agree_at_every_fuel(func, points):
     # the walker, which visits node by node, against the compiled function,
-    # which charges each unit at once and hands the walker what it cannot pay
-    tiers = source_tiers(func)
-    for args in points:
-        for fuel in range(400):
-            got = [outcome(run, args, fuel) for run in tiers]
-            assert got[0] == got[1], (func, args, fuel)
-            if got[0][0] is not FuelExhaustedError:  # the exact threshold
-                assert [outcome(run, args, fuel + 1) for run in tiers] == got
-                break
-        ample = [outcome(run, args, 10_000) for run in tiers]
-        assert ample[0] == ample[1], (func, args)
+    # which charges each unit at once and is right only when it returns
+    assert_tiers_keep_the_contract(interp._SourcePlan(func), points, source_result(func))
 
 
 def test_a_source_plan_hot_on_int64_runs_other_types_as_its_closures_do():
@@ -579,6 +589,40 @@ def test_a_hot_source_plan_compiles_once(monkeypatch, sweeps):
         assert run_source(func, (x, n)) == run_ssa(lowered("power"), (x, n))
     assert func.plan is plan and plan.compiled is compiled
     assert compiles == {id(plan): 1} and plan.spent == 41 * (runs + 1)
+
+
+# a hot plan, then a run of it that faults: compiled source code runs out of
+# fuel, traps, reads `y` unassigned (a NameError) or tests a non-Bool; SSA
+# code runs out of fuel or traps
+@pytest.mark.parametrize("build, hot_args, args, fuel, error", [
+    (lambda: source_fn(corpus.load("power")), (2, 3), (2, 3), 40, FuelExhaustedError),
+    (lambda: source_fn(TIER_PROGRAMS[3][0]), (6, 4), (6, 0), 10_000, DivByZeroError),
+    (lambda: source_fn(SOURCE_FAULTS[0][0]), (1, 2), (-1, 3), 10_000, EvalError),
+    (lambda: source_fn(SOURCE_FAULTS[3][0]), (True,), (1,), 10_000, EvalError),
+    (lambda: lowered("power"), (2, 3), (2, 3), 26, FuelExhaustedError),
+    (trapping_ssa, (6, 4), (6, 0), 10_000, DivByZeroError)],
+    ids=["source-fuel", "source-trap", "source-undefined", "source-non-bool",
+         "ssa-fuel", "ssa-trap"])
+def test_a_hot_run_that_faults_is_interpreted_once_from_its_start(
+        build, hot_args, args, fuel, error, monkeypatch):
+    func = build()
+    run = run_source if isinstance(func, FunctionDef) else run_ssa
+    with pytest.raises(error) as info:
+        run(build(), args, fuel)
+    cold = info.value.message, info.value.pos
+    run_hot(func, hot_args)
+    plan, calls = func.plan, []
+    spent, interpret = plan.spent, plan.interpret
+
+    def counting(fuel, args):
+        calls.append((fuel, args))
+        return interpret(fuel, args)
+
+    monkeypatch.setattr(plan, "interpret", counting)
+    with pytest.raises(error) as info:
+        run(func, args, fuel)
+    assert (info.value.message, info.value.pos) == cold
+    assert calls == [(fuel, args)] and plan.spent == spent and func.plan is plan
 
 
 def test_a_source_function_and_its_plan_are_freed_without_the_cycle_collector():

@@ -733,6 +733,20 @@ def test_six_kinds_share_the_strict_rule():
         (0, 0, "emit"), (1, 1, "fire"), (2, 2, "exit")]
 
 
+@pytest.mark.parametrize("traced", [False, True])
+def test_a_rule_with_no_outputs_has_no_stall_branch(traced):
+    """An Exit or a Sink can never stall, so neither its kernel nor its
+    rule inlined into a compiled cycle adds itself to `stalled`; a Fork
+    still does.  Each still wakes its input's producer if that stalled."""
+    for kind, outs in ((C.EXIT, []), (C.SINK, []), (C.FORK, ["o0"])):
+        for work in (None, frozenset({0})):
+            text = sim_module._fill(kind, ["i0"], outs, ["p0"], ["c0"][:len(outs)],
+                                    [[]][:len(outs)], work, traced and work is None,
+                                    i="i", c="c", fn="fn", depth="depth")
+            assert ("s.stalled.add(i)" in text) == bool(outs), (kind, work)
+            assert ("elif" in text) == bool(outs) and "s.stalled.remove(p0)" in text
+
+
 # -- the closure engine as reference -----------------------------------------
 #
 # `sim_reference` is the engine the per-shape kernels replaced: a closure
