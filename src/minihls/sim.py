@@ -17,10 +17,14 @@ that reads each channel by name, and serves every run until a component or
 channel is added, removed or replaced by an unequal one; traced runs use
 the same template's kernels that also log events, built on the first.
 Untraced runs have a second tier, as Julia compiles a method once it is
-called enough: a plan counts the worklist snapshot of each cycle, and once
-one has recurred `_HOT_AFTER` times its cycle runs as one function filled
-in from the same templates, the rules inlined in ascending order with their
-ports as numbers and each move's test of the other end decided.  Entry,
+called enough: a plan counts the worklist snapshot of each cycle and
+records the one that last followed it, and once one has recurred
+`_HOT_AFTER` times it heads a trace, one function that runs the cycles of
+the path its recorded successors lead along, each filled in from the same
+templates, the rules inlined in ascending order with their ports as
+numbers and each move's test of the other end decided.  Between two
+cycles a trace returns to `Simulator.run` unless the worklist is the path's
+next snapshot; a path that comes back to itself closes into a loop.  Entry,
 Exit, Const, Operator, Fork and Sink share the strict rule, a join of every
 input forked to every output: fire when every input holds a token and every
 output is free.  They differ only in the value a firing computes
@@ -66,9 +70,14 @@ from .lattice import IMPL_BY_OPCODE, bind
 
 DEFAULT_MAX_CYCLES = 100_000
 
-# Compiling a snapshot's cycle costs 260-450 µs (median per circuit, x86-64 Xeon),
-# what 600 to 1700 cycles save at 0.2-0.5 µs for a compiled cycle against a counted one.
-_HOT_AFTER = 1024  # sightings of a snapshot before its cycle is compiled
+# A trace compiles in 3.7-7.2 ms (median per circuit, best of 3, x86-64 Xeon), 5-7 % of
+# it joining cached rule bodies into text: what 2 000-10 000 cycles save at 0.7-2.3 µs
+# for a traced cycle against a counted one, or 170-2 900 calls of 3.5 (wide_sim) to 12
+# (corpus_sweep) cycles.
+_HOT_AFTER = 1024  # sightings of a snapshot before it heads a compiled trace
+# corpus_sweep's longest loop closes after 10.  A longer trace compiles more text at once:
+# at 4, 8 and 12, wide_sim's peak RSS grew 3, 5 and 6 %, corpus_sweep's ops/s 23, 26, 38 %.
+_TRACE = 12  # snapshots a trace holds at most
 _SNAPSHOTS = 1024  # snapshots a plan counts at most
 
 _ABSENT = object()
@@ -195,8 +204,8 @@ _FIRE = {OPERATOR: """
         if emit or accept:
             {fired}"""}
 
-_GLOBALS = {"_ABSENT": _ABSENT, "MergeConflictError": MergeConflictError,
-            "SimError": SimError, "heappush": heappush}  # of every rule's text
+_GLOBALS = {"_ABSENT": _ABSENT, "MergeConflictError": MergeConflictError, "SimError": SimError,
+            "heappush": heappush, "heappop": heappop}  # of every rule's text
 # the run's state that a compiled cycle reads from locals of these names
 _STATE = re.compile(r"\bs\.(?=(worklist|stalled|regs|pipes|releases|tokens|cycle)\b)")
 
@@ -271,37 +280,84 @@ def _factory(kind: str, n_in: int, n_out: int, joins: tuple, traced: bool):
     return define(text, f"<sim rule {kind} {n_in}x{n_out}>", dict(_GLOBALS), "make")
 
 
-def _compile_cycle(plan: SimPlan, work: frozenset):
-    """One untraced cycle of snapshot `work` as a function of (s, chan,
-    cycle) that returns whether anything fired, or None if Python refuses
-    its text.  It runs the rules of `work` inlined in ascending order, so
-    the lowest that raises gives the error, with operation i and component
-    i as globals `fi` and `ci`; a move between two of them is committed at
-    its end, consumptions first, as `Simulator.run` commits."""
-    p, q, sib, scope = plan.producer, plan.consumer, plan.sibling, dict(_GLOBALS)
-    inner = [k for k, c in enumerate(q) if c in work and p[k] in work]
-    lines = [f"{' = '.join(f'{x}{k}' for k in inner)} = {v}"
-             for x, v in (("t", "False"), ("v", "_ABSENT")) if inner]
+def _shift(text: str) -> str:  # text one level deeper
+    return "    " + text.replace("\n", "\n    ")
+
+
+def _cycle(plan: SimPlan, work: frozenset) -> str:
+    """The text of one untraced cycle of snapshot `work`, which leaves in
+    `moved` whether anything fired: its rules inlined in ascending order, so
+    the lowest that raises gives the error, with operation i and component i
+    as globals `fi` and `ci`, then each move between two of them committed,
+    consumptions first, as `Simulator.run` commits.  A rule's text depends
+    on the snapshot only through which of its ports' other ends it holds,
+    and `plan.bodies` keeps it by that."""
+    p, q, sib, bodies = plan.producer, plan.consumer, plan.sibling, plan.bodies
+    rules, inner = [], []
     for i in sorted(work):
-        scope[f"f{i}"], scope[f"c{i}"], (a, b) = plan.ops[i], plan.components[i], plan.ports[i]
-        rule = _fill(plan.kinds[i], a, b, [p[k] for k in a], [q[k] for k in b],
-                     [sib[k] for k in b], work, False, i=i, c=f"c{i}", fn=f"f{i}",
-                     depth=plan.depth.get(i))
-        lines += [line[8:] for line in rule.split("def fire(s, chan, work):\n")[1].split("\n")]
+        a, b = plan.ports[i]
+        key = (i, *(p[k] in work for k in a), *(q[k] in work for k in b))
+        if key not in bodies:
+            rule = _fill(plan.kinds[i], a, b, [p[k] for k in a], [q[k] for k in b],
+                         [sib[k] for k in b], work, False, i=i, c=f"c{i}", fn=f"f{i}",
+                         depth=plan.depth.get(i))
+            bodies[key] = _STATE.sub("", rule.split("def fire(s, chan, work):\n")[1]
+                                     .replace("\n        ", "\n")[8:])
+        rules.append(bodies[key])
+        inner += [k for k in b if q[k] in work]
+    inner.sort()
+    commit = [line for k in inner for line in (f"if t{k}:", *indent(_emptied(k, p[k])))]
     for k in inner:
-        lines += [f"if t{k}:", *indent(_emptied(k, p[k]))]
-    for k in inner:
-        lines += [f"if v{k} is not _ABSENT:", f"    if chan[{k}] is not _ABSENT:",
-                  f"        raise SimError({_OCCUPIED % plan.channels[k].id!r})",
-                  *indent(_filled(k, f"v{k}", q[k], sib[k]))]
-    text = _STATE.sub("", "\n".join(lines))
-    state = [x for x in ("worklist", "stalled", "regs", "pipes", "releases") if x in text]
-    head = ["moved, tokens = False, 0"] + (
-        [f"{', '.join(state)} = s.{', s.'.join(state)}"] if state else [])
-    tail = (["s.tokens += tokens"] if "tokens " in text else []) + ["return moved"]
-    return define("\n".join(["def run(s, chan, cycle):",
-                             *indent([*head, *text.split("\n"), *tail]), ""]),
-                  f"<sim cycle of {len(work)}>", scope)
+        commit += [f"if v{k} is not _ABSENT:", f"    if chan[{k}] is not _ABSENT:",
+                   f"        raise SimError({_OCCUPIED % plan.channels[k].id!r})",
+                   *indent(_filled(k, f"v{k}", q[k], sib[k]))]
+    return "\n".join(["moved = False", *(f"{' = '.join(f'{x}{k}' for k in inner)} = {v}"
+                                         for x, v in (("t", "False"), ("v", "_ABSENT")) if inner),
+                      *rules, *(_STATE.sub("", line) for line in commit)])
+
+
+def _compile_cycle(plan: SimPlan, work: frozenset):
+    """The trace headed by snapshot `work` as a function of (s, chan,
+    max_cycles), or None if Python refuses its text.  The path follows the
+    recorded successors from `work` until one is in it already, where it
+    closes into a `while` loop, or heads a compiled trace, which the lookup
+    in `Simulator.run` then runs, or until it holds `_TRACE` snapshots.  The
+    function runs the path's cycles in turn, snapshot k as global `Wk`, and
+    returns False after a cycle that fired nothing, or None at the end of a
+    path that does not close and before a cycle that reaches max_cycles or
+    whose worklist, with the releases then due, is not the path's next
+    snapshot; it writes back what it keeps in locals of s."""
+    path, cycles, successor = [work], plan.cycles, plan.successor
+    after = successor.get(work)
+    while (after is not None and after not in path and len(path) < _TRACE
+           and (n := cycles.get(after, 0)).__class__ is int and n >= 0):
+        path.append(after)
+        after = successor.get(after)
+    loop = path.index(after) if after in path else len(path)
+    scope = dict(_GLOBALS, **{f"W{k}": w for k, w in enumerate(path)})
+    for i in set().union(*path):
+        scope[f"f{i}"], scope[f"c{i}"] = plan.ops[i], plan.components[i]
+    due = ("\nwhile releases and releases[0][0] <= cycle:\n"
+           "    worklist.add(heappop(releases)[1])" if plan.depth else "")
+
+    def step(k):  # cycle k, then the test that the next is the path's
+        text = _cycle(plan, path[k]) + (
+            "\nif not moved:\n    return False\nif tokens > peak:\n    peak = tokens\n"
+            "cycle += 1")
+        k = k + 1 if k + 1 < len(path) else loop
+        return text if k == len(path) else text + (
+            f"\nif cycle >= max_cycles:\n    return{due}\nif worklist != W{k}:\n"
+            f"    return\nworklist.clear()")
+    body = "\n".join([*map(step, range(loop)), *(
+        ["while True:\n" + _shift("\n".join(map(step, range(loop, len(path)))))]
+        if loop < len(path) else [])])
+    state = [x for x in ("worklist", "stalled", "regs", "pipes", "releases") if x in body]
+    head = "cycle, tokens, peak = s.cycle, s.tokens, s.max_occupancy\n" + (
+        f"{', '.join(state)} = s.{', s.'.join(state)}\n" if state else "")
+    return define("def run(s, chan, max_cycles):\n" + _shift(
+        f"{head}try:\n{_shift(body)}\nfinally:\n"
+        "    s.cycle, s.tokens, s.max_occupancy = cycle, tokens, peak") + "\n",
+        f"<sim cycle trace of {len(path)}>", scope)
 
 
 class SimPlan:
@@ -316,8 +372,11 @@ class SimPlan:
     a join (any kind but Merge), `depth[i]` is the depth of a pipelined
     Operator, `buffers` lists the Buffers and `nodes[i]` is component i's
     firing rule (`traced_nodes[i]` logs events).  `cycles` maps each of at
-    most `_SNAPSHOTS` snapshots to the times untraced runs met it, or to its
-    compiled cycle; None pins untraced runs to the kernels, as traced runs.
+    most `_SNAPSHOTS` snapshots to the times untraced runs met it, or to the
+    trace it heads; None pins untraced runs to the kernels, as traced runs.
+    `successor` maps each snapshot that `cycles` counts to the one that
+    followed it the last time it ran on the kernels, and `bodies` holds a
+    compiled cycle's text of each rule by `_cycle`'s key.
     """
 
     def __init__(self, g: CDFG):
@@ -348,7 +407,9 @@ class SimPlan:
         self.ops = [bind(IMPL_BY_OPCODE[c.opcode], c.pos) if c.kind == OPERATOR
                     else lambda _, v=c.value: v for c in comps]
         self.nodes = self._rules(traced=False)
-        self.cycles: dict | None = {}  # per snapshot, times seen or its compiled cycle
+        self.cycles: dict | None = {}  # per snapshot, times seen or its compiled trace
+        self.successor: dict = {}
+        self.bodies: dict = {}
 
     def _rules(self, traced: bool) -> list:
         p, q, sib = self.producer, self.consumer, self.sibling
@@ -397,6 +458,7 @@ class Simulator:
         plan, events, fired, cycle = self.plan, self.events, self.fired, self.cycle
         nodes = plan.nodes if events is None else plan.traced_nodes
         cycles = plan.cycles if events is None else None
+        successor, last = plan.successor, None  # last: a counted snapshot just run on kernels
         producer, consumer, sibling = plan.producer, plan.consumer, plan.sibling
         chan, worklist, releases = self.chan, self.worklist, self.releases
         stalled, consume, produce = self.stalled, self.consume, self.produce
@@ -411,12 +473,18 @@ class Simulator:
             worklist.clear()
             moved = None
             if cycles is not None:  # count the snapshot, -maxsize if Python refused it
-                step = cycles.get(work, 0)
+                if last is not None:
+                    successor[last] = work
+                step, last = cycles.get(work, 0), None
                 if step.__class__ is int and (step or len(cycles) < _SNAPSHOTS):
+                    last = work
                     step = cycles[work] = (step + 1 if step + 1 < _HOT_AFTER else
                                            _compile_cycle(plan, work) or -maxsize)
-                if step.__class__ is not int:
-                    moved = step(self, chan, cycle)
+                if step.__class__ is not int:  # a trace: None to go on, False when idle
+                    moved, last = step(self, chan, max_cycles), None
+                    cycle = self.cycle
+                    if moved is None:
+                        continue
             if moved is None:
                 moved = False
                 try:

@@ -529,11 +529,14 @@ def outcome(g, args, max_cycles, exhaustive=False, trace=True, hot=False):
     every cycle it reaches, which this asserts: each rule sees all of them
     in `work`, and each cycle calls every rule unless a rule raised in it.
     A `hot` run is untraced and runs every cycle compiled, which this
-    asserts: with `_HOT_AFTER` at 1 each snapshot compiles the first time
-    the circuit's plan sees it, and no kernel may run."""
+    asserts: a cold run of the point first records the snapshot that
+    follows each, then with `_HOT_AFTER` at 1 each snapshot compiles the
+    first time the circuit's plan sees it, into a trace along those
+    successors, and no kernel may run."""
     sim = Simulator(g, args, trace=trace and not hot)
     if hot:
-        sim.plan = copy.copy(sim.plan)  # sharing the circuit's compiled cycles
+        outcome_of(Simulator(g, args, trace=False), max_cycles)
+        sim.plan = copy.copy(sim.plan)  # sharing the circuit's compiled traces
         sim.plan.nodes = [kernel_ran] * len(sim.plan.nodes)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim_module, "_HOT_AFTER", 1)
@@ -932,7 +935,7 @@ def test_merge_conflict_quotes_its_label_verbatim(n, early, monkeypatch):
             f"merge 2 ({label}) has {n - early} valid inputs in cycle 2")
     assert_reference_agrees(g, [(1, 2) if early else (1,)])
     assert any(text.startswith("def make(") for text in texts)
-    assert any(text.startswith("def run(s, chan, cycle)") for text in texts)
+    assert any(text.startswith("def run(s, chan, max_cycles)") for text in texts)
     assert not any(part in text for text in texts
                    for part in ("uo", "slash", "newline", "x}"))
     sim_module._factory.cache_clear()
@@ -1198,11 +1201,12 @@ def test_a_consumption_done_at_once_frees_a_stalled_producer():
     assert_same_outcome_traced_or_not(g, [(3, 4)])
 
 
-# -- compiled cycles ---------------------------------------------------------
+# -- compiled traces ---------------------------------------------------------
 #
-# An untraced run compiles the cycle of each worklist snapshot a plan has
-# seen `_HOT_AFTER` times into one function.  The differential helpers above
-# run every circuit they check on compiled cycles alone as well.
+# An untraced run compiles each worklist snapshot a plan has seen
+# `_HOT_AFTER` times, with the snapshots recorded to follow it, into one
+# function, a trace.  The differential helpers above run every circuit they
+# check on compiled traces alone as well.
 
 def chain(n):
     """Entry 0 through n negates to the Exit: each cycle runs one
@@ -1267,7 +1271,8 @@ def test_a_hot_circuit_is_freed_by_reference_counting():
 
 def test_the_snapshot_table_is_bounded(monkeypatch):
     """A full table counts only the snapshots it holds: snapshots that
-    never recur stop being counted instead of growing it."""
+    never recur stop being counted instead of growing it, and only counted
+    snapshots have a successor recorded."""
     monkeypatch.setattr(sim_module, "_SNAPSHOTS", 8)
     g = chain(20)
     counted = []
@@ -1276,6 +1281,7 @@ def test_the_snapshot_table_is_bounded(monkeypatch):
         counted.append(dict(sim_module.SimPlan.of(g).cycles))
         assert list(counted[-1].values()) == [runs] * 8
     assert counted[0].keys() == counted[-1].keys()
+    assert sim_module.SimPlan.of(g).successor.keys() == counted[-1].keys()
 
 
 def test_a_cycle_whose_text_python_refuses_stays_cold(monkeypatch):
@@ -1296,6 +1302,123 @@ def test_a_cycle_whose_text_python_refuses_stays_cold(monkeypatch):
     cycles = sim_module.SimPlan.of(g).cycles
     assert all(isinstance(n, int) and n < 0 for n in cycles.values())
     assert sum(refused.values()) == len(cycles)
+
+
+Call = collections.namedtuple("Call", "text start end result max_cycles pending")
+
+
+def watch_traces(patch):
+    """Log each call of a trace compiled from here on as a `Call`: its text,
+    the cycles it started and ended in, what it returned ("raised" if it
+    raised), the run's budget and the cycles of the releases pending at its
+    start; and
+    each trace's path of snapshots, in the order they compiled."""
+    define, calls, paths = sim_module.define, [], []
+
+    def watched(text, name, scope, fn="run"):
+        run = define(text, name, scope, fn)
+        if run is None or not name.startswith("<sim cycle"):
+            return run
+        paths.append([scope[f"W{k}"] for k in range(text.count("moved = False"))])
+
+        def call(s, chan, max_cycles):
+            start, pending, result = s.cycle, sorted(r for r, _ in s.releases), "raised"
+            try:
+                result = run(s, chan, max_cycles)
+                return result
+            finally:
+                calls.append(Call(text, start, s.cycle, result, max_cycles, pending))
+        return call
+    patch.setattr(sim_module, "define", watched)
+    return calls, paths
+
+
+@pytest.mark.parametrize("source, args", [
+    ("power", (2, 10)), (narrow_ladder(6), (3, 5)), (wide_ladder(6), (-4, 2))],
+    ids=["power", "narrow_ladder", "wide_ladder"])
+def test_a_trace_runs_several_cycles_per_call(source, args, monkeypatch):
+    """A hot run follows the recorded successors: some call runs more than
+    one cycle, and no trace holds a snapshot that heads one compiled before."""
+    calls, paths = watch_traces(monkeypatch)
+    g = fresh_power() if source == "power" else compile_source(source).cdfg
+    want = reference_outcome(g, args, DEFAULT_MAX_CYCLES, trace=False)
+    assert outcome(g, args, DEFAULT_MAX_CYCLES, hot=True) == want
+    assert max(call.end - call.start for call in calls) > 1
+    for k, path in enumerate(paths):
+        assert not {head for head, *_ in paths[:k]} & set(path[1:])
+        assert len(path) <= sim_module._TRACE
+
+
+def test_a_trace_compiled_inside_a_loop_closes_into_a_loop(monkeypatch):
+    """A head that goes hot while power's loop runs follows the loop's
+    successors back to itself: one call then runs many laps, more cycles
+    than its path holds, up to the lap that leaves the loop."""
+    calls, _ = watch_traces(monkeypatch)
+    monkeypatch.setattr(sim_module, "_HOT_AFTER", 8)
+    g = fresh_power()
+    want = reference_outcome(g, (2, 30), DEFAULT_MAX_CYCLES, trace=False)
+    assert outcome(g, (2, 30), DEFAULT_MAX_CYCLES, trace=False) == want
+    assert any("while True:" in call.text and
+               call.end - call.start > 2 * call.text.count("moved = False")
+               for call in calls)
+
+
+def test_a_budget_ends_a_trace_between_two_cycles(monkeypatch):
+    """Every budget from 1 to 60 gives the reference outcome, and some
+    trace stops on its budget guard after a cycle with more of it to run."""
+    calls, _ = watch_traces(monkeypatch)
+    g = fresh_power()
+    for max_cycles in (DEFAULT_MAX_CYCLES, *range(1, 61)):
+        assert outcome(g, (2, 10), max_cycles, hot=True) == reference_outcome(
+            g, (2, 10), max_cycles, trace=False), max_cycles
+    assert any(call.result is None and call.start < call.end == call.max_cycles and (
+        "while True:" in call.text or call.end - call.start < call.text.count("moved = False"))
+        for call in calls)
+
+
+def test_a_trace_runs_on_past_a_release(monkeypatch):
+    """Under 6-cycle multipliers a trace pops the releases that come due
+    between its cycles and runs on through them."""
+    calls, _ = watch_traces(monkeypatch)
+    g = compile_source(corpus.load("power"), corpus.SIGNATURES["power"],
+                       latencies={"mul_i64": 6}).cdfg
+    for args in ((2, 10), (-3, 4)):
+        for max_cycles in (DEFAULT_MAX_CYCLES, 37, 50):
+            assert outcome(g, args, max_cycles, hot=True) == reference_outcome(
+                g, args, max_cycles, trace=False), (args, max_cycles)
+    assert any(call.start < r < call.end for call in calls for r in call.pending)
+
+
+def test_a_merge_conflict_late_in_a_trace_leaves_the_kernels_state(monkeypatch):
+    """Entry 0 through two negates into Fork 3, both of whose copies reach
+    Merge 4 in cycle 4: one trace runs cycles 0 to 4 and raises in its
+    fifth, with the kernels' message, cycle, tokens, peak and channels."""
+    g = circuit("late_clash", [(C.ENTRY, (), I64, {}),
+                               *[(C.OPERATOR, I64, I64, {"opcode": "neg_i64"})] * 2,
+                               (C.FORK, I64, (64, 64), {}),
+                               (C.MERGE, (64, 64), I64, {"label": "m"}),
+                               (C.EXIT, I64, (), {})],
+                [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (3, 0)),
+                 ((3, 0), (4, 0)), ((3, 1), (4, 1)), ((4, 0), (5, 0))])
+
+    def failed(sim):
+        with pytest.raises(MergeConflictError) as info:
+            sim.run()
+        return info.value.message, sim.cycle, sim.tokens, sim.max_occupancy, sim.chan
+
+    kernels = Simulator(g, (7,))
+    kernels.plan = copy.copy(kernels.plan)
+    kernels.plan.cycles = None
+    want = failed(kernels)
+    assert want[:4] == ("merge 4 (m) has 2 valid inputs in cycle 4", 4, 2, 2)
+    calls, _ = watch_traces(monkeypatch)
+    failed(Simulator(g, (7,)))  # records the successors
+    monkeypatch.setattr(sim_module, "_HOT_AFTER", 1)
+    hot = Simulator(g, (7,))
+    hot.plan = copy.copy(hot.plan)
+    hot.plan.nodes = [kernel_ran] * len(hot.plan.nodes)
+    assert failed(hot) == want
+    assert [(call.start, call.end, call.result) for call in calls] == [(0, 4, "raised")]
 
 
 # -- equivalence with the scan-every-component simulator --------------------
