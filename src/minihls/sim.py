@@ -17,20 +17,26 @@ that reads each channel by name, and serves every run until a component or
 channel is added, removed or replaced by an unequal one; traced runs use
 the same template's kernels that also log events, built on the first.
 Untraced runs have a second tier, as Julia compiles a method once it is
-called enough: a plan counts the worklist snapshot of each cycle and
-records the one that last followed it, and once one has recurred
-`_HOT_AFTER` times it heads a trace, one function that runs the cycles of
-the path its recorded successors lead along, each filled in from the same
-templates, the rules inlined in ascending order with their ports as
-numbers and each move's test of the other end decided.  Between two
-cycles a trace returns to `Simulator.run` unless the worklist is the path's
-next snapshot; a path that comes back to itself closes into a loop.  Entry,
-Exit, Const, Operator, Fork and Sink share the strict rule, a join of every
-input forked to every output: fire when every input holds a token and every
-output is free.  They differ only in the value a firing computes
-and the event it logs.  An Entry reads its argument (None for control) from
-a pin, as in the netlist: a slot after the channels that no component
-fills.  Each cycle a `Simulator` evaluates only its worklist: each
+called enough: a plan counts the non-empty worklist snapshot of each
+cycle, and once one has recurred `_HOT_AFTER` times the cycles that follow
+it are simulated ahead on the kernels, from a copy of the run, and
+compiled into a trace specialised on the token occupancy they ran on, by
+`simtrace`, a module imported only once a snapshot goes hot.  A
+token is a local of the trace: Fork, Branch, Merge, Buffer and pipeline
+moves only rename it, Operators and Consts compute it and Exits write it
+out.  The trace tests each place it reads, a channel, register, pipeline,
+`stalled` member or the release heap, against the recording before it
+first reads it, each Branch condition for the side taken and the budget.
+Where a test fails, or an operation traps, it writes back the state at
+the start of that cycle, which the kernels then run.  A recorded state
+that recurs closes the path into a loop, whose lap runs only its
+operations and tests; a path that reaches a snapshot heading a trace
+hands over to it.  Entry, Exit, Const, Operator, Fork and Sink share the
+strict rule, a join of every input forked to every output: fire when
+every input holds a token and every output is free.  They differ only in
+the value a firing computes and the event it logs.  An Entry reads its
+argument (None for control) from a pin, as in the netlist: a slot after
+the channels that no component fills.  Each cycle a `Simulator` evaluates only its worklist: each
 component whose blocking event the last cycle brought.  Only a channel's
 two ends read it, so a firing empties its inputs and fills its outputs at
 once, and queues a move for the commit only if the channel's other end runs
@@ -48,18 +54,16 @@ channels and its own state, so the worklist runs in the order its set
 yields.  Where order shows, component order rules: a traced commit sorts
 its events stably by component, the first token of the lowest of the first
 Exits to fire gives the output, and if a rule raises, the cycle's lower
-components still to run are run in ascending order (a compiled cycle runs
-in that order) and the lowest that raises gives the error.
+components still to run are run in ascending order and the lowest that
+raises gives the error; a trace leaves a cycle that raises to the kernels.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from operator import itemgetter
-from sys import maxsize
 
 from .cdfg import (BRANCH, BUFFER, CDFG, CONST, ENTRY, EXIT, FORK, MERGE,
                    OPERATOR, SINK, require_valid)
@@ -70,14 +74,10 @@ from .lattice import IMPL_BY_OPCODE, bind
 
 DEFAULT_MAX_CYCLES = 100_000
 
-# A trace compiles in 3.7-7.2 ms (median per circuit, best of 3, x86-64 Xeon), 5-7 % of
-# it joining cached rule bodies into text: what 2 000-10 000 cycles save at 0.7-2.3 µs
-# for a traced cycle against a counted one, or 170-2 900 calls of 3.5 (wide_sim) to 12
-# (corpus_sweep) cycles.
+# A trace records and compiles in 0.9-2.6 ms (median per circuit, x86-64, CPython
+# 3.11): what 500-1 600 cycles save at 1.6-2.1 µs for a traced cycle against a counted
+# one, or 4-120 calls of 13 (wide_sim) to 127 (corpus_sweep) cycles.
 _HOT_AFTER = 1024  # sightings of a snapshot before it heads a compiled trace
-# corpus_sweep's longest loop closes after 10.  A longer trace compiles more text at once:
-# at 4, 8 and 12, wide_sim's peak RSS grew 3, 5 and 6 %, corpus_sweep's ops/s 23, 26, 38 %.
-_TRACE = 12  # snapshots a trace holds at most
 _SNAPSHOTS = 1024  # snapshots a plan counts at most
 
 _ABSENT = object()
@@ -103,16 +103,15 @@ class SimReport:
 # which binds component i's record, operation (bound by `lattice.bind` to its
 # position), depth and ports: channels ik and ok, the producer pk of ik, and
 # the consumer ck of ok and its other inputs jk_m.  `_fill` fills one in with
-# those names, per shape, or with numbers for a compiled cycle: `{read}` reads
-# input k into xk, `{valid}` tests that every input holds a token and
-# `{ready}` also that every output is free, `{xs}` lists the inputs, `{clash}`
-# tests that two inputs hold a token and `{pick}` is the one that does, or
-# _ABSENT.  `{take}` empties each input (a Merge's picked one) and `{put}`
-# fills each output, `{putk}` output k, with v, as the Engine paragraph says,
-# and `{fired}` marks a firing.  The strict rule takes its `{event}` name and
-# `{compute}` line from `_STRICT` (a Const's operation yields its payload),
-# and `{count}` adds outputs less inputs to the token count.  A rule computes
-# what can raise before it moves a token.
+# those names, per shape: `{read}` reads input k into xk, `{valid}` tests that
+# every input holds a token and `{ready}` also that every output is free,
+# `{xs}` lists the inputs, `{clash}` tests that two inputs hold a token and
+# `{pick}` is the one that does, or _ABSENT.  `{take}` empties each input (a
+# Merge's picked one) and `{put}` fills each output, `{putk}` output k, with v,
+# as the Engine paragraph says, and `{fired}` marks a firing.  The strict rule
+# takes its `{event}` name and `{compute}` line from `_STRICT` (a Const's
+# operation yields its payload), and `{count}` adds outputs less inputs to the
+# token count.  A rule computes what can raise before it moves a token.
 
 _PIPELINE = "Pipeline"
 
@@ -205,41 +204,25 @@ _FIRE = {OPERATOR: """
             {fired}"""}
 
 _GLOBALS = {"_ABSENT": _ABSENT, "MergeConflictError": MergeConflictError, "SimError": SimError,
-            "heappush": heappush, "heappop": heappop}  # of every rule's text
-# the run's state that a compiled cycle reads from locals of these names
-_STATE = re.compile(r"\bs\.(?=(worklist|stalled|regs|pipes|releases|tokens|cycle)\b)")
+            "MiniHlsError": MiniHlsError, "heappush": heappush}  # of every rule's and trace's text
 
 
-def _emptied(ch, p) -> list:  # empty channel ch, whose producer is p
-    return [f"chan[{ch}] = _ABSENT",
-            f"if {p} in s.stalled: s.stalled.remove({p}); s.worklist.add({p})"]
-
-
-def _filled(ch, v, c, js) -> list:  # fill ch, whose consumer c joins js too, with v
-    full = " and ".join(f"chan[{j}] is not _ABSENT" for j in js)
-    return [f"chan[{ch}] = {v}", f"{f'if {full}: ' if full else ''}s.worklist.add({c})"]
-
-
-def _fill(kind: str, ins, outs, ps, cs, js, work, traced: bool, **names) -> str:
+def _fill(kind: str, ins, outs, ps, cs, js, traced: bool, **names) -> str:
     """`kind`'s template with the ports and `names` (i, c, fn and depth)
-    filled in, logging events if `traced`.  A kernel (`work` None) queues a
-    move whose other end is in the cycle's `work`; inlined into the cycle of
-    snapshot `work`, that test is decided here, and a queued move is left in
-    a local: `tk` for channel k's consumption, `vk` for its production."""
+    filled in, logging events if `traced`; a move whose other end is in
+    the cycle's `work` is queued for the commit."""
     xs = [f"x{k}" for k in range(len(ins))]
     event, compute = _STRICT.get(kind, (None, None))
 
     def take(ch, p):  # empty input ch, whose producer is p
-        if work is None:
-            return [f"if {p} in work: s.consume.append({ch})", "else:",
-                    *indent(_emptied(ch, p))]
-        return [f"t{ch} = True"] if p in work else _emptied(ch, p)
+        return [f"if {p} in work: s.consume.append({ch})", "else:", f"    chan[{ch}] = _ABSENT",
+                f"    if {p} in s.stalled: s.stalled.remove({p}); s.worklist.add({p})"]
 
-    def put(k):  # fill output k with v
-        if work is None:
-            return [f"if {cs[k]} in work: s.produce.append(({outs[k]}, v))", "else:",
-                    *indent(_filled(outs[k], "v", cs[k], js[k]))]
-        return [f"v{outs[k]} = v"] if cs[k] in work else _filled(outs[k], "v", cs[k], js[k])
+    def put(k):  # fill output k, whose consumer joins js[k] too, with v
+        full = "".join(f"chan[{j}] is not _ABSENT and " for j in js[k])
+        return [f"if {cs[k]} in work: s.produce.append(({outs[k]}, v))", "else:",
+                f"    chan[{outs[k]}] = v", f"    {f'if {full[:-5]}: ' if full else ''}"
+                f"s.worklist.add({cs[k]})"]
     takes = ([[f"{'elif' if k else 'if'} {x} is not _ABSENT:", *indent(take(ch, p))]
               for k, (x, ch, p) in enumerate(zip(xs, ins, ps))] if kind == MERGE
              else [take(ch, p) for ch, p in zip(ins, ps)])
@@ -247,7 +230,7 @@ def _fill(kind: str, ins, outs, ps, cs, js, work, traced: bool, **names) -> str:
               **{f"{{put{k}}}": put(k) for k in range(len(outs))},
               "{compute}": [compute] if compute else [],
               "{count}": [f"s.tokens += {len(outs) - len(ins)}"] if len(outs) != len(ins) else [],
-              "{fired}": ["return True" if work is None else "moved = True"]}
+              "{fired}": ["return True"]}
     skip = ([] if traced else ["s.fired"]) + ([] if outs else ["elif {valid}:", "s.stalled"])
     text = "\n".join(line[:len(line) - len(line.lstrip())] + block  # at its indent
                      for line in _FIRE[OPERATOR if event else kind].split("\n")
@@ -272,92 +255,19 @@ def _factory(kind: str, n_in: int, n_out: int, joins: tuple, traced: bool):
     ins, outs = [f"i{k}" for k in range(n_in)], [f"o{k}" for k in range(n_out)]
     ps, cs = [f"p{k}" for k in range(n_in)], [f"c{k}" for k in range(n_out)]
     js = [[f"j{k}_{m}" for m in range(n)] for k, n in enumerate(joins)]
-    body = _fill(kind, ins, outs, ps, cs, js, None, traced,
-                 i="i", c="c", fn="fn", depth="depth")
+    body = _fill(kind, ins, outs, ps, cs, js, traced, i="i", c="c", fn="fn", depth="depth")
     text = (f"def make(i, c, fn, depth, ports):\n"
             f"    {', '.join([*ins, *outs, *ps, *cs, *sum(js, [])])}, = ports\n"
             f"{body}\n    return fire\n")
     return define(text, f"<sim rule {kind} {n_in}x{n_out}>", dict(_GLOBALS), "make")
 
 
-def _shift(text: str) -> str:  # text one level deeper
-    return "    " + text.replace("\n", "\n    ")
-
-
-def _cycle(plan: SimPlan, work: frozenset) -> str:
-    """The text of one untraced cycle of snapshot `work`, which leaves in
-    `moved` whether anything fired: its rules inlined in ascending order, so
-    the lowest that raises gives the error, with operation i and component i
-    as globals `fi` and `ci`, then each move between two of them committed,
-    consumptions first, as `Simulator.run` commits.  A rule's text depends
-    on the snapshot only through which of its ports' other ends it holds,
-    and `plan.bodies` keeps it by that."""
-    p, q, sib, bodies = plan.producer, plan.consumer, plan.sibling, plan.bodies
-    rules, inner = [], []
-    for i in sorted(work):
-        a, b = plan.ports[i]
-        key = (i, *(p[k] in work for k in a), *(q[k] in work for k in b))
-        if key not in bodies:
-            rule = _fill(plan.kinds[i], a, b, [p[k] for k in a], [q[k] for k in b],
-                         [sib[k] for k in b], work, False, i=i, c=f"c{i}", fn=f"f{i}",
-                         depth=plan.depth.get(i))
-            bodies[key] = _STATE.sub("", rule.split("def fire(s, chan, work):\n")[1]
-                                     .replace("\n        ", "\n")[8:])
-        rules.append(bodies[key])
-        inner += [k for k in b if q[k] in work]
-    inner.sort()
-    commit = [line for k in inner for line in (f"if t{k}:", *indent(_emptied(k, p[k])))]
-    for k in inner:
-        commit += [f"if v{k} is not _ABSENT:", f"    if chan[{k}] is not _ABSENT:",
-                   f"        raise SimError({_OCCUPIED % plan.channels[k].id!r})",
-                   *indent(_filled(k, f"v{k}", q[k], sib[k]))]
-    return "\n".join(["moved = False", *(f"{' = '.join(f'{x}{k}' for k in inner)} = {v}"
-                                         for x, v in (("t", "False"), ("v", "_ABSENT")) if inner),
-                      *rules, *(_STATE.sub("", line) for line in commit)])
-
-
-def _compile_cycle(plan: SimPlan, work: frozenset):
-    """The trace headed by snapshot `work` as a function of (s, chan,
-    max_cycles), or None if Python refuses its text.  The path follows the
-    recorded successors from `work` until one is in it already, where it
-    closes into a `while` loop, or heads a compiled trace, which the lookup
-    in `Simulator.run` then runs, or until it holds `_TRACE` snapshots.  The
-    function runs the path's cycles in turn, snapshot k as global `Wk`, and
-    returns False after a cycle that fired nothing, or None at the end of a
-    path that does not close and before a cycle that reaches max_cycles or
-    whose worklist, with the releases then due, is not the path's next
-    snapshot; it writes back what it keeps in locals of s."""
-    path, cycles, successor = [work], plan.cycles, plan.successor
-    after = successor.get(work)
-    while (after is not None and after not in path and len(path) < _TRACE
-           and (n := cycles.get(after, 0)).__class__ is int and n >= 0):
-        path.append(after)
-        after = successor.get(after)
-    loop = path.index(after) if after in path else len(path)
-    scope = dict(_GLOBALS, **{f"W{k}": w for k, w in enumerate(path)})
-    for i in set().union(*path):
-        scope[f"f{i}"], scope[f"c{i}"] = plan.ops[i], plan.components[i]
-    due = ("\nwhile releases and releases[0][0] <= cycle:\n"
-           "    worklist.add(heappop(releases)[1])" if plan.depth else "")
-
-    def step(k):  # cycle k, then the test that the next is the path's
-        text = _cycle(plan, path[k]) + (
-            "\nif not moved:\n    return False\nif tokens > peak:\n    peak = tokens\n"
-            "cycle += 1")
-        k = k + 1 if k + 1 < len(path) else loop
-        return text if k == len(path) else text + (
-            f"\nif cycle >= max_cycles:\n    return{due}\nif worklist != W{k}:\n"
-            f"    return\nworklist.clear()")
-    body = "\n".join([*map(step, range(loop)), *(
-        ["while True:\n" + _shift("\n".join(map(step, range(loop, len(path)))))]
-        if loop < len(path) else [])])
-    state = [x for x in ("worklist", "stalled", "regs", "pipes", "releases") if x in body]
-    head = "cycle, tokens, peak = s.cycle, s.tokens, s.max_occupancy\n" + (
-        f"{', '.join(state)} = s.{', s.'.join(state)}\n" if state else "")
-    return define("def run(s, chan, max_cycles):\n" + _shift(
-        f"{head}try:\n{_shift(body)}\nfinally:\n"
-        "    s.cycle, s.tokens, s.max_occupancy = cycle, tokens, peak") + "\n",
-        f"<sim cycle trace of {len(path)}>", scope)
+def _compile_trace(sim: Simulator, work: frozenset, max_cycles: int):
+    """What `plan.cycles` keeps for hot snapshot `work`, from
+    `simtrace.compile_trace`, whose module is imported only once a snapshot
+    goes hot, so that runs that never do never compile it."""
+    from . import simtrace
+    return simtrace.compile_trace(sim, work, max_cycles)
 
 
 class SimPlan:
@@ -374,9 +284,8 @@ class SimPlan:
     firing rule (`traced_nodes[i]` logs events).  `cycles` maps each of at
     most `_SNAPSHOTS` snapshots to the times untraced runs met it, or to the
     trace it heads; None pins untraced runs to the kernels, as traced runs.
-    `successor` maps each snapshot that `cycles` counts to the one that
-    followed it the last time it ran on the kernels, and `bodies` holds a
-    compiled cycle's text of each rule by `_cycle`'s key.
+    `recording_nodes[i]` is component i's kernel on the `_Tok`s of a
+    `_Recording`, which the trace's text is compiled from.
     """
 
     def __init__(self, g: CDFG):
@@ -406,22 +315,26 @@ class SimPlan:
         self.kinds = [_PIPELINE if i in self.depth else c.kind for i, c in enumerate(comps)]
         self.ops = [bind(IMPL_BY_OPCODE[c.opcode], c.pos) if c.kind == OPERATOR
                     else lambda _, v=c.value: v for c in comps]
-        self.nodes = self._rules(traced=False)
+        self.nodes = self._rules(False, self.ops)
         self.cycles: dict | None = {}  # per snapshot, times seen or its compiled trace
-        self.successor: dict = {}
-        self.bodies: dict = {}
 
-    def _rules(self, traced: bool) -> list:
+    def _rules(self, traced: bool, ops: list) -> list:
         p, q, sib = self.producer, self.consumer, self.sibling
         return [_factory(kind, len(a), len(b), tuple(len(sib[k]) for k in b), traced)(
             i, c, op, self.depth.get(i), (*a, *b, *(p[k] for k in a), *(q[k] for k in b),
                                           *(j for k in b for j in sib[k])))
             for i, (c, kind, op, (a, b)) in enumerate(
-                zip(self.components, self.kinds, self.ops, self.ports))]
+                zip(self.components, self.kinds, ops, self.ports))]
 
     @cached_property
     def traced_nodes(self) -> list:
-        return self._rules(traced=True)
+        return self._rules(True, self.ops)
+
+    @cached_property
+    def recording_nodes(self) -> list:  # the kernels on a `_Recording`'s `_Tok`s
+        ops = [lambda *xs, i=i, fn=fn: xs[0].rec().op(i, fn, xs) for i, fn in enumerate(self.ops)]
+        return [lambda s, chan, work, rule=rule: s.recording.fire(rule, s, chan, work)
+                for rule in self._rules(False, ops)]
 
     @classmethod
     def of(cls, g: CDFG) -> SimPlan:
@@ -458,7 +371,9 @@ class Simulator:
         plan, events, fired, cycle = self.plan, self.events, self.fired, self.cycle
         nodes = plan.nodes if events is None else plan.traced_nodes
         cycles = plan.cycles if events is None else None
-        successor, last = plan.successor, None  # last: a counted snapshot just run on kernels
+        # cold: a trace left this cycle to the kernels; left: the last trace to run, if it left
+        # the kernels a cycle on a path that does not close
+        cold, left = False, None
         producer, consumer, sibling = plan.producer, plan.consumer, plan.sibling
         chan, worklist, releases = self.chan, self.worklist, self.releases
         stalled, consume, produce = self.stalled, self.consume, self.produce
@@ -471,31 +386,27 @@ class Simulator:
                 worklist.add(heappop(releases)[1])
             work = frozenset(worklist)  # a copy: rules test it as the worklist fills
             worklist.clear()
-            moved = None
-            if cycles is not None:  # count the snapshot, -maxsize if Python refused it
-                if last is not None:
-                    successor[last] = work
-                step, last = cycles.get(work, 0), None
+            if cycles is not None and work and not cold:  # count it, -maxsize if it stays cold
+                step = cycles.get(work, 0)
+                if step is left:  # its head again, no trace run since it left open: record anew
+                    step = 0
                 if step.__class__ is int and (step or len(cycles) < _SNAPSHOTS):
-                    last = work
                     step = cycles[work] = (step + 1 if step + 1 < _HOT_AFTER else
-                                           _compile_cycle(plan, work) or -maxsize)
-                if step.__class__ is not int:  # a trace: None to go on, False when idle
-                    moved, last = step(self, chan, max_cycles), None
-                    cycle = self.cycle
-                    if moved is None:
-                        continue
-            if moved is None:
-                moved = False
-                try:
-                    for i in work:
-                        if nodes[i](self, chan, work):
-                            moved = True
-                except MiniHlsError:  # the lowest component that raises gives it
-                    order = [*work]
-                    for j in sorted(j for j in order[order.index(i) + 1:] if j < i):
-                        nodes[j](self, chan, work)
-                    raise
+                                           _compile_trace(self, work, max_cycles))
+                if step.__class__ is not int:  # a trace, which writes back where it leaves
+                    hands = step(self, chan, max_cycles)
+                    cold, left, cycle = not hands, step if hands is None else None, self.cycle
+                    continue
+            cold = moved = False
+            try:
+                for i in work:
+                    if nodes[i](self, chan, work):
+                        moved = True
+            except MiniHlsError:  # the lowest component that raises gives it
+                order = [*work]
+                for j in sorted(j for j in order[order.index(i) + 1:] if j < i):
+                    nodes[j](self, chan, work)
+                raise
 
             if moved:
                 # Commit the queued moves, consumptions first: a channel is

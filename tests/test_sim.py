@@ -14,6 +14,7 @@ import pytest
 from minihls import cdfg as C
 from minihls import codegen
 from minihls import sim as sim_module
+from minihls import simtrace
 from minihls.cdfg import CDFG, component_stats
 from minihls.errors import (BuildError, DeadlockError, DivByZeroError,
                             MaxCyclesError, MergeConflictError, MiniHlsError,
@@ -511,7 +512,7 @@ class EveryComponent(set):
 def wrap_rules(sim, wrap):
     """Make sim call wrap(i, rule) in place of each rule i it would run,
     on a copy of its plan: the circuit's own plan stays as it is.  The copy
-    has no table of compiled cycles, so every cycle runs its rules."""
+    has no table of compiled traces, so every cycle runs its rules."""
     name = "nodes" if sim.events is None else "traced_nodes"
     rules = getattr(sim.plan, name)
     sim.plan = copy.copy(sim.plan)
@@ -519,8 +520,65 @@ def wrap_rules(sim, wrap):
     setattr(sim.plan, name, [wrap(i, rule) for i, rule in enumerate(rules)])
 
 
-def kernel_ran(s, chan, work):
-    raise AssertionError(f"cycle {s.cycle} ran its rules' kernels")
+class Watched(dict):
+    """A plan's table of snapshots as `Simulator.run` and the recordings
+    see it, which passes every change on to `table` and hands out each
+    trace as `noting` it in `left`, one wrapper per trace."""
+
+    def __init__(self, table, left):
+        super().__init__()
+        self.table, self.left, self.wrapped = table, left, {}
+
+    def get(self, work, default=None):
+        step = self.table.get(work, default)
+        if step not in self.wrapped:
+            self.wrapped[step] = noting(step, self.left)
+        return self.wrapped[step]
+
+    def __setitem__(self, work, step):
+        self.table[work] = getattr(step, "trace", step)
+
+    def __len__(self):
+        return len(self.table)
+
+
+def noting(step, left):
+    """Trace `step`, which notes in `left` the cycle it leaves to the
+    kernels, or `step` if it is no trace."""
+    if isinstance(step, int) or step is None:
+        return step
+
+    def call(s, chan, max_cycles):
+        hands = step(s, chan, max_cycles)
+        if not hands:
+            left.add(s.cycle)
+        return hands
+    call.trace = step
+    return call
+
+
+def kernels_ran_only_where_traces_left(sim, max_cycles):
+    """`outcome_of(sim, max_cycles)` on the circuit's compiled traces, with
+    `_HOT_AFTER` at 1, so each snapshot compiles the first time the plan
+    sees it.  Asserts that a kernel runs only in a cycle a trace left to
+    the kernels and in the cycle that ends the run, whose recording ran
+    no cycle."""
+    left, ran = set(), set()
+    rules = sim.plan.nodes
+    sim.plan = copy.copy(sim.plan)  # sharing the circuit's compiled traces
+    sim.plan.cycles = Watched(sim.plan.cycles, left)
+    sim.plan.nodes = [lambda s, chan, work, rule=rule: ran.add(s.cycle) or rule(s, chan, work)
+                      for rule in rules]
+    compile_trace = sim_module._compile_trace
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_module, "_HOT_AFTER", 1)
+        patch.setattr(sim_module, "_compile_trace",
+                      lambda *a: sim.plan.cycles.wrapped.setdefault(
+                          step := compile_trace(*a), noting(step, left)))
+        result = outcome_of(sim, max_cycles)
+    last = result.total_cycles - 1 if isinstance(result, SimReport) else sim.cycle
+    assert ran - left <= {last}, (sorted(ran - left), last)
+    return result
 
 
 def outcome(g, args, max_cycles, exhaustive=False, trace=True, hot=False):
@@ -528,19 +586,11 @@ def outcome(g, args, max_cycles, exhaustive=False, trace=True, hot=False):
     error it raised.  An `exhaustive` run must evaluate every component in
     every cycle it reaches, which this asserts: each rule sees all of them
     in `work`, and each cycle calls every rule unless a rule raised in it.
-    A `hot` run is untraced and runs every cycle compiled, which this
-    asserts: a cold run of the point first records the snapshot that
-    follows each, then with `_HOT_AFTER` at 1 each snapshot compiles the
-    first time the circuit's plan sees it, into a trace along those
-    successors, and no kernel may run."""
+    A `hot` run is untraced and runs on compiled traces, which
+    `kernels_ran_only_where_traces_left` asserts."""
     sim = Simulator(g, args, trace=trace and not hot)
     if hot:
-        outcome_of(Simulator(g, args, trace=False), max_cycles)
-        sim.plan = copy.copy(sim.plan)  # sharing the circuit's compiled traces
-        sim.plan.nodes = [kernel_ran] * len(sim.plan.nodes)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim_module, "_HOT_AFTER", 1)
-            return outcome_of(sim, max_cycles)
+        return kernels_ran_only_where_traces_left(sim, max_cycles)
     if exhaustive:
         n, calls = len(sim.plan.nodes), collections.Counter()
         sim.worklist = EveryComponent(n)
@@ -570,7 +620,7 @@ def assert_exhaustive_evaluation_agrees(g, points,
                                         budgets=(DEFAULT_MAX_CYCLES, 37)):
     """Same output, cycles, occupancy, leftover and events, or the same
     error, under the default budget and one that ends runs midway; the
-    same without events on compiled cycles and in the reference."""
+    same without events on compiled traces and in the reference."""
     for args in points:
         for max_cycles in budgets:
             want = outcome(g, args, max_cycles)
@@ -738,16 +788,14 @@ def test_six_kinds_share_the_strict_rule():
 
 @pytest.mark.parametrize("traced", [False, True])
 def test_a_rule_with_no_outputs_has_no_stall_branch(traced):
-    """An Exit or a Sink can never stall, so neither its kernel nor its
-    rule inlined into a compiled cycle adds itself to `stalled`; a Fork
-    still does.  Each still wakes its input's producer if that stalled."""
+    """An Exit or a Sink can never stall, so its kernel, traced or not,
+    never adds itself to `stalled`; a Fork's still does.  Each still wakes
+    its input's producer if that stalled."""
     for kind, outs in ((C.EXIT, []), (C.SINK, []), (C.FORK, ["o0"])):
-        for work in (None, frozenset({0})):
-            text = sim_module._fill(kind, ["i0"], outs, ["p0"], ["c0"][:len(outs)],
-                                    [[]][:len(outs)], work, traced and work is None,
-                                    i="i", c="c", fn="fn", depth="depth")
-            assert ("s.stalled.add(i)" in text) == bool(outs), (kind, work)
-            assert ("elif" in text) == bool(outs) and "s.stalled.remove(p0)" in text
+        text = sim_module._fill(kind, ["i0"], outs, ["p0"], ["c0"][:len(outs)],
+                                [[]][:len(outs)], traced, i="i", c="c", fn="fn", depth="depth")
+        assert ("s.stalled.add(i)" in text) == bool(outs), kind
+        assert ("elif" in text) == bool(outs) and "s.stalled.remove(p0)" in text
 
 
 # -- the closure engine as reference -----------------------------------------
@@ -917,17 +965,16 @@ def fanned_merge(label, n, early=False):
 @pytest.mark.parametrize("n, early", [(2, False), (3, False), (4, False),
                                       (3, True), (4, True)])
 def test_merge_conflict_quotes_its_label_verbatim(n, early, monkeypatch):
-    """A rule's text and a compiled cycle's hold only fixed names and
-    numbers: the label reaches the message as it is and no compiled text,
-    whatever the label.  Any two valid inputs conflict, also when input 0
-    is empty."""
+    """A rule's text and a trace's hold only fixed names and numbers: the
+    label reaches the message as it is and no compiled text, whatever the
+    label.  Any two valid inputs conflict, also when input 0 is empty."""
     label = 'q"uo\'te {x} {{y}} %s back\\slash\nnewline'
     texts = []
     monkeypatch.setattr(codegen, "compile", lambda text, *a: texts.append(
         text) or compile(text, *a), raising=False)
     sim_module._factory.cache_clear()
     g = fanned_merge(label, n, early)
-    for hot_after in (sim_module._HOT_AFTER, 1):  # the kernels, then the cycles
+    for hot_after in (sim_module._HOT_AFTER, 1):  # the kernels, then the traces
         monkeypatch.setattr(sim_module, "_HOT_AFTER", hot_after)
         with pytest.raises(MergeConflictError) as info:
             simulate(g, (1, 2) if early else (1,))
@@ -983,7 +1030,7 @@ def without_events(result):
 
 def assert_same_outcome_traced_or_not(g, points, exhaustive=True,
                                       budgets=(DEFAULT_MAX_CYCLES, 37)):
-    """The engine, untraced, traced and on compiled cycles, the exhaustive
+    """The engine, untraced, traced and on compiled traces, the exhaustive
     oracle if `exhaustive` and the reference all give one outcome."""
     for args in points:
         for max_cycles in budgets:
@@ -1204,9 +1251,10 @@ def test_a_consumption_done_at_once_frees_a_stalled_producer():
 # -- compiled traces ---------------------------------------------------------
 #
 # An untraced run compiles each worklist snapshot a plan has seen
-# `_HOT_AFTER` times, with the snapshots recorded to follow it, into one
-# function, a trace.  The differential helpers above run every circuit they
-# check on compiled traces alone as well.
+# `_HOT_AFTER` times into a trace: the cycles that follow it, recorded
+# ahead on the kernels and compiled as value code that tests the
+# occupancy it was recorded on.  The differential helpers above run every
+# circuit they check on compiled traces as well.
 
 def chain(n):
     """Entry 0 through n negates to the Exit: each cycle runs one
@@ -1218,41 +1266,46 @@ def chain(n):
 
 
 def compiled_cycles(g):
-    """The compiled cycles of g's plan by snapshot."""
+    """The compiled traces of g's plan by snapshot."""
     return {work: step for work, step in sim_module.SimPlan.of(g).cycles.items()
             if not isinstance(step, int)}
 
 
 def test_a_snapshot_compiles_once_when_it_recurs(monkeypatch):
     """One long run goes hot within itself, and later runs reuse its
-    cycles: each snapshot seen `_HOT_AFTER` times compiles once."""
+    traces: each snapshot seen `_HOT_AFTER` times compiles once.  A
+    snapshot whose cycle ends the run records no cycle and counts again
+    from 0."""
     compiles = collections.Counter()
 
-    def counting(plan, work):
-        compiles[work] += 1
-        return compile_cycle(plan, work)
+    def counting(sim, work, max_cycles):
+        step = compile_trace(sim, work, max_cycles)
+        compiles[work, isinstance(step, int)] += 1
+        return step
 
-    compile_cycle = sim_module._compile_cycle
-    monkeypatch.setattr(sim_module, "_compile_cycle", counting)
+    compile_trace = sim_module._compile_trace
+    monkeypatch.setattr(sim_module, "_compile_trace", counting)
     monkeypatch.setattr(sim_module, "_HOT_AFTER", 8)
     g = fresh_power()
     args = [(1, 20), (-1, 10), (3, 7), (2, 0)]
     want = [reference_outcome(g, a, DEFAULT_MAX_CYCLES, trace=False) for a in args]
     assert outcome(g, args[0], DEFAULT_MAX_CYCLES, trace=False) == want[0]
-    assert compiles and set(compiles) == set(compiled_cycles(g))
+    assert compiles and {w for w, cold in compiles if not cold} == set(compiled_cycles(g))
     for _ in range(8):
         assert [outcome(g, a, DEFAULT_MAX_CYCLES, trace=False) for a in args] == want
-    hot = compiled_cycles(g)
-    assert set(compiles.values()) == {1} and set(compiles) == set(hot)
-    assert all(0 < n < 8 for n in sim_module.SimPlan.of(g).cycles.values()
-               if isinstance(n, int))
+    hot, cycles = compiled_cycles(g), sim_module.SimPlan.of(g).cycles
+    assert {n for (_, cold), n in compiles.items() if not cold} == {1}
+    assert {w for w, cold in compiles if not cold} == set(hot)
+    assert {w for w, cold in compiles if cold} == {w for w, n in cycles.items() if n == 0}
+    assert all(0 <= n < 8 for n in cycles.values() if isinstance(n, int))
     assert all(not isinstance(value, (sim_module.SimPlan, Simulator))
                for step in hot.values() for value in step.__globals__.values())
 
 
 def test_a_hot_circuit_is_freed_by_reference_counting():
-    """A compiled cycle's globals hold operations and components, never
-    the plan or a Simulator, so no cycle of references keeps them."""
+    """A trace's globals hold operations, constants and exit records,
+    never the plan or a Simulator, and a recording keeps nothing, so no
+    cycle of references keeps them."""
     gc.collect()
     gc.disable()
     try:
@@ -1271,8 +1324,8 @@ def test_a_hot_circuit_is_freed_by_reference_counting():
 
 def test_the_snapshot_table_is_bounded(monkeypatch):
     """A full table counts only the snapshots it holds: snapshots that
-    never recur stop being counted instead of growing it, and only counted
-    snapshots have a successor recorded."""
+    never recur stop being counted instead of growing it, and once the
+    counted ones go hot, only they head traces."""
     monkeypatch.setattr(sim_module, "_SNAPSHOTS", 8)
     g = chain(20)
     counted = []
@@ -1281,55 +1334,82 @@ def test_the_snapshot_table_is_bounded(monkeypatch):
         counted.append(dict(sim_module.SimPlan.of(g).cycles))
         assert list(counted[-1].values()) == [runs] * 8
     assert counted[0].keys() == counted[-1].keys()
-    assert sim_module.SimPlan.of(g).successor.keys() == counted[-1].keys()
+    monkeypatch.setattr(sim_module, "_HOT_AFTER", 4)
+    assert simulate(g, (5,)).output == 5
+    assert set(compiled_cycles(g)) <= counted[0].keys() == sim_module.SimPlan.of(g).cycles.keys()
+    assert compiled_cycles(g)
 
 
 def test_a_cycle_whose_text_python_refuses_stays_cold(monkeypatch):
-    define, refused = sim_module.define, collections.Counter()
+    """Every snapshot counted goes hot at once: its trace's text is refused
+    once and it stays cold, unless its recording ran no cycle, which
+    leaves it at 0 to count again."""
+    define, record = simtrace.define, simtrace._record
+    ran, refused, heads = {}, collections.Counter(), []  # ran: whether its last recording did
+
+    def recording(sim, work, max_cycles):
+        rec = record(sim, work, max_cycles)
+        ran[work] = rec is not None
+        heads.append(work)
+        return rec
 
     def refusing(text, name, scope, fn="run"):
-        if name.startswith("<sim cycle"):
-            refused[name] += 1
+        if name.startswith("<sim trace"):
+            refused[heads[-1]] += 1
             return None
         return define(text, name, scope, fn)
 
-    monkeypatch.setattr(sim_module, "define", refusing)
+    monkeypatch.setattr(simtrace, "define", refusing)
+    monkeypatch.setattr(simtrace, "_record", recording)
     monkeypatch.setattr(sim_module, "_HOT_AFTER", 1)
     g = fresh_power()
     want = reference_outcome(g, (2, 10), DEFAULT_MAX_CYCLES, trace=False)
     for _ in range(3):
         assert outcome(g, (2, 10), DEFAULT_MAX_CYCLES, trace=False) == want
     cycles = sim_module.SimPlan.of(g).cycles
-    assert all(isinstance(n, int) and n < 0 for n in cycles.values())
-    assert sum(refused.values()) == len(cycles)
+    assert cycles.keys() == ran.keys()
+    assert {w for w, n in cycles.items() if n == 0} == {w for w in ran if not ran[w]}
+    cold = {w for w, n in cycles.items() if n != 0}
+    assert cold and all(isinstance(cycles[w], int) and cycles[w] < 0 for w in cold)
+    assert refused == dict.fromkeys(cold, 1)
 
 
-Call = collections.namedtuple("Call", "text start end result max_cycles pending")
+def test_an_empty_worklist_is_never_counted(compiled):
+    """A cycle with an empty worklist fires nothing, so its snapshot is
+    neither counted nor compiled, on loops that wait on pipelines too."""
+    for g in (compiled("newton_raphson").cdfg, compiled("power", latencies={"mul_i64": 6}).cdfg):
+        for args in ((1.5,), (10.0,)) if len(sim_module.SimPlan.of(g).data_entries) == 1 \
+                else ((2, 10), (-3, 4)):
+            assert outcome(g, args, DEFAULT_MAX_CYCLES, hot=True) == reference_outcome(
+                g, args, DEFAULT_MAX_CYCLES, trace=False)
+        assert compiled_cycles(g) and frozenset() not in sim_module.SimPlan.of(g).cycles
+
+
+Call = collections.namedtuple("Call", "path loop start end result max_cycles pending")
 
 
 def watch_traces(patch):
-    """Log each call of a trace compiled from here on as a `Call`: its text,
-    the cycles it started and ended in, what it returned ("raised" if it
-    raised), the run's budget and the cycles of the releases pending at its
-    start; and
-    each trace's path of snapshots, in the order they compiled."""
-    define, calls, paths = sim_module.define, [], []
+    """Log each call of a trace compiled from here on as a `Call`: its
+    recorded path of snapshots, the cycle its lap begins at (None if it
+    does not close), the cycles it started and ended in, what it returned,
+    the run's budget and the cycles of the releases pending at its start;
+    and each trace's path, in the order they compiled."""
+    trace, calls, paths = simtrace._trace, [], []
 
-    def watched(text, name, scope, fn="run"):
-        run = define(text, name, scope, fn)
-        if run is None or not name.startswith("<sim cycle"):
+    def watched(plan, rec):
+        run = trace(plan, rec)
+        if run is None:
             return run
-        paths.append([scope[f"W{k}"] for k in range(text.count("moved = False"))])
+        path = [snap.work for snap in rec.snaps[:rec.length]]
+        paths.append(path)
 
         def call(s, chan, max_cycles):
-            start, pending, result = s.cycle, sorted(r for r, _ in s.releases), "raised"
-            try:
-                result = run(s, chan, max_cycles)
-                return result
-            finally:
-                calls.append(Call(text, start, s.cycle, result, max_cycles, pending))
+            start, pending = s.cycle, sorted(r for r, _ in s.releases)
+            result = run(s, chan, max_cycles)
+            calls.append(Call(path, rec.loop, start, s.cycle, result, max_cycles, pending))
+            return result
         return call
-    patch.setattr(sim_module, "define", watched)
+    patch.setattr(simtrace, "_trace", watched)
     return calls, paths
 
 
@@ -1337,8 +1417,8 @@ def watch_traces(patch):
     ("power", (2, 10)), (narrow_ladder(6), (3, 5)), (wide_ladder(6), (-4, 2))],
     ids=["power", "narrow_ladder", "wide_ladder"])
 def test_a_trace_runs_several_cycles_per_call(source, args, monkeypatch):
-    """A hot run follows the recorded successors: some call runs more than
-    one cycle, and no trace holds a snapshot that heads one compiled before."""
+    """A hot run follows the recorded path: some call runs more than one
+    cycle, and no trace holds a snapshot that heads one compiled before."""
     calls, paths = watch_traces(monkeypatch)
     g = fresh_power() if source == "power" else compile_source(source).cdfg
     want = reference_outcome(g, args, DEFAULT_MAX_CYCLES, trace=False)
@@ -1346,39 +1426,91 @@ def test_a_trace_runs_several_cycles_per_call(source, args, monkeypatch):
     assert max(call.end - call.start for call in calls) > 1
     for k, path in enumerate(paths):
         assert not {head for head, *_ in paths[:k]} & set(path[1:])
-        assert len(path) <= sim_module._TRACE
+        assert len(path) <= simtrace._TRACE
 
 
 def test_a_trace_compiled_inside_a_loop_closes_into_a_loop(monkeypatch):
-    """A head that goes hot while power's loop runs follows the loop's
-    successors back to itself: one call then runs many laps, more cycles
-    than its path holds, up to the lap that leaves the loop."""
+    """A head that goes hot while power's loop runs records the loop's lap
+    until its state recurs: one call then runs many laps, more cycles than
+    its path holds, up to the lap that leaves the loop."""
     calls, _ = watch_traces(monkeypatch)
     monkeypatch.setattr(sim_module, "_HOT_AFTER", 8)
     g = fresh_power()
     want = reference_outcome(g, (2, 30), DEFAULT_MAX_CYCLES, trace=False)
     assert outcome(g, (2, 30), DEFAULT_MAX_CYCLES, trace=False) == want
-    assert any("while True:" in call.text and
-               call.end - call.start > 2 * call.text.count("moved = False")
+    assert any(call.loop is not None and call.end - call.start > 2 * len(call.path)
                for call in calls)
 
 
-def test_a_budget_ends_a_trace_between_two_cycles(monkeypatch):
-    """Every budget from 1 to 60 gives the reference outcome, and some
-    trace stops on its budget guard after a cycle with more of it to run."""
+def test_an_inner_loop_keeps_its_closed_trace(monkeypatch):
+    """In a nested loop whose outer body runs fewer times than it takes to
+    go hot, the inner loop's closed trace leaves at the inner exit in every
+    outer pass and is kept: one trace call runs the inner laps of at least
+    12 of the 13 outer passes each, and no head records more than twice."""
+    calls, paths = watch_traces(monkeypatch)
+    monkeypatch.setattr(sim_module, "_HOT_AFTER", 8)
+    g = compile_source("""
+function f(n::Int64, m::Int64)
+  s = 0
+  i = 0
+  while i < n
+    j = 0
+    while j < m
+      s = s + j
+      j = j + 1
+    end
+    i = i + 1
+  end
+  return s
+end
+""").cdfg
+    for args in ((6, 40), (7, 25)):
+        want = reference_outcome(g, args, DEFAULT_MAX_CYCLES, trace=False)
+        assert outcome(g, args, DEFAULT_MAX_CYCLES, trace=False) == want, args
+    closed = [call for call in calls if call.loop is not None]
+    assert max(collections.Counter(path[0] for path in paths).values()) <= 2
+    assert len({call.path[0] for call in closed}) == 1 and len(closed) >= 10
+    assert sum(call.end - call.start > 20 * len(call.path) for call in closed) >= 12
+
+
+def test_a_branch_guard_leaves_the_loop_at_every_lap(monkeypatch):
+    """power for n = 0..40 and newton_raphson from 20 starting points each
+    leave their closed lap at its Branch guard after a lap count of their
+    own, and give the reference outcome."""
     calls, _ = watch_traces(monkeypatch)
     g = fresh_power()
-    for max_cycles in (DEFAULT_MAX_CYCLES, *range(1, 61)):
-        assert outcome(g, (2, 10), max_cycles, hot=True) == reference_outcome(
-            g, (2, 10), max_cycles, trace=False), max_cycles
-    assert any(call.result is None and call.start < call.end == call.max_cycles and (
-        "while True:" in call.text or call.end - call.start < call.text.count("moved = False"))
-        for call in calls)
+    for n in range(41):
+        assert outcome(g, (3, n), DEFAULT_MAX_CYCLES, hot=True) == reference_outcome(
+            g, (3, n), DEFAULT_MAX_CYCLES, trace=False), n
+    laps = {call.end - call.start for call in calls if call.loop is not None}
+    assert len(laps) >= 30 and not any(call.result for call in calls if call.loop is not None)
+    calls.clear()
+    g = compile_source(corpus.load("newton_raphson"), corpus.SIGNATURES["newton_raphson"]).cdfg
+    for x0 in [0.05 * 1.6 ** k for k in range(20)]:
+        assert outcome(g, (x0,), DEFAULT_MAX_CYCLES, hot=True) == reference_outcome(
+            g, (x0,), DEFAULT_MAX_CYCLES, trace=False), x0
+    assert len({call.end - call.start for call in calls if call.loop is not None}) >= 5
+
+
+def test_a_budget_ends_a_trace_between_two_cycles(monkeypatch):
+    """Every budget from 1 to 180, most of them inside a lap of the loop,
+    gives the reference outcome, and some trace leaves at its budget guard
+    after running cycles, where no trace leaves without a budget."""
+    calls, _ = watch_traces(monkeypatch)
+    g = fresh_power()
+    assert outcome(g, (2, 15), DEFAULT_MAX_CYCLES, hot=True) == reference_outcome(
+        g, (2, 15), DEFAULT_MAX_CYCLES, trace=False)
+    unbudgeted = {call.end for call in calls}
+    for max_cycles in range(1, 181):
+        assert outcome(g, (2, 15), max_cycles, hot=True) == reference_outcome(
+            g, (2, 15), max_cycles, trace=False), max_cycles
+    assert any(call.loop is not None and call.start < call.end < call.max_cycles < 170
+               and call.end not in unbudgeted for call in calls)
 
 
 def test_a_trace_runs_on_past_a_release(monkeypatch):
-    """Under 6-cycle multipliers a trace pops the releases that come due
-    between its cycles and runs on through them."""
+    """Under 6-cycle multipliers a trace runs its recorded idle stretches
+    as clock jumps, past the releases pending at its start."""
     calls, _ = watch_traces(monkeypatch)
     g = compile_source(corpus.load("power"), corpus.SIGNATURES["power"],
                        latencies={"mul_i64": 6}).cdfg
@@ -1389,36 +1521,136 @@ def test_a_trace_runs_on_past_a_release(monkeypatch):
     assert any(call.start < r < call.end for call in calls for r in call.pending)
 
 
-def test_a_merge_conflict_late_in_a_trace_leaves_the_kernels_state(monkeypatch):
-    """Entry 0 through two negates into Fork 3, both of whose copies reach
-    Merge 4 in cycle 4: one trace runs cycles 0 to 4 and raises in its
-    fifth, with the kernels' message, cycle, tokens, peak and channels."""
-    g = circuit("late_clash", [(C.ENTRY, (), I64, {}),
-                               *[(C.OPERATOR, I64, I64, {"opcode": "neg_i64"})] * 2,
-                               (C.FORK, I64, (64, 64), {}),
-                               (C.MERGE, (64, 64), I64, {"label": "m"}),
-                               (C.EXIT, I64, (), {})],
-                [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (3, 0)),
-                 ((3, 0), (4, 0)), ((3, 1), (4, 1)), ((4, 0), (5, 0))])
+@pytest.mark.parametrize("latencies", [{"mul_i64": 6}, {"fdiv_f64": 0}],
+                         ids=["mul6", "fdiv0"])
+def test_traces_agree_under_other_latencies(program, compiled, sweeps, latencies):
+    """Traces recorded under other latencies, whose lap lengths and
+    pipeline occupancy differ, give the reference outcome."""
+    g = compiled(program, latencies=latencies).cdfg
+    for args in sweeps[program][::max(1, len(sweeps[program]) // 6)]:
+        for max_cycles in (DEFAULT_MAX_CYCLES, 37):
+            assert outcome(g, args, max_cycles, hot=True) == reference_outcome(
+                g, args, max_cycles, trace=False), (args, max_cycles)
 
+
+def test_a_trap_inside_a_hot_loop_is_the_kernels(monkeypatch):
+    """`a % b` with b counting down to 0 inside the loop: the trace's lap
+    leaves at the trap, and the kernels raise it at its position."""
+    calls, _ = watch_traces(monkeypatch)
+    g = compile_source("""
+function f(a::Int64, b::Int64)
+  s = 0
+  while b > -5
+    s = s + a % b
+    b = b - 1
+  end
+  return s
+end
+""").cdfg
+    for args in ((7, 9), (-5, 20), (3, 40), (4, -1)):
+        want = reference_outcome(g, args, DEFAULT_MAX_CYCLES, trace=False)
+        assert isinstance(want, SimReport) if args == (4, -1) else want[0] is DivByZeroError
+        assert outcome(g, args, DEFAULT_MAX_CYCLES, hot=True) == want, args
+    assert any(call.loop is not None and call.end - call.start > 20 for call in calls)
+
+
+def test_a_head_entered_on_another_occupancy_leaves_at_once(monkeypatch):
+    """Bool c steers x to Merge 4 directly or through a negate: the Merge's
+    snapshot {4} comes with a token on input 0 or on input 1.  A run cut
+    by its budget before the Merge's cycle makes its trace hand {4} over,
+    which then heads a trace of its own, recorded on input 0.  On input 1
+    that trace leaves at once, and the kernels run the cycle."""
+    calls, _ = watch_traces(monkeypatch)
+    g = CDFG("steer")
+    for kind, ins, outs in ((C.ENTRY, (), (64,)), (C.ENTRY, (), (1,)),
+                            (C.BRANCH, (64, 1), (64, 64)), (C.OPERATOR, (64,), (64,)),
+                            (C.MERGE, (64, 64), (64,)), (C.EXIT, (64,), ())):
+        g.add_component(kind, ins, outs, opcode="neg_i64" if kind == C.OPERATOR else None)
+    for src, dst, width in (((0, 0), (2, 0), 64), ((1, 0), (2, 1), 1), ((2, 0), (4, 0), 64),
+                            ((2, 1), (3, 0), 64), ((3, 0), (4, 1), 64), ((4, 0), (5, 0), 64)):
+        g.add_channel(src, dst, width)
+    for args, max_cycles in (((5, True), 2), ((5, True), DEFAULT_MAX_CYCLES),
+                             ((5, False), DEFAULT_MAX_CYCLES), ((-2, True), DEFAULT_MAX_CYCLES),
+                             ((9, False), DEFAULT_MAX_CYCLES)):
+        assert outcome(g, args, max_cycles, hot=True) == reference_outcome(
+            g, args, max_cycles, trace=False), args
+    merge = frozenset({4})
+    assert any(call.path[0] == merge and call.start == call.end and call.result is None
+               for call in calls)
+    assert any(call.path[0] == merge and call.start < call.end for call in calls)
+
+
+def late_clash():
+    """Entry 0 through two negates into Fork 3, both of whose copies reach
+    Merge 4 in cycle 4."""
+    return circuit("late_clash", [(C.ENTRY, (), I64, {}),
+                                  *[(C.OPERATOR, I64, I64, {"opcode": "neg_i64"})] * 2,
+                                  (C.FORK, I64, (64, 64), {}),
+                                  (C.MERGE, (64, 64), I64, {"label": "m"}),
+                                  (C.EXIT, I64, (), {})],
+                   [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (3, 0)),
+                    ((3, 0), (4, 0)), ((3, 1), (4, 1)), ((4, 0), (5, 0))])
+
+
+def twin_exit():
+    """A counting loop whose two loop-exit Branches, n's and i's, both
+    feed Merge 19 (twin), in place of n's Sink."""
+    g = compile_source("""
+function f(n::Int64)
+  i = 0
+  while i < n
+    i = i + 1
+  end
+  return i
+end
+""").cdfg
+    sink, exit_ = (next(c for c in g.components if c.kind == kind and c.in_widths == (64,))
+                   for kind in (C.SINK, C.EXIT))
+    to_exit = next(ch for ch in g.channels if ch.dst == exit_.id)
+    replace_record(g.components, sink, kind=C.MERGE, in_widths=(64, 64), out_widths=(64,),
+                   label="twin")
+    replace_record(g.channels, to_exit, dst=sink.id, dst_port=1)
+    g.add_channel((sink.id, 0), (exit_.id, 0), 64)
+    return g
+
+
+def assert_merge_conflict_is_the_kernels(g, points, monkeypatch):
+    """Each point's MergeConflictError, hot, has the kernels' message,
+    cycle, tokens, peak and channels, as the kernels alone and the
+    reference give them.  Returns the kernels' last and the trace calls."""
     def failed(sim):
         with pytest.raises(MergeConflictError) as info:
             sim.run()
         return info.value.message, sim.cycle, sim.tokens, sim.max_occupancy, sim.chan
 
-    kernels = Simulator(g, (7,))
-    kernels.plan = copy.copy(kernels.plan)
-    kernels.plan.cycles = None
-    want = failed(kernels)
-    assert want[:4] == ("merge 4 (m) has 2 valid inputs in cycle 4", 4, 2, 2)
     calls, _ = watch_traces(monkeypatch)
-    failed(Simulator(g, (7,)))  # records the successors
-    monkeypatch.setattr(sim_module, "_HOT_AFTER", 1)
-    hot = Simulator(g, (7,))
-    hot.plan = copy.copy(hot.plan)
-    hot.plan.nodes = [kernel_ran] * len(hot.plan.nodes)
-    assert failed(hot) == want
-    assert [(call.start, call.end, call.result) for call in calls] == [(0, 4, "raised")]
+    for point in points:
+        kernels = Simulator(g, point)
+        kernels.plan = copy.copy(kernels.plan)
+        kernels.plan.cycles = None
+        want = failed(kernels)
+        assert outcome(g, point, DEFAULT_MAX_CYCLES, hot=True) == reference_outcome(
+            g, point, DEFAULT_MAX_CYCLES, trace=False)[:3] + (None,)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim_module, "_HOT_AFTER", 1)
+            assert failed(Simulator(g, point)) == want, point
+    return want, calls
+
+
+def test_a_merge_conflict_late_in_a_trace_leaves_the_kernels_state(monkeypatch):
+    """Both copies of Fork 3 reach Merge 4 in cycle 4: one trace runs
+    cycles 0 to 3 and hands the conflicting cycle to the kernels."""
+    want, calls = assert_merge_conflict_is_the_kernels(late_clash(), [(7,)], monkeypatch)
+    assert want[:4] == ("merge 4 (m) has 2 valid inputs in cycle 4", 4, 2, 2)
+    assert (calls[0].start, calls[0].end, calls[0].result) == (0, 4, True)
+
+
+def test_a_merge_conflict_after_a_closed_lap_leaves_the_kernels_state(monkeypatch):
+    """The loop's last lap gives Merge 19 two tokens: the closed lap's
+    Branch guard leaves to the kernels, which raise the conflict."""
+    _, calls = assert_merge_conflict_is_the_kernels(
+        twin_exit(), [(n,) for n in (0, 1, 3, 12, 30)], monkeypatch)
+    assert any(call.loop is not None and call.end - call.start > 100 for call in calls)
 
 
 # -- equivalence with the scan-every-component simulator --------------------

@@ -20,5 +20,8 @@ def test_sim_speed_writes_cold_and_hot_figures(tmp_path):
         assert results[name]["points"] == 1 and results[name]["cycles_per_pass"] > 0
         assert results[name]["cold_us_per_cycle"] > 0
         assert results[name]["hot_us_per_cycle"] > 0
+        calls = results[name]["trace_calls_per_pass"]  # a hot pass's, after one warm-up
+        assert isinstance(calls, int) and calls >= 0
+        assert isinstance(results[name]["cycles_per_trace_call"], float)
     assert results["power_3_5000"]["cycles"] == 50_010
     assert results["power_3_5000"]["cold_us_per_cycle"] > 0

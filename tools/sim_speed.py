@@ -14,6 +14,11 @@ and times `Simulator.run` alone, untraced, on each circuit's points:
 - `hot`: one pass after `--warmup` passes on the same plan, once every
   snapshot that recurs often enough has been compiled.
 
+After the timed passes, one more hot pass counts the calls of each plan's
+compiled traces, `trace_calls_per_pass`, and the cycles those calls run,
+`cycles_per_trace_call`; a call that leaves before its first cycle counts
+0 cycles.
+
 Each figure is the median over `--repeats` passes of a pass's summed run
 time over its summed cycles, each run's time scaled to reference seconds by
 the clock `bench/run.py` scales a simulator op's time by, which tracks a
@@ -74,9 +79,35 @@ def workload(bench, api, prep, points: int | None, repeats: int, warmup: int) ->
         for g, args in runs:
             api.sim.simulate(g, args)
     hot = [pass_us_per_cycle(bench, api, runs)[0] for _ in range(repeats)]
+    calls = counted_trace_calls(api, runs)
     return {"points": len(runs), "cycles_per_pass": cycles,
             "cold_us_per_cycle": statistics.median(cold),
-            "hot_us_per_cycle": statistics.median(hot)}
+            "hot_us_per_cycle": statistics.median(hot),
+            "trace_calls_per_pass": len(calls),
+            "cycles_per_trace_call": sum(calls) / len(calls) if calls else 0.0}
+
+
+def counted_trace_calls(api, runs) -> list[int]:
+    """The cycles each trace call of one pass over `runs` runs, by wrapping
+    each plan's compiled traces for the pass and restoring them after."""
+    calls, tables = [], {}
+    for g, _ in runs:
+        tables[id(g)] = api.sim.SimPlan.of(g).cycles
+    saved = [(table, dict(table)) for table in tables.values()]
+    for table, steps in saved:
+        for work, step in steps.items():
+            if not isinstance(step, int):
+                def counted(s, chan, max_cycles, step=step):
+                    start = s.cycle
+                    hands = step(s, chan, max_cycles)
+                    calls.append(s.cycle - start)
+                    return hands
+                table[work] = counted
+    for g, args in runs:
+        api.sim.Simulator(g, args).run()
+    for table, steps in saved:
+        table.update((work, step) for work, step in steps.items() if not isinstance(step, int))
+    return calls
 
 
 def long_run(bench, api, repeats: int) -> dict:
