@@ -1,22 +1,24 @@
 """Reference semantics.
 
-The `fn` of each `lattice.IMPL_BY_OPCODE` row is the single arithmetic
-kernel: the source-level and SSA interpreters and the circuit simulator
-all call it, so their results are bit-identical by construction and
-differential runs compare scheduling, not arithmetic.
+Each `lattice.IMPL_BY_OPCODE` row's text, its Python expression, is the
+single source of its arithmetic: the row's `fn` is built from it, and
+compiled code pastes it, so the source-level and SSA interpreters and the
+circuit simulator agree bit for bit by construction and differential runs
+compare scheduling, not arithmetic.
 
-Each interpreter resolves a program once into a plan kept on it, and
-every operation runs as `lattice.bind` makes it.  Both interpreters have
-the same two tiers: a plan is interpreted until its runs that returned
-have spent `_COMPILE_AFTER` times its static cost in fuel, and then runs
-as one Python function generated from it.  `run_source` walks the AST,
-charging each node one unit of fuel as it visits it, and dispatches on
-runtime values through `lattice.METHODS`, independent of static
-inference, so it is an oracle for the type checker as well; an operator
-node's bound method, conversions included, is cached per operand types,
-behind a type guard in compiled code.  Its static cost is its AST node
-count.  `run_ssa` runs IR that `ir.verify` accepts, as steps per block
-kept with verify's record; its static cost is its instructions and
+Each interpreter resolves a program once into a plan kept on it, and an
+operation runs as `lattice.bind` makes it, or, compiled, as
+`lattice.inline` writes it.  Both interpreters have the same two tiers: a
+plan is interpreted until its runs that returned have spent
+`_COMPILE_AFTER` times its static cost in fuel, and then runs as one
+Python function generated from it.  `run_source` walks the AST, charging
+each node one unit of fuel as it visits it, and dispatches on runtime
+values through `lattice.METHODS`, independent of static inference, so it
+is an oracle for the type checker as well; an operator node's method,
+conversions included, is cached per operand types, and compiled code
+inlines the first behind an exact type guard.  Its static cost is its AST
+node count.  `run_ssa` runs IR that `ir.verify` accepts, as steps per
+block kept with verify's record; its static cost is its instructions and
 terminators.  Compiled code charges a statement's or a block's fuel at
 once and is right only when it returns: on a fault, `_Plan.run` interprets
 the run again from its start with the same fuel, and the interpreter, a
@@ -33,7 +35,8 @@ from . import source as src
 from .codegen import define, indent
 from .errors import EvalError, FuelExhaustedError, MiniHlsError, Pos
 from .ir import ConstOp, Instr, SSAFunction, successor_edges, verify
-from .lattice import IMPL_BY_OPCODE, METHODS, TYPE_OF, LatticeType, bind, dispatch
+from .lattice import (IMPL_BY_OPCODE, METHODS, PY_GLOBALS, TYPE_OF, LatticeType, bind,
+                      dispatch, inline)
 
 DEFAULT_FUEL = 1_000_000
 
@@ -115,11 +118,12 @@ def run_source(func: src.FunctionDef, args: tuple,
 
 class _SourcePlan(_Plan):
     """`run_source`'s plan of a function: its parameter names, its body's
-    statements, the methods its operator nodes have dispatched to and its
-    AST node count as static cost.  A method is keyed by (node id, *operand
-    types): keyed by the node, equal operators on two lines would share the
-    first one's position.  It does not hold the function, which holds it: in
-    a cycle, a program would wait for the cyclic garbage collector."""
+    statements, the methods its operator nodes have dispatched to, each
+    (bound callable, `Dispatch`), and its AST node count as static cost.  A
+    method is keyed by (node id, *operand types): keyed by the node, equal
+    operators on two lines would share the first one's position.  It does
+    not hold the function, which holds it: in a cycle, a program would wait
+    for the cyclic garbage collector."""
 
     def __init__(self, func: src.FunctionDef):
         self.params, self.stmts = tuple(p.name for p in func.params), func.body
@@ -144,12 +148,12 @@ def _size(n: src.Expr | src.Stmt) -> int:
     return 1 + sum(map(_size, parts))
 
 
-def _method(e: src.Call, args: tuple):
+def _method(e: src.Call, args: tuple) -> tuple:
     """The method of operator `e` for the types of `args`, bound to `e`'s
-    position; dispatch may raise NoMethodError."""
+    position, and its `Dispatch`; dispatch may raise NoMethodError."""
     d = (METHODS.get((e.op, *map(TYPE_OF.get, map(type, args))))
          or dispatch(e.op, tuple(map(type_of_value, args)), e.pos))
-    return bind(d.impl, e.pos, d.conversions)
+    return bind(d.impl, e.pos, d.conversions), d
 
 
 class _Walk:
@@ -203,22 +207,22 @@ class _Walk:
             return e.value
         a = self.value(e.args[0])
         if len(e.args) == 1:
-            if (fn := self.methods.get(key := (id(e), type(a)))) is None:
-                fn = self.methods[key] = _method(e, (a,))
-            return fn(a)
+            if (m := self.methods.get(key := (id(e), type(a)))) is None:
+                m = self.methods[key] = _method(e, (a,))
+            return m[0](a)
         b = self.value(e.args[1])  # && and || are strict
-        if (fn := self.methods.get(key := (id(e), type(a), type(b)))) is None:
-            fn = self.methods[key] = _method(e, (a, b))
-        return fn(a, b)
+        if (m := self.methods.get(key := (id(e), type(a), type(b)))) is None:
+            m = self.methods[key] = _method(e, (a, b))
+        return m[0](a, b)
 
 
-def _miss(scope: dict, k: int, *args):
-    """Operator node `k` of a compiled `run_source` plan on `args` whose
-    types its guard did not match: `_method` looks its method up, which
-    becomes the node's method for those types."""
-    scope[f"F{k}"] = fn = _method(scope[f"E{k}"], args)
-    scope.update(zip((f"A{k}", f"B{k}"), map(type, args)))
-    return fn(*args)
+def _miss(methods: dict, e: src.Call, *args):
+    """Operator node `e` of a compiled `run_source` plan on `args` whose
+    types its guard did not match: the method `methods` holds for them,
+    which `_method` looks up for a key not seen before."""
+    if (m := methods.get(key := (id(e), *map(type, args)))) is None:
+        m = methods[key] = _method(e, args)
+    return m[0](*args)
 
 
 def _compile_source(plan: _SourcePlan):
@@ -227,20 +231,24 @@ def _compile_source(plan: _SourcePlan):
     walker's error.  Variables are locals `vk`, numbered from the parameters.
     A statement's unit is charged at once: short of fuel, or testing a
     non-Bool, it raises `_Fault`.  Operator node k is the global `Ek`: its
-    value, held in a local `tj_m` as operand m of node j, is the global `Fk`
-    of its operands while their types are the globals `Ak` and `Bk` (a
-    literal's cannot change), else what `_miss` gives."""
-    text, params = _SourceText(plan.params), _names(range(len(plan.params)))
+    value, held in a local `tj_m` as operand m of node j, is the inlined
+    first method the walker cached for it while its operands have that
+    method's types (a literal's cannot change), else what `_miss` gives."""
+    text, params = _SourceText(plan), _names(range(len(plan.params)))
     return define("\n".join([f"def run(fuel, {params}):", *text.block(plan.stmts), ""]),
                    "<run_source plan>", text.scope)
 
 
 class _SourceText:
-    """`_compile_source`'s text of statements, variables' local names and scope."""
+    """`_compile_source`'s text of statements, variables' local names, scope
+    and each node's first method, (operand types, `Dispatch`) by node id."""
 
-    def __init__(self, params: tuple):
-        self.local = {name: f"v{i}" for i, name in enumerate(params)}
-        self.scope, self.ids = {"_Fault": _Fault, "_miss": _miss}, count()
+    def __init__(self, plan: _SourcePlan):
+        self.local = {name: f"v{i}" for i, name in enumerate(plan.params)}
+        self.scope = {"_Fault": _Fault, "_miss": _miss, "M": plan.methods, **PY_GLOBALS}
+        self.ids, self.first = count(), {}
+        for key, (_, d) in plan.methods.items():
+            self.first.setdefault(key[0], (key[1:], d))
 
     def value(self, e: src.Expr, lines: list) -> str:
         """Python for `e`'s value once `lines` have run."""
@@ -256,11 +264,15 @@ class _SourceText:
             if isinstance(a, src.Call):
                 lines.append(f"t{k}_{len(xs)} = {xs[-1]}")
                 xs[-1] = f"t{k}_{len(xs)}"
-        guard = " and ".join(f"type({x}) is {c}{k}" for x, c, a in zip(xs, "AB", e.args)
-                             if not isinstance(a, src.Lit))
-        self.scope.update({f"E{k}": e, f"A{k}": None, f"B{k}": None, f"F{k}": None})
-        args = ", ".join(xs)
-        return f"F{k}({args}) if {guard or f'F{k}'} else _miss(globals(), {k}, {args})"
+        self.scope[f"E{k}"] = e
+        miss = f"_miss(M, E{k}, {', '.join(xs)})"
+        if (first := self.first.get(id(e))) is None:
+            return miss
+        types, d = first
+        guard = " and ".join(f"type({x}) is {ty.__name__}" for x, ty, a
+                             in zip(xs, types, e.args) if not isinstance(a, src.Lit))
+        value = inline(d.impl, xs, d.conversions)
+        return f"{value} if {guard} else {miss}" if guard else value
 
     def unit(self, e: src.Expr, stmt: bool, sink: str) -> list:
         """Lines that charge the unit of `e`, after its statement's node if
@@ -304,11 +316,11 @@ class _SourceText:
 
 def _step(ins: Instr) -> tuple:
     """(result id, function, argument count, argument ids padded to three
-    with None); a constant has no function and its value as first id."""
+    with None, row); a constant has neither and its value as first id."""
     if isinstance(ins.op, ConstOp):
-        return ins.result, None, 0, ins.op.value, None, None
-    return (ins.result, bind(IMPL_BY_OPCODE[ins.op.opcode], ins.pos),
-            len(ins.args), *ins.args, None, None, None)[:6]
+        return ins.result, None, 0, ins.op.value, None, None, None
+    row = IMPL_BY_OPCODE[ins.op.opcode]
+    return ins.result, bind(row, ins.pos), len(ins.args), *(*ins.args, None, None)[:3], row
 
 
 class _SSAPlan(_Plan):
@@ -354,7 +366,7 @@ def _interpret(blocks: list, env: dict, fuel: int) -> tuple:
     i = 0
     while True:
         steps, cost, where, ret, cond, edges = blocks[i]
-        for result, fn, n, x, y, z in steps if fuel >= cost else steps[:fuel]:
+        for result, fn, n, x, y, z, _ in steps if fuel >= cost else steps[:fuel]:
             env[result] = (fn(env[x], env[y]) if n == 2 else fn(env[x]) if n == 1
                            else x if n == 0 else fn(env[x], env[y], env[z]))
         if fuel < cost:  # the fuel paid for the steps run, not for `where[fuel]`
@@ -369,9 +381,9 @@ def _interpret(blocks: list, env: dict, fuel: int) -> tuple:
 def _compile_ssa(plan: _SSAPlan):
     """A function of (fuel, *args) that runs `plan` as `_interpret` does when
     it returns, and otherwise raises `_Fault` (short of a block's fuel) or
-    the trap: value k is the local `vk` (a global if constant), operation k
-    the global `fk`, and a loop finds block `b` by halving the block range."""
-    scope = {"_Fault": _Fault}
+    the trap: value k is the local `vk` (a global if constant) that operation
+    k's inlined row sets, and a loop finds block `b` by halving the blocks."""
+    scope = {"_Fault": _Fault, **PY_GLOBALS}
     text = "\n".join([f"def run(fuel, {_names(plan.params)}):", "    b = 0",
                       "    while True:", *_ssa_tree(plan.blocks, scope, 0, len(plan.blocks),
                                                     " " * 8), ""])
@@ -389,10 +401,11 @@ def _ssa_tree(blocks: list, scope: dict, lo: int, hi: int, pad: str) -> list:
         return [f"{pad}if b < {mid}:", *_ssa_tree(blocks, scope, lo, mid, pad + "    "),
                 f"{pad}else:", *_ssa_tree(blocks, scope, mid, hi, pad + "    ")]
     steps, cost, _, ret, cond, edges = blocks[lo]
-    scope.update((f"f{r}", fn) if fn else (f"v{r}", x) for r, fn, _, x, *_ in steps)
+    scope.update((f"v{r}", x) for r, fn, _, x, *_ in steps if not fn)
     jumps = [f"b, {_names(pids)}= {k}, {_names(argids)}" for k, pids, argids in edges]
     return [pad + line for line in [
         f"if fuel < {cost}: raise _Fault", f"fuel -= {cost}",
-        *(f"v{r} = f{r}({_names(xs[:n])})" for r, fn, n, *xs in steps if fn),
+        *(f"v{r} = {inline(row, [f'v{x}' for x in xs[:n]])}"
+          for r, fn, n, *xs, row in steps if fn),
         *([f"return v{ret}"] if ret is not None else jumps if cond is None
           else [f"if v{cond}: {jumps[1]}", f"else: {jumps[0]}"])]]

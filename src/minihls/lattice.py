@@ -10,15 +10,16 @@ operator names a hardware opcode (``add_i64``, ``fmul_f64``, ...), which
 is the unit the circuit generator and VHDL library work with.
 
 `IMPL_BY_OPCODE` is the one opcode table: each row holds an opcode's
-operator symbol, signature, default latency, function on Python values
-(the arithmetic kernel every interpreter and the simulator call) and the
-VHDL statement that drives its result.  `METHODS`, the one method table
+operator symbol, signature, default latency, Python expression (the one
+source of its arithmetic: its function `fn` is built from it, and compiled
+code pastes it as `inline` writes it) and the VHDL statement that drives
+its result.  `METHODS`, the one method table
 that inference, the source interpreter and `--dump-dispatch` read,
 `DEFAULT_LATENCIES`, `SELECT_OPCODES` and `SITOFP` are derived from it,
 so adding an opcode means adding one row.  After dispatch an operation is
 its row at every layer: a typed call and an SSA instruction hold the row
 itself, and a select instruction's op is its `SelectOp` row.  `bind`
-makes the one callable that every evaluator runs for an operation.
+makes the one callable that every cold evaluator runs for an operation.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -109,11 +109,6 @@ def wrap64(n: int) -> int:
     return n - _U64 if n > _I64_MAX else n
 
 
-def _trunc_div(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
 def _fdiv(a: float, b: float) -> float:
     if b != 0.0:
         return a / b
@@ -125,23 +120,33 @@ def _fdiv(a: float, b: float) -> float:
 def _mod(a: int, b: int) -> int:
     if b == 0:  # `bind` re-raises it at the operation's position
         raise DivByZeroError("integer mod by zero", Pos(0, 0))
-    return wrap64(a - b * _trunc_div(a, b))
+    r = abs(a) % abs(b)  # truncated: the remainder takes the dividend's sign
+    return r if a >= 0 else -r
+
+
+# the globals a row's expression reads, in every scope that runs one
+PY_GLOBALS = {"_fdiv": _fdiv, "_mod": _mod}
+# an Int64 expression wrapped to 64 bits with no call; no compiled text names `w`
+_WRAP = (f"(w if {-_I64_MAX - 1} <= (w := {{}}) <= {_I64_MAX} else "
+         f"((w + {_I64_MAX + 1}) & {_U64 - 1}) - {_I64_MAX + 1})").format
 
 
 @dataclass(frozen=True)
 class OperatorImpl:
     """One opcode: the symbol dispatch resolves to it (None if none does),
-    its signature, default latency in cycles, function on Python values,
-    the VHDL statement that drives `result`, and whether it traps."""
+    its signature, default latency in cycles, Python expression `py` on
+    operand names `{0}` to `{2}`, each maybe read twice, the VHDL statement
+    that drives `result`, whether it traps, and `fn`, `py` as a function."""
 
     symbol: str | None
     opcode: str
     operand_types: tuple[LatticeType, ...]
     result_type: LatticeType
     latency: int = field(compare=False, repr=False)
-    fn: Callable[..., object] = field(compare=False, repr=False)
+    py: str = field(compare=False, repr=False)
     vhdl: str = field(compare=False, repr=False)
     traps: bool = field(default=False, compare=False, repr=False)
+    fn: Callable[..., object] = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -158,55 +163,59 @@ _INT = "result <= std_logic_vector({});"
 _FLOAT = "result <= to_slv({});"
 _FLAG = "result(0) <= '1' when {} else '0';"
 
-# Every opcode, one row each.  A latency only affects cycle counts, never
-# results; the CLI and config can override it.
+# Every opcode, one row each, whose expression is its arithmetic in every tier.  A latency
+# only affects cycle counts, never results; the CLI and config can override it.
 _ROWS = [
-    OperatorImpl("+", "add_i64", (I, I), I, 0, lambda a, b: wrap64(a + b),
+    OperatorImpl("+", "add_i64", (I, I), I, 0, _WRAP("{0} + {1}"),
                  _INT.format("signed(in0_data) + signed(in1_data)")),
-    OperatorImpl("-", "sub_i64", (I, I), I, 0, lambda a, b: wrap64(a - b),
+    OperatorImpl("-", "sub_i64", (I, I), I, 0, _WRAP("{0} - {1}"),
                  _INT.format("signed(in0_data) - signed(in1_data)")),
-    OperatorImpl("*", "mul_i64", (I, I), I, 2, lambda a, b: wrap64(a * b),
+    OperatorImpl("*", "mul_i64", (I, I), I, 2, _WRAP("{0} * {1}"),
                  _INT.format("resize(signed(in0_data) * signed(in1_data), 64)")),
-    OperatorImpl("%", "mod_i64", (I, I), I, 8, _mod,
+    OperatorImpl("%", "mod_i64", (I, I), I, 8, "_mod({0}, {1})",
                  _INT.format("signed(in0_data) rem signed(in1_data)"), traps=True),
-    OperatorImpl("-", "neg_i64", (I,), I, 0, lambda a: wrap64(-a),
+    OperatorImpl("-", "neg_i64", (I,), I, 0, _WRAP("-{0}"),
                  _INT.format("-signed(in0_data)")),
-    OperatorImpl("+", "fadd_f64", (F, F), F, 4, operator.add,
+    OperatorImpl("+", "fadd_f64", (F, F), F, 4, "({0} + {1})",
                  _FLOAT.format("to_float64(in0_data) + to_float64(in1_data)")),
-    OperatorImpl("-", "fsub_f64", (F, F), F, 4, operator.sub,
+    OperatorImpl("-", "fsub_f64", (F, F), F, 4, "({0} - {1})",
                  _FLOAT.format("to_float64(in0_data) - to_float64(in1_data)")),
-    OperatorImpl("*", "fmul_f64", (F, F), F, 4, operator.mul,
+    OperatorImpl("*", "fmul_f64", (F, F), F, 4, "({0} * {1})",
                  _FLOAT.format("to_float64(in0_data) * to_float64(in1_data)")),
-    OperatorImpl("/", "fdiv_f64", (F, F), F, 8, _fdiv,
+    OperatorImpl("/", "fdiv_f64", (F, F), F, 8, "({0} / {1} if {1} else _fdiv({0}, {1}))",
                  _FLOAT.format("to_float64(in0_data) / to_float64(in1_data)")),
-    OperatorImpl("-", "fneg_f64", (F,), F, 0, operator.neg,
+    OperatorImpl("-", "fneg_f64", (F,), F, 0, "(-{0})",
                  _FLOAT.format("-to_float64(in0_data)")),
-    OperatorImpl("&&", "and_i1", (B, B), B, 0, lambda a, b: a and b,
+    OperatorImpl("&&", "and_i1", (B, B), B, 0, "({0} and {1})",
                  _FLAG.format("(in0_data(0) and in1_data(0)) = '1'")),
-    OperatorImpl("||", "or_i1", (B, B), B, 0, lambda a, b: a or b,
+    OperatorImpl("||", "or_i1", (B, B), B, 0, "({0} or {1})",
                  _FLAG.format("(in0_data(0) or in1_data(0)) = '1'")),
-    OperatorImpl("!", "not_i1", (B,), B, 0, operator.not_,
+    OperatorImpl("!", "not_i1", (B,), B, 0, "(not {0})",
                  _FLAG.format("in0_data(0) = '0'")),
     # the int-to-float conversion that promotion inserts
-    OperatorImpl(None, "sitofp", (I,), F, 2, float,
+    OperatorImpl(None, "sitofp", (I,), F, 2, "float({0})",
                  _FLOAT.format("to_float(signed(in0_data), 11, 52)")),
 ]
 for _sym, _name, _vop in (("<", "lt", "<"), ("<=", "le", "<="), (">", "gt", ">"),
                           (">=", "ge", ">="), ("==", "eq", "="), ("!=", "ne", "/=")):
-    _fn = getattr(operator, _name)
     _ROWS += [
-        OperatorImpl(_sym, f"cmp_{_name}_i64", (I, I), B, 0, _fn,
+        OperatorImpl(_sym, f"cmp_{_name}_i64", (I, I), B, 0, f"({{0}} {_sym} {{1}})",
                      _FLAG.format(f"signed(in0_data) {_vop} signed(in1_data)")),
-        OperatorImpl(_sym, f"fcmp_{_name}_f64", (F, F), B, 1, _fn,
+        OperatorImpl(_sym, f"fcmp_{_name}_f64", (F, F), B, 1, f"({{0}} {_sym} {{1}})",
                      _FLAG.format(f"to_float64(in0_data) {_vop} to_float64(in1_data)"))]
 # Strict (non-short-circuit) select over already computed values
-_SELECTS = [SelectOp(None, f"select_{t.short}", (B, t, t), t, 0,
-                         lambda c, a, b: a if c else b,
-                         "result <= in1_data when in0_data(0) = '1' else in2_data;")
+_SELECTS = [SelectOp(None, f"select_{t.short}", (B, t, t), t, 0, "({1} if {0} else {2})",
+                     "result <= in1_data when in0_data(0) = '1' else in2_data;")
             for t in (B, I, F)]
 
 IMPL_BY_OPCODE: dict[str, OperatorImpl] = {imp.opcode: imp
                                            for imp in _ROWS + _SELECTS}
+# each row's function, a `def` of its expression; all are made in one exec
+exec("\n".join(f"def {op}({', '.join(xs)}): return {imp.py.format(*xs)}" for op, imp
+               in IMPL_BY_OPCODE.items() for xs in ["abc"[:len(imp.operand_types)]]),
+     _scope := dict(PY_GLOBALS))
+for _imp in IMPL_BY_OPCODE.values():
+    object.__setattr__(_imp, "fn", _scope[_imp.opcode])
 DEFAULT_LATENCIES: dict[str, int] = {op: imp.latency
                                      for op, imp in IMPL_BY_OPCODE.items()}
 SITOFP = IMPL_BY_OPCODE["sitofp"]
@@ -258,8 +267,8 @@ def dispatch(symbol: str, operand_types: tuple[LatticeType, ...],
 
 
 def bind(impl: OperatorImpl, pos: Pos | None, conversions: tuple = ()) -> Callable:
-    """The one callable every evaluator runs for an operation: row `impl`'s
-    function, after `conversions` (a method's, binary only) on its
+    """The one callable every cold evaluator runs for an operation: row
+    `impl`'s function, after `conversions` (a method's, binary only) on its
     arguments, raising a trap at `pos`."""
     fn = impl.fn
     if any(conversions):
@@ -274,6 +283,13 @@ def bind(impl: OperatorImpl, pos: Pos | None, conversions: tuple = ()) -> Callab
         except DivByZeroError as e:
             raise DivByZeroError(e.message, pos) from None
     return trapping
+
+
+def inline(impl: OperatorImpl, names, conversions: tuple = ()) -> str:
+    """What compiled code pastes for an operation: row `impl`'s expression on
+    operand `names`, converted as `conversions` say; a trap has no position."""
+    return impl.py.format(*(conv.py.format(x) if conv else x
+                            for x, conv in zip(names, conversions or (None,) * len(names))))
 
 
 def dispatch_table() -> list[tuple[str, tuple[LatticeType, ...], Dispatch]]:

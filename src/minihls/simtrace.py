@@ -9,9 +9,9 @@ kernels of `SimPlan.recording_nodes`: its values are `_Tok`s and its
 containers log the first access to each place, ("c", k) channel or pin k,
 ("r", i) and ("p", i) the register and pipeline of component i, ("s", i)
 its membership of `stalled` and ("h",) the release heap.  `_trace`
-compiles what it recorded: a token is a local, rules only rename it,
-operations compute it, and each place is tested once against the copy's
-state before the recorded path first reads it.  Where a guard fails,
+compiles what it recorded: a token is a local, rules only rename it, an
+operation's row text computes it, and each place is tested once against
+the copy's state before the recorded path first reads it.  Where a guard fails,
 `_leave` writes back the state at the start of that cycle from the exit's
 `_Exit` table.
 """
@@ -26,7 +26,7 @@ from sys import maxsize
 from .cdfg import CONST
 from .codegen import define, indent
 from .errors import DeadlockError, MaxCyclesError, MiniHlsError
-from .lattice import IMPL_BY_OPCODE
+from .lattice import IMPL_BY_OPCODE, PY_GLOBALS, inline
 from .sim import _ABSENT, _GLOBALS, SimPlan, Simulator
 
 # newton_raphson's lap closes after 22 recorded cycles, so a cap of 16 halves
@@ -227,7 +227,7 @@ def _trace(plan: SimPlan, rec: _Recording):
     entry, head = snaps[0], end if loop is None else loop
     base = entry.cycle
     off = [snap.cycle - base for snap in snaps]
-    names, scope, exits = {}, dict(_GLOBALS, leave=_leave, X=[]), {}
+    names, scope, exits = {}, dict(_GLOBALS, **PY_GLOBALS, leave=_leave, X=[]), {}
 
     def new(t):  # t's local, defined here
         names[t] = f"t{len(names)}"
@@ -318,9 +318,9 @@ def _trace(plan: SimPlan, rec: _Recording):
                 scope[f"k{i}"] = c.value
                 code.append(f"{new(t)} = k{i}")
                 continue
-            scope[f"f{i}"] = plan.ops[i]
-            line = f"{new(t)} = f{i}({', '.join(names[x] for x in xs)})"
-            (trapping if IMPL_BY_OPCODE[c.opcode].traps else code).append(line)
+            row = IMPL_BY_OPCODE[c.opcode]
+            line = f"{new(t)} = {inline(row, [names[x] for x in xs])}"
+            (trapping if row.traps else code).append(line)
         if trapping:  # the kernels raise the trap from the cycle's start
             code += ["try:", *indent(trapping), "except MiniHlsError:", "    " + leave(j, in_lap)]
         code += [f"outputs.setdefault({i}, (base + {off[j]}, {i}, {names[t]}))"

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from test_lattice import pasted
 from test_source import load_ladder_generator
 
 from minihls import corpus, interp, lattice, typecheck
@@ -37,6 +38,10 @@ def source_fn(text):
 
 # -- arithmetic kernel -------------------------------------------------------
 
+# each edge below holds for an opcode's row called as its function, as the
+# cold tiers run it, and for its expression pasted as compiled code runs it
+FORMS = (eval_op, lambda opcode, args: pasted(IMPL_BY_OPCODE[opcode], args))
+
 
 def test_wrap64_identity_in_range():
     for n in (0, 1, -1, INT64_MIN, INT64_MAX):
@@ -51,65 +56,75 @@ def test_wrap64_overflow():
 
 
 def test_add_and_mul_wrap():
-    assert eval_op("add_i64", (INT64_MAX, 1)) == INT64_MIN
-    assert eval_op("sub_i64", (INT64_MIN, 1)) == INT64_MAX
-    assert eval_op("mul_i64", (2**32, 2**32)) == 0
-    assert eval_op("mul_i64", (INT64_MAX, 2)) == -2
+    for op in FORMS:
+        assert op("add_i64", (INT64_MAX, 1)) == INT64_MIN
+        assert op("sub_i64", (INT64_MIN, 1)) == INT64_MAX
+        assert op("mul_i64", (2**32, 2**32)) == 0
+        assert op("mul_i64", (INT64_MAX, 2)) == -2
 
 
 def test_neg_of_int_min_wraps_to_itself():
-    assert eval_op("neg_i64", (INT64_MIN,)) == INT64_MIN
+    for op in FORMS:
+        assert op("neg_i64", (INT64_MIN,)) == INT64_MIN
 
 
 def test_mod_truncates_toward_zero():
     # unlike Python's floored %, the remainder takes the dividend's sign
-    assert eval_op("mod_i64", (7, 2)) == 1
-    assert eval_op("mod_i64", (-7, 2)) == -1
-    assert eval_op("mod_i64", (7, -2)) == 1
-    assert eval_op("mod_i64", (-7, -2)) == -1
+    for op in FORMS:
+        assert op("mod_i64", (7, 2)) == 1
+        assert op("mod_i64", (-7, 2)) == -1
+        assert op("mod_i64", (7, -2)) == 1
+        assert op("mod_i64", (-7, -2)) == -1
 
 
 def test_mod_by_zero_traps():
-    with pytest.raises(DivByZeroError):
-        eval_op("mod_i64", (1, 0))
+    for op in FORMS:
+        with pytest.raises(DivByZeroError):
+            op("mod_i64", (1, 0))
 
 
 def test_mod_int_min_by_minus_one():
-    assert eval_op("mod_i64", (INT64_MIN, -1)) == 0
+    for op in FORMS:
+        assert op("mod_i64", (INT64_MIN, -1)) == 0
 
 
 def test_float_division_never_traps():
-    assert eval_op("fdiv_f64", (1.0, 0.0)) == math.inf
-    assert eval_op("fdiv_f64", (-1.0, 0.0)) == -math.inf
-    assert math.isnan(eval_op("fdiv_f64", (0.0, 0.0)))
-    assert math.isnan(eval_op("fdiv_f64", (math.nan, 2.0)))
-    assert eval_op("fdiv_f64", (1.0, math.inf)) == 0.0
+    for op in FORMS:
+        assert op("fdiv_f64", (1.0, 0.0)) == math.inf
+        assert op("fdiv_f64", (-1.0, 0.0)) == -math.inf
+        assert math.isnan(op("fdiv_f64", (0.0, 0.0)))
+        assert math.isnan(op("fdiv_f64", (math.nan, 2.0)))
+        assert op("fdiv_f64", (1.0, math.inf)) == 0.0
 
 
 def test_float_compare_with_nan_is_unordered():
-    assert eval_op("fcmp_lt_f64", (math.nan, 1.0)) is False
-    assert eval_op("fcmp_ge_f64", (math.nan, 1.0)) is False
-    assert eval_op("fcmp_eq_f64", (math.nan, math.nan)) is False
-    assert eval_op("fcmp_ne_f64", (math.nan, math.nan)) is True
+    for op in FORMS:
+        assert op("fcmp_lt_f64", (math.nan, 1.0)) is False
+        assert op("fcmp_ge_f64", (math.nan, 1.0)) is False
+        assert op("fcmp_eq_f64", (math.nan, math.nan)) is False
+        assert op("fcmp_ne_f64", (math.nan, math.nan)) is True
 
 
 def test_sitofp_matches_ieee_rounding():
-    assert eval_op("sitofp", (3,)) == 3.0
-    big = 2**53 + 1  # not representable; rounds to nearest even
-    assert eval_op("sitofp", (big,)) == float(big)
+    for op in FORMS:
+        assert op("sitofp", (3,)) == 3.0
+        big = 2**53 + 1  # not representable; rounds to nearest even
+        assert op("sitofp", (big,)) == float(big)
 
 
 def test_select_opcodes():
-    assert eval_op("select_i64", (True, 10, 20)) == 10
-    assert eval_op("select_i64", (False, 10, 20)) == 20
-    assert eval_op("select_f64", (True, 1.5, 2.5)) == 1.5
-    assert eval_op("select_i1", (False, True, False)) is False
+    for op in FORMS:
+        assert op("select_i64", (True, 10, 20)) == 10
+        assert op("select_i64", (False, 10, 20)) == 20
+        assert op("select_f64", (True, 1.5, 2.5)) == 1.5
+        assert op("select_i1", (False, True, False)) is False
 
 
 def test_logic_and_not():
-    assert eval_op("and_i1", (True, False)) is False
-    assert eval_op("or_i1", (True, False)) is True
-    assert eval_op("not_i1", (False,)) is True
+    for op in FORMS:
+        assert op("and_i1", (True, False)) is False
+        assert op("or_i1", (True, False)) is True
+        assert op("not_i1", (False,)) is True
 
 
 def test_type_of_value_distinguishes_bool_from_int():
@@ -256,13 +271,23 @@ def test_a_node_looks_its_method_up_once_while_its_operand_types_repeat(
     for name, module in list(sys.modules.items()):  # every holder of the table
         if name.split(".")[0] == "minihls" and getattr(module, "METHODS", None) is methods:
             monkeypatch.setattr(module, "METHODS", table)
+    # the walker looks each (node, types) key up once; one run pays for the
+    # compile, and the loop test is one node for every trip
     want = {("<", I, I): 1, ("+", F, F): 1, ("*", F, I): 1, ("%", I, I): 1,
-            ("+", I, I): 1}  # the loop test is one node for every trip
-    for compiled in (False, True):  # one run pays for the compile
-        assert (fn.plan is not None and fn.plan.compiled is not None) == compiled
+            ("+", I, I): 1}
+    assert run_source(fn, (1000, 0.5)) == sum(0.5 * (i % 7) for i in range(1000))
+    assert lookups == want and fn.plan.compiled is not None
+    interpreted = []
+    monkeypatch.setattr(fn.plan, "interpret", lambda *run: interpreted.append(run))
+    # compiled, a node whose operand types the walker saw looks nothing up;
+    # an Int64 `x` retypes `x * (i % 7)` and `s + ...`, whose new keys the
+    # miss path looks up once in the run that first meets them, not per visit
+    for args, want in (((1000, 0.5), {}), ((1000, 2), {("*", I, I): 1, ("+", F, I): 1}),
+                       ((1000, 2), {}), ((10, 0.5), {})):
         lookups.clear()
-        assert run_source(fn, (1000, 0.5)) == sum(0.5 * (i % 7) for i in range(1000))
-        assert lookups == want
+        assert run_source(fn, args) == sum(args[1] * (i % 7) for i in range(args[0]))
+        assert lookups == want, args
+    assert interpreted == []
 
 
 def trapping_ssa(text="function f(a, b)\n  c = a + 1\n  return c % b\nend\n"):
@@ -653,6 +678,47 @@ def test_equal_operators_report_their_own_trap():
             run_source(fn, (5, 1))
         assert info.value.pos == Pos(4, 9)
         run_hot(fn, (5, 3))  # a run that traps spends nothing
+
+
+PROMOTING = ("function f(n, x)\n  i = 0\n  s = 0.0\n  while i < n\n"
+             "    s = s + x * (i % 7)\n    i = i + 1\n  end\n  return s\nend\n")
+
+
+def test_a_hot_promoting_node_runs_its_inlined_conversion_as_the_walker_does(monkeypatch):
+    # `x * (i % 7)` is Float64 x Int64: its compiled text converts `i % 7`
+    func = source_fn(PROMOTING)
+    run_hot(func, (50, 0.5))
+    monkeypatch.setattr(func.plan, "interpret", None)  # the compiled code alone
+    for args in ((1000, 0.5), (30, -0.0), (30, math.inf), (30, math.nan), (9, 5e-324),
+                 (30, 1.7976931348623157e308), (30, -2.5)):
+        cold = outcome(lambda a, fuel: run_source(source_fn(PROMOTING), a), args, None)
+        assert outcome(lambda a, fuel: run_source(func, a), args, None) == cold, args
+
+
+MOD_LOOP = ("function f(n, d)\n  s = 0\n  i = 0\n  while i < n\n"
+            "    s = s + i % (d - i)\n    i = i + 1\n  end\n  return s\nend\n")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: source_fn(MOD_LOOP), lambda: lower(typecheck.infer(source_fn(MOD_LOOP), (I, I)))],
+    ids=["source", "ssa"])
+def test_a_divisor_that_reaches_zero_in_a_hot_loop_traps_where_the_walker_does(build):
+    func = build()
+    run = run_source if isinstance(func, FunctionDef) else run_ssa
+    run_hot(func, (20, 100))
+    for args in ((20, 100), (20, 10), (20, 0), (20, 19)):
+        cold = outcome(lambda a, fuel: run(build(), a), args, None)
+        assert outcome(lambda a, fuel: run(func, a), args, None) == cold, args
+    assert cold[:3] == (DivByZeroError, "integer mod by zero", Pos(5, 15))
+    assert func.plan.compiled is not None
+
+
+def test_a_compiled_plan_meets_a_node_with_no_method_where_the_walker_does():
+    func = retyped_loop("true")
+    run_hot(func, (1,))  # `y = x + 1` sees only an Int64 x
+    with pytest.raises(NoMethodError) as info:
+        run_source(func, (2,))
+    assert info.value.pos == Pos(6, 11) and func.plan.compiled is not None
 
 
 def test_an_undefined_variable_is_reported_at_its_first_read():

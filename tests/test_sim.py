@@ -25,6 +25,7 @@ from minihls.pipeline import compile_source
 from minihls.sim import DEFAULT_MAX_CYCLES, SimReport, Simulator, simulate
 from minihls.source import parse_source
 from minihls import corpus
+from test_interp import run_hot
 from test_passes import narrow_ladder, wide_ladder
 from sim_reference import ReferenceSimulator
 
@@ -1427,6 +1428,23 @@ def test_a_trace_runs_several_cycles_per_call(source, args, monkeypatch):
     for k, path in enumerate(paths):
         assert not {head for head, *_ in paths[:k]} & set(path[1:])
         assert len(path) <= simtrace._TRACE
+
+
+@pytest.mark.parametrize("args, want", [((3, 40), -6289078614652622815), ((2, 64), 0),
+                                         ((-2, 63), -2**63)], ids=["3^40", "2^64", "-2^63"])
+def test_power_wraps_alike_in_every_hot_tier(args, want, monkeypatch):
+    """3^40 and 2^64 overflow Int64 and (-2)^63 is its least value: each
+    hot tier, which pastes `mul_i64`'s expression, gives the cold tier's."""
+    res = compile_source(corpus.load("power"), corpus.SIGNATURES["power"])
+    assert run_source(source_fn("power"), args) == want
+    for func, run in ((res.func, run_source), (res.ssa, run_ssa)):
+        run_hot(func, (2, 3))
+        monkeypatch.setattr(func.plan, "interpret", None)  # the compiled code alone
+        assert (got := run(func, args)) == want and type(got) is int
+    cold = outcome(res.cdfg, args, DEFAULT_MAX_CYCLES, trace=False)
+    assert cold.output == want and compiled_cycles(res.cdfg) == {}
+    assert outcome(res.cdfg, args, DEFAULT_MAX_CYCLES, hot=True) == cold
+    assert compiled_cycles(res.cdfg)
 
 
 def test_a_trace_compiled_inside_a_loop_closes_into_a_loop(monkeypatch):
